@@ -10,7 +10,6 @@ representation on a truncated Fock space.
 import numpy as np
 
 from gaussbath import (
-    GaussianSpec,
     OperatorGaussianSpec,
     doubled_moment_report,
     operator_split,
@@ -21,23 +20,23 @@ from gaussbath import (
 np.set_printoptions(precision=4, suppress=True)
 
 
-def show(spec):
-    s = scalar_split(spec)
-    res = split_residuals(spec, s)
+def show(n, m):
+    s = scalar_split(n, m)
+    res = split_residuals(n, m, s)
     print(
         "  n=%-5.2f |m|=%-6.3f ->  x=%.4f  y=%.4f  z=%.4f%+.4fj   worst residual %.1e"
-        % (spec.n, abs(spec.m), s.x, s.y, s.z.real, s.z.imag, max(res.values()))
+        % (n, abs(m), s.x, s.y, s.z.real, s.z.imag, max(res.values()))
     )
 
 
 print("scalar splits across the physical region")
-show(GaussianSpec(0.0))
-show(GaussianSpec(1.0, 0.0))
-show(GaussianSpec(1.0, 1.0j))
-show(GaussianSpec(3.0, 0.0))
+show(0.0, 0.0)
+show(1.0, 0.0)
+show(1.0, 1.0j)
+show(3.0, 0.0)
 for frac in (0.5, 0.9, 0.999, 1.0):
     n = 2.0
-    show(GaussianSpec(n, frac * np.sqrt(n * (n + 1.0)) * np.exp(0.3j)))
+    show(n, frac * np.sqrt(n * (n + 1.0)) * np.exp(0.3j))
 print("  (x -> 0 as |m|^2 -> n(n+1): the first mode decouples at the boundary)")
 
 print("\noperator-valued split of a commuting pair")
@@ -56,7 +55,7 @@ print("  |X+X + Z+Z - (N + 1)|  =", np.abs(x.conj().T @ x + z.conj().T @ z - (n_
 print("  |Y Z - M|              =", np.abs(y @ z - m_op).max())
 
 print("\nmeasured moments of the doubled representation (cutoff 8)")
-report = doubled_moment_report(GaussianSpec(n=1.0, m=1.0j), cutoff=8)
+report = doubled_moment_report(OperatorGaussianSpec(N=[[1.0]], M=[[1.0j]]), cutoff=8)
 meas, pred = report["measured"], report["predicted"]
 print("  <A A+> = %.6f%+.6fj   target n+1 = %.6f" % (meas["a_adag"].real, meas["a_adag"].imag, pred["a_adag_nplus1"].real))
 print("  <A+ A> = %.6f%+.6fj   target n   = %.6f" % (meas["adag_a"].real, meas["adag_a"].imag, pred["a_adag_n"].real))

@@ -17,7 +17,6 @@ from .collision import (
     trace_distance,
 )
 from .doubling import (
-    GaussianSpec,
     OperatorGaussianSpec,
     SplitCoefficients,
     doubled_moment_report,
@@ -27,7 +26,6 @@ from .doubling import (
     represent_annihilator,
     scalar_split,
     split_residuals,
-    validate_gaussian,
 )
 from .errors import (
     BasisError,
@@ -65,11 +63,11 @@ from .linalg import (
     is_hermitian,
     is_psd,
     is_unitary,
-    kron,
     mat_exp,
     mat_sqrt_psd,
     operator_norm,
     partial_trace,
+    sandwich,
     vectorize,
 )
 from .noise import (

@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from .collision import convergence_study
-from .doubling import GaussianSpec, scalar_split, split_residuals
+from .doubling import scalar_split, split_residuals
 from .errors import FormatError, GaussBathError
 from .lindblad import (
     SystemModel,
@@ -38,7 +38,7 @@ from .lindblad import (
     steady_state,
     validate_density_matrix,
 )
-from .linalg import vectorize
+from .linalg import adjoint, vectorize
 from .noise import NoiseParams, unitarity_defect
 from .wick import NORMAL_ORDERED, TIME_ORDERED, ItoCoefficients, normal_to_time, time_to_normal
 
@@ -91,13 +91,22 @@ def _optional_float(raw: dict, key: str, default: float = 0.0) -> float:
     raise FormatError(f"field '{key}': expected a number")
 
 
-def load_model_dict(path: str) -> dict:
+def _load_json(path: str):
+    """Parse a JSON file, rejecting the non-standard NaN and Infinity literals."""
+
+    def reject(constant):
+        raise FormatError(f"{path}: non-finite number {constant} is not allowed")
+
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        raw = json.loads(text)
+        return json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
+def load_model_dict(path: str) -> dict:
+    raw = _load_json(path)
     if not isinstance(raw, dict):
         raise FormatError(f"{path}: top level must be a JSON object")
     return raw
@@ -133,13 +142,7 @@ def block_from_dict(raw: dict, name: str, dim: int, kind: str) -> ItoCoefficient
 
 
 def load_density_matrix(path: str, dim: int, tol: float) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(
-                f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
+    raw = _load_json(path)
     payload = raw.get("rho") if isinstance(raw, dict) else raw
     rho = _parse_cmatrix(payload, dim, "rho")
     return validate_density_matrix(rho, tol)
@@ -202,6 +205,7 @@ def cmd_convert(args) -> int:
 def cmd_generator(args) -> int:
     model = model_from_dict(load_model_dict(args.model))
     form = gks_decompose(model)
+    heis = heisenberg_generator(model)
     evals = form.kossakowski_eigenvalues()
     report = {
         "dim": model.dim,
@@ -210,8 +214,8 @@ def cmd_generator(args) -> int:
         "kossakowski": _dump_cmatrix(form.kossakowski),
         "kossakowski_eigenvalues": [float(v) for v in evals],
         "completely_positive": bool(evals.min() >= -args.tol),
-        "liouvillian": _dump_cmatrix(schrodinger_liouvillian(model)),
-        "heisenberg": _dump_cmatrix(heisenberg_generator(model)),
+        "liouvillian": _dump_cmatrix(adjoint(heis)),
+        "heisenberg": _dump_cmatrix(heis),
     }
     _write_report(report, args.out)
     return 0
@@ -294,12 +298,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_split(args) -> int:
-    spec = GaussianSpec(n=args.n, m=complex(args.m_re, args.m_im))
-    s = scalar_split(spec)
-    res = split_residuals(spec, s)
+    m = complex(args.m_re, args.m_im)
+    s = scalar_split(args.n, m)
+    res = split_residuals(args.n, m, s)
     report = {
         "n": args.n,
-        "m": _dump_complex(spec.m),
+        "m": _dump_complex(m),
         "x": s.x,
         "y": s.y,
         "z": _dump_complex(s.z),
@@ -315,10 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaussbath",
         description="Gaussian-bath quantum noise engine",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help="seed for randomized diagnostics (current commands are deterministic)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -377,7 +377,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"gaussbath: i/o error: {exc}", file=sys.stderr)
         return 4
-    except ArithmeticError as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"gaussbath: numerical error: {exc}", file=sys.stderr)
         return 3
     except (GaussBathError, ValueError) as exc:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .doubling import GaussianSpec, SplitCoefficients, mode_annihilators, scalar_split
+from .doubling import SplitCoefficients, mode_annihilators, scalar_split
 from .errors import DimensionError, DomainError, TruncationWarning
 from .lindblad import SystemModel, evolve, validate_density_matrix
 from .linalg import adjoint, mat_exp, partial_trace, require_square
@@ -70,7 +70,7 @@ class CollisionConfig:
                 "collision comparisons are defined at sigma = 0; "
                 "a sigma shift is a Hamiltonian term with no ancilla counterpart"
             )
-        self.split = scalar_split(GaussianSpec(noise.n, noise.m))
+        self.split = scalar_split(noise.n, noise.m)
 
 
 def increment_operator(config: CollisionConfig) -> np.ndarray:

@@ -34,9 +34,9 @@ import numpy as np
 
 from .errors import CommutationError, DimensionError, DomainError, KernelError
 from .linalg import adjoint, is_hermitian, mat_sqrt_psd, operator_norm, require_square
+from .noise import is_gaussian_state, require_finite
 
 __all__ = [
-    "GaussianSpec",
     "OperatorGaussianSpec",
     "SplitCoefficients",
     "doubled_moment_report",
@@ -46,24 +46,7 @@ __all__ = [
     "represent_annihilator",
     "scalar_split",
     "split_residuals",
-    "validate_gaussian",
 ]
-
-
-@dataclass(frozen=True)
-class GaussianSpec:
-    """Scalar Gaussian state data (n, m, alpha) for a single mode."""
-
-    n: float
-    m: complex = 0.0
-    alpha: complex = 0.0
-
-
-def validate_gaussian(spec: GaussianSpec, tol: float = 1e-12) -> bool:
-    """Check n >= 0 and |m|^2 <= n(n+1) within tol."""
-    if spec.n < 0:
-        return False
-    return abs(spec.m) ** 2 <= spec.n * (spec.n + 1.0) + tol
 
 
 @dataclass(frozen=True)
@@ -79,17 +62,17 @@ class SplitCoefficients:
         return (self.x * one, self.y * one, self.z * one)
 
 
-def scalar_split(spec: GaussianSpec, tol: float = 1e-12) -> SplitCoefficients:
-    """Split coefficients for a scalar Gaussian state.
+def scalar_split(n: float, m: complex, tol: float = 1e-12) -> SplitCoefficients:
+    """Split coefficients for the scalar Gaussian state (n, m).
 
-    Raises DomainError outside |m|^2 <= n(n+1).  The nonnegative branch
-    is taken for x and y; all phase information sits in z.
+    Raises DomainError for non-finite input and outside n >= 0,
+    |m|^2 <= n(n+1).  The nonnegative branch is taken for x and y; all
+    phase information sits in z.
     """
-    if not validate_gaussian(spec, tol):
-        raise DomainError(
-            f"(n, m) = ({spec.n}, {spec.m}) violates |m|^2 <= n(n+1)"
-        )
-    n, m = spec.n, complex(spec.m)
+    require_finite(n=n, m=m)
+    if not is_gaussian_state(n, m, tol):
+        raise DomainError(f"(n, m) = ({n}, {m}) violates |m|^2 <= n(n+1)")
+    m = complex(m)
     if n == 0.0:
         return SplitCoefficients(1.0, 0.0, 0.0)
     xsq = n + 1.0 - abs(m) ** 2 / n
@@ -98,12 +81,12 @@ def scalar_split(spec: GaussianSpec, tol: float = 1e-12) -> SplitCoefficients:
     return SplitCoefficients(x, sqrt(n), m / sqrt(n))
 
 
-def split_residuals(spec: GaussianSpec, s: SplitCoefficients) -> dict:
+def split_residuals(n: float, m: complex, s: SplitCoefficients) -> dict:
     """The three defining identities as absolute residuals."""
     return {
         "commutator": abs(s.x**2 - s.y**2 + abs(s.z) ** 2 - 1.0),
-        "occupation": abs(s.x**2 + abs(s.z) ** 2 - (spec.n + 1.0)),
-        "pair": abs(s.y * s.z - spec.m),
+        "occupation": abs(s.x**2 + abs(s.z) ** 2 - (n + 1.0)),
+        "pair": abs(s.y * s.z - m),
     }
 
 
@@ -253,7 +236,7 @@ def represent_annihilator(
 
 
 def doubled_moment_report(
-    spec: GaussianSpec | OperatorGaussianSpec,
+    spec: OperatorGaussianSpec,
     cutoff: int,
     phi: np.ndarray | None = None,
     psi: np.ndarray | None = None,
@@ -265,17 +248,12 @@ def doubled_moment_report(
     together with the candidate predictions <phi|(N+1)psi>, <phi|N psi>
     and the pair moment, plus which occupation convention (N or N+1) the
     measurement matches.  Measurement is the arbiter here because the
-    two conventions appear side by side in the literature.
+    two conventions appear side by side in the literature.  A single
+    mode is the 1x1 case.
     """
-    if isinstance(spec, GaussianSpec):
-        split = scalar_split(spec)
-        n_op = np.array([[spec.n]], dtype=complex)
-        m_op = np.array([[spec.m]], dtype=complex)
-        k = 1
-    else:
-        split = operator_split(spec, tol)
-        n_op, m_op = spec.N, spec.M
-        k = n_op.shape[0]
+    split = operator_split(spec, tol)
+    n_op, m_op = spec.N, spec.M
+    k = n_op.shape[0]
     phi = np.ones(k, dtype=complex) if phi is None else np.asarray(phi, dtype=complex)
     psi = np.ones(k, dtype=complex) if psi is None else np.asarray(psi, dtype=complex)
 

@@ -3,7 +3,7 @@
 Convention used repo-wide: vectorization is COLUMN stacking,
 ``vec(A) = A.flatten(order="F")``, so that
 
-    vec(A X B) = (B^T kron A) vec(X).
+    vec(A X B) = (B^T kron A) vec(X) = sandwich(A, B) vec(X).
 
 Superoperators are ``d**2 x d**2`` matrices acting on column-stacked
 operators under this convention.  All helpers take and return plain
@@ -29,12 +29,12 @@ __all__ = [
     "is_hermitian",
     "is_psd",
     "is_unitary",
-    "kron",
     "mat_exp",
     "mat_sqrt_psd",
     "operator_norm",
     "partial_trace",
     "require_square",
+    "sandwich",
     "vectorize",
 ]
 
@@ -123,9 +123,9 @@ def mat_sqrt_psd(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (root + adjoint(root)) / 2.0
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product (thin wrapper, kept for a uniform surface)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+def sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Superoperator of X -> A X B: ``vec(A X B) = sandwich(A, B) @ vec(X)``."""
+    return np.kron(np.asarray(b).T, a)
 
 
 def vectorize(a: np.ndarray) -> np.ndarray:

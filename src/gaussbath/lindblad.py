@@ -13,7 +13,12 @@ closes, via the Gaussian Ito table, into the Heisenberg generator
     L(X) = gamma [ (n+1) C+XC + n CXC+ + conj(m) CXC + m C+XC+ ]
            - X G - G+ X,
 
-which is unital (L(1) = 0) and trace dual to the Schrodinger form.
+which is unital (L(1) = 0).  GKSForm.heisenberg_matrix is the one
+place a generator is assembled; the Schrodinger generator is its
+Hilbert-Schmidt adjoint L' = L+, so tr(L(X) rho) = tr(X L'(rho)) holds by
+construction.  The independent evidence for L is the Ito-closure test,
+which rebuilds L(X) column by column as the dt part of
+dU+ X + X dU + dU+ X dU from the Gaussian Ito table in noise.
 All superoperators act on column-stacked operators (see linalg).
 """
 
@@ -38,6 +43,7 @@ from .linalg import (
     mat_exp,
     operator_norm,
     require_square,
+    sandwich,
     vectorize,
 )
 from .noise import NoiseParams
@@ -74,6 +80,8 @@ class SystemModel:
         object.__setattr__(self, "F", require_square(self.F, "F"))
         if self.C.shape != self.F.shape:
             raise DimensionError("C and F must share one dimension")
+        if not (np.all(np.isfinite(self.C)) and np.all(np.isfinite(self.F))):
+            raise DomainError("C and F must be finite")
         if not is_hermitian(self.F, 1e-9):
             raise DomainError("F must be Hermitian")
 
@@ -96,13 +104,23 @@ def validate_density_matrix(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return rho
 
 
+def _kossakowski_sum(k: np.ndarray, jumps) -> np.ndarray:
+    """sum_jl K_jl V_j+ V_l over a jump basis V."""
+    return sum(
+        k[j, l] * (adjoint(vj) @ vl)
+        for j, vj in enumerate(jumps)
+        for l, vl in enumerate(jumps)
+    )
+
+
+def _bath_matrix(noise: NoiseParams) -> np.ndarray:
+    """[[n+1, m], [conj(m), n]]: the Kossakowski matrix over (C, C+) per unit gamma."""
+    return np.array([[noise.n + 1.0, noise.m], [np.conj(noise.m), noise.n]], dtype=complex)
+
+
 def dissipation_quadratic(model: SystemModel) -> np.ndarray:
     """The Hermitian quadratic Q = (n+1) C+C + n CC+ + conj(m) CC + m C+C+."""
-    c = model.C
-    cd = adjoint(c)
-    n, m = model.noise.n, model.noise.m
-    q = (n + 1.0) * (cd @ c) + n * (c @ cd) + np.conj(m) * (c @ c) + m * (cd @ cd)
-    return q
+    return _kossakowski_sum(_bath_matrix(model.noise), (model.C, adjoint(model.C)))
 
 
 def effective_G(model: SystemModel) -> np.ndarray:
@@ -111,52 +129,24 @@ def effective_G(model: SystemModel) -> np.ndarray:
     G + G+ = gamma Q, so the anti-Hermitian part carries F, the
     displacement and sigma while the Hermitian part is pure dissipation.
     """
-    alpha = model.noise.alpha
-    drift = model.F + np.conj(alpha) * model.C + alpha * adjoint(model.C)
-    return 1j * drift + model.noise.kappa * dissipation_quadratic(model)
+    return gks_decompose(model).effective_G()
 
 
 def heisenberg_generator(model: SystemModel) -> np.ndarray:
-    """Superoperator of L(X) acting on column-stacked X.
-
-    The sandwich weights come straight from the Gaussian Ito table:
-    dA dA+ pairs C+XC with gamma(n+1), dA+ dA pairs CXC+ with gamma n,
-    dA dA pairs CXC with gamma conj(m) and dA+ dA+ pairs C+XC+ with
-    gamma m.  This ordering of m against conj(m) is the unital one.
-    """
-    c, g = model.C, effective_G(model)
-    cd = adjoint(c)
-    gamma, n, m = model.noise.gamma, model.noise.n, model.noise.m
-    eye = np.eye(model.dim)
-    sandwich = (
-        (n + 1.0) * np.kron(c.T, cd)
-        + n * np.kron(np.conj(c), c)
-        + np.conj(m) * np.kron(c.T, c)
-        + m * np.kron(np.conj(c), cd)
-    )
-    return gamma * sandwich - np.kron(g.T, eye) - np.kron(eye, adjoint(g))
+    """Superoperator of L(X) acting on column-stacked X."""
+    return gks_decompose(model).heisenberg_matrix()
 
 
 def schrodinger_liouvillian(model: SystemModel) -> np.ndarray:
-    """Superoperator of the trace-dual L'(rho) = ... - G rho - rho G+."""
-    c, g = model.C, effective_G(model)
-    cd = adjoint(c)
-    gamma, n, m = model.noise.gamma, model.noise.n, model.noise.m
-    eye = np.eye(model.dim)
-    sandwich = (
-        (n + 1.0) * np.kron(np.conj(c), c)
-        + n * np.kron(c.T, cd)
-        + np.conj(m) * np.kron(c.T, c)
-        + m * np.kron(np.conj(c), cd)
-    )
-    return gamma * sandwich - np.kron(eye, g) - np.kron(np.conj(g), eye)
+    """Superoperator of L'(rho) = ... - G rho - rho G+, the adjoint of L."""
+    return adjoint(heisenberg_generator(model))
 
 
 def commutator_superoperator(h: np.ndarray) -> np.ndarray:
     """Superoperator of X -> i[h, X] on column-stacked X."""
     h = require_square(h, "commutator argument")
     eye = np.eye(h.shape[0])
-    return 1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    return 1j * (sandwich(h, eye) - sandwich(eye, h))
 
 
 def extract_commutator_hamiltonian(s: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, float]:
@@ -195,19 +185,20 @@ class GKSForm:
     jumps: tuple[np.ndarray, np.ndarray]
     kossakowski: np.ndarray
 
+    def effective_G(self) -> np.ndarray:
+        """G = i H_eff + 1/2 sum_jk K_jk V_j+ V_k, so that L(X) = ... - X G - G+ X."""
+        return 1j * self.h_eff + 0.5 * _kossakowski_sum(self.kossakowski, self.jumps)
+
     def heisenberg_matrix(self) -> np.ndarray:
-        """Reassemble the Heisenberg superoperator from the parts."""
-        d = self.h_eff.shape[0]
-        eye = np.eye(d)
-        out = commutator_superoperator(self.h_eff)
-        for j in range(2):
-            for k in range(2):
-                vj, vk = self.jumps[j], self.jumps[k]
-                vjd_vk = adjoint(vj) @ vk
-                out += self.kossakowski[j, k] * (
-                    np.kron(vk.T, adjoint(vj))
-                    - 0.5 * (np.kron(eye, vjd_vk) + np.kron(vjd_vk.T, eye))
-                )
+        """The Heisenberg superoperator: sum_jk K_jk V_j+ X V_k - X G - G+ X."""
+        g = self.effective_G()
+        eye = np.eye(g.shape[0])
+        # Weights go on the d x d factors so each d^4 product is formed once.
+        out = sandwich(eye, -g)
+        out += sandwich(-adjoint(g), eye)
+        for j, vj in enumerate(self.jumps):
+            for k, vk in enumerate(self.jumps):
+                out += sandwich(self.kossakowski[j, k] * adjoint(vj), vk)
         return out
 
     def kossakowski_eigenvalues(self) -> np.ndarray:
@@ -217,7 +208,7 @@ class GKSForm:
         return bool(self.kossakowski_eigenvalues().min() >= -tol)
 
 
-def gks_decompose(model: SystemModel, tol: float = 1e-10) -> GKSForm:
+def gks_decompose(model: SystemModel) -> GKSForm:
     """Write the Heisenberg generator in Kossakowski form over (C, C+).
 
         L(X) = i[H_eff, X]
@@ -229,8 +220,6 @@ def gks_decompose(model: SystemModel, tol: float = 1e-10) -> GKSForm:
 
     K is PSD exactly on the Gaussian-valid region |m|^2 <= n(n+1); an
     unphysical m shows up as a negative eigenvalue, not as an error.
-    The reassembled superoperator is compared against the source and a
-    mismatch above tol raises DecompositionError.
     """
     noise = model.noise
     alpha = noise.alpha
@@ -240,16 +229,11 @@ def gks_decompose(model: SystemModel, tol: float = 1e-10) -> GKSForm:
         + alpha * adjoint(model.C)
         + noise.sigma * dissipation_quadratic(model)
     )
-    k = noise.gamma * np.array(
-        [[noise.n + 1.0, noise.m], [np.conj(noise.m), noise.n]], dtype=complex
+    return GKSForm(
+        h_eff=h_eff,
+        jumps=(model.C, adjoint(model.C)),
+        kossakowski=noise.gamma * _bath_matrix(noise),
     )
-    form = GKSForm(h_eff=h_eff, jumps=(model.C, adjoint(model.C)), kossakowski=k)
-    residual = operator_norm(form.heisenberg_matrix() - heisenberg_generator(model))
-    if residual > tol:
-        raise DecompositionError(
-            f"Kossakowski reassembly residual {residual:.3e} exceeds {tol:.1e}"
-        )
-    return form
 
 
 def _rk4_default_step(model: SystemModel, spacing: float) -> float:

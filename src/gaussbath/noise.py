@@ -36,8 +36,10 @@ __all__ = [
     "VACUUM4",
     "VACUUM4_LABELS",
     "differential_adjoint",
+    "is_gaussian_state",
     "ito_product_gaussian",
     "ito_product_vacuum",
+    "require_finite",
     "unitarity_defect",
 ]
 
@@ -48,6 +50,18 @@ VACUUM4 = "vacuum4"
 GAUSSIAN3 = "gaussian3"
 VACUUM4_LABELS = ((0, 0), (0, 1), (1, 0), (1, 1))
 GAUSSIAN3_LABELS = ("dt", "dA", "dAdag")
+
+
+def require_finite(**values) -> None:
+    """Raise DomainError naming the first argument that is NaN or infinite."""
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
+def is_gaussian_state(n: float, m: complex, tol: float = 1e-12) -> bool:
+    """Whether (n, m) is a Gaussian bath state: n >= 0, |m|^2 <= n(n+1) within tol."""
+    return bool(n >= 0 and abs(m) ** 2 <= n * (n + 1.0) + tol)
 
 
 @dataclass(frozen=True)
@@ -66,6 +80,7 @@ class NoiseParams:
     alpha: complex = 0.0
 
     def __post_init__(self):
+        require_finite(gamma=self.gamma, sigma=self.sigma, n=self.n, m=self.m, alpha=self.alpha)
         if not self.gamma > 0:
             raise DomainError(f"gamma must be positive, got {self.gamma}")
         if self.n < 0:
@@ -76,7 +91,7 @@ class NoiseParams:
         return self.gamma / 2.0 + 1j * self.sigma
 
     def is_gaussian_valid(self, tol: float = 1e-12) -> bool:
-        return abs(self.m) ** 2 <= self.n * (self.n + 1.0) + tol
+        return is_gaussian_state(self.n, self.m, tol)
 
 
 def _zero(dim: int) -> np.ndarray:

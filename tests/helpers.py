@@ -2,6 +2,13 @@
 
 import numpy as np
 
+from gaussbath.noise import (
+    GAUSSIAN3,
+    QSDifferential,
+    differential_adjoint,
+    ito_product_gaussian,
+)
+
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |g><e|
 SIGMA_PLUS = SIGMA_MINUS.conj().T
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -42,3 +49,35 @@ def ladder(cutoff):
     for k in range(1, cutoff):
         a[k - 1, k] = np.sqrt(k)
     return a
+
+
+def ito_heisenberg(model):
+    """Heisenberg generator closed from the quantum Ito table, column by column.
+
+    At U = 1 the evolution equation reads dU = -iC dA+ - iC+ dA - G dt
+    with G = i(F + conj(alpha) C + alpha C+) + kappa Q, where gamma Q is
+    the Ito correction of dU+ dU.  L(X) is the dt part of
+    d(U+ X U) = dU+ X + X dU + dU+ X dU; nothing here calls lindblad.
+    """
+    c, f, p = model.C, model.F, model.noise
+    cd = c.conj().T
+    d = c.shape[0]
+    noise_part = {"dA": -1j * cd, "dAdag": -1j * c}
+    dw = QSDifferential(GAUSSIAN3, noise_part)
+    gamma_q = ito_product_gaussian(differential_adjoint(dw), dw, p).coeff("dt")
+    g = 1j * (f + np.conj(p.alpha) * c + p.alpha * cd) + p.kappa * gamma_q / p.gamma
+    du = QSDifferential(GAUSSIAN3, {"dt": -g, **noise_part})
+    du_adj = differential_adjoint(du)
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for col in range(d * d):
+        x = np.zeros(d * d, dtype=complex)
+        x[col] = 1.0
+        x = x.reshape((d, d), order="F")
+        x_du = QSDifferential(GAUSSIAN3, {k: x @ v for k, v in du.coeffs.items()})
+        lx = (
+            du_adj.coeff("dt") @ x
+            + x_du.coeff("dt")
+            + ito_product_gaussian(du_adj, x_du, p).coeff("dt")
+        )
+        out[:, col] = lx.flatten(order="F")
+    return out

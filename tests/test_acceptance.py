@@ -28,7 +28,6 @@ from gaussbath.collision import (
     trace_distance,
 )
 from gaussbath.doubling import (
-    GaussianSpec,
     OperatorGaussianSpec,
     operator_split,
     scalar_split,
@@ -118,14 +117,14 @@ def test_criterion_1_ordering_conversion(rng, criterion):
 
 def test_criterion_2_gaussian_splits(rng, criterion):
     worst_scalar = 0.0
-    specs = [GaussianSpec(*random_gaussian_nm(rng)) for _ in range(178)]
+    pairs = [random_gaussian_nm(rng) for _ in range(178)]
     for _ in range(20):
         n = float(rng.uniform(0.2, 3.0))
         phase = np.exp(2j * np.pi * rng.uniform())
-        specs.append(GaussianSpec(n, np.sqrt(n * (n + 1.0)) * phase))
-    specs += [GaussianSpec(0.0), GaussianSpec(0.0, 0.0, alpha=1.0)]
-    for spec in specs:
-        res = split_residuals(spec, scalar_split(spec))
+        pairs.append((n, np.sqrt(n * (n + 1.0)) * phase))
+    pairs += [(0.0, 0.0), (1.0, np.sqrt(2.0))]
+    for n, m in pairs:
+        res = split_residuals(n, m, scalar_split(n, m))
         worst_scalar = max(worst_scalar, max(res.values()))
 
     worst_operator = 0.0

@@ -174,9 +174,32 @@ def test_split_rejects_overcorrelated(capsys):
     assert "n(n+1)" in capsys.readouterr().err
 
 
-def test_seed_flag_is_accepted(capsys):
-    assert main(["--seed", "7", "split", "--n", "0"]) == 0
-    json.loads(capsys.readouterr().out)
+def test_split_rejects_nonfinite(capsys):
+    assert main(["split", "--n", "nan"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_nonfinite_model_literal_is_rejected(tmp_path, capsys):
+    model = tmp_path / "nan.json"
+    model.write_text('{"dim": 2, "gamma": 1.0, "n": NaN, "C": %s, "F": %s}'
+                     % (json.dumps(SM), json.dumps(Z2)))
+    assert main(["steady", "--model", str(model)]) == 2
+    assert "NaN" in capsys.readouterr().err
+    rho0 = tmp_path / "rho0.json"
+    rho0.write_text('{"rho": [[[1, 0], [0, 0]], [[0, 0], [-Infinity, 0]]]}')
+    code = main(["evolve", "--model", qubit_model_file(tmp_path), "--rho0", str(rho0),
+                 "--t-final", "1.0"])
+    assert code == 2
+    assert "-Infinity" in capsys.readouterr().err
+
+
+def test_linalg_error_is_numerical_exit_code(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    assert main(["steady", "--model", qubit_model_file(tmp_path, n=1.0)]) == 3
+    assert "numerical error" in capsys.readouterr().err
 
 
 def test_missing_model_file_exit_code(tmp_path, capsys):

@@ -3,7 +3,6 @@ import pytest
 from helpers import ladder, random_gaussian_nm, random_unitary
 
 from gaussbath.doubling import (
-    GaussianSpec,
     OperatorGaussianSpec,
     SplitCoefficients,
     doubled_moment_report,
@@ -13,52 +12,60 @@ from gaussbath.doubling import (
     represent_annihilator,
     scalar_split,
     split_residuals,
-    validate_gaussian,
 )
 from gaussbath.errors import CommutationError, DimensionError, DomainError, KernelError
 from gaussbath.linalg import adjoint, operator_norm
+from gaussbath.noise import is_gaussian_state
 
 
 def test_scalar_split_frozen_thermal():
-    s = scalar_split(GaussianSpec(n=3.0, m=0.0))
+    s = scalar_split(3.0, 0.0)
     assert s.x == 2.0
     assert s.y == pytest.approx(np.sqrt(3.0), abs=1e-15)
     assert s.z == 0.0
 
 
 def test_scalar_split_frozen_squeezed():
-    s = scalar_split(GaussianSpec(n=1.0, m=1.0j))
+    s = scalar_split(1.0, 1.0j)
     assert s.x == pytest.approx(1.0, abs=1e-15)
     assert s.y == pytest.approx(1.0, abs=1e-15)
     assert s.z == pytest.approx(1.0j, abs=1e-15)
 
 
 def test_scalar_split_vacuum():
-    s = scalar_split(GaussianSpec(n=0.0))
+    s = scalar_split(0.0, 0.0)
     assert (s.x, s.y, s.z) == (1.0, 0.0, 0.0)
 
 
 def test_scalar_split_exact_boundary():
     # |m|^2 = n(n+1): the first coefficient collapses to zero.
-    s = scalar_split(GaussianSpec(n=1.0, m=np.sqrt(2.0)))
+    s = scalar_split(1.0, np.sqrt(2.0))
     assert s.x == pytest.approx(0.0, abs=1e-7)
-    r = split_residuals(GaussianSpec(n=1.0, m=np.sqrt(2.0)), s)
+    r = split_residuals(1.0, np.sqrt(2.0), s)
     assert max(r.values()) < 1e-12
 
 
 def test_scalar_split_rejects_overcorrelated():
-    assert not validate_gaussian(GaussianSpec(n=1.0, m=1.5))
+    assert not is_gaussian_state(1.0, 1.5)
     with pytest.raises(DomainError):
-        scalar_split(GaussianSpec(n=1.0, m=1.5))
+        scalar_split(1.0, 1.5)
     with pytest.raises(DomainError):
-        scalar_split(GaussianSpec(n=-0.5))
+        scalar_split(-0.5, 0.0)
+    with pytest.raises(DomainError):
+        scalar_split(-2.0, 0.0)
+
+
+@pytest.mark.parametrize("n, m", [(np.nan, 0.0), (np.inf, 0.0), (1.0, complex(np.nan, 0.0)),
+                                  (1.0, complex(0.0, np.inf))])
+def test_scalar_split_rejects_nonfinite(n, m):
+    with pytest.raises(DomainError, match="finite"):
+        scalar_split(n, m)
 
 
 def test_scalar_split_identities_random(rng):
     for _ in range(200):
         n, m = random_gaussian_nm(rng)
-        spec = GaussianSpec(n=n, m=m)
-        r = split_residuals(spec, scalar_split(spec))
+        r = split_residuals(n, m, scalar_split(n, m))
         assert max(r.values()) < 1e-12
 
 
@@ -142,12 +149,12 @@ def test_mode_annihilators_tensor_layout():
 
 
 def test_represent_annihilator_vacuum_is_first_factor():
-    rep = represent_annihilator(np.array([1.0]), scalar_split(GaussianSpec(n=0.0)), cutoff=4)
+    rep = represent_annihilator(np.array([1.0]), scalar_split(0.0, 0.0), cutoff=4)
     np.testing.assert_allclose(rep, np.kron(fock_annihilator(4), np.eye(4)), atol=1e-14)
 
 
 def test_represent_annihilator_is_antilinear(rng):
-    split = scalar_split(GaussianSpec(n=0.7, m=0.4j))
+    split = scalar_split(0.7, 0.4j)
     phi = np.array([1.0])
     c = 0.3 - 1.1j
     rep_scaled = represent_annihilator(c * phi, split, cutoff=4)
@@ -157,7 +164,7 @@ def test_represent_annihilator_is_antilinear(rng):
 
 def test_represent_annihilator_canonical_commutator_below_cutoff():
     cutoff = 5
-    split = scalar_split(GaussianSpec(n=1.2, m=0.8 * np.exp(0.3j)))
+    split = scalar_split(1.2, 0.8 * np.exp(0.3j))
     a = represent_annihilator(np.array([1.0]), split, cutoff)
     comm = a @ adjoint(a) - adjoint(a) @ a
     # Away from the truncation edge the commutator is the identity.
@@ -168,7 +175,7 @@ def test_represent_annihilator_canonical_commutator_below_cutoff():
 
 
 def test_represent_annihilator_input_checks():
-    split = scalar_split(GaussianSpec(n=0.0))
+    split = scalar_split(0.0, 0.0)
     with pytest.raises(DimensionError):
         represent_annihilator(np.array([1.0, 0.0]), split, cutoff=3)
     with pytest.raises(DomainError):
@@ -176,7 +183,7 @@ def test_represent_annihilator_input_checks():
 
 
 def test_doubled_moments_scalar_squeezed():
-    report = doubled_moment_report(GaussianSpec(n=1.0, m=1.0j), cutoff=8)
+    report = doubled_moment_report(OperatorGaussianSpec(N=[[1.0]], M=[[1.0j]]), cutoff=8)
     meas = report["measured"]
     assert meas["a_adag"] == pytest.approx(2.0, abs=1e-10)
     assert meas["adag_a"] == pytest.approx(1.0, abs=1e-10)

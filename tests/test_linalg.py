@@ -10,11 +10,11 @@ from gaussbath.linalg import (
     is_hermitian,
     is_psd,
     is_unitary,
-    kron,
     mat_exp,
     mat_sqrt_psd,
     operator_norm,
     partial_trace,
+    sandwich,
     vectorize,
 )
 
@@ -105,7 +105,7 @@ def test_vectorize_column_stacking_identity(rng):
         x = random_complex(rng, (d, d))
         b = random_complex(rng, (d, d))
         lhs = vectorize(a @ x @ b)
-        rhs = kron(b.T, a) @ vectorize(x)
+        rhs = sandwich(a, b) @ vectorize(x)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -123,10 +123,10 @@ def test_partial_trace_product_states(rng):
     a = random_complex(rng, (2, 2))
     b = random_complex(rng, (3, 3))
     np.testing.assert_allclose(
-        partial_trace(kron(a, b), (2, 3), "second"), np.trace(b) * a, atol=1e-12
+        partial_trace(np.kron(a, b), (2, 3), "second"), np.trace(b) * a, atol=1e-12
     )
     np.testing.assert_allclose(
-        partial_trace(kron(a, b), (2, 3), "first"), np.trace(a) * b, atol=1e-12
+        partial_trace(np.kron(a, b), (2, 3), "first"), np.trace(a) * b, atol=1e-12
     )
 
 
@@ -156,7 +156,7 @@ def test_predicates_with_tolerance(rng):
 
 def test_choi_of_unitary_conjugation_is_rank_one(rng):
     u = random_unitary(rng, 3)
-    s = kron(u.conj(), u)  # X -> U X U+ on column-stacked X
+    s = sandwich(u, adjoint(u))  # X -> U X U+ on column-stacked X
     j = choi_matrix(s)
     evals = np.linalg.eigvalsh((j + adjoint(j)) / 2.0)
     assert evals.min() > -1e-12

@@ -3,6 +3,7 @@ import pytest
 from helpers import (
     SIGMA_MINUS,
     ZERO2,
+    ito_heisenberg,
     random_complex,
     random_density,
     random_gaussian_nm,
@@ -73,6 +74,8 @@ def test_system_model_validation():
         SystemModel(C=SIGMA_MINUS, F=np.array([[0, 1], [0, 0]]), noise=NoiseParams(gamma=1.0))
     with pytest.raises(DimensionError):
         SystemModel(C=SIGMA_MINUS, F=np.zeros((3, 3)), noise=NoiseParams(gamma=1.0))
+    with pytest.raises(DomainError, match="finite"):
+        SystemModel(C=[[0.0, 0.0], [np.inf, 0.0]], F=ZERO2, noise=NoiseParams(gamma=1.0))
 
 
 def test_density_matrix_validation():
@@ -179,9 +182,28 @@ def test_gks_interior_is_strictly_positive(rng):
         model = random_model(rng, 2)
         form = gks_decompose(model)
         assert form.is_cp()
-        np.testing.assert_allclose(
-            form.heisenberg_matrix(), heisenberg_generator(model), atol=1e-10
+        np.testing.assert_allclose(form.heisenberg_matrix(), ito_heisenberg(model), atol=1e-10)
+
+
+def test_heisenberg_generator_matches_ito_closure(rng):
+    # Independent oracle: L closed from the Gaussian Ito table over dU+ X U.
+    worst = 0.0
+    for case in range(60):
+        d = 2 + case % 3
+        n, m = random_gaussian_nm(rng)
+        model = SystemModel(
+            C=random_complex(rng, (d, d)),
+            F=random_hermitian(rng, d),
+            noise=NoiseParams(
+                gamma=float(rng.uniform(0.5, 2.0)),
+                sigma=float(rng.uniform(0.2, 1.0)),
+                n=n,
+                m=m,
+                alpha=complex(*rng.uniform(-1.0, 1.0, size=2)),
+            ),
         )
+        worst = max(worst, np.abs(heisenberg_generator(model) - ito_heisenberg(model)).max())
+    assert worst <= 1e-12
 
 
 def test_gks_unphysical_pair_correlation_flags_negative():

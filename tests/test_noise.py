@@ -45,6 +45,15 @@ def test_noise_params_kappa_and_validation():
         NoiseParams(gamma=1.0, n=-0.1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("gamma", np.inf), ("sigma", np.inf), ("n", np.nan), ("m", complex(np.nan, 0.0)),
+    ("alpha", complex(0.0, -np.inf)),
+])
+def test_noise_params_rejects_nonfinite(field, value):
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
+        NoiseParams(**{"gamma": 1.0, field: value})
+
+
 def test_gaussian_validity_predicate():
     assert NoiseParams(gamma=1.0, n=1.0, m=np.sqrt(2.0)).is_gaussian_valid()
     assert not NoiseParams(gamma=1.0, n=1.0, m=1.5).is_gaussian_valid()
