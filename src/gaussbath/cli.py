@@ -11,9 +11,13 @@ split      doubled-vacuum split coefficients for scalar (n, m)
 
 Model files are JSON; complex scalars appear as [re, im] pairs and
 complex matrices as nested lists of such pairs (see
-schemas/model.schema.json).  Reports are JSON trees on the same
-convention; time series are CSV.  Exit codes: 0 success, 2 validation
-failure, 3 numerical failure, 4 I/O failure.
+schemas/model.schema.json).  Every matrix crosses this boundary in one
+numpy conversion each way: ``_parse_cmatrix`` accepts only a
+dim x dim x 2 array of finite numbers, and ``_pairs`` writes any
+complex scalar or array back as pairs.  Reports are JSON trees on the
+same convention; time series are CSV.  Initial states are only decoded
+here; the library checks them where they enter.  Exit codes: 0
+success, 2 validation failure, 3 numerical failure, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -33,12 +37,10 @@ from .lindblad import (
     SystemModel,
     evolve,
     gks_decompose,
-    heisenberg_generator,
     schrodinger_liouvillian,
     steady_state,
-    validate_density_matrix,
 )
-from .linalg import adjoint, vectorize
+from .linalg import DEFAULT_TOL, adjoint, vectorize
 from .noise import NoiseParams, unitarity_defect
 from .wick import NORMAL_ORDERED, TIME_ORDERED, ItoCoefficients, normal_to_time, time_to_normal
 
@@ -47,26 +49,17 @@ BLOCK_KEYS = ("c00", "c01", "c10", "c11")
 
 # ---------------------------------------------------------------- parsing
 
-def _parse_complex(obj, where: str) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(v, (int, float)) for v in obj)
-    ):
-        raise FormatError(f"field '{where}': expected an [re, im] pair")
-    return complex(obj[0], obj[1])
-
-
 def _parse_cmatrix(obj, dim: int, where: str) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != dim:
-        raise FormatError(f"field '{where}': expected {dim} rows")
-    out = np.zeros((dim, dim), dtype=complex)
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != dim:
-            raise FormatError(f"field '{where}[{i}]': expected {dim} entries")
-        for j, entry in enumerate(row):
-            out[i, j] = _parse_complex(entry, f"{where}[{i}][{j}]")
-    return out
+    """A dim x dim complex matrix from nested [re, im] pairs of finite numbers."""
+    try:
+        a = np.asarray(obj)
+    except ValueError:  # ragged nesting
+        a = None
+    if a is None or a.shape != (dim, dim, 2):
+        raise FormatError(f"field '{where}': expected {dim} rows of {dim} [re, im] pairs")
+    if not np.issubdtype(a.dtype, np.number) or not np.all(np.isfinite(a)):
+        raise FormatError(f"field '{where}': entries must be finite numbers")
+    return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
 
 
 def _require(raw: dict, key: str, kind, where: str):
@@ -141,25 +134,17 @@ def block_from_dict(raw: dict, name: str, dim: int, kind: str) -> ItoCoefficient
     return ItoCoefficients(kind, mats["c00"], mats["c01"], mats["c10"], mats["c11"])
 
 
-def load_density_matrix(path: str, dim: int, tol: float) -> np.ndarray:
+def load_density_matrix(path: str, dim: int) -> np.ndarray:
     raw = _load_json(path)
     payload = raw.get("rho") if isinstance(raw, dict) else raw
-    rho = _parse_cmatrix(payload, dim, "rho")
-    return validate_density_matrix(rho, tol)
+    return _parse_cmatrix(payload, dim, "rho")
 
 
 # ---------------------------------------------------------------- dumping
 
-def _dump_complex(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _dump_cmatrix(a: np.ndarray) -> list:
-    return [[_dump_complex(z) for z in row] for row in np.asarray(a)]
-
-
-def _dump_block(coeffs: ItoCoefficients) -> dict:
-    return {key: _dump_cmatrix(getattr(coeffs, key)) for key in BLOCK_KEYS}
+def _pairs(a) -> list:
+    """A complex scalar or array as (nested lists of) [re, im] pairs."""
+    return np.stack([np.real(a), np.imag(a)], -1).astype(float).tolist()
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -187,16 +172,16 @@ def cmd_convert(args) -> int:
     if args.direction == "to-normal":
         e = block_from_dict(raw, "E", dim, TIME_ORDERED)
         l = time_to_normal(e, params)
-        report["L"] = _dump_block(l)
+        report["L"] = {key: _pairs(getattr(l, key)) for key in BLOCK_KEYS}
         report["report"] = {
             "direction": "to-normal",
             "unitarity_defect": unitarity_defect(l, params.gamma),
-            "hermitian_generator_input": e.hermitian_generator(args.tol),
+            "hermitian_generator_input": e.hermitian_generator(),
         }
     else:
         l = block_from_dict(raw, "L", dim, NORMAL_ORDERED)
         e = normal_to_time(l, params)
-        report["E"] = _dump_block(e)
+        report["E"] = {key: _pairs(getattr(e, key)) for key in BLOCK_KEYS}
         report["report"] = {"direction": "to-time"}
     _write_report(report, args.out)
     return 0
@@ -205,17 +190,16 @@ def cmd_convert(args) -> int:
 def cmd_generator(args) -> int:
     model = model_from_dict(load_model_dict(args.model))
     form = gks_decompose(model)
-    heis = heisenberg_generator(model)
-    evals = form.kossakowski_eigenvalues()
+    heis = form.heisenberg_matrix()
     report = {
         "dim": model.dim,
-        "h_eff": _dump_cmatrix(form.h_eff),
+        "h_eff": _pairs(form.h_eff),
         "jump_basis": ["C", "C_dagger"],
-        "kossakowski": _dump_cmatrix(form.kossakowski),
-        "kossakowski_eigenvalues": [float(v) for v in evals],
-        "completely_positive": bool(evals.min() >= -args.tol),
-        "liouvillian": _dump_cmatrix(adjoint(heis)),
-        "heisenberg": _dump_cmatrix(heis),
+        "kossakowski": _pairs(form.kossakowski),
+        "kossakowski_eigenvalues": form.kossakowski_eigenvalues().tolist(),
+        "completely_positive": form.is_cp(DEFAULT_TOL),
+        "liouvillian": _pairs(adjoint(heis)),
+        "heisenberg": _pairs(heis),
     }
     _write_report(report, args.out)
     return 0
@@ -223,7 +207,7 @@ def cmd_generator(args) -> int:
 
 def cmd_evolve(args) -> int:
     model = model_from_dict(load_model_dict(args.model))
-    rho0 = load_density_matrix(args.rho0, model.dim, args.tol)
+    rho0 = load_density_matrix(args.rho0, model.dim)
     if args.t_final <= 0:
         raise FormatError("--t-final must be positive")
     if args.points < 2:
@@ -231,21 +215,21 @@ def cmd_evolve(args) -> int:
     grid = np.linspace(0.0, args.t_final, args.points)
     states = evolve(model, rho0, grid, method=args.method)
     d = model.dim
+    header = ["t"] + [f"rho_{i}_{j}_{part}" for j in range(d) for i in range(d)
+                      for part in ("re", "im")]
+    header += [f"pop_{k}" for k in range(d)] + ["purity"]
+    # Row k: t, vec(rho) as interleaved (re, im), populations, purity.
+    vecs = np.ascontiguousarray(states.transpose(0, 2, 1)).reshape(grid.size, -1).view(float)
+    table = np.column_stack([
+        grid,
+        vecs,
+        np.diagonal(states, axis1=1, axis2=2).real,
+        np.trace(states @ states, axis1=1, axis2=2).real,
+    ])
     buf = io.StringIO()
     writer = csv.writer(buf)
-    header = ["t"]
-    for j in range(d):
-        for i in range(d):
-            header += [f"rho_{i}_{j}_re", f"rho_{i}_{j}_im"]
-    header += [f"pop_{k}" for k in range(d)] + ["purity"]
     writer.writerow(header)
-    for t, rho in zip(grid, states):
-        row = [f"{t:.12g}"]
-        for z in vectorize(rho):
-            row += [f"{z.real:.12g}", f"{z.imag:.12g}"]
-        row += [f"{rho[k, k].real:.12g}" for k in range(d)]
-        row.append(f"{np.trace(rho @ rho).real:.12g}")
-        writer.writerow(row)
+    writer.writerows([f"{x:.12g}" for x in row] for row in table.tolist())
     _write_text(buf.getvalue(), args.out)
     return 0
 
@@ -256,10 +240,10 @@ def cmd_steady(args) -> int:
     liouv = schrodinger_liouvillian(model)
     report = {
         "dim": model.dim,
-        "rho": _dump_cmatrix(rho),
-        "populations": [float(rho[k, k].real) for k in range(model.dim)],
-        "eigenvalues": [float(v) for v in np.linalg.eigvalsh(rho)],
-        "trace": _dump_complex(np.trace(rho)),
+        "rho": _pairs(rho),
+        "populations": rho.diagonal().real.tolist(),
+        "eigenvalues": np.linalg.eigvalsh(rho).tolist(),
+        "trace": _pairs(np.trace(rho)),
         "liouvillian_residual": float(np.linalg.norm(liouv @ vectorize(rho))),
     }
     _write_report(report, args.out)
@@ -269,7 +253,7 @@ def cmd_steady(args) -> int:
 def cmd_oracle(args) -> int:
     model = model_from_dict(load_model_dict(args.model))
     if args.rho0 is not None:
-        rho0 = load_density_matrix(args.rho0, model.dim, args.tol)
+        rho0 = load_density_matrix(args.rho0, model.dim)
     else:
         rho0 = np.eye(model.dim, dtype=complex) / model.dim
     try:
@@ -303,10 +287,10 @@ def cmd_split(args) -> int:
     res = split_residuals(args.n, m, s)
     report = {
         "n": args.n,
-        "m": _dump_complex(m),
+        "m": _pairs(m),
         "x": s.x,
         "y": s.y,
-        "z": _dump_complex(s.z),
+        "z": _pairs(s.z),
         "residuals": {key: float(val) for key, val in res.items()},
     }
     _write_report(report, args.out)
@@ -326,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         if model:
             p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--tol", type=float, default=1e-9, help="validation tolerance")
 
     p = sub.add_parser("convert", help="convert between orderings")
     common(p)

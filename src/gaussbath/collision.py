@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .doubling import SplitCoefficients, mode_annihilators, scalar_split
+from .doubling import SplitCoefficients, represent_annihilator, scalar_split
 from .errors import DimensionError, DomainError, TruncationWarning
 from .lindblad import SystemModel, evolve, validate_density_matrix
 from .linalg import adjoint, mat_exp, partial_trace, require_square
@@ -74,11 +74,9 @@ class CollisionConfig:
 
 
 def increment_operator(config: CollisionConfig) -> np.ndarray:
-    """The increment B on the two-mode ancilla space."""
-    b1, b2 = mode_annihilators(2, config.cutoff)
-    s = config.split
+    """The increment B on the two-mode ancilla space: the doubled annihilator of one mode."""
     amp = np.sqrt(config.model.noise.gamma * config.dt)
-    return amp * (s.x * b1 + s.y * adjoint(b2) + s.z * b2)
+    return amp * represent_annihilator(np.ones(1), config.split, config.cutoff)
 
 
 def step_unitary(config: CollisionConfig) -> np.ndarray:
@@ -108,7 +106,7 @@ def _boundary_projector_diag(cutoff: int) -> np.ndarray:
     return (top1 | top2).astype(float).ravel()
 
 
-def simulate(config: CollisionConfig, rho0: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def simulate(config: CollisionConfig, rho0: np.ndarray) -> np.ndarray:
     """Run the collision chain, returning states at every step boundary.
 
     The reduced state is renormalized only by the exact partial trace;
@@ -116,7 +114,7 @@ def simulate(config: CollisionConfig, rho0: np.ndarray, tol: float = 1e-9) -> np
     ancilla population at the cutoff boundary ever exceeds 1e-3 the run
     completes but emits a TruncationWarning.
     """
-    rho = validate_density_matrix(rho0, tol)
+    rho = validate_density_matrix(rho0)
     d = config.model.dim
     if rho.shape[0] != d:
         raise DimensionError("rho0 dimension does not match the model")

@@ -33,7 +33,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import CommutationError, DimensionError, DomainError, KernelError
-from .linalg import adjoint, is_hermitian, mat_sqrt_psd, operator_norm, require_square
+from .linalg import DEFAULT_TOL, adjoint, is_hermitian, mat_sqrt_psd, operator_norm, require_square
 from .noise import is_gaussian_state, require_finite
 
 __all__ = [
@@ -62,7 +62,7 @@ class SplitCoefficients:
         return (self.x * one, self.y * one, self.z * one)
 
 
-def scalar_split(n: float, m: complex, tol: float = 1e-12) -> SplitCoefficients:
+def scalar_split(n: float, m: complex) -> SplitCoefficients:
     """Split coefficients for the scalar Gaussian state (n, m).
 
     Raises DomainError for non-finite input and outside n >= 0,
@@ -70,7 +70,7 @@ def scalar_split(n: float, m: complex, tol: float = 1e-12) -> SplitCoefficients:
     phase information sits in z.
     """
     require_finite(n=n, m=m)
-    if not is_gaussian_state(n, m, tol):
+    if not is_gaussian_state(n, m):
         raise DomainError(f"(n, m) = ({n}, {m}) violates |m|^2 <= n(n+1)")
     m = complex(m)
     if n == 0.0:
@@ -108,23 +108,23 @@ class OperatorGaussianSpec:
             raise DimensionError("N and M must have the same shape")
 
 
-def _validate_operator_spec(spec: OperatorGaussianSpec, tol: float):
+def _validate_operator_spec(spec: OperatorGaussianSpec):
     """Check the operator Gaussian constraints, returning the eigensystem of N."""
     n_op, m_op = spec.N, spec.M
-    if not is_hermitian(n_op, tol):
+    if not is_hermitian(n_op):
         raise DomainError("N is not Hermitian within tolerance")
     scale = max(operator_norm(n_op), operator_norm(m_op), 1.0)
-    if operator_norm(n_op @ m_op - m_op @ n_op) > tol * scale:
+    if operator_norm(n_op @ m_op - m_op @ n_op) > DEFAULT_TOL * scale:
         raise CommutationError("N and M do not commute within tolerance")
     evals, vecs = np.linalg.eigh((n_op + adjoint(n_op)) / 2.0)
-    if evals.min() < -tol:
+    if evals.min() < -DEFAULT_TOL:
         raise DomainError(f"N has negative eigenvalue {evals.min():.3e}")
     evals = np.clip(evals, 0.0, None)
     # M must vanish on the kernel of N, else m/sqrt(n) has no meaning there.
-    kernel = np.abs(evals) <= tol * max(evals.max(), 1.0)
+    kernel = np.abs(evals) <= DEFAULT_TOL * max(evals.max(), 1.0)
     if np.any(kernel):
         knorm = operator_norm(m_op @ vecs[:, kernel])
-        if knorm > tol * scale:
+        if knorm > DEFAULT_TOL * scale:
             raise KernelError(
                 f"M does not vanish on ker N (residual {knorm:.3e})"
             )
@@ -132,14 +132,12 @@ def _validate_operator_spec(spec: OperatorGaussianSpec, tol: float):
     # difference; all factors commute so this is basis independent.
     bound = n_op @ (n_op + np.eye(n_op.shape[0])) - adjoint(m_op) @ m_op
     bound = (bound + adjoint(bound)) / 2.0
-    if np.linalg.eigvalsh(bound).min() < -tol * scale**2:
+    if np.linalg.eigvalsh(bound).min() < -DEFAULT_TOL * scale**2:
         raise DomainError("M+M exceeds N(N+1): not a Gaussian state")
     return evals, vecs
 
 
-def operator_split(
-    spec: OperatorGaussianSpec, tol: float = 1e-9
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def operator_split(spec: OperatorGaussianSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Operator split (X, Y, Z) of a commuting (N, M) pair.
 
     Matrix functions of N are evaluated spectrally, which diagonalizes
@@ -151,10 +149,10 @@ def operator_split(
     on the kernel, where X restricts to the identity).  The outputs
     satisfy X+X - Y+Y + Z+Z = 1, X+X + Z+Z = N + 1 and Y Z = M.
     """
-    evals, vecs = _validate_operator_spec(spec, tol)
+    evals, vecs = _validate_operator_spec(spec)
     m_op = spec.M
     eye = np.eye(evals.size)
-    support = evals > tol * max(evals.max(), 1.0)
+    support = evals > DEFAULT_TOL * max(evals.max(), 1.0)
     inv_sqrt = np.where(support, 1.0 / np.sqrt(np.where(support, evals, 1.0)), 0.0)
     inv_lin = np.where(support, 1.0 / np.where(support, evals, 1.0), 0.0)
 
@@ -164,7 +162,7 @@ def operator_split(
 
     z_op = m_op @ pinv_sqrt
     w = spec.N + eye - adjoint(m_op) @ m_op @ pinv
-    x_op = mat_sqrt_psd((w + adjoint(w)) / 2.0, tol)
+    x_op = mat_sqrt_psd((w + adjoint(w)) / 2.0)
     return x_op, y_op, z_op
 
 
@@ -204,7 +202,6 @@ def represent_annihilator(
     phi: np.ndarray,
     split: SplitCoefficients | tuple[np.ndarray, np.ndarray, np.ndarray],
     cutoff: int,
-    conjugation: str = "computational",
 ) -> np.ndarray:
     """Doubled-vacuum representation of the annihilator smeared with phi.
 
@@ -215,8 +212,6 @@ def represent_annihilator(
     expression antilinear in phi and reproduces the scalar convention
     <A A> = m for one mode.
     """
-    if conjugation != "computational":
-        raise DomainError("only entrywise conjugation in the given basis is supported")
     if isinstance(split, SplitCoefficients):
         x_op, y_op, z_op = split.as_matrices()
     else:
@@ -240,7 +235,6 @@ def doubled_moment_report(
     cutoff: int,
     phi: np.ndarray | None = None,
     psi: np.ndarray | None = None,
-    tol: float = 1e-9,
 ) -> dict:
     """Measure second moments of the doubled representation in the vacuum.
 
@@ -251,7 +245,7 @@ def doubled_moment_report(
     two conventions appear side by side in the literature.  A single
     mode is the 1x1 case.
     """
-    split = operator_split(spec, tol)
+    split = operator_split(spec)
     n_op, m_op = spec.N, spec.M
     k = n_op.shape[0]
     phi = np.ones(k, dtype=complex) if phi is None else np.asarray(phi, dtype=complex)

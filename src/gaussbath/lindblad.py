@@ -37,6 +37,7 @@ from .errors import (
     FormatError,
 )
 from .linalg import (
+    DEFAULT_TOL,
     adjoint,
     devectorize,
     is_hermitian,
@@ -67,6 +68,10 @@ __all__ = [
 ]
 
 
+# Relative singular-value threshold for the Liouvillian kernel in steady_state.
+RANK_RTOL = 1e-10
+
+
 @dataclass(frozen=True)
 class SystemModel:
     """System operators (C, F) plus the channel parameters."""
@@ -90,16 +95,16 @@ class SystemModel:
         return self.C.shape[0]
 
 
-def validate_density_matrix(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; return as complex array."""
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Check Hermiticity, unit trace and positivity within DEFAULT_TOL."""
     rho = require_square(rho, "density matrix")
-    if not is_hermitian(rho, tol):
+    if not is_hermitian(rho):
         raise DomainError("density matrix is not Hermitian within tolerance")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > DEFAULT_TOL:
         raise DomainError(f"density matrix has trace {tr}, expected 1")
     evals = np.linalg.eigvalsh((rho + adjoint(rho)) / 2.0)
-    if evals.min() < -tol:
+    if evals.min() < -DEFAULT_TOL:
         raise DomainError(f"density matrix has eigenvalue {evals.min():.3e} < 0")
     return rho
 
@@ -149,7 +154,7 @@ def commutator_superoperator(h: np.ndarray) -> np.ndarray:
     return 1j * (sandwich(h, eye) - sandwich(eye, h))
 
 
-def extract_commutator_hamiltonian(s: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, float]:
+def extract_commutator_hamiltonian(s: np.ndarray) -> tuple[np.ndarray, float]:
     """Recover h (up to a multiple of the identity) from s = i[h, .].
 
     Probes the superoperator on |j><0| and reads the first column.  The
@@ -262,18 +267,16 @@ def evolve(
     rho0: np.ndarray,
     grid: np.ndarray,
     method: str = "expm",
-    rk4_step: float | None = None,
-    tol: float = 1e-9,
 ) -> np.ndarray:
     """Propagate rho0 along the grid under exp(t L').
 
     method "expm" exponentiates the Liouvillian per grid interval
-    (exact up to roundoff); "rk4" integrates with a fixed substep,
-    defaulting to spacing/20 capped by 0.01 over the generator scale
+    (exact up to roundoff); "rk4" integrates with a fixed substep of
+    the smallest spacing/20, capped by 0.01 over the generator scale
     gamma (2n+1+2|m|) ||C||^2 + ||F||.
     """
     grid = _check_grid(grid)
-    rho0 = validate_density_matrix(rho0, tol)
+    rho0 = validate_density_matrix(rho0)
     if rho0.shape[0] != model.dim:
         raise DimensionError("rho0 dimension does not match the model")
     liouv = schrodinger_liouvillian(model)
@@ -296,9 +299,7 @@ def evolve(
         return out
 
     if method == "rk4":
-        step = rk4_step if rk4_step is not None else _rk4_default_step(model, spacings.min())
-        if not step > 0:
-            raise DomainError("rk4 step must be positive")
+        step = _rk4_default_step(model, spacings.min())
         v = vectorize(rho0)
         for idx, dt in enumerate(spacings):
             nsub = max(1, ceil(dt / step))
@@ -315,7 +316,7 @@ def evolve(
     raise DomainError(f"method must be 'expm' or 'rk4', got {method!r}")
 
 
-def steady_state(model: SystemModel, rank_rtol: float = 1e-10, tol: float = 1e-9) -> np.ndarray:
+def steady_state(model: SystemModel) -> np.ndarray:
     """Stationary density matrix from the Liouvillian kernel.
 
     Takes the right singular vector of the smallest singular value,
@@ -325,7 +326,7 @@ def steady_state(model: SystemModel, rank_rtol: float = 1e-10, tol: float = 1e-9
     liouv = schrodinger_liouvillian(model)
     d = model.dim
     _, svals, vh = np.linalg.svd(liouv)
-    threshold = max(float(svals[0]), 1.0) * rank_rtol
+    threshold = max(float(svals[0]), 1.0) * RANK_RTOL
     kernel_dim = int(np.sum(svals <= threshold))
     if kernel_dim != 1:
         raise DegenerateKernelError(
@@ -339,7 +340,7 @@ def steady_state(model: SystemModel, rank_rtol: float = 1e-10, tol: float = 1e-9
         raise DecompositionError("kernel element of the Liouvillian is traceless")
     rho = rho / tr
     evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -tol:
+    if evals.min() < -DEFAULT_TOL:
         raise DecompositionError(
             f"steady state has negative eigenvalue {evals.min():.3e}"
         )

@@ -59,9 +59,9 @@ def require_finite(**values) -> None:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
-def is_gaussian_state(n: float, m: complex, tol: float = 1e-12) -> bool:
-    """Whether (n, m) is a Gaussian bath state: n >= 0, |m|^2 <= n(n+1) within tol."""
-    return bool(n >= 0 and abs(m) ** 2 <= n * (n + 1.0) + tol)
+def is_gaussian_state(n: float, m: complex) -> bool:
+    """Whether (n, m) is a Gaussian bath state: n >= 0, |m|^2 <= n(n+1) within 1e-12."""
+    return bool(n >= 0 and abs(m) ** 2 <= n * (n + 1.0) + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,8 @@ class NoiseParams:
     def kappa(self) -> complex:
         return self.gamma / 2.0 + 1j * self.sigma
 
-    def is_gaussian_valid(self, tol: float = 1e-12) -> bool:
-        return is_gaussian_state(self.n, self.m, tol)
+    def is_gaussian_valid(self) -> bool:
+        return is_gaussian_state(self.n, self.m)
 
 
 def _zero(dim: int) -> np.ndarray:
@@ -201,29 +201,11 @@ def differential_adjoint(x: QSDifferential) -> QSDifferential:
     return QSDifferential(x.basis, out)
 
 
-def _coefficient_table(l) -> dict:
-    """Accept an ItoCoefficients-like object or a {(i,j): matrix} mapping."""
-    if hasattr(l, "c00"):
-        table = {(0, 0): l.c00, (0, 1): l.c01, (1, 0): l.c10, (1, 1): l.c11}
-    else:
-        table = dict(l)
-    out = {}
-    dim = None
-    for ij in VACUUM4_LABELS:
-        c = require_square(table[ij], f"coefficient {ij}")
-        if dim is None:
-            dim = c.shape[0]
-        elif c.shape[0] != dim:
-            raise DimensionError("coefficient dimensions differ")
-        out[ij] = c
-    return out
-
-
 def unitarity_defect(l, gamma: float) -> float:
     """Largest violation of the normal-ordered unitarity condition.
 
-    For coefficients L_ij of dV/dt = L_ij [a+]^i V [a-]^j the condition
-    reads, for every (i, j),
+    For normal-ordered coefficients L_ij (a wick.ItoCoefficients) of
+    dV/dt = L_ij [a+]^i V [a-]^j the condition reads, for every (i, j),
 
         L_ij + L_ji+ + gamma L_1i+ L_1j = 0,
 
@@ -232,7 +214,7 @@ def unitarity_defect(l, gamma: float) -> float:
     """
     if not gamma > 0:
         raise DomainError(f"gamma must be positive, got {gamma}")
-    t = _coefficient_table(l)
+    t = {(0, 0): l.c00, (0, 1): l.c01, (1, 0): l.c10, (1, 1): l.c11}
     worst = 0.0
     for i in (0, 1):
         for j in (0, 1):

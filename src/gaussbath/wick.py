@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, SingularityError
-from .linalg import adjoint, is_hermitian, is_unitary, operator_norm, require_square
+from .linalg import DEFAULT_TOL, adjoint, is_hermitian, is_unitary, operator_norm, require_square
 from .noise import NoiseParams, unitarity_defect
 
 __all__ = [
@@ -45,6 +45,9 @@ NORMAL_ORDERED = "normal-ordered"
 
 # Condition-number ceiling for the (1 + i kappa E11) style inversions.
 COND_BOUND = 1e12
+
+# Largest unitarity defect, and deviation of W from unitary, that hp_extract accepts.
+HP_TOL = 1e-8
 
 
 @dataclass
@@ -78,16 +81,16 @@ class ItoCoefficients:
     def dim(self) -> int:
         return self.c00.shape[0]
 
-    def hermitian_generator(self, tol: float = 1e-9) -> bool:
+    def hermitian_generator(self) -> bool:
         """True when the quadruple is i times a self-adjoint expression.
 
         Requires c00 and c11 Hermitian and c01 = adjoint(c10).  Only
         meaningful for time-ordered coefficients, but testable on any.
         """
         return (
-            is_hermitian(self.c00, tol)
-            and is_hermitian(self.c11, tol)
-            and bool(np.max(np.abs(self.c01 - adjoint(self.c10))) <= tol)
+            is_hermitian(self.c00)
+            and is_hermitian(self.c11)
+            and bool(np.max(np.abs(self.c01 - adjoint(self.c10))) <= DEFAULT_TOL)
         )
 
 
@@ -143,7 +146,7 @@ def normal_to_time(l: ItoCoefficients, params: NoiseParams) -> ItoCoefficients:
     return ItoCoefficients(TIME_ORDERED, e00, e01, e10, e11)
 
 
-def hp_extract(l: ItoCoefficients, gamma: float, tol: float = 1e-8) -> HPParameters:
+def hp_extract(l: ItoCoefficients, gamma: float) -> HPParameters:
     """Read off the Hudson-Parthasarathy triple from unitary coefficients.
 
     The normal-ordered table of a unitary QSDE is
@@ -152,18 +155,18 @@ def hp_extract(l: ItoCoefficients, gamma: float, tol: float = 1e-8) -> HPParamet
         L01 = -L+ W             L00 = -gamma/2 L+ L - i H
 
     so W = 1 + gamma L11, L = L10 and H = i/2 (L00 - L00+).  Inputs
-    whose unitarity defect exceeds tol are rejected; the returned W is
+    whose unitarity defect exceeds HP_TOL are rejected; the returned W is
     checked unitary at the same tolerance.
     """
     if l.kind != NORMAL_ORDERED:
         raise DomainError("hp_extract expects normal-ordered coefficients")
     defect = unitarity_defect(l, gamma)
-    if defect > tol:
+    if defect > HP_TOL:
         raise DomainError(
-            f"coefficients are not unitary: defect {defect:.3e} exceeds tol {tol:.1e}"
+            f"coefficients are not unitary: defect {defect:.3e} exceeds tol {HP_TOL:.1e}"
         )
     w = np.eye(l.dim) + gamma * l.c11
-    if not is_unitary(w, max(tol, 1e-10)):
+    if not is_unitary(w, HP_TOL):
         raise DomainError("extracted W is not unitary within tolerance")
     coupling = l.c10
     h = 0.5j * (l.c00 - adjoint(l.c00))

@@ -1,10 +1,15 @@
 import csv
+import io
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gaussbath.cli import main
+from gaussbath import cli
+from gaussbath.cli import _pairs, main
+from gaussbath.linalg import vectorize
 from gaussbath.lindblad import SystemModel, schrodinger_liouvillian
 from gaussbath.noise import NoiseParams
 
@@ -43,14 +48,14 @@ def test_convert_round_trip(tmp_path, capsys):
     )
     out1 = str(tmp_path / "normal.json")
     assert main(["convert", "--model", model, "--direction", "to-normal", "--out", out1]) == 0
-    tree = json.loads(open(out1).read())
+    tree = json.loads(Path(out1).read_text())
     assert tree["report"]["direction"] == "to-normal"
     assert tree["report"]["unitarity_defect"] < 1e-11
     assert tree["report"]["hermitian_generator_input"] is True
 
     out2 = str(tmp_path / "time.json")
     assert main(["convert", "--model", out1, "--direction", "to-time", "--out", out2]) == 0
-    back = json.loads(open(out2).read())
+    back = json.loads(Path(out2).read_text())
     for key, want in (("c00", f), ("c01", SP), ("c10", SM), ("c11", e11)):
         got = from_pairs(back["E"][key])
         np.testing.assert_allclose(got, from_pairs(want), atol=1e-10)
@@ -226,3 +231,86 @@ def test_model_field_validation(tmp_path, capsys):
     model = write_json(tmp_path / "m3.json", {"dim": 3, "gamma": 1.0, "C": SM, "F": Z2})
     assert main(["steady", "--model", model]) == 2
     assert "rows" in capsys.readouterr().err
+
+
+def test_overflowing_block_entry_is_invalid_input(tmp_path, capsys):
+    e11 = [[[0.2, 0.0], [0.0, 0.0]], [[0.0, 0.0], ["HUGE", 0.0]]]
+    model = qubit_model_file(tmp_path, E={"c00": Z2, "c01": SP, "c10": SM, "c11": e11})
+    Path(model).write_text(Path(model).read_text().replace('"HUGE"', "1e400"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["convert", "--model", model]) == 2
+    err = capsys.readouterr().err
+    assert "E.c11" in err and "finite" in err
+
+
+def test_huge_integer_entries_are_invalid_input(tmp_path, capsys):
+    huge_c = [[[0, 0], [0, 0]], [[10**400, 0], [0, 0]]]
+    assert main(["steady", "--model", qubit_model_file(tmp_path, C=huge_c)]) == 2
+    assert "field 'C'" in capsys.readouterr().err
+    rho0 = write_json(tmp_path / "rho0.json", {"rho": [[[1, 0], [0, 0]], [[0, 0], [0, 10**400]]]})
+    code = main(["evolve", "--model", qubit_model_file(tmp_path), "--rho0", rho0,
+                 "--t-final", "1.0"])
+    assert code == 2
+    assert "field 'rho'" in capsys.readouterr().err
+
+
+def test_ragged_matrix_is_invalid_input(tmp_path, capsys):
+    ragged = [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]]
+    assert main(["steady", "--model", qubit_model_file(tmp_path, C=ragged)]) == 2
+    assert "rows" in capsys.readouterr().err
+
+
+def test_tol_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["steady", "--model", qubit_model_file(tmp_path), "--tol", "1e-9"])
+    assert exc.value.code == 2
+
+
+def dump_complex(z):
+    """The per-entry [re, im] encoder that _pairs replaced."""
+    return [float(np.real(z)), float(np.imag(z))]
+
+
+def test_pairs_matches_per_entry_encoding(rng):
+    a = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+    a[0, 0] = complex(-0.0, -0.0)
+    a[1, 2] = complex(0.0, -0.0)
+    a[3, 4] = complex(-0.0, 2.5)
+    for arr in (a, np.array([[-0.0 + 1.25j]])):
+        want = [[dump_complex(z) for z in row] for row in arr]
+        assert json.dumps(_pairs(arr)) == json.dumps(want)
+    for z in (a[0, 0], a[3, 4], complex(0.5, -0.0), -1.5):
+        assert json.dumps(_pairs(z)) == json.dumps(dump_complex(z))
+
+
+@pytest.mark.parametrize("d", [3, 12])
+def test_evolve_csv_matches_per_row_formatting(tmp_path, capsys, monkeypatch, rng, d):
+    points, t_final = 9, 1.3
+    states = rng.normal(size=(points, d, d)) + 1j * rng.normal(size=(points, d, d))
+    states[2, 0, 1] = complex(-0.0, -0.0)
+    monkeypatch.setattr(cli, "evolve", lambda model, rho0, grid, method: states)
+    zeros = np.zeros((d, d, 2)).tolist()
+    rho = np.zeros((d, d, 2))
+    rho[0, 0, 0] = 1.0
+    model = write_json(tmp_path / "m.json", {"dim": d, "gamma": 1.0, "C": zeros, "F": zeros})
+    rho0 = write_json(tmp_path / "rho0.json", {"rho": rho.tolist()})
+    assert main(["evolve", "--model", model, "--rho0", rho0,
+                 "--t-final", str(t_final), "--points", str(points)]) == 0
+
+    # The per-row formatting that the table replaced.
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    header = ["t"]
+    for j in range(d):
+        for i in range(d):
+            header += [f"rho_{i}_{j}_re", f"rho_{i}_{j}_im"]
+    writer.writerow(header + [f"pop_{k}" for k in range(d)] + ["purity"])
+    for t, rho in zip(np.linspace(0.0, t_final, points), states):
+        row = [f"{t:.12g}"]
+        for z in vectorize(rho):
+            row += [f"{z.real:.12g}", f"{z.imag:.12g}"]
+        row += [f"{rho[k, k].real:.12g}" for k in range(d)]
+        row.append(f"{np.trace(rho @ rho).real:.12g}")
+        writer.writerow(row)
+    assert capsys.readouterr().out == buf.getvalue()

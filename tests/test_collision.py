@@ -10,6 +10,7 @@ from gaussbath.collision import (
     step_unitary,
     trace_distance,
 )
+from gaussbath.doubling import mode_annihilators
 from gaussbath.errors import DimensionError, DomainError, TruncationWarning
 from gaussbath.lindblad import SystemModel, evolve
 from gaussbath.linalg import adjoint, is_unitary
@@ -51,6 +52,17 @@ def test_increment_moments_match_ito_table():
     assert abs(pair_vacuum_expect(bd @ b) - gamma * dt * n) < 1e-12
     assert abs(pair_vacuum_expect(b @ b) - gamma * dt * m) < 1e-12
     assert abs(pair_vacuum_expect(bd @ bd) - gamma * dt * np.conj(m)) < 1e-12
+
+
+def test_increment_is_the_doubled_annihilator_of_the_two_mode_sum():
+    # The two-mode form sqrt(gamma dt) (x b1 + y b2+ + z b2), written out here.
+    for n, m, cutoff in ((0.0, 0.0, 3), (0.6, 0.4 * np.exp(1.1j), 5), (1.0, -0.9j, 7)):
+        config = CollisionConfig(model=qubit_model(gamma=1.3, n=n, m=m),
+                                 dt=0.03, steps=1, cutoff=cutoff)
+        b1, b2 = mode_annihilators(2, cutoff)
+        s = config.split
+        want = np.sqrt(1.3 * 0.03) * (s.x * b1 + s.y * adjoint(b2) + s.z * b2)
+        assert np.max(np.abs(increment_operator(config) - want)) == 0.0
 
 
 def test_increment_commutator_on_low_levels():

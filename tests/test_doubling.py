@@ -178,8 +178,6 @@ def test_represent_annihilator_input_checks():
     split = scalar_split(0.0, 0.0)
     with pytest.raises(DimensionError):
         represent_annihilator(np.array([1.0, 0.0]), split, cutoff=3)
-    with pytest.raises(DomainError):
-        represent_annihilator(np.array([1.0]), split, cutoff=3, conjugation="fock")
 
 
 def test_doubled_moments_scalar_squeezed():

@@ -213,14 +213,6 @@ def test_unitarity_defect_linear_response():
     assert abs(unitarity_defect(perturbed, gamma) - 2.0 * eps) < 1e-12
 
 
-def test_unitarity_defect_accepts_mapping_form(rng):
-    gamma = 0.7
-    l = hp_table(random_unitary(rng, 2), random_complex(rng, (2, 2)),
-                 random_hermitian(rng, 2), gamma)
-    table = {(0, 0): l.c00, (0, 1): l.c01, (1, 0): l.c10, (1, 1): l.c11}
-    assert unitarity_defect(table, gamma) == unitarity_defect(l, gamma)
-
-
 def test_unitarity_defect_rejects_bad_gamma(rng):
     l = hp_table(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)), 1.0)
     with pytest.raises(DomainError):
