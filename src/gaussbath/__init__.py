@@ -67,6 +67,7 @@ from .linalg import (
     mat_sqrt_psd,
     operator_norm,
     partial_trace,
+    propagate,
     sandwich,
     vectorize,
 )

@@ -57,31 +57,37 @@ def _parse_cmatrix(obj, dim: int, where: str) -> np.ndarray:
         a = None
     if a is None or a.shape != (dim, dim, 2):
         raise FormatError(f"field '{where}': expected {dim} rows of {dim} [re, im] pairs")
-    if not np.issubdtype(a.dtype, np.number) or not np.all(np.isfinite(a)):
+    # numpy reads a JSON bool mixed in with numbers as 0 or 1; reject it too.
+    if (not np.issubdtype(a.dtype, np.number) or not np.all(np.isfinite(a))
+            or any(isinstance(x, bool) for row in obj for pair in row for x in pair)):
         raise FormatError(f"field '{where}': entries must be finite numbers")
     return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
 
 
-def _require(raw: dict, key: str, kind, where: str):
+def _require(raw: dict, key: str, kind):
     if key not in raw:
-        raise FormatError(f"field '{where}': missing")
+        raise FormatError(f"field '{key}': missing")
     value = raw[key]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     if kind is list and isinstance(value, list):
         return value
-    raise FormatError(f"field '{where}': expected {kind.__name__}")
+    raise FormatError(f"field '{key}': expected {kind.__name__}")
 
 
-def _optional_float(raw: dict, key: str, default: float = 0.0) -> float:
+def _number(raw: dict, key: str, default: float | None = None) -> float:
+    """A JSON number field as a float; a field without a default is required."""
     if key not in raw:
+        if default is None:
+            raise FormatError(f"field '{key}': missing")
         return default
     value = raw[key]
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise FormatError(f"field '{key}': expected a number")
+    try:
         return float(value)
-    raise FormatError(f"field '{key}': expected a number")
+    except OverflowError:  # an integer beyond the double range
+        raise FormatError(f"field '{key}': number is too large") from None
 
 
 def _load_json(path: str):
@@ -106,19 +112,18 @@ def load_model_dict(path: str) -> dict:
 
 
 def model_from_dict(raw: dict) -> SystemModel:
-    dim = _require(raw, "dim", int, "dim")
+    dim = _require(raw, "dim", int)
     if dim < 1:
         raise FormatError("field 'dim': must be a positive integer")
-    gamma = _require(raw, "gamma", float, "gamma")
     noise = NoiseParams(
-        gamma=gamma,
-        sigma=_optional_float(raw, "sigma"),
-        n=_optional_float(raw, "n"),
-        m=complex(_optional_float(raw, "m_re"), _optional_float(raw, "m_im")),
-        alpha=complex(_optional_float(raw, "alpha_re"), _optional_float(raw, "alpha_im")),
+        gamma=_number(raw, "gamma"),
+        sigma=_number(raw, "sigma", 0.0),
+        n=_number(raw, "n", 0.0),
+        m=complex(_number(raw, "m_re", 0.0), _number(raw, "m_im", 0.0)),
+        alpha=complex(_number(raw, "alpha_re", 0.0), _number(raw, "alpha_im", 0.0)),
     )
-    c = _parse_cmatrix(_require(raw, "C", list, "C"), dim, "C")
-    f = _parse_cmatrix(_require(raw, "F", list, "F"), dim, "F")
+    c = _parse_cmatrix(_require(raw, "C", list), dim, "C")
+    f = _parse_cmatrix(_require(raw, "F", list), dim, "F")
     return SystemModel(C=c, F=f, noise=noise)
 
 

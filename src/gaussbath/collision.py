@@ -13,10 +13,15 @@ levels.  One collision applies
     U = exp( -i [ dt (F + conj(alpha) C + alpha C+) (x) 1
                   + C (x) B+ + C+ (x) B ] )
 
-and traces the ancillas out.  Trotter error per step is O(dt^2), so the
-reduced dynamics converges to exp(t L') at first order in dt.  The
-comparison runs at sigma = 0; a sigma shift is a system Hamiltonian
-term and has no collision counterpart in this scheme.
+and traces the ancillas out.  The pair starts in vacuum, so a collision
+is one channel with Kraus operators K_k = (1 (x) <k|) U (1 (x) |0>);
+S = sum_k conj(K_k) (x) K_k is built once, applied at every step by
+linalg.propagate, and preserves trace because U is unitary.  U comes
+from the increment, not from L', so the chain is independent evidence
+for L'.  Trotter error per step is O(dt^2), so the reduced dynamics
+converges to exp(t L') at first order in dt.  The comparison runs at
+sigma = 0; a sigma shift is a system Hamiltonian term and has no
+collision counterpart in this scheme.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 from .doubling import SplitCoefficients, represent_annihilator, scalar_split
 from .errors import DimensionError, DomainError, TruncationWarning
 from .lindblad import SystemModel, evolve, validate_density_matrix
-from .linalg import adjoint, mat_exp, partial_trace, require_square
+from .linalg import adjoint, mat_exp, propagate, require_square
 
 __all__ = [
     "CollisionConfig",
@@ -98,42 +103,37 @@ def step_unitary(config: CollisionConfig) -> np.ndarray:
     return mat_exp(-1j * h)
 
 
-def _boundary_projector_diag(cutoff: int) -> np.ndarray:
-    """Diagonal mask of pair states with either mode at the top level."""
-    levels = np.arange(cutoff)
-    top1 = (levels[:, None] == cutoff - 1)
-    top2 = (levels[None, :] == cutoff - 1)
-    return (top1 | top2).astype(float).ravel()
+def _step_channel(config: CollisionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Superoperator S of one collision and the boundary observable E.
+
+    tr(E rho) is the pair population at the top Fock level of either mode.
+    """
+    d, cutoff = config.model.dim, config.cutoff
+    pair_dim = cutoff**2
+    # kraus[i, k, j] = <i, k| U |j, 0>: K_k = kraus[:, k, :].
+    kraus = step_unitary(config).reshape(d, pair_dim, d, pair_dim)[:, :, :, 0]
+    # sandwich(K, K+) = kron(conj(K), K), summed over k.
+    step = np.einsum("akb,ikj->aibj", kraus.conj(), kraus).reshape(d * d, d * d)
+    top = np.zeros((cutoff, cutoff), dtype=bool)
+    top[-1, :] = top[:, -1] = True
+    edge = kraus[:, top.ravel(), :]
+    boundary = np.einsum("ikb,ikj->bj", edge.conj(), edge)
+    return step, boundary
 
 
 def simulate(config: CollisionConfig, rho0: np.ndarray) -> np.ndarray:
     """Run the collision chain, returning states at every step boundary.
 
-    The reduced state is renormalized only by the exact partial trace;
-    trace and Hermiticity are preserved by construction.  If the
-    ancilla population at the cutoff boundary ever exceeds 1e-3 the run
-    completes but emits a TruncationWarning.
+    The step channel is trace preserving by construction, so no state
+    is renormalized.  If the ancilla population at the cutoff boundary
+    ever exceeds 1e-3 the run completes but emits a TruncationWarning.
     """
     rho = validate_density_matrix(rho0)
-    d = config.model.dim
-    if rho.shape[0] != d:
+    if rho.shape[0] != config.model.dim:
         raise DimensionError("rho0 dimension does not match the model")
-    u = step_unitary(config)
-    ud = adjoint(u)
-    pair_dim = config.cutoff**2
-    vac = np.zeros((pair_dim, pair_dim), dtype=complex)
-    vac[0, 0] = 1.0
-    boundary = np.tile(_boundary_projector_diag(config.cutoff), d)
-
-    out = np.empty((config.steps + 1, d, d), dtype=complex)
-    out[0] = rho
-    worst_boundary = 0.0
-    for k in range(config.steps):
-        full = u @ np.kron(rho, vac) @ ud
-        worst_boundary = max(worst_boundary, float(np.real(np.diag(full)) @ boundary))
-        rho = partial_trace(full, (d, pair_dim), which="second")
-        rho = (rho + adjoint(rho)) / 2.0
-        out[k + 1] = rho
+    step, boundary = _step_channel(config)
+    out = propagate(rho, [step] * config.steps)
+    worst_boundary = float(np.einsum("bj,kjb->k", boundary, out[:-1]).real.max())
     if worst_boundary > BOUNDARY_TOL:
         warnings.warn(
             f"ancilla boundary population reached {worst_boundary:.2e}; "

@@ -33,6 +33,7 @@ __all__ = [
     "mat_sqrt_psd",
     "operator_norm",
     "partial_trace",
+    "propagate",
     "require_square",
     "sandwich",
     "vectorize",
@@ -78,25 +79,14 @@ def is_psd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 
 def mat_exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential.
+    """Matrix exponential by scaling and squaring (scipy).
 
-    Hermitian input goes through an eigendecomposition, everything else
-    through scaling and squaring (scipy).  Non-finite entries are
-    rejected up front; overflow in the result is reported as a range
-    error.
+    Non-finite entries raise DomainError, a non-finite result OverflowError.
     """
     a = require_square(a, "mat_exp argument")
     if not np.all(np.isfinite(a)):
         raise DomainError("mat_exp argument contains non-finite entries")
-    if is_hermitian(a, 1e-12):
-        evals, vecs = np.linalg.eigh((a + adjoint(a)) / 2.0)
-        with np.errstate(over="raise"):
-            try:
-                expd = np.exp(evals)
-            except FloatingPointError as exc:
-                raise OverflowError("mat_exp overflow: eigenvalues too large") from exc
-        out = (vecs * expd) @ adjoint(vecs)
-    else:
+    with np.errstate(over="ignore", invalid="ignore"):
         out = scipy.linalg.expm(a)
     if not np.all(np.isfinite(out)):
         raise OverflowError("mat_exp overflow: result is not finite")
@@ -176,11 +166,21 @@ def choi_matrix(s: np.ndarray) -> np.ndarray:
     d = int(round(np.sqrt(d2)))
     if d * d != d2:
         raise DimensionError(f"superoperator dimension {d2} is not a perfect square")
-    j = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for k in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, k] = 1.0
-            phi_e = devectorize(s @ vectorize(e), d)
-            j += np.kron(e, phi_e)
-    return j
+    # Phi(E_ik)[a, b] = s[a + b d, i + k d], read off in place of d^2 probes.
+    return s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d2, d2)
+
+
+def propagate(rho0: np.ndarray, maps: list) -> np.ndarray:
+    """States rho0, S1 rho0, S2 S1 rho0, ... under a list of superoperators.
+
+    Every trajectory runs through this loop; list a repeated step again.
+    """
+    rho0 = require_square(rho0, "initial state")
+    d = rho0.shape[0]
+    out = np.empty((len(maps) + 1, d, d), dtype=complex)
+    out[0] = rho0
+    v = vectorize(rho0)
+    for k, s in enumerate(maps):
+        v = s @ v
+        out[k + 1] = devectorize(v, d)
+    return out

@@ -261,6 +261,20 @@ def test_ragged_matrix_is_invalid_input(tmp_path, capsys):
     assert "rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["gamma", "n"])
+def test_huge_integer_scalar_is_invalid_input(tmp_path, capsys, field):
+    model = qubit_model_file(tmp_path, **{field: 10**400})
+    assert main(["steady", "--model", model]) == 2
+    assert f"field '{field}'" in capsys.readouterr().err
+
+
+def test_bool_matrix_entry_is_invalid_input(tmp_path, capsys):
+    c = [[[0, 0], [0, 0]], [[True, 0], [0, 0]]]
+    assert main(["steady", "--model", qubit_model_file(tmp_path, C=c)]) == 2
+    err = capsys.readouterr().err
+    assert "field 'C'" in err and "finite numbers" in err
+
+
 def test_tol_flag_is_gone(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["steady", "--model", qubit_model_file(tmp_path), "--tol", "1e-9"])

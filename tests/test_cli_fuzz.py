@@ -3,9 +3,10 @@
 Each case changes one node of a valid d=2 file: a key or list entry is
 dropped, a list gains an entry, or a value becomes a string, null, a
 bool, an empty object or list, 1e400 or a 400-digit integer.  Every
-run must end in a documented exit code with no exception escaping,
-and a change that breaks the shape, type or finiteness of a matrix the
-command reads must exit 2.
+run must end in a documented exit code with no exception escaping.
+A change that breaks the shape, type or finiteness of a matrix the
+command reads, and a 400-digit integer in a top-level scalar field,
+must exit 2.
 """
 
 import copy
@@ -85,15 +86,15 @@ def mutate(tree, path, op):
     return json.dumps(tree).replace(f'"{OVERFLOW}"', "1e400")
 
 
-def breaks_read_matrix(command, path, op, node):
-    """Whether the mutation breaks a matrix that `command` decodes.
-
-    A bool in place of a number is read as 0 or 1, so it breaks a
-    matrix only where it replaces a list.
-    """
-    if op == "bool" and not isinstance(node, list):
-        return False
+def breaks_read_matrix(command, path):
+    """Whether a mutation at `path` breaks a matrix that `command` decodes."""
     return any(path[:len(m)] == m for m in READS[command])
+
+
+def overflows_scalar(target, path, op, node):
+    """Whether the mutation puts a 400-digit integer in a top-level scalar field."""
+    scalar = target == "model" and len(path) == 1 and not isinstance(node, (list, dict))
+    return scalar and op == "huge"
 
 
 def run(command, model, rho0, out):
@@ -135,7 +136,7 @@ def test_mutated_files_end_in_documented_exit_codes(tmp_path):
             except Exception as exc:
                 raise AssertionError(f"{where} raised {type(exc).__name__}: {exc}") from exc
             assert code in (0, 2, 3, 4), where
-            if breaks_read_matrix(command, path, op, node):
+            if breaks_read_matrix(command, path) or overflows_scalar(target, path, op, node):
                 broken += 1
                 assert code == 2, where
     assert broken > 100

@@ -1,9 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
-from helpers import SIGMA_MINUS, ZERO2, random_density
+from helpers import (
+    SIGMA_MINUS,
+    ZERO2,
+    random_complex,
+    random_density,
+    random_hermitian,
+)
 
 from gaussbath.collision import (
     CollisionConfig,
+    _step_channel,
     convergence_study,
     increment_operator,
     simulate,
@@ -13,7 +22,7 @@ from gaussbath.collision import (
 from gaussbath.doubling import mode_annihilators
 from gaussbath.errors import DimensionError, DomainError, TruncationWarning
 from gaussbath.lindblad import SystemModel, evolve
-from gaussbath.linalg import adjoint, is_unitary
+from gaussbath.linalg import adjoint, is_unitary, partial_trace
 from gaussbath.noise import NoiseParams
 
 
@@ -111,6 +120,74 @@ def test_vacuum_trajectory_tracks_exact_decay():
     assert worst < 5e-3
     traces = np.einsum("kii->k", states)
     np.testing.assert_allclose(traces, 1.0, atol=1e-10)
+
+
+def dense_chain(config, rho0):
+    """The full-space chain: U (rho (x) |00><00|) U+, trace out the pair, Hermitian part.
+
+    Also returns the worst pair population at the Fock boundary before
+    each partial trace, read off the diagonal of the full state.
+    """
+    u = step_unitary(config)
+    d, cutoff = config.model.dim, config.cutoff
+    pair_dim = cutoff**2
+    vac = np.zeros((pair_dim, pair_dim), dtype=complex)
+    vac[0, 0] = 1.0
+    levels = np.arange(cutoff)
+    edge = ((levels[:, None] == cutoff - 1) | (levels[None, :] == cutoff - 1)).ravel()
+    mask = np.tile(edge.astype(float), d)
+    rho = rho0
+    states, worst = [rho0], 0.0
+    for _ in range(config.steps):
+        full = u @ np.kron(rho, vac) @ adjoint(u)
+        worst = max(worst, float(np.real(np.diag(full)) @ mask))
+        rho = partial_trace(full, (d, pair_dim), "second")
+        rho = (rho + adjoint(rho)) / 2.0
+        states.append(rho)
+    return np.array(states), worst
+
+
+# (d, cutoff, n, squeezed, alpha)
+CHAIN_CASES = [
+    (2, 3, 0.0, False, 0.0),
+    (2, 5, 0.8, True, 0.3 - 0.2j),
+    (3, 4, 0.5, False, 0.4j),
+    (3, 6, 1.0, True, 0.0),
+    (4, 3, 1.0, True, -0.25),
+    (4, 5, 0.6, False, 0.1 + 0.1j),
+]
+
+
+def chain_config(rng, d, cutoff, n, squeezed, alpha):
+    m = 0.9 * np.sqrt(n * (n + 1.0)) * np.exp(2j * np.pi * rng.uniform()) if squeezed else 0.0
+    c = random_complex(rng, (d, d)) / d
+    model = SystemModel(C=c, F=random_hermitian(rng, d),
+                        noise=NoiseParams(gamma=1.0, n=n, m=m, alpha=alpha))
+    return CollisionConfig(model=model, dt=0.05, steps=12, cutoff=cutoff)
+
+
+@pytest.mark.parametrize("case", CHAIN_CASES)
+def test_simulate_matches_dense_chain(rng, case):
+    config = chain_config(rng, *case)
+    rho0 = random_density(rng, case[0])
+    want, worst = dense_chain(config, rho0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TruncationWarning)
+        got = simulate(config, rho0)
+    assert np.max(np.abs(got - want)) <= 1e-13
+    # The warning quotes the worst boundary population over steps 0 ... steps-1.
+    assert [str(w.message).split()[4] for w in caught] == (
+        [f"{worst:.2e};"] if worst > 1e-3 else [])
+
+
+@pytest.mark.parametrize("case", CHAIN_CASES)
+def test_step_channel_boundary_matches_diagonal_mask(rng, case):
+    config = chain_config(rng, *case)
+    rho0 = random_density(rng, case[0])
+    states, want = dense_chain(config, rho0)
+    _, boundary = _step_channel(config)
+    got = max(float(np.real(np.trace(boundary @ rho))) for rho in states[:-1])
+    assert abs(got - want) <= 1e-14
 
 
 def test_simulate_warns_on_truncation():

@@ -162,3 +162,16 @@ def test_choi_of_unitary_conjugation_is_rank_one(rng):
     assert evals.min() > -1e-12
     assert abs(evals.max() - 3.0) < 1e-10
     assert np.sum(evals > 1e-10) == 1
+
+
+def test_choi_matrix_equals_probe_sum(rng):
+    # J = sum_ik E_ik (x) Phi(E_ik), one probe per matrix unit, written out here.
+    for d in (1, 2, 3, 4):
+        s = random_complex(rng, (d * d, d * d))
+        want = np.zeros((d * d, d * d), dtype=complex)
+        for i in range(d):
+            for k in range(d):
+                e = np.zeros((d, d), dtype=complex)
+                e[i, k] = 1.0
+                want += np.kron(e, devectorize(s @ vectorize(e), d))
+        assert np.max(np.abs(choi_matrix(s) - want)) <= 1e-15

@@ -27,6 +27,7 @@ from gaussbath.linalg import (
 from gaussbath.lindblad import (
     StepFunction,
     SystemModel,
+    _taylor4,
     commutator_superoperator,
     dissipation_quadratic,
     effective_G,
@@ -164,6 +165,21 @@ def test_commutator_hamiltonian_round_trip(rng):
     assert residual < 1e-11
 
 
+def test_commutator_hamiltonian_reads_the_probe_columns(rng):
+    # The probe form: h_raw[:, j] = -i s(|j><0|)[:, 0], written out here.
+    for d in (2, 3, 5):
+        s = random_complex(rng, (d * d, d * d))
+        h_raw = np.zeros((d, d), dtype=complex)
+        for j in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            e[j, 0] = 1.0
+            h_raw[:, j] = -1j * apply(s, e)[:, 0]
+        h_raw -= h_raw[0, 0] * np.eye(d)
+        want = (h_raw + adjoint(h_raw)) / 2.0
+        got, _ = extract_commutator_hamiltonian(s)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+
 def test_commutator_hamiltonian_rejects_bad_shape():
     with pytest.raises(DimensionError):
         extract_commutator_hamiltonian(np.eye(5))
@@ -250,6 +266,52 @@ def test_evolve_rk4_matches_expm(rng):
     a = evolve(model, rho0, grid, method="expm")
     b = evolve(model, rho0, grid, method="rk4")
     assert max(operator_norm(x - y) for x, y in zip(a, b)) < 1e-8
+
+
+def rk4_stage_loop(model, rho0, grid):
+    """Classical RK4 with four Liouvillian matvecs per substep, on evolve's substep rule."""
+    liouv = schrodinger_liouvillian(model)
+    noise = model.noise
+    scale = (noise.gamma * (2.0 * noise.n + 1.0 + 2.0 * abs(noise.m))
+             * operator_norm(model.C) ** 2 + operator_norm(model.F))
+    spacings = np.diff(grid)
+    step = min(spacings.min() / 20.0, 0.01 / scale)
+    v = vectorize(rho0)
+    states = [rho0]
+    for dt in spacings:
+        nsub = max(1, int(np.ceil(dt / step)))
+        h = dt / nsub
+        for _ in range(nsub):
+            k1 = liouv @ v
+            k2 = liouv @ (v + 0.5 * h * k1)
+            k3 = liouv @ (v + 0.5 * h * k2)
+            k4 = liouv @ (v + h * k3)
+            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(devectorize(v, rho0.shape[0]))
+    return np.array(states)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_evolve_rk4_equals_stage_loop(rng, d):
+    model = random_model(rng, d)
+    rho0 = random_density(rng, d)
+    grid = np.concatenate([np.linspace(0.0, 0.5, 6), [0.55, 0.8, 1.5]])
+    got = evolve(model, rho0, grid, method="rk4")
+    assert np.max(np.abs(got - rk4_stage_loop(model, rho0, grid))) <= 1e-12
+
+
+def test_taylor4_is_one_rk4_step(rng):
+    # At h ||L'|| ~ 1 one RK4 step is far from exp(h L'), so this tells the two apart.
+    liouv = schrodinger_liouvillian(random_model(rng, 3))
+    h = 1.0 / operator_norm(liouv)
+    v = vectorize(random_density(rng, 3))
+    k1 = liouv @ v
+    k2 = liouv @ (v + 0.5 * h * k1)
+    k3 = liouv @ (v + 0.5 * h * k2)
+    k4 = liouv @ (v + h * k3)
+    want = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert np.max(np.abs(_taylor4(h * liouv) @ v - want)) <= 1e-14
+    assert np.max(np.abs(mat_exp(h * liouv) @ v - want)) > 1e-4
 
 
 def test_evolve_input_checks(rng):
