@@ -28,7 +28,6 @@ from .doubling import (
     split_residuals,
 )
 from .errors import (
-    BasisError,
     CommutationError,
     DecompositionError,
     DegenerateKernelError,
@@ -46,7 +45,6 @@ from .lindblad import (
     SystemModel,
     commutator_superoperator,
     dissipation_quadratic,
-    effective_G,
     evolve,
     exp_vector_propagator,
     extract_commutator_hamiltonian,
@@ -71,16 +69,7 @@ from .linalg import (
     sandwich,
     vectorize,
 )
-from .noise import (
-    GAUSSIAN3,
-    NoiseParams,
-    QSDifferential,
-    VACUUM4,
-    differential_adjoint,
-    ito_product_gaussian,
-    ito_product_vacuum,
-    unitarity_defect,
-)
+from .noise import NoiseParams, ito_product, unitarity_defect
 from .wick import (
     HPParameters,
     ItoCoefficients,

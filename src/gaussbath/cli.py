@@ -17,7 +17,8 @@ dim x dim x 2 array of finite numbers, and ``_pairs`` writes any
 complex scalar or array back as pairs.  Reports are JSON trees on the
 same convention; time series are CSV.  Initial states are only decoded
 here; the library checks them where they enter.  Exit codes: 0
-success, 2 validation failure, 3 numerical failure, 4 I/O failure.
+success, 2 validation failure, 3 numerical failure or out of memory,
+4 I/O failure.
 """
 
 from __future__ import annotations
@@ -41,10 +42,8 @@ from .lindblad import (
     steady_state,
 )
 from .linalg import DEFAULT_TOL, adjoint, vectorize
-from .noise import NoiseParams, unitarity_defect
+from .noise import BLOCK_KEYS, NoiseParams, unitarity_defect
 from .wick import NORMAL_ORDERED, TIME_ORDERED, ItoCoefficients, normal_to_time, time_to_normal
-
-BLOCK_KEYS = ("c00", "c01", "c10", "c11")
 
 
 # ---------------------------------------------------------------- parsing
@@ -213,8 +212,8 @@ def cmd_generator(args) -> int:
 def cmd_evolve(args) -> int:
     model = model_from_dict(load_model_dict(args.model))
     rho0 = load_density_matrix(args.rho0, model.dim)
-    if args.t_final <= 0:
-        raise FormatError("--t-final must be positive")
+    if not 0 < args.t_final < np.inf:
+        raise FormatError("--t-final must be positive and finite")
     if args.points < 2:
         raise FormatError("--points must be at least 2")
     grid = np.linspace(0.0, args.t_final, args.points)
@@ -365,7 +364,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"gaussbath: i/o error: {exc}", file=sys.stderr)
         return 4
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
         print(f"gaussbath: numerical error: {exc}", file=sys.stderr)
         return 3
     except (GaussBathError, ValueError) as exc:

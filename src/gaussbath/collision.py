@@ -35,6 +35,7 @@ from .doubling import SplitCoefficients, represent_annihilator, scalar_split
 from .errors import DimensionError, DomainError, TruncationWarning
 from .lindblad import SystemModel, evolve, validate_density_matrix
 from .linalg import adjoint, mat_exp, propagate, require_square
+from .noise import require_finite
 
 __all__ = [
     "CollisionConfig",
@@ -62,6 +63,7 @@ class CollisionConfig:
 
     def __post_init__(self):
         noise = self.model.noise
+        require_finite(dt=self.dt)
         if self.dt <= 0:
             raise DomainError(f"dt must be positive, got {self.dt}")
         if self.steps < 1:
@@ -179,9 +181,13 @@ def convergence_study(
     non-monotone error sequence (10 percent slack for noise) is flagged
     in the result, not fatal.
     """
+    dts = [float(dt) for dt in dts]
+    require_finite(t_final=t_final)
+    for dt in dts:
+        require_finite(dt=dt)
     if t_final <= 0:
         raise DomainError("t_final must be positive")
-    dts = sorted((float(dt) for dt in dts), reverse=True)
+    dts.sort(reverse=True)
     if len(dts) < 2:
         raise DomainError("need at least two step sizes to study convergence")
     errors = []

@@ -27,10 +27,6 @@ class KernelError(DomainError):
     """An operator fails to vanish on a required kernel subspace."""
 
 
-class BasisError(GaussBathError, ValueError):
-    """Quantum stochastic differentials expressed in different bases."""
-
-
 class FormatError(GaussBathError, ValueError):
     """Malformed model file, step function, or report payload."""
 

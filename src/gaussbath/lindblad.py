@@ -56,7 +56,6 @@ __all__ = [
     "SystemModel",
     "commutator_superoperator",
     "dissipation_quadratic",
-    "effective_G",
     "evolve",
     "exp_vector_propagator",
     "extract_commutator_hamiltonian",
@@ -128,15 +127,6 @@ def dissipation_quadratic(model: SystemModel) -> np.ndarray:
     return _kossakowski_sum(_bath_matrix(model.noise), (model.C, adjoint(model.C)))
 
 
-def effective_G(model: SystemModel) -> np.ndarray:
-    """The dt coefficient -G of the evolution equation, returned as G.
-
-    G + G+ = gamma Q, so the anti-Hermitian part carries F, the
-    displacement and sigma while the Hermitian part is pure dissipation.
-    """
-    return gks_decompose(model).effective_G()
-
-
 def heisenberg_generator(model: SystemModel) -> np.ndarray:
     """Superoperator of L(X) acting on column-stacked X."""
     return gks_decompose(model).heisenberg_matrix()
@@ -186,7 +176,12 @@ class GKSForm:
     kossakowski: np.ndarray
 
     def effective_G(self) -> np.ndarray:
-        """G = i H_eff + 1/2 sum_jk K_jk V_j+ V_k, so that L(X) = ... - X G - G+ X."""
+        """G = i H_eff + 1/2 sum_jk K_jk V_j+ V_k, so that L(X) = ... - X G - G+ X.
+
+        -G is the dt coefficient of the evolution equation.  G + G+ =
+        gamma Q, so the anti-Hermitian part carries F, the displacement
+        and sigma while the Hermitian part is pure dissipation.
+        """
         return 1j * self.h_eff + 0.5 * _kossakowski_sum(self.kossakowski, self.jumps)
 
     def heisenberg_matrix(self) -> np.ndarray:
@@ -250,6 +245,8 @@ def _check_grid(grid: np.ndarray) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise DomainError("time grid must be a one-dimensional array")
+    if not np.all(np.isfinite(grid)):
+        raise DomainError("time grid must be finite")
     if abs(grid[0]) > 1e-15:
         raise DomainError("time grid must start at 0")
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
@@ -274,9 +271,10 @@ def evolve(
 ) -> np.ndarray:
     """Propagate rho0 along the grid under exp(t L').
 
-    Each distinct spacing dt gets one d^2 x d^2 map, applied in turn by
-    linalg.propagate.  "expm" uses exp(dt L') (Pade scaling and
-    squaring).  "rk4" takes nsub equal substeps h <= min(smallest
+    Each distinct spacing dt (to 12 digits relative to the largest) gets
+    one d^2 x d^2 map, built from the first spacing of its group and
+    applied in turn by linalg.propagate.  "expm" uses exp(dt L') (Pade
+    scaling and squaring).  "rk4" takes nsub equal substeps h <= min(smallest
     spacing/20, 0.01/scale), scale = gamma (2n+1+2|m|) ||C||^2 + ||F||.
     One RK4 substep of a linear equation is exactly T4(hL') = I + hL' +
     (hL')^2/2 + (hL')^3/6 + (hL')^4/24, so the map is T4(hL')^nsub by
@@ -291,22 +289,24 @@ def evolve(
         raise DimensionError("rho0 dimension does not match the model")
     if method not in ("expm", "rk4"):
         raise DomainError(f"method must be 'expm' or 'rk4', got {method!r}")
-    liouv = schrodinger_liouvillian(model)
     spacings = np.diff(grid)
-    if method == "rk4" and spacings.size:
+    if not spacings.size:
+        return propagate(rho0, [])
+    # Spacings equal to 12 digits relative to the largest share one map;
+    # relative, so that the spacings of a tiny grid do not all round to 0.
+    _, first, group = np.unique(
+        np.round(spacings / spacings.max(), 12), return_index=True, return_inverse=True
+    )
+    liouv = schrodinger_liouvillian(model)
+    if method == "expm":
+        group_maps = [mat_exp(dt * liouv) for dt in spacings[first]]
+    else:
         rk4_step = _rk4_default_step(model, spacings.min())
-    cache: dict[float, np.ndarray] = {}
-    maps = []
-    for dt in spacings:
-        key = round(float(dt), 15)
-        if key not in cache:
-            if method == "expm":
-                cache[key] = mat_exp(dt * liouv)
-            else:
-                nsub = max(1, ceil(dt / rk4_step))
-                cache[key] = np.linalg.matrix_power(_taylor4((dt / nsub) * liouv), nsub)
-        maps.append(cache[key])
-    return propagate(rho0, maps)
+        group_maps = []
+        for dt in spacings[first]:
+            nsub = max(1, ceil(dt / rk4_step))
+            group_maps.append(np.linalg.matrix_power(_taylor4((dt / nsub) * liouv), nsub))
+    return propagate(rho0, [group_maps[k] for k in group])
 
 
 def steady_state(model: SystemModel) -> np.ndarray:
@@ -391,21 +391,14 @@ def _as_step_function(f) -> StepFunction:
     )
 
 
-def exp_vector_propagator(
-    l: ItoCoefficients,
-    f,
-    g,
-    t: float,
-    weighting: str = "unweighted",
-    gamma: float | None = None,
-) -> np.ndarray:
+def exp_vector_propagator(l: ItoCoefficients, f, g, t: float) -> np.ndarray:
     """Matrix-element propagator between exponential vectors.
 
-    Solves dT/ds = (L00 + lam_g(s) L01 + conj(lam_f(s)) L10
-    + conj(lam_f(s)) lam_g(s) L11) T with T_0 = 1, where lam is the
-    annihilator eigenvalue on an exponential vector: the test function
-    itself for weighting "unweighted", or gamma times it for weighting
-    "gamma" (the two readings of the exponential-vector normalization).
+    Solves dT/ds = (L00 + g(s) L01 + conj(f(s)) L10
+    + conj(f(s)) g(s) L11) T with T_0 = 1, where the test function is
+    the annihilator eigenvalue on its exponential vector.  The other
+    reading of the exponential-vector normalization, with eigenvalue
+    gamma times the test function, is this call on gamma f and gamma g.
     Step functions make the solution a product of matrix exponentials,
     one per constancy interval.
     """
@@ -413,13 +406,6 @@ def exp_vector_propagator(
         raise DomainError("exp_vector_propagator expects normal-ordered coefficients")
     if t < 0:
         raise DomainError("t must be nonnegative")
-    if weighting not in ("unweighted", "gamma"):
-        raise DomainError(f"weighting must be 'unweighted' or 'gamma', got {weighting!r}")
-    scale = 1.0
-    if weighting == "gamma":
-        if gamma is None or not gamma > 0:
-            raise DomainError("gamma weighting requires a positive gamma")
-        scale = gamma
     fs, gs = _as_step_function(f), _as_step_function(g)
 
     d = l.dim
@@ -430,8 +416,7 @@ def exp_vector_propagator(
         [[0.0, t], fs.breakpoints_within(t), gs.breakpoints_within(t)]
     ))
     for left, right in zip(cuts[:-1], cuts[1:]):
-        lam_f = scale * fs(left)
-        lam_g = scale * gs(left)
+        lam_f, lam_g = fs(left), gs(left)
         gen = (
             l.c00
             + lam_g * l.c01

@@ -1,4 +1,4 @@
-"""Quantum white noise bookkeeping: parameters, differentials, Ito tables.
+"""Quantum white noise bookkeeping: parameters, coefficient quadruples, the Ito table.
 
 A single noise channel carries a complex coupling kappa = gamma/2 + i*sigma
 with gamma > 0.  Two contraction weights appear throughout:
@@ -6,50 +6,47 @@ with gamma > 0.  Two contraction weights appear throughout:
 * the one-sided weight kappa, used when commuting an annihilator through
   a time-ordered solution (normal ordering), and
 * the two-sided weight gamma = kappa + conj(kappa), which is what the
-  Ito multiplication tables see.
+  Ito multiplication table sees.
 
-Vacuum Ito table (four fundamental increments, labels (i, j) with i
-counting creators and j annihilators):
+A differential is an ItoCoefficients quadruple c_ij multiplying
+[a+]^i ... [a-]^j: c00 the dt slot, c01 the annihilator dA, c10 the
+creator dA+ and c11 the gauge slot.  ito_product is the one Ito table.
+For a bath with occupation n and pair correlation m
+
+    dA dA+ = gamma (n+1) dt      dA+ dA = gamma n dt
+    dA dA  = gamma m dt          dA+ dA+ = gamma conj(m) dt,
+
+and in the vacuum (n = m = 0) the gauge slot joins in through
 
     dA^{i1} dA^{1j} = gamma dA^{ij},     all other products vanish.
 
-Gaussian Ito table for a bath with occupation n, pair correlation m:
-
-    dA dA+ = gamma (n+1) dt      dA+ dA = gamma n dt
-    dA dA  = gamma m dt          dA+ dA+ = gamma conj(m) dt
+unitarity_defect is the Ito closure of d(V+V) on that vacuum table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisError, DimensionError, DomainError
-from .linalg import adjoint, operator_norm, require_square
+from .errors import DimensionError, DomainError
+from .linalg import DEFAULT_TOL, adjoint, operator_norm, require_square
 
 __all__ = [
-    "GAUSSIAN3",
-    "GAUSSIAN3_LABELS",
+    "BLOCK_KEYS",
+    "ItoCoefficients",
+    "NORMAL_ORDERED",
     "NoiseParams",
-    "QSDifferential",
-    "VACUUM4",
-    "VACUUM4_LABELS",
-    "differential_adjoint",
+    "TIME_ORDERED",
     "is_gaussian_state",
-    "ito_product_gaussian",
-    "ito_product_vacuum",
+    "ito_product",
     "require_finite",
     "unitarity_defect",
 ]
 
-# Differential bases.  VACUUM4 uses the four fundamental-process labels
-# (i, j): (0,0) = dt, (0,1) = dA, (1,0) = dA+, (1,1) = gauge.  GAUSSIAN3
-# drops the gauge slot and names the rest directly.
-VACUUM4 = "vacuum4"
-GAUSSIAN3 = "gaussian3"
-VACUUM4_LABELS = ((0, 0), (0, 1), (1, 0), (1, 1))
-GAUSSIAN3_LABELS = ("dt", "dA", "dAdag")
+TIME_ORDERED = "time-ordered"
+NORMAL_ORDERED = "normal-ordered"
+BLOCK_KEYS = ("c00", "c01", "c10", "c11")
 
 
 def require_finite(**values) -> None:
@@ -94,130 +91,105 @@ class NoiseParams:
         return is_gaussian_state(self.n, self.m)
 
 
-def _zero(dim: int) -> np.ndarray:
-    return np.zeros((dim, dim), dtype=complex)
-
-
 @dataclass
-class QSDifferential:
-    """A quantum stochastic differential with operator coefficients.
+class ItoCoefficients:
+    """Coefficient quadruple of a QSDE, tagged by ordering kind.
 
-    ``coeffs`` maps a basis label to a square operator; missing labels
-    mean zero.  All coefficients must share one dimension.
+    Index convention: c_ij multiplies [a+]^i ... [a-]^j, so c10 couples
+    to the creator, c01 to the annihilator, c11 to the gauge slot and
+    c00 to dt.
     """
 
-    basis: str
-    coeffs: dict = field(default_factory=dict)
-    dim: int | None = None
+    kind: str
+    c00: np.ndarray
+    c01: np.ndarray
+    c10: np.ndarray
+    c11: np.ndarray
 
     def __post_init__(self):
-        if self.basis not in (VACUUM4, GAUSSIAN3):
-            raise BasisError(f"unknown differential basis {self.basis!r}")
-        labels = VACUUM4_LABELS if self.basis == VACUUM4 else GAUSSIAN3_LABELS
-        clean = {}
-        for label, c in self.coeffs.items():
-            if label not in labels:
-                raise BasisError(f"label {label!r} not in basis {self.basis}")
-            c = require_square(c, f"coefficient {label!r}")
-            if self.dim is None:
-                self.dim = c.shape[0]
-            elif c.shape[0] != self.dim:
-                raise DimensionError(
-                    f"coefficient {label!r} has dimension {c.shape[0]}, expected {self.dim}"
-                )
-            clean[label] = c
-        if self.dim is None:
-            raise DimensionError("cannot infer dimension of an empty differential")
-        self.coeffs = clean
+        if self.kind not in (TIME_ORDERED, NORMAL_ORDERED):
+            raise DomainError(f"kind must be time-ordered or normal-ordered, got {self.kind!r}")
+        self.c00 = require_square(self.c00, "c00")
+        self.c01 = require_square(self.c01, "c01")
+        self.c10 = require_square(self.c10, "c10")
+        self.c11 = require_square(self.c11, "c11")
+        d = self.c00.shape[0]
+        for name in ("c01", "c10", "c11"):
+            if getattr(self, name).shape[0] != d:
+                raise DimensionError(f"{name} dimension differs from c00")
 
-    def coeff(self, label) -> np.ndarray:
-        """Coefficient for a label, zero matrix if absent."""
-        if label in self.coeffs:
-            return self.coeffs[label]
-        return _zero(self.dim)
+    @property
+    def dim(self) -> int:
+        return self.c00.shape[0]
+
+    def adjoint(self) -> ItoCoefficients:
+        """The adjoint quadruple: ([a+]^i X [a-]^j)+ = [a+]^j X+ [a-]^i swaps c01 and c10."""
+        return ItoCoefficients(
+            self.kind, adjoint(self.c00), adjoint(self.c10), adjoint(self.c01), adjoint(self.c11)
+        )
+
+    def hermitian_generator(self) -> bool:
+        """True when the quadruple equals its adjoint within DEFAULT_TOL.
+
+        That is c00 and c11 Hermitian and c01 = adjoint(c10).  Only
+        meaningful for time-ordered coefficients, but testable on any.
+        """
+        other = self.adjoint()
+        return all(
+            np.max(np.abs(getattr(self, key) - getattr(other, key))) <= DEFAULT_TOL
+            for key in BLOCK_KEYS
+        )
 
 
-def _check_same(x: QSDifferential, y: QSDifferential, basis: str) -> None:
-    if x.basis != basis or y.basis != basis:
-        raise BasisError(f"both factors must be in the {basis} basis")
+def ito_product(x: ItoCoefficients, y: ItoCoefficients, params: NoiseParams) -> ItoCoefficients:
+    """Ito correction of the product of two normal-ordered differentials.
+
+    The dt block collects the four second moments of the bath,
+
+        gamma [ (n+1) x01 y10 + n x10 y01 + m x01 y01 + conj(m) x10 y10 ],
+
+    and the vacuum rule dA^{i1} dA^{1j} = gamma dA^{ij} fills the rest:
+    gamma x01 y11, gamma x11 y10 and gamma x11 y11.  The gauge slot has
+    a table only in the vacuum, so a nonzero c11 in a bath with
+    (n, m) != (0, 0) raises DomainError.
+    """
+    if x.kind != NORMAL_ORDERED or y.kind != NORMAL_ORDERED:
+        raise DomainError("ito_product expects normal-ordered factors")
     if x.dim != y.dim:
         raise DimensionError(f"factor dimensions differ: {x.dim} vs {y.dim}")
-
-
-def ito_product_vacuum(x: QSDifferential, y: QSDifferential, params: NoiseParams) -> QSDifferential:
-    """Ito correction of a product of vacuum differentials.
-
-    Only the annihilator edge of x against the creator edge of y
-    survives the vacuum table, concatenating the outer indices:
-
-        corr^{il} = gamma x^{i1} y^{1l}.
-    """
-    _check_same(x, y, VACUUM4)
-    g = params.gamma
-    out = {}
-    for i in (0, 1):
-        for l in (0, 1):
-            c = g * (x.coeff((i, 1)) @ y.coeff((1, l)))
-            if np.any(c):
-                out[(i, l)] = c
-    if not out:
-        out[(0, 0)] = _zero(x.dim)
-    return QSDifferential(VACUUM4, out)
-
-
-def ito_product_gaussian(x: QSDifferential, y: QSDifferential, params: NoiseParams) -> QSDifferential:
-    """Ito correction of a product of Gaussian differentials.
-
-    All four second moments contribute, and the correction is purely a
-    dt term:
-
-        gamma [ (n+1) x_dA y_dA+  +  n x_dA+ y_dA
-                +  m x_dA y_dA    +  conj(m) x_dA+ y_dA+ ] dt.
-    """
-    _check_same(x, y, GAUSSIAN3)
     g, n, m = params.gamma, params.n, params.m
-    corr = g * (
-        (n + 1.0) * (x.coeff("dA") @ y.coeff("dAdag"))
-        + n * (x.coeff("dAdag") @ y.coeff("dA"))
-        + m * (x.coeff("dA") @ y.coeff("dA"))
-        + np.conj(m) * (x.coeff("dAdag") @ y.coeff("dAdag"))
+    vacuum = n == 0 and m == 0
+    if not vacuum and (np.any(x.c11) or np.any(y.c11)):
+        raise DomainError("the gauge slot c11 has an Ito table only in the vacuum (n = m = 0)")
+    dt = x.c01 @ y.c10
+    if not vacuum:
+        dt = (
+            (n + 1.0) * dt
+            + n * (x.c10 @ y.c01)
+            + m * (x.c01 @ y.c01)
+            + np.conj(m) * (x.c10 @ y.c10)
+        )
+    return ItoCoefficients(
+        NORMAL_ORDERED, g * dt, g * (x.c01 @ y.c11), g * (x.c11 @ y.c10), g * (x.c11 @ y.c11)
     )
-    return QSDifferential(GAUSSIAN3, {"dt": corr})
 
 
-def differential_adjoint(x: QSDifferential) -> QSDifferential:
-    """Adjoint differential: coefficients adjointed, labels transposed.
-
-    ([a+]^i X [a-]^j)+ = [a+]^j X+ [a-]^i, so the vacuum label (i, j)
-    moves to (j, i); in the Gaussian basis dA and dA+ swap.
-    """
-    if x.basis == VACUUM4:
-        out = {(j, i): adjoint(c) for (i, j), c in x.coeffs.items()}
-    else:
-        swap = {"dt": "dt", "dA": "dAdag", "dAdag": "dA"}
-        out = {swap[k]: adjoint(c) for k, c in x.coeffs.items()}
-    if not out:
-        out = {next(iter(VACUUM4_LABELS if x.basis == VACUUM4 else GAUSSIAN3_LABELS)): _zero(x.dim)}
-    return QSDifferential(x.basis, out)
-
-
-def unitarity_defect(l, gamma: float) -> float:
+def unitarity_defect(l: ItoCoefficients, gamma: float) -> float:
     """Largest violation of the normal-ordered unitarity condition.
 
-    For normal-ordered coefficients L_ij (a wick.ItoCoefficients) of
-    dV/dt = L_ij [a+]^i V [a-]^j the condition reads, for every (i, j),
+    V stays unitary exactly when d(V+V) = dV+ V + V+ dV + dV+ dV
+    vanishes at V = 1, that is when l + l+ plus the vacuum Ito
+    correction of l+ l is zero; per block (i, j)
 
-        L_ij + L_ji+ + gamma L_1i+ L_1j = 0,
+        L_ij + L_ji+ + gamma L_1i+ L_1j = 0.
 
-    and the defect returned is the max operator norm over the four
-    blocks.  Vanishing defect is equivalent to V staying unitary.
+    The defect returned is the max operator norm over the four blocks.
     """
     if not gamma > 0:
         raise DomainError(f"gamma must be positive, got {gamma}")
-    t = {(0, 0): l.c00, (0, 1): l.c01, (1, 0): l.c10, (1, 1): l.c11}
-    worst = 0.0
-    for i in (0, 1):
-        for j in (0, 1):
-            d = t[(i, j)] + adjoint(t[(j, i)]) + gamma * (adjoint(t[(1, i)]) @ t[(1, j)])
-            worst = max(worst, operator_norm(d))
-    return worst
+    ld = l.adjoint()
+    corr = ito_product(ld, l, NoiseParams(gamma=gamma))
+    return max(
+        operator_norm(getattr(l, key) + getattr(ld, key) + getattr(corr, key))
+        for key in BLOCK_KEYS
+    )

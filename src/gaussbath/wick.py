@@ -16,7 +16,9 @@ unitary normal-ordered coefficients, and the vacuum special case
 reproduces the dt coefficient -G of the Gaussian evolution equation.
 
 The inverse map uses (1 + i kappa E11)^(-1) = 1 + kappa L11, which turns
-every formula above around in closed form.
+every formula above around in closed form.  The quadruple type
+ItoCoefficients and its two kind tags live in noise beside the Ito
+table and are re-exported here.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, SingularityError
-from .linalg import DEFAULT_TOL, adjoint, is_hermitian, is_unitary, operator_norm, require_square
-from .noise import NoiseParams, unitarity_defect
+from .errors import DomainError, SingularityError
+from .linalg import adjoint, is_unitary, operator_norm
+from .noise import NORMAL_ORDERED, TIME_ORDERED, ItoCoefficients, NoiseParams, unitarity_defect
 
 __all__ = [
     "HPParameters",
@@ -40,58 +42,11 @@ __all__ = [
     "time_to_normal",
 ]
 
-TIME_ORDERED = "time-ordered"
-NORMAL_ORDERED = "normal-ordered"
-
 # Condition-number ceiling for the (1 + i kappa E11) style inversions.
 COND_BOUND = 1e12
 
 # Largest unitarity defect, and deviation of W from unitary, that hp_extract accepts.
 HP_TOL = 1e-8
-
-
-@dataclass
-class ItoCoefficients:
-    """Coefficient quadruple of a QSDE, tagged by ordering kind.
-
-    Index convention: c_ij multiplies [a+]^i ... [a-]^j, so c10 couples
-    to the creator, c01 to the annihilator, c11 to the gauge slot and
-    c00 to dt.
-    """
-
-    kind: str
-    c00: np.ndarray
-    c01: np.ndarray
-    c10: np.ndarray
-    c11: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in (TIME_ORDERED, NORMAL_ORDERED):
-            raise DomainError(f"kind must be time-ordered or normal-ordered, got {self.kind!r}")
-        self.c00 = require_square(self.c00, "c00")
-        self.c01 = require_square(self.c01, "c01")
-        self.c10 = require_square(self.c10, "c10")
-        self.c11 = require_square(self.c11, "c11")
-        d = self.c00.shape[0]
-        for name in ("c01", "c10", "c11"):
-            if getattr(self, name).shape[0] != d:
-                raise DimensionError(f"{name} dimension differs from c00")
-
-    @property
-    def dim(self) -> int:
-        return self.c00.shape[0]
-
-    def hermitian_generator(self) -> bool:
-        """True when the quadruple is i times a self-adjoint expression.
-
-        Requires c00 and c11 Hermitian and c01 = adjoint(c10).  Only
-        meaningful for time-ordered coefficients, but testable on any.
-        """
-        return (
-            is_hermitian(self.c00)
-            and is_hermitian(self.c11)
-            and bool(np.max(np.abs(self.c01 - adjoint(self.c10))) <= DEFAULT_TOL)
-        )
 
 
 @dataclass

@@ -1,9 +1,26 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 # Pass/fail lines recorded by the acceptance tests, echoed after the
 # run so they survive output capture.
 ACCEPTANCE_LINES = []
+
+_HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+
+def pytest_configure(config):
+    # Hypothesis caches what it reads from source files under its home
+    # directory, ./.hypothesis by default; keep that out of the working tree.
+    home = tempfile.TemporaryDirectory(prefix="gaussbath-hypothesis-")
+    config.stash[_HYPOTHESIS_HOME] = home
+    set_hypothesis_home_dir(home.name)
+
+
+def pytest_unconfigure(config):
+    config.stash[_HYPOTHESIS_HOME].cleanup()
 
 
 @pytest.fixture

@@ -2,12 +2,7 @@
 
 import numpy as np
 
-from gaussbath.noise import (
-    GAUSSIAN3,
-    QSDifferential,
-    differential_adjoint,
-    ito_product_gaussian,
-)
+from gaussbath.noise import NORMAL_ORDERED, ItoCoefficients, ito_product
 
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |g><e|
 SIGMA_PLUS = SIGMA_MINUS.conj().T
@@ -62,22 +57,19 @@ def ito_heisenberg(model):
     c, f, p = model.C, model.F, model.noise
     cd = c.conj().T
     d = c.shape[0]
-    noise_part = {"dA": -1j * cd, "dAdag": -1j * c}
-    dw = QSDifferential(GAUSSIAN3, noise_part)
-    gamma_q = ito_product_gaussian(differential_adjoint(dw), dw, p).coeff("dt")
+    zero = np.zeros((d, d), dtype=complex)
+    # dW = -iC dA+ - iC+ dA: the creator slot c10 holds -iC, the annihilator slot c01 -iC+.
+    dw = ItoCoefficients(NORMAL_ORDERED, zero, -1j * cd, -1j * c, zero)
+    gamma_q = ito_product(dw.adjoint(), dw, p).c00
     g = 1j * (f + np.conj(p.alpha) * c + p.alpha * cd) + p.kappa * gamma_q / p.gamma
-    du = QSDifferential(GAUSSIAN3, {"dt": -g, **noise_part})
-    du_adj = differential_adjoint(du)
+    du = ItoCoefficients(NORMAL_ORDERED, -g, dw.c01, dw.c10, zero)
+    du_adj = du.adjoint()
     out = np.zeros((d * d, d * d), dtype=complex)
     for col in range(d * d):
         x = np.zeros(d * d, dtype=complex)
         x[col] = 1.0
         x = x.reshape((d, d), order="F")
-        x_du = QSDifferential(GAUSSIAN3, {k: x @ v for k, v in du.coeffs.items()})
-        lx = (
-            du_adj.coeff("dt") @ x
-            + x_du.coeff("dt")
-            + ito_product_gaussian(du_adj, x_du, p).coeff("dt")
-        )
+        x_du = ItoCoefficients(NORMAL_ORDERED, x @ du.c00, x @ du.c01, x @ du.c10, x @ du.c11)
+        lx = du_adj.c00 @ x + x_du.c00 + ito_product(du_adj, x_du, p).c00
         out[:, col] = lx.flatten(order="F")
     return out

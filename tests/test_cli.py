@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussbath import cli
+from gaussbath import cli, collision
 from gaussbath.cli import _pairs, main
 from gaussbath.linalg import vectorize
 from gaussbath.lindblad import SystemModel, schrodinger_liouvillian
@@ -205,6 +205,32 @@ def test_linalg_error_is_numerical_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", fail)
     assert main(["steady", "--model", qubit_model_file(tmp_path, n=1.0)]) == 3
     assert "numerical error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["oracle", "--t-final", "inf", "--dt-list", "0.1,0.05"], "t_final must be finite"),
+    (["oracle", "--t-final", "0.4", "--dt-list", "nan,0.05"], "dt must be finite"),
+    (["evolve", "--t-final", "inf"], "--t-final"),
+    (["evolve", "--t-final", "nan"], "--t-final"),
+], ids=["oracle-t-final-inf", "oracle-dt-nan", "evolve-t-final-inf", "evolve-t-final-nan"])
+def test_nonfinite_time_input_is_invalid_input(tmp_path, capsys, argv, name):
+    argv = argv + ["--model", qubit_model_file(tmp_path)]
+    if argv[0] == "evolve":
+        excited = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        argv += ["--rho0", write_json(tmp_path / "rho0.json", {"rho": excited})]
+    assert main(argv) == 2
+    assert name in capsys.readouterr().err
+
+
+def test_memory_error_is_numerical_exit_code(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.6 TiB")
+
+    monkeypatch.setattr(collision, "represent_annihilator", fail)
+    argv = ["oracle", "--model", qubit_model_file(tmp_path), "--t-final", "0.4",
+            "--dt-list", "0.1,0.05", "--cutoff", "3"]
+    assert main(argv) == 3
+    assert "Unable to allocate" in capsys.readouterr().err
 
 
 def test_missing_model_file_exit_code(tmp_path, capsys):

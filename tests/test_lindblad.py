@@ -10,6 +10,7 @@ from helpers import (
     random_hermitian,
 )
 
+from gaussbath import lindblad
 from gaussbath.errors import (
     DegenerateKernelError,
     DimensionError,
@@ -30,7 +31,6 @@ from gaussbath.lindblad import (
     _taylor4,
     commutator_superoperator,
     dissipation_quadratic,
-    effective_G,
     evolve,
     exp_vector_propagator,
     extract_commutator_hamiltonian,
@@ -102,7 +102,7 @@ def test_effective_g_splits_into_drift_and_dissipation(rng):
         F=random_hermitian(rng, 3),
         noise=NoiseParams(gamma=1.4, sigma=0.3, n=0.8, m=0.5j, alpha=0.2 - 0.1j),
     )
-    g = effective_G(model)
+    g = gks_decompose(model).effective_G()
     q = dissipation_quadratic(model)
     # Hermitian part is gamma/2 Q, anti-Hermitian part carries F, the
     # displacement and the sigma shift.
@@ -321,6 +321,9 @@ def test_evolve_input_checks(rng):
         evolve(model, rho0, np.array([0.5, 1.0]))
     with pytest.raises(DomainError):
         evolve(model, rho0, np.array([0.0, 0.5, 0.4]))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(DomainError, match="finite"):
+            evolve(model, rho0, np.array([0.0, 1.0, bad]))
     with pytest.raises(DomainError):
         evolve(model, rho0, np.array([0.0, 1.0]), method="euler")
     with pytest.raises(DimensionError):
@@ -335,6 +338,30 @@ def test_evolve_trivial_grid():
     states = evolve(model, rho0, np.array([0.0]))
     assert states.shape == (1, 2, 2)
     np.testing.assert_array_equal(states[0], rho0)
+
+
+def test_evolve_builds_one_map_per_distinct_spacing(rng, monkeypatch):
+    calls = []
+
+    def counting_exp(a):
+        calls.append(a)
+        return mat_exp(a)
+
+    monkeypatch.setattr(lindblad, "mat_exp", counting_exp)
+    model = random_model(rng, 3)
+    rho0 = random_density(rng, 3)
+    liouv = schrodinger_liouvillian(model)
+    # The command line grid: its spacings differ in the last bits only.
+    # A tiny grid: two spacings that an absolute rounding would merge to 0.
+    for grid, maps in ((np.linspace(0.0, 5.0, 101), 1), (np.array([0.0, 1e-13, 3e-13]), 2)):
+        assert np.unique(np.diff(grid)).size > 1
+        calls.clear()
+        got = evolve(model, rho0, grid)
+        assert len(calls) == maps
+        per_interval = [rho0]
+        for dt in np.diff(grid):
+            per_interval.append(devectorize(mat_exp(dt * liouv) @ vectorize(per_interval[-1]), 3))
+        assert np.max(np.abs(got - np.array(per_interval))) <= 1e-12
 
 
 def test_dynamics_stay_completely_positive(rng):
@@ -459,24 +486,12 @@ def test_exp_vector_propagator_step_functions(rng):
     np.testing.assert_allclose(got, oracle, atol=1e-8)
 
 
-def test_exp_vector_propagator_gamma_weighting(rng):
-    l = normal_table(rng, 2)
-    gamma, f, g = 2.0, 0.7, 0.3j
-    weighted = exp_vector_propagator(l, f, g, 0.5, weighting="gamma", gamma=gamma)
-    plain = exp_vector_propagator(l, gamma * f, gamma * g, 0.5)
-    np.testing.assert_allclose(weighted, plain, atol=1e-12)
-
-
 def test_exp_vector_propagator_input_checks(rng):
     l = normal_table(rng, 2)
     with pytest.raises(FormatError):
         exp_vector_propagator(l, lambda s: 1.0, None, 1.0)
     with pytest.raises(DomainError):
         exp_vector_propagator(l, None, None, -1.0)
-    with pytest.raises(DomainError):
-        exp_vector_propagator(l, None, None, 1.0, weighting="half")
-    with pytest.raises(DomainError):
-        exp_vector_propagator(l, None, None, 1.0, weighting="gamma")
     z = np.zeros((2, 2))
     e = ItoCoefficients(TIME_ORDERED, z, z, z, z)
     with pytest.raises(DomainError):

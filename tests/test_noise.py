@@ -1,39 +1,52 @@
 import numpy as np
 import pytest
 from helpers import random_complex, random_hermitian, random_unitary
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gaussbath.errors import BasisError, DimensionError, DomainError
+from gaussbath.errors import DimensionError, DomainError
 from gaussbath.linalg import adjoint
 from gaussbath.noise import (
-    GAUSSIAN3,
+    BLOCK_KEYS,
+    NORMAL_ORDERED,
+    TIME_ORDERED,
+    ItoCoefficients,
     NoiseParams,
-    QSDifferential,
-    VACUUM4,
-    differential_adjoint,
-    ito_product_gaussian,
-    ito_product_vacuum,
+    ito_product,
     unitarity_defect,
 )
-from gaussbath.wick import NORMAL_ORDERED, ItoCoefficients
+
+# Deterministic and database-free, so tier-1 repeats itself and writes nothing.
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
 
-def contraction_oracle(xc, yc, gamma):
+def contraction_oracle(x, y, gamma):
     """Independent index contraction for the vacuum table.
 
     Only dA^{i1} dA^{1l} = gamma dA^{il} survives, so the correction at
     (i, l) is gamma * X[i,1] @ Y[1,l].
     """
-    out = {}
-    for i in (0, 1):
-        for l in (0, 1):
-            out[(i, l)] = gamma * xc[(i, 1)] @ yc[(1, l)]
-    return out
+    xc = {(0, 0): x.c00, (0, 1): x.c01, (1, 0): x.c10, (1, 1): x.c11}
+    yc = {(0, 0): y.c00, (0, 1): y.c01, (1, 0): y.c10, (1, 1): y.c11}
+    return {f"c{i}{l}": gamma * xc[(i, 1)] @ yc[(1, l)] for i in (0, 1) for l in (0, 1)}
 
 
-def random_vacuum_differential(rng, d=2):
-    return QSDifferential(
-        VACUUM4, {(i, j): random_complex(rng, (d, d)) for i in (0, 1) for j in (0, 1)}
-    )
+def quadruple(d=2, **blocks):
+    """Normal-ordered quadruple with the named blocks set and the rest zero."""
+    zero = np.zeros((d, d), dtype=complex)
+    return ItoCoefficients(NORMAL_ORDERED, *(blocks.get(key, zero) for key in BLOCK_KEYS))
+
+
+def random_quadruple(rng, d=2, gauge=True):
+    blocks = {key: random_complex(rng, (d, d)) for key in BLOCK_KEYS}
+    if not gauge:
+        del blocks["c11"]
+    return quadruple(d, **blocks)
+
+
+def assert_blocks_close(got, want, atol):
+    for key in BLOCK_KEYS:
+        np.testing.assert_allclose(getattr(got, key), getattr(want, key), atol=atol)
 
 
 def test_noise_params_kappa_and_validation():
@@ -61,59 +74,56 @@ def test_gaussian_validity_predicate():
 
 
 def test_differential_rejects_foreign_labels():
-    with pytest.raises(BasisError):
-        QSDifferential(VACUUM4, {"dA": np.eye(2)})
-    with pytest.raises(BasisError):
-        QSDifferential(GAUSSIAN3, {(0, 1): np.eye(2)})
-    with pytest.raises(BasisError):
-        QSDifferential("fock", {})
+    z = np.zeros((2, 2))
+    with pytest.raises(DomainError):
+        ItoCoefficients("fock", z, z, z, z)
+    # The Ito table multiplies normal-ordered differentials only.
+    e = ItoCoefficients(TIME_ORDERED, z, z, z, z)
+    with pytest.raises(DomainError):
+        ito_product(e, quadruple(), NoiseParams(gamma=1.0))
+    with pytest.raises(DomainError):
+        ito_product(quadruple(), e, NoiseParams(gamma=1.0))
 
 
 def test_differential_rejects_mixed_dimensions():
     with pytest.raises(DimensionError):
-        QSDifferential(VACUUM4, {(0, 0): np.eye(2), (0, 1): np.eye(3)})
+        ItoCoefficients(NORMAL_ORDERED, np.eye(2), np.eye(3), np.eye(2), np.eye(2))
+    with pytest.raises(DimensionError):
+        ito_product(quadruple(2), quadruple(3), NoiseParams(gamma=1.0))
 
 
 def test_vacuum_product_annihilation_times_creation():
     # dA . dA+ = gamma dt with unit coefficients
     params = NoiseParams(gamma=1.0)
-    x = QSDifferential(VACUUM4, {(0, 1): np.eye(2)})
-    y = QSDifferential(VACUUM4, {(1, 0): np.eye(2)})
-    corr = ito_product_vacuum(x, y, params)
-    np.testing.assert_allclose(corr.coeff((0, 0)), np.eye(2), atol=1e-15)
-    for label in ((0, 1), (1, 0), (1, 1)):
-        np.testing.assert_allclose(corr.coeff(label), 0.0, atol=1e-15)
+    corr = ito_product(quadruple(c01=np.eye(2)), quadruple(c10=np.eye(2)), params)
+    np.testing.assert_allclose(corr.c00, np.eye(2), atol=1e-15)
+    for key in ("c01", "c10", "c11"):
+        np.testing.assert_allclose(getattr(corr, key), 0.0, atol=1e-15)
 
 
 def test_vacuum_product_creation_times_annihilation_vanishes():
     params = NoiseParams(gamma=1.0)
-    x = QSDifferential(VACUUM4, {(1, 0): np.eye(2)})
-    y = QSDifferential(VACUUM4, {(0, 1): np.eye(2)})
-    corr = ito_product_vacuum(x, y, params)
-    for label in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        np.testing.assert_allclose(corr.coeff(label), 0.0, atol=1e-15)
+    corr = ito_product(quadruple(c10=np.eye(2)), quadruple(c01=np.eye(2)), params)
+    for key in BLOCK_KEYS:
+        np.testing.assert_allclose(getattr(corr, key), 0.0, atol=1e-15)
 
 
 def test_vacuum_product_matches_contraction_oracle(rng):
     params = NoiseParams(gamma=1.7, sigma=0.3)
     for _ in range(20):
-        x = random_vacuum_differential(rng)
-        y = random_vacuum_differential(rng)
-        corr = ito_product_vacuum(x, y, params)
-        expected = contraction_oracle(x.coeffs, y.coeffs, 1.7)
-        for label, want in expected.items():
-            np.testing.assert_allclose(corr.coeff(label), want, atol=1e-12)
+        x = random_quadruple(rng)
+        y = random_quadruple(rng)
+        corr = ito_product(x, y, params)
+        for key, want in contraction_oracle(x, y, 1.7).items():
+            np.testing.assert_allclose(getattr(corr, key), want, atol=1e-12)
 
 
 def test_vacuum_product_associative_at_correction_level(rng):
     params = NoiseParams(gamma=0.9)
-    x = random_vacuum_differential(rng)
-    y = random_vacuum_differential(rng)
-    z = random_vacuum_differential(rng)
-    left = ito_product_vacuum(ito_product_vacuum(x, y, params), z, params)
-    right = ito_product_vacuum(x, ito_product_vacuum(y, z, params), params)
-    for label in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        np.testing.assert_allclose(left.coeff(label), right.coeff(label), atol=1e-12)
+    x, y, z = (random_quadruple(rng) for _ in range(3))
+    left = ito_product(ito_product(x, y, params), z, params)
+    right = ito_product(x, ito_product(y, z, params), params)
+    assert_blocks_close(left, right, atol=1e-12)
 
 
 def test_gaussian_product_hand_weighted_example(rng):
@@ -123,63 +133,63 @@ def test_gaussian_product_hand_weighted_example(rng):
     params = NoiseParams(gamma=gamma, n=n, m=0.3j)
     cx = random_complex(rng, (2, 2))
     cy = random_complex(rng, (2, 2))
-    corr = ito_product_gaussian(
-        QSDifferential(GAUSSIAN3, {"dA": cx}),
-        QSDifferential(GAUSSIAN3, {"dAdag": cy}),
-        params,
-    )
-    np.testing.assert_allclose(corr.coeff("dt"), gamma * (n + 1.0) * cx @ cy, atol=1e-12)
-    np.testing.assert_allclose(corr.coeff("dA"), 0.0, atol=1e-15)
+    corr = ito_product(quadruple(c01=cx), quadruple(c10=cy), params)
+    np.testing.assert_allclose(corr.c00, gamma * (n + 1.0) * cx @ cy, atol=1e-12)
+    for key in ("c01", "c10", "c11"):
+        np.testing.assert_allclose(getattr(corr, key), 0.0, atol=1e-15)
 
 
 def test_gaussian_product_all_four_moments(rng):
     gamma, n, m = 0.8, 1.2, 0.9 * np.exp(0.4j)
     params = NoiseParams(gamma=gamma, n=n, m=m)
-    xa, xc = random_complex(rng, (2, 2)), random_complex(rng, (2, 2))
-    ya, yc = random_complex(rng, (2, 2)), random_complex(rng, (2, 2))
-    x = QSDifferential(GAUSSIAN3, {"dA": xa, "dAdag": xc, "dt": random_complex(rng, (2, 2))})
-    y = QSDifferential(GAUSSIAN3, {"dA": ya, "dAdag": yc, "dt": random_complex(rng, (2, 2))})
-    corr = ito_product_gaussian(x, y, params)
+    x = random_quadruple(rng, gauge=False)
+    y = random_quadruple(rng, gauge=False)
+    corr = ito_product(x, y, params)
     # Term-by-term application of the second-moment table; dt factors
     # contribute nothing at first order.
+    xa, xc, ya, yc = x.c01, x.c10, y.c01, y.c10
     want = gamma * ((n + 1.0) * xa @ yc + n * xc @ ya + m * xa @ ya + np.conj(m) * xc @ yc)
-    np.testing.assert_allclose(corr.coeff("dt"), want, atol=1e-12)
+    np.testing.assert_allclose(corr.c00, want, atol=1e-12)
 
 
 def test_gaussian_product_vacuum_limit_matches_vacuum_table(rng):
+    # At n = m = 0 the dt block is exactly the vacuum contraction gamma x01 y10.
     params = NoiseParams(gamma=1.1, n=0.0, m=0.0)
-    xa, xc = random_complex(rng, (2, 2)), random_complex(rng, (2, 2))
-    ya, yc = random_complex(rng, (2, 2)), random_complex(rng, (2, 2))
-    gauss = ito_product_gaussian(
-        QSDifferential(GAUSSIAN3, {"dA": xa, "dAdag": xc}),
-        QSDifferential(GAUSSIAN3, {"dA": ya, "dAdag": yc}),
-        params,
-    )
-    vac = ito_product_vacuum(
-        QSDifferential(VACUUM4, {(0, 1): xa, (1, 0): xc}),
-        QSDifferential(VACUUM4, {(0, 1): ya, (1, 0): yc}),
-        params,
-    )
-    np.testing.assert_allclose(gauss.coeff("dt"), vac.coeff((0, 0)), atol=1e-12)
+    x = random_quadruple(rng)
+    y = random_quadruple(rng)
+    corr = ito_product(x, y, params)
+    np.testing.assert_array_equal(corr.c00, 1.1 * (x.c01 @ y.c10))
+
+
+def test_gauge_slot_outside_the_vacuum_is_rejected(rng):
+    # m alone is unphysical at n = 0, but any (n, m) != (0, 0) must reject the gauge slot.
+    for params in (NoiseParams(gamma=1.0, n=0.3), NoiseParams(gamma=1.0, m=0.1)):
+        with pytest.raises(DomainError, match="gauge"):
+            ito_product(random_quadruple(rng), random_quadruple(rng, gauge=False), params)
+        with pytest.raises(DomainError, match="gauge"):
+            ito_product(random_quadruple(rng, gauge=False), random_quadruple(rng), params)
+    assert np.any(ito_product(random_quadruple(rng), random_quadruple(rng),
+                              NoiseParams(gamma=1.0)).c11)
 
 
 def test_differential_adjoint_transposes_labels(rng):
-    x = random_vacuum_differential(rng)
-    xd = differential_adjoint(x)
-    for i in (0, 1):
-        for j in (0, 1):
-            np.testing.assert_array_equal(xd.coeff((j, i)), adjoint(x.coeff((i, j))))
-    xdd = differential_adjoint(xd)
-    for label in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        np.testing.assert_allclose(xdd.coeff(label), x.coeff(label), atol=1e-15)
+    x = random_quadruple(rng)
+    xd = x.adjoint()
+    np.testing.assert_array_equal(xd.c00, adjoint(x.c00))
+    np.testing.assert_array_equal(xd.c01, adjoint(x.c10))
+    np.testing.assert_array_equal(xd.c10, adjoint(x.c01))
+    np.testing.assert_array_equal(xd.c11, adjoint(x.c11))
+    assert xd.kind == x.kind
+    assert_blocks_close(xd.adjoint(), x, atol=1e-15)
 
 
 def test_differential_adjoint_swaps_gaussian_labels(rng):
+    # A pure dA differential becomes a pure dA+ differential.
     c = random_complex(rng, (2, 2))
-    x = QSDifferential(GAUSSIAN3, {"dA": c})
-    xd = differential_adjoint(x)
-    np.testing.assert_array_equal(xd.coeff("dAdag"), adjoint(c))
-    np.testing.assert_allclose(xd.coeff("dA"), 0.0, atol=1e-15)
+    xd = quadruple(c01=c).adjoint()
+    np.testing.assert_array_equal(xd.c10, adjoint(c))
+    for key in ("c00", "c01", "c11"):
+        np.testing.assert_allclose(getattr(xd, key), 0.0, atol=1e-15)
 
 
 def hp_table(w, coupling, h, gamma):
@@ -217,3 +227,61 @@ def test_unitarity_defect_rejects_bad_gamma(rng):
     l = hp_table(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)), 1.0)
     with pytest.raises(DomainError):
         unitarity_defect(l, 0.0)
+
+
+# ---------------------------------------------------------------- properties
+
+@st.composite
+def baths(draw):
+    """gamma > 0 and a physical Gaussian state (n, m), the vacuum included."""
+    gamma = draw(st.floats(0.1, 3.0))
+    if draw(st.booleans()):
+        return NoiseParams(gamma=gamma)
+    n = draw(st.floats(0.0, 2.0))
+    radius = draw(st.floats(0.0, 1.0)) * np.sqrt(n * (n + 1.0))
+    return NoiseParams(gamma=gamma, n=n, m=radius * np.exp(1j * draw(st.floats(0.0, 6.3))))
+
+
+dims = st.sampled_from([1, 2, 3])
+seeds = st.integers(0, 2**32 - 1)
+
+
+@PROPERTY
+@given(d=dims, params=baths(), seed=seeds)
+def test_ito_product_adjoint_reverses_factors(d, params, seed):
+    rng = np.random.default_rng(seed)
+    gauge = params.n == 0 and params.m == 0
+    x = random_quadruple(rng, d, gauge)
+    y = random_quadruple(rng, d, gauge)
+    left = ito_product(x, y, params).adjoint()
+    right = ito_product(y.adjoint(), x.adjoint(), params)
+    assert_blocks_close(left, right, atol=1e-12 * (1.0 + params.n))
+
+
+@PROPERTY
+@given(d=dims, gamma=st.floats(0.1, 3.0), seed=seeds)
+def test_ito_product_is_associative_in_the_vacuum(d, gamma, seed):
+    rng = np.random.default_rng(seed)
+    params = NoiseParams(gamma=gamma)
+    x, y, z = (random_quadruple(rng, d) for _ in range(3))
+    left = ito_product(ito_product(x, y, params), z, params)
+    right = ito_product(x, ito_product(y, z, params), params)
+    assert_blocks_close(left, right, atol=1e-12 * gamma**2)
+
+
+@PROPERTY
+@given(d=dims, seed=seeds)
+def test_adjoint_is_an_involution(d, seed):
+    x = random_quadruple(np.random.default_rng(seed), d)
+    for key in BLOCK_KEYS:
+        np.testing.assert_array_equal(getattr(x.adjoint().adjoint(), key), getattr(x, key))
+
+
+@PROPERTY
+@given(d=dims, gamma=st.floats(0.1, 3.0), seed=seeds)
+def test_unitarity_defect_vanishes_on_random_scattering_tables(d, gamma, seed):
+    rng = np.random.default_rng(seed)
+    coupling, h = random_complex(rng, (d, d)), random_hermitian(rng, d)
+    l = hp_table(random_unitary(rng, d), coupling, h, gamma)
+    scale = 1.0 + gamma * np.linalg.norm(coupling, 2) ** 2 + np.linalg.norm(h, 2) + 1.0 / gamma
+    assert unitarity_defect(l, gamma) <= 1e-12 * scale

@@ -60,6 +60,11 @@ def test_hermitian_generator_predicate(rng):
     skew = ItoCoefficients(TIME_ORDERED, 1j * np.eye(2), np.zeros((2, 2)),
                            np.zeros((2, 2)), np.zeros((2, 2)))
     assert not skew.hermitian_generator()
+    # A skew shift in any one block breaks self-adjointness of the quadruple.
+    for key in ("c00", "c01", "c10", "c11"):
+        blocks = {k: getattr(e, k) for k in ("c00", "c01", "c10", "c11")}
+        blocks[key] = blocks[key] + 1e-6j * np.eye(3)
+        assert not ItoCoefficients(TIME_ORDERED, **blocks).hermitian_generator()
 
 
 def test_hermitian_generators_map_to_unitary_tables(rng):
