@@ -41,12 +41,10 @@ from .errors import (
 )
 from .lindblad import (
     GKSForm,
-    StepFunction,
     SystemModel,
     commutator_superoperator,
     dissipation_quadratic,
     evolve,
-    exp_vector_propagator,
     extract_commutator_hamiltonian,
     gks_decompose,
     heisenberg_generator,

@@ -270,15 +270,16 @@ def cmd_oracle(args) -> int:
     writer.writerow(
         ["dt", "max_trace_distance", "order_vs_prev", "fitted_order", "monotone"]
     )
+    # A zero error has no logarithm: its order cells stay empty.
+    fitted = "" if result.fitted_order is None else f"{result.fitted_order:.6g}"
     prev = None
     for dt, err in zip(result.dts, result.errors):
-        if prev is None or err == 0:
+        if prev is None or err == 0 or prev[1] == 0:
             order = ""
         else:
             order = f"{np.log(prev[1] / err) / np.log(prev[0] / dt):.6g}"
         writer.writerow(
-            [f"{dt:.12g}", f"{err:.12g}", order,
-             f"{result.fitted_order:.6g}", str(result.monotone).lower()]
+            [f"{dt:.12g}", f"{err:.12g}", order, fitted, str(result.monotone).lower()]
         )
         prev = (dt, err)
     _write_text(buf.getvalue(), args.out)

@@ -28,7 +28,7 @@ class KernelError(DomainError):
 
 
 class FormatError(GaussBathError, ValueError):
-    """Malformed model file, step function, or report payload."""
+    """Malformed model file or report payload."""
 
 
 class SingularityError(GaussBathError, ArithmeticError):

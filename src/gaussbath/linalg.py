@@ -18,7 +18,8 @@ import scipy.linalg
 from .errors import DimensionError, DomainError
 
 # Default tolerance for structural predicates (hermiticity, unitarity,
-# positivity).  Every predicate accepts an explicit override.
+# positivity), absolute on dimensionless operands such as density
+# matrices; operands that carry units go through negligible instead.
 DEFAULT_TOL = 1e-9
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "is_unitary",
     "mat_exp",
     "mat_sqrt_psd",
+    "negligible",
     "operator_norm",
     "partial_trace",
     "propagate",
@@ -56,6 +58,15 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 def operator_norm(a: np.ndarray) -> float:
     """Largest singular value."""
     return float(np.linalg.norm(np.asarray(a, dtype=complex), ord=2))
+
+
+def negligible(residual, scale, rtol: float):
+    """residual <= rtol * scale, elementwise: the tolerance rule for operands with units.
+
+    scale is the operand's own size, so a common positive factor (a change of
+    time unit) changes no answer, and a zero scale admits only a zero residual.
+    """
+    return residual <= rtol * scale
 
 
 def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -34,7 +34,6 @@ from .errors import (
     DegenerateKernelError,
     DimensionError,
     DomainError,
-    FormatError,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -42,22 +41,20 @@ from .linalg import (
     devectorize,
     is_hermitian,
     mat_exp,
+    negligible,
     operator_norm,
     propagate,
     require_square,
     sandwich,
 )
 from .noise import NoiseParams
-from .wick import NORMAL_ORDERED, ItoCoefficients
 
 __all__ = [
     "GKSForm",
-    "StepFunction",
     "SystemModel",
     "commutator_superoperator",
     "dissipation_quadratic",
     "evolve",
-    "exp_vector_propagator",
     "extract_commutator_hamiltonian",
     "gks_decompose",
     "heisenberg_generator",
@@ -86,7 +83,8 @@ class SystemModel:
             raise DimensionError("C and F must share one dimension")
         if not (np.all(np.isfinite(self.C)) and np.all(np.isfinite(self.F))):
             raise DomainError("C and F must be finite")
-        if not is_hermitian(self.F, 1e-9):
+        skew = np.abs(self.F - adjoint(self.F)).max()
+        if not negligible(skew, np.abs(self.F).max(), DEFAULT_TOL):
             raise DomainError("F must be Hermitian")
 
     @property
@@ -200,7 +198,9 @@ class GKSForm:
         return np.linalg.eigvalsh(self.kossakowski)
 
     def is_cp(self, tol: float = 1e-12) -> bool:
-        return bool(self.kossakowski_eigenvalues().min() >= -tol)
+        """K is PSD: no eigenvalue below -tol times the largest |eigenvalue|."""
+        evals = self.kossakowski_eigenvalues()
+        return bool(negligible(-evals.min(), np.abs(evals).max(), tol))
 
 
 def gks_decompose(model: SystemModel) -> GKSForm:
@@ -319,8 +319,7 @@ def steady_state(model: SystemModel) -> np.ndarray:
     liouv = schrodinger_liouvillian(model)
     d = model.dim
     _, svals, vh = np.linalg.svd(liouv)
-    threshold = max(float(svals[0]), 1.0) * RANK_RTOL
-    kernel_dim = int(np.sum(svals <= threshold))
+    kernel_dim = int(np.sum(negligible(svals, svals[0], RANK_RTOL)))
     if kernel_dim != 1:
         raise DegenerateKernelError(
             f"Liouvillian kernel has dimension {kernel_dim}, expected 1",
@@ -338,90 +337,3 @@ def steady_state(model: SystemModel) -> np.ndarray:
             f"steady state has negative eigenvalue {evals.min():.3e}"
         )
     return rho
-
-
-class StepFunction:
-    """Piecewise-constant complex test function on [0, infinity).
-
-    ``times`` are the ascending breakpoints starting at 0, ``values``
-    the value on [times[k], times[k+1]); the final value extends to
-    infinity.
-    """
-
-    def __init__(self, times, values):
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=complex)
-        if times.ndim != 1 or values.ndim != 1 or times.size != values.size:
-            raise FormatError("times and values must be 1d arrays of equal length")
-        if times.size == 0 or abs(times[0]) > 1e-15:
-            raise FormatError("step function breakpoints must start at 0")
-        if np.any(np.diff(times) <= 0):
-            raise FormatError("step function breakpoints must be strictly increasing")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
-            raise FormatError("step function data must be finite")
-        self.times = times
-        self.values = values
-
-    @classmethod
-    def constant(cls, value: complex) -> "StepFunction":
-        return cls([0.0], [value])
-
-    @classmethod
-    def zero(cls) -> "StepFunction":
-        return cls.constant(0.0)
-
-    def __call__(self, t: float) -> complex:
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return complex(self.values[max(idx, 0)])
-
-    def breakpoints_within(self, t: float) -> np.ndarray:
-        return self.times[(self.times > 0.0) & (self.times < t)]
-
-
-def _as_step_function(f) -> StepFunction:
-    if f is None:
-        return StepFunction.zero()
-    if isinstance(f, StepFunction):
-        return f
-    if isinstance(f, (int, float, complex)):
-        return StepFunction.constant(complex(f))
-    raise FormatError(
-        "test functions must be StepFunction instances or constants; "
-        f"got {type(f).__name__}"
-    )
-
-
-def exp_vector_propagator(l: ItoCoefficients, f, g, t: float) -> np.ndarray:
-    """Matrix-element propagator between exponential vectors.
-
-    Solves dT/ds = (L00 + g(s) L01 + conj(f(s)) L10
-    + conj(f(s)) g(s) L11) T with T_0 = 1, where the test function is
-    the annihilator eigenvalue on its exponential vector.  The other
-    reading of the exponential-vector normalization, with eigenvalue
-    gamma times the test function, is this call on gamma f and gamma g.
-    Step functions make the solution a product of matrix exponentials,
-    one per constancy interval.
-    """
-    if l.kind != NORMAL_ORDERED:
-        raise DomainError("exp_vector_propagator expects normal-ordered coefficients")
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-    fs, gs = _as_step_function(f), _as_step_function(g)
-
-    d = l.dim
-    result = np.eye(d, dtype=complex)
-    if t == 0:
-        return result
-    cuts = np.unique(np.concatenate(
-        [[0.0, t], fs.breakpoints_within(t), gs.breakpoints_within(t)]
-    ))
-    for left, right in zip(cuts[:-1], cuts[1:]):
-        lam_f, lam_g = fs(left), gs(left)
-        gen = (
-            l.c00
-            + lam_g * l.c01
-            + np.conj(lam_f) * l.c10
-            + np.conj(lam_f) * lam_g * l.c11
-        )
-        result = mat_exp((right - left) * gen) @ result
-    return result

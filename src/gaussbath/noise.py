@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .linalg import DEFAULT_TOL, adjoint, operator_norm, require_square
+from .linalg import DEFAULT_TOL, adjoint, negligible, operator_norm, require_square
 
 __all__ = [
     "BLOCK_KEYS",
@@ -57,8 +57,9 @@ def require_finite(**values) -> None:
 
 
 def is_gaussian_state(n: float, m: complex) -> bool:
-    """Whether (n, m) is a Gaussian bath state: n >= 0, |m|^2 <= n(n+1) within 1e-12."""
-    return bool(n >= 0 and abs(m) ** 2 <= n * (n + 1.0) + 1e-12)
+    """Whether n >= 0 and |m|^2 <= n(n+1) within 1e-12 of n(n+1): n = 0 admits only m = 0."""
+    bound = n * (n + 1.0)
+    return bool(n >= 0 and negligible(abs(m) ** 2 - bound, bound, 1e-12))
 
 
 @dataclass(frozen=True)

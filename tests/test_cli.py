@@ -103,6 +103,24 @@ def test_generator_flags_unphysical_pair_correlation(tmp_path, capsys):
     assert min(tree["kossakowski_eigenvalues"]) < 0
 
 
+def boundary_models(tmp_path, gamma, excess, count):
+    """Model files with |m|^2 = n(n+1) + excess at spread phases and occupations."""
+    for k in range(count):
+        n = 0.25 + 0.5 * k
+        m = np.sqrt(n * (n + 1.0) + excess) * np.exp(2j * np.pi * k / count)
+        yield qubit_model_file(tmp_path, f"b{k}.json", gamma=gamma, n=n,
+                               m_re=float(m.real), m_im=float(m.imag))
+
+
+def test_generator_cp_flag_does_not_depend_on_gamma(tmp_path, capsys):
+    for model in boundary_models(tmp_path, gamma=1e9, excess=0.0, count=20):
+        assert main(["generator", "--model", model]) == 0
+        assert json.loads(capsys.readouterr().out)["completely_positive"] is True
+    for model in boundary_models(tmp_path, gamma=1e-9, excess=0.5, count=20):
+        assert main(["generator", "--model", model]) == 0
+        assert json.loads(capsys.readouterr().out)["completely_positive"] is False
+
+
 def test_evolve_csv_decay(tmp_path, capsys):
     model = qubit_model_file(tmp_path)
     rho0 = write_json(tmp_path / "rho0.json", {"rho": [[[1.0, 0.0], [0.0, 0.0]],
@@ -158,6 +176,29 @@ def test_oracle_csv(tmp_path, capsys):
     assert rows[0][2] == "" and rows[1][2] != ""
 
 
+@pytest.mark.parametrize("c", [Z2, [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]],
+                         ids=["C=0", "C=sigma_z"])
+def test_oracle_with_zero_errors_leaves_order_cells_empty(tmp_path, capsys, c):
+    model = qubit_model_file(tmp_path, C=c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, rows = run_csv(capsys, ["oracle", "--model", model, "--t-final", "0.5",
+                                   "--dt-list", "0.1,0.05"])
+    errors = [float(r[1]) for r in rows]
+    assert errors[0] == 0.0
+    assert all(r[2] == "" for r in rows)
+    # Fewer than two positive errors leave nothing to fit.
+    assert all(r[3] == "" for r in rows)
+
+
+def test_oracle_rejects_a_cutoff_beyond_the_step_budget(tmp_path, capsys):
+    argv = ["oracle", "--model", qubit_model_file(tmp_path), "--t-final", "0.4",
+            "--dt-list", "0.1,0.05", "--cutoff", "1000"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "cutoff 1000" in err and "d = 2" in err
+
+
 def test_oracle_rejects_bad_dt_list(tmp_path, capsys):
     model = qubit_model_file(tmp_path)
     code = main(["oracle", "--model", model, "--t-final", "0.4", "--dt-list", "0.1,abc"])
@@ -176,6 +217,11 @@ def test_split_report(capsys):
 
 def test_split_rejects_overcorrelated(capsys):
     assert main(["split", "--n", "1", "--m-re", "1.5"]) == 2
+    assert "n(n+1)" in capsys.readouterr().err
+
+
+def test_split_vacuum_rejects_any_pair_correlation(capsys):
+    assert main(["split", "--n", "0", "--m-re", "1e-7"]) == 2
     assert "n(n+1)" in capsys.readouterr().err
 
 

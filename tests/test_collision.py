@@ -11,6 +11,7 @@ from helpers import (
 )
 
 from gaussbath.collision import (
+    MAX_STEP_DIM,
     CollisionConfig,
     _step_channel,
     convergence_study,
@@ -49,6 +50,12 @@ def test_config_validation():
     shifted = SystemModel(C=SIGMA_MINUS, F=ZERO2, noise=NoiseParams(gamma=1.0, sigma=0.5))
     with pytest.raises(DomainError, match="sigma"):
         CollisionConfig(model=shifted, dt=0.1, steps=10, cutoff=3)
+    # Only values over the budget: the check runs before anything that size is allocated.
+    for d, cutoff in ((2, 33), (8, 17)):
+        assert d * cutoff**2 > MAX_STEP_DIM
+        big = SystemModel(C=np.eye(d, k=1), F=np.zeros((d, d)), noise=NoiseParams(gamma=1.0))
+        with pytest.raises(DomainError, match=f"cutoff {cutoff} at d = {d}"):
+            CollisionConfig(model=big, dt=0.1, steps=1, cutoff=cutoff)
 
 
 def test_increment_moments_match_ito_table():
@@ -222,8 +229,8 @@ def test_convergence_study_vacuum_first_order():
     assert result.dts == [0.05, 0.025, 0.0125]
     assert result.monotone
     assert 0.8 < result.fitted_order < 1.3
-    for r in result.ratios:
-        assert 1.5 < r < 2.5
+    for coarse, fine in zip(result.errors, result.errors[1:]):
+        assert 1.5 < coarse / fine < 2.5
 
 
 def test_convergence_study_thermal(rng):

@@ -53,6 +53,21 @@ def test_scalar_split_rejects_overcorrelated():
         scalar_split(-0.5, 0.0)
     with pytest.raises(DomainError):
         scalar_split(-2.0, 0.0)
+    # The vacuum admits only m = 0.
+    assert not is_gaussian_state(0.0, 1e-7)
+    with pytest.raises(DomainError):
+        scalar_split(0.0, 1e-7j)
+
+
+def test_rounded_boundary_points_are_gaussian(rng):
+    # |m|^2 = n(n+1) up to rounding, at every scale of n; the slack is relative to n(n+1).
+    for _ in range(1000):
+        n = 10.0 ** rng.uniform(-6.0, 8.0)
+        m = np.sqrt(n * (n + 1.0)) * np.exp(2j * np.pi * rng.uniform())
+        assert is_gaussian_state(n, m)
+        assert not is_gaussian_state(n, m * (1.0 + 1e-9))
+        r = split_residuals(n, m, scalar_split(n, m))
+        assert max(r.values()) <= 1e-12 * (n + 1.0)
 
 
 @pytest.mark.parametrize("n, m", [(np.nan, 0.0), (np.inf, 0.0), (1.0, complex(np.nan, 0.0)),

@@ -4,18 +4,21 @@ from helpers import (
     SIGMA_MINUS,
     ZERO2,
     ito_heisenberg,
+    ladder,
     random_complex,
     random_density,
     random_gaussian_nm,
     random_hermitian,
+    random_unitary,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussbath import lindblad
 from gaussbath.errors import (
     DegenerateKernelError,
     DimensionError,
     DomainError,
-    FormatError,
 )
 from gaussbath.linalg import (
     adjoint,
@@ -26,13 +29,11 @@ from gaussbath.linalg import (
     vectorize,
 )
 from gaussbath.lindblad import (
-    StepFunction,
     SystemModel,
     _taylor4,
     commutator_superoperator,
     dissipation_quadratic,
     evolve,
-    exp_vector_propagator,
     extract_commutator_hamiltonian,
     gks_decompose,
     heisenberg_generator,
@@ -41,7 +42,6 @@ from gaussbath.lindblad import (
     validate_density_matrix,
 )
 from gaussbath.noise import NoiseParams
-from gaussbath.wick import NORMAL_ORDERED, TIME_ORDERED, ItoCoefficients
 
 
 def damped_qubit(gamma=1.0, n=0.0, m=0.0, sigma=0.0, alpha=0.0, f=None):
@@ -77,6 +77,17 @@ def test_system_model_validation():
         SystemModel(C=SIGMA_MINUS, F=np.zeros((3, 3)), noise=NoiseParams(gamma=1.0))
     with pytest.raises(DomainError, match="finite"):
         SystemModel(C=[[0.0, 0.0], [np.inf, 0.0]], F=ZERO2, noise=NoiseParams(gamma=1.0))
+
+
+def test_hermiticity_of_f_is_relative_to_its_scale(rng):
+    # Hermitian up to rounding; its asymmetry exceeds 1e-9 in absolute terms only.
+    q = random_unitary(rng, 5)
+    f = q @ np.diag(1e8 * np.arange(1.0, 6.0)) @ adjoint(q)
+    assert np.abs(f - adjoint(f)).max() > 1e-9
+    np.testing.assert_array_equal(SystemModel(C=ladder(5), F=f, noise=NoiseParams(1.0)).F, f)
+    with pytest.raises(DomainError, match="Hermitian"):
+        SystemModel(C=ladder(5), F=f + 1e-6 * np.abs(f).max() * np.triu(np.ones((5, 5)), 1),
+                    noise=NoiseParams(1.0))
 
 
 def test_density_matrix_validation():
@@ -402,97 +413,38 @@ def test_steady_state_degenerate_kernel():
     assert info.value.kernel_dim == 2
 
 
-def test_step_function_semantics():
-    f = StepFunction([0.0, 1.0, 2.5], [1.0, -2.0j, 0.5])
-    assert f(0.0) == 1.0
-    assert f(0.999) == 1.0
-    assert f(1.0) == -2.0j
-    assert f(3.0) == 0.5
-    np.testing.assert_array_equal(f.breakpoints_within(2.0), [1.0])
-    np.testing.assert_array_equal(f.breakpoints_within(10.0), [1.0, 2.5])
+# ---------------------------------------------------------------- units
+
+@st.composite
+def damped_models(draw):
+    """A truncated damped oscillator with random Hermitian F and a physical bath.
+
+    Returns a function of lambda: the model with (gamma, sigma, F, alpha)
+    scaled by lambda, which changes only the unit of time.
+    """
+    d = draw(st.integers(2, 6))
+    f = random_hermitian(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), d)
+    gamma, sigma = draw(st.floats(0.1, 3.0)), draw(st.floats(-1.0, 1.0))
+    n = draw(st.floats(0.0, 2.0))
+    fill = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    m = fill * np.sqrt(n * (n + 1.0)) * np.exp(1j * draw(st.floats(0.0, 6.3)))
+    alpha = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+
+    def at(lam):
+        noise = NoiseParams(gamma=lam * gamma, sigma=lam * sigma, n=n, m=m, alpha=lam * alpha)
+        return SystemModel(C=ladder(d), F=lam * f, noise=noise)
+
+    return at
 
 
-def test_step_function_validation():
-    with pytest.raises(FormatError):
-        StepFunction([0.5, 1.0], [1.0, 2.0])
-    with pytest.raises(FormatError):
-        StepFunction([0.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-    with pytest.raises(FormatError):
-        StepFunction([0.0], [np.inf])
-    with pytest.raises(FormatError):
-        StepFunction([0.0, 1.0], [1.0])
-
-
-def normal_table(rng, d):
-    return ItoCoefficients(
-        NORMAL_ORDERED,
-        random_complex(rng, (d, d)),
-        random_complex(rng, (d, d)),
-        random_complex(rng, (d, d)),
-        random_complex(rng, (d, d)),
-    )
-
-
-def rk4_segment_oracle(gen, t, steps=400):
-    """Integrate dT/ds = gen T on [0, t] with classic RK4."""
-    d = gen.shape[0]
-    result = np.eye(d, dtype=complex)
-    h = t / steps
-    for _ in range(steps):
-        k1 = gen @ result
-        k2 = gen @ (result + 0.5 * h * k1)
-        k3 = gen @ (result + 0.5 * h * k2)
-        k4 = gen @ (result + h * k3)
-        result = result + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return result
-
-
-def test_exp_vector_propagator_zero_functions(rng):
-    l = normal_table(rng, 3)
-    t = 0.8
-    got = exp_vector_propagator(l, None, None, t)
-    np.testing.assert_allclose(got, mat_exp(t * l.c00), atol=1e-12)
-
-
-def test_exp_vector_propagator_frozen_damping():
-    c = SIGMA_MINUS
-    l = ItoCoefficients(
-        NORMAL_ORDERED, -0.5 * adjoint(c) @ c, -adjoint(c), c, np.zeros((2, 2))
-    )
-    got = exp_vector_propagator(l, 0.0, 0.0, 2.0)
-    np.testing.assert_allclose(got, np.diag([np.exp(-1.0), 1.0]), atol=1e-12)
-
-
-def test_exp_vector_propagator_constant_functions(rng):
-    l = normal_table(rng, 2)
-    f, g = 0.4 - 0.2j, 0.7j
-    t = 0.6
-    gen = l.c00 + g * l.c01 + np.conj(f) * l.c10 + np.conj(f) * g * l.c11
-    got = exp_vector_propagator(l, f, g, t)
-    np.testing.assert_allclose(got, rk4_segment_oracle(gen, t), atol=1e-9)
-
-
-def test_exp_vector_propagator_step_functions(rng):
-    l = normal_table(rng, 2)
-    f = StepFunction([0.0, 0.3], [1.0, -0.5j])
-    g = StepFunction([0.0, 0.5], [0.2, 0.9])
-    t = 0.8
-    oracle = np.eye(2, dtype=complex)
-    for left, right in ((0.0, 0.3), (0.3, 0.5), (0.5, 0.8)):
-        lf, lg = f(left), g(left)
-        gen = l.c00 + lg * l.c01 + np.conj(lf) * l.c10 + np.conj(lf) * lg * l.c11
-        oracle = rk4_segment_oracle(gen, right - left) @ oracle
-    got = exp_vector_propagator(l, f, g, t)
-    np.testing.assert_allclose(got, oracle, atol=1e-8)
-
-
-def test_exp_vector_propagator_input_checks(rng):
-    l = normal_table(rng, 2)
-    with pytest.raises(FormatError):
-        exp_vector_propagator(l, lambda s: 1.0, None, 1.0)
-    with pytest.raises(DomainError):
-        exp_vector_propagator(l, None, None, -1.0)
-    z = np.zeros((2, 2))
-    e = ItoCoefficients(TIME_ORDERED, z, z, z, z)
-    with pytest.raises(DomainError):
-        exp_vector_propagator(e, None, None, 1.0)
+@settings(derandomize=True, database=None, deadline=None)
+@given(model_at=damped_models(), log_lam=st.floats(-12.0, 12.0))
+def test_answers_do_not_depend_on_the_unit_of_time(model_at, log_lam):
+    lam = 10.0**log_lam
+    unit, scaled = model_at(1.0), model_at(lam)
+    heis = heisenberg_generator(unit)
+    err = np.abs(heisenberg_generator(scaled) - lam * heis).max()
+    assert err <= 1e-12 * lam * np.abs(heis).max()
+    np.testing.assert_allclose(steady_state(scaled), steady_state(unit), rtol=0, atol=1e-10)
+    # Every generated bath is physical, the boundary included: CP at every scale.
+    assert gks_decompose(unit).is_cp() and gks_decompose(scaled).is_cp()
