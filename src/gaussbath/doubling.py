@@ -33,7 +33,8 @@ from math import sqrt
 import numpy as np
 
 from .errors import CommutationError, DimensionError, DomainError, KernelError
-from .linalg import DEFAULT_TOL, adjoint, is_hermitian, mat_sqrt_psd, operator_norm, require_square
+from .linalg import DEFAULT_TOL, adjoint, is_psd, mat_sqrt_psd, negligible, operator_norm
+from .linalg import psd_eigh, require_square
 from .noise import is_gaussian_state, require_finite
 
 __all__ = [
@@ -108,35 +109,6 @@ class OperatorGaussianSpec:
             raise DimensionError("N and M must have the same shape")
 
 
-def _validate_operator_spec(spec: OperatorGaussianSpec):
-    """Check the operator Gaussian constraints, returning the eigensystem of N."""
-    n_op, m_op = spec.N, spec.M
-    if not is_hermitian(n_op):
-        raise DomainError("N is not Hermitian within tolerance")
-    scale = max(operator_norm(n_op), operator_norm(m_op), 1.0)
-    if operator_norm(n_op @ m_op - m_op @ n_op) > DEFAULT_TOL * scale:
-        raise CommutationError("N and M do not commute within tolerance")
-    evals, vecs = np.linalg.eigh((n_op + adjoint(n_op)) / 2.0)
-    if evals.min() < -DEFAULT_TOL:
-        raise DomainError(f"N has negative eigenvalue {evals.min():.3e}")
-    evals = np.clip(evals, 0.0, None)
-    # M must vanish on the kernel of N, else m/sqrt(n) has no meaning there.
-    kernel = np.abs(evals) <= DEFAULT_TOL * max(evals.max(), 1.0)
-    if np.any(kernel):
-        knorm = operator_norm(m_op @ vecs[:, kernel])
-        if knorm > DEFAULT_TOL * scale:
-            raise KernelError(
-                f"M does not vanish on ker N (residual {knorm:.3e})"
-            )
-    # Pair-correlation bound M+M <= N(N+1), checked on the symmetrized
-    # difference; all factors commute so this is basis independent.
-    bound = n_op @ (n_op + np.eye(n_op.shape[0])) - adjoint(m_op) @ m_op
-    bound = (bound + adjoint(bound)) / 2.0
-    if np.linalg.eigvalsh(bound).min() < -DEFAULT_TOL * scale**2:
-        raise DomainError("M+M exceeds N(N+1): not a Gaussian state")
-    return evals, vecs
-
-
 def operator_split(spec: OperatorGaussianSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Operator split (X, Y, Z) of a commuting (N, M) pair.
 
@@ -149,20 +121,26 @@ def operator_split(spec: OperatorGaussianSpec) -> tuple[np.ndarray, np.ndarray, 
     on the kernel, where X restricts to the identity).  The outputs
     satisfy X+X - Y+Y + Z+Z = 1, X+X + Z+Z = N + 1 and Y Z = M.
     """
-    evals, vecs = _validate_operator_spec(spec)
-    m_op = spec.M
-    eye = np.eye(evals.size)
-    support = evals > DEFAULT_TOL * max(evals.max(), 1.0)
-    inv_sqrt = np.where(support, 1.0 / np.sqrt(np.where(support, evals, 1.0)), 0.0)
-    inv_lin = np.where(support, 1.0 / np.where(support, evals, 1.0), 0.0)
+    evals, vecs = psd_eigh(spec.N, name="N")
+    n_op = (spec.N + adjoint(spec.N)) / 2.0
+    m_op, eye = spec.M, np.eye(evals.size)
+    n_norm, m_norm = evals.max(), operator_norm(m_op)
+    if not negligible(operator_norm(n_op @ m_op - m_op @ n_op), n_norm * m_norm, DEFAULT_TOL):
+        raise CommutationError("N and M do not commute within tolerance")
+    # M must vanish on the kernel of N, else m/sqrt(n) has no meaning there.
+    kernel = negligible(evals, n_norm, DEFAULT_TOL)
+    knorm = operator_norm(m_op @ (vecs * kernel))
+    if not negligible(knorm, m_norm, DEFAULT_TOL):
+        raise KernelError(f"M does not vanish on ker N (residual {knorm:.3e})")
+    # All factors commute, so the bound is basis independent.
+    if not is_psd(n_op @ (n_op + eye) - adjoint(m_op) @ m_op, n_norm * (n_norm + 1.0)):
+        raise DomainError("M+M exceeds N(N+1): not a Gaussian state")
 
+    inv_sqrt = np.where(kernel, 0.0, 1.0 / np.sqrt(np.where(kernel, 1.0, evals)))
     y_op = (vecs * np.sqrt(evals)) @ adjoint(vecs)
-    pinv_sqrt = (vecs * inv_sqrt) @ adjoint(vecs)
-    pinv = (vecs * inv_lin) @ adjoint(vecs)
-
-    z_op = m_op @ pinv_sqrt
-    w = spec.N + eye - adjoint(m_op) @ m_op @ pinv
-    x_op = mat_sqrt_psd((w + adjoint(w)) / 2.0)
+    z_op = m_op @ (vecs * inv_sqrt) @ adjoint(vecs)
+    # Z+Z = M+M / N, since M+M commutes with N.
+    x_op = mat_sqrt_psd(n_op + eye - adjoint(z_op) @ z_op, n_norm + 1.0)
     return x_op, y_op, z_op
 
 

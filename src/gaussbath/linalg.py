@@ -8,6 +8,10 @@ Convention used repo-wide: vectorization is COLUMN stacking,
 Superoperators are ``d**2 x d**2`` matrices acting on column-stacked
 operators under this convention.  All helpers take and return plain
 ``numpy.ndarray`` with complex dtype.
+
+The one Hermiticity check (is_hermitian) and positivity check (psd_eigh)
+allow DEFAULT_TOL times a scale the caller names: an operand's own size,
+the size of a difference's operands, or a density matrix's unit trace.
 """
 
 from __future__ import annotations
@@ -17,9 +21,7 @@ import scipy.linalg
 
 from .errors import DimensionError, DomainError
 
-# Default tolerance for structural predicates (hermiticity, unitarity,
-# positivity), absolute on dimensionless operands such as density
-# matrices; operands that carry units go through negligible instead.
+# Relative for is_hermitian and psd_eigh; absolute for dimensionless is_unitary.
 DEFAULT_TOL = 1e-9
 
 __all__ = [
@@ -36,6 +38,7 @@ __all__ = [
     "operator_norm",
     "partial_trace",
     "propagate",
+    "psd_eigh",
     "require_square",
     "sandwich",
     "vectorize",
@@ -61,17 +64,19 @@ def operator_norm(a: np.ndarray) -> float:
 
 
 def negligible(residual, scale, rtol: float):
-    """residual <= rtol * scale, elementwise: the tolerance rule for operands with units.
+    """residual <= rtol * scale, elementwise: the one tolerance rule.
 
-    scale is the operand's own size, so a common positive factor (a change of
+    scale is a size the caller names, so a common positive factor (a change of
     time unit) changes no answer, and a zero scale admits only a zero residual.
     """
     return residual <= rtol * scale
 
 
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def is_hermitian(a: np.ndarray, scale: float | None = None) -> bool:
+    """a = a+ entrywise within DEFAULT_TOL times scale, by default a's largest |entry|."""
     a = require_square(a)
-    return bool(np.max(np.abs(a - adjoint(a))) <= tol)
+    size = np.abs(a).max() if scale is None else scale
+    return bool(negligible(np.abs(a - adjoint(a)).max(), size, DEFAULT_TOL))
 
 
 def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -80,13 +85,30 @@ def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(adjoint(a) @ a - eye)) <= tol)
 
 
-def is_psd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Hermitian with eigenvalues >= -tol."""
-    a = require_square(a)
-    if not is_hermitian(a, tol):
+def psd_eigh(a: np.ndarray, scale: float | None = None, rtol: float = DEFAULT_TOL,
+             name: str = "operator") -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues clipped at zero, eigenvectors) of a positive semidefinite matrix.
+
+    a must pass is_hermitian at scale and have no eigenvalue below -rtol
+    times scale, by default its largest |eigenvalue|; else DomainError.
+    """
+    a = require_square(a, name)
+    if not is_hermitian(a, scale):
+        raise DomainError(f"{name} is not Hermitian within tolerance")
+    evals, vecs = np.linalg.eigh((a + adjoint(a)) / 2.0)
+    size = np.abs(evals).max() if scale is None else scale
+    if not negligible(-evals.min(), size, rtol):
+        raise DomainError(f"{name} has negative eigenvalue {evals.min():.3e}")
+    return np.clip(evals, 0.0, None), vecs
+
+
+def is_psd(a: np.ndarray, scale: float | None = None, rtol: float = DEFAULT_TOL) -> bool:
+    """Whether psd_eigh accepts a."""
+    try:
+        psd_eigh(a, scale, rtol)
+    except DomainError:
         return False
-    evals = np.linalg.eigvalsh((a + adjoint(a)) / 2.0)
-    return bool(evals.min() >= -tol)
+    return True
 
 
 def mat_exp(a: np.ndarray) -> np.ndarray:
@@ -104,23 +126,10 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def mat_sqrt_psd(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Principal square root of a positive semidefinite matrix.
-
-    Eigenvalues in [-tol, 0) are clipped to zero; anything below -tol
-    raises DomainError.  The returned root is Hermitian PSD.
-    """
-    a = require_square(a, "mat_sqrt_psd argument")
-    if not is_hermitian(a, tol):
-        raise DomainError("mat_sqrt_psd argument is not Hermitian within tolerance")
-    herm = (a + adjoint(a)) / 2.0
-    evals, vecs = np.linalg.eigh(herm)
-    if evals.min() < -tol:
-        raise DomainError(
-            f"mat_sqrt_psd argument has eigenvalue {evals.min():.3e} below -tol"
-        )
-    clipped = np.clip(evals, 0.0, None)
-    root = (vecs * np.sqrt(clipped)) @ adjoint(vecs)
+def mat_sqrt_psd(a: np.ndarray, scale: float | None = None) -> np.ndarray:
+    """Hermitian PSD square root of a matrix that psd_eigh accepts at scale."""
+    evals, vecs = psd_eigh(a, scale, name="mat_sqrt_psd argument")
+    root = (vecs * np.sqrt(evals)) @ adjoint(vecs)
     return (root + adjoint(root)) / 2.0
 
 

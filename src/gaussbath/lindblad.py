@@ -40,10 +40,12 @@ from .linalg import (
     adjoint,
     devectorize,
     is_hermitian,
+    is_psd,
     mat_exp,
     negligible,
     operator_norm,
     propagate,
+    psd_eigh,
     require_square,
     sandwich,
 )
@@ -83,8 +85,7 @@ class SystemModel:
             raise DimensionError("C and F must share one dimension")
         if not (np.all(np.isfinite(self.C)) and np.all(np.isfinite(self.F))):
             raise DomainError("C and F must be finite")
-        skew = np.abs(self.F - adjoint(self.F)).max()
-        if not negligible(skew, np.abs(self.F).max(), DEFAULT_TOL):
+        if not is_hermitian(self.F):
             raise DomainError("F must be Hermitian")
 
     @property
@@ -93,16 +94,12 @@ class SystemModel:
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity within DEFAULT_TOL."""
+    """Check Hermiticity and positivity (psd_eigh at the unit-trace scale) and unit trace."""
     rho = require_square(rho, "density matrix")
-    if not is_hermitian(rho):
-        raise DomainError("density matrix is not Hermitian within tolerance")
+    psd_eigh(rho, 1.0, name="density matrix")
     tr = np.trace(rho)
     if abs(tr - 1.0) > DEFAULT_TOL:
         raise DomainError(f"density matrix has trace {tr}, expected 1")
-    evals = np.linalg.eigvalsh((rho + adjoint(rho)) / 2.0)
-    if evals.min() < -DEFAULT_TOL:
-        raise DomainError(f"density matrix has eigenvalue {evals.min():.3e} < 0")
     return rho
 
 
@@ -199,8 +196,7 @@ class GKSForm:
 
     def is_cp(self, tol: float = 1e-12) -> bool:
         """K is PSD: no eigenvalue below -tol times the largest |eigenvalue|."""
-        evals = self.kossakowski_eigenvalues()
-        return bool(negligible(-evals.min(), np.abs(evals).max(), tol))
+        return is_psd(self.kossakowski, rtol=tol)
 
 
 def gks_decompose(model: SystemModel) -> GKSForm:
@@ -331,9 +327,8 @@ def steady_state(model: SystemModel) -> np.ndarray:
     if abs(tr) < 1e-12:
         raise DecompositionError("kernel element of the Liouvillian is traceless")
     rho = rho / tr
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -DEFAULT_TOL:
-        raise DecompositionError(
-            f"steady state has negative eigenvalue {evals.min():.3e}"
-        )
+    try:
+        psd_eigh(rho, 1.0, name="steady state")
+    except DomainError as exc:
+        raise DecompositionError(str(exc)) from exc
     return rho

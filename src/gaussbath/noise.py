@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .linalg import DEFAULT_TOL, adjoint, negligible, operator_norm, require_square
+from .linalg import adjoint, is_hermitian, negligible, operator_norm, require_square
 
 __all__ = [
     "BLOCK_KEYS",
@@ -67,7 +67,7 @@ class NoiseParams:
     """Channel parameters (gamma, sigma) and Gaussian state (n, m, alpha).
 
     kappa = gamma/2 + i*sigma.  The Gaussian constraint |m|^2 <= n(n+1)
-    is queryable through :meth:`is_gaussian_valid` rather than enforced
+    is queryable through :func:`is_gaussian_state` rather than enforced
     at construction, so that diagnostics can run on invalid states.
     """
 
@@ -87,9 +87,6 @@ class NoiseParams:
     @property
     def kappa(self) -> complex:
         return self.gamma / 2.0 + 1j * self.sigma
-
-    def is_gaussian_valid(self) -> bool:
-        return is_gaussian_state(self.n, self.m)
 
 
 @dataclass
@@ -130,16 +127,14 @@ class ItoCoefficients:
         )
 
     def hermitian_generator(self) -> bool:
-        """True when the quadruple equals its adjoint within DEFAULT_TOL.
+        """True when c00, c11 and [[0, c01], [c10, 0]] pass is_hermitian, each at its own size.
 
-        That is c00 and c11 Hermitian and c01 = adjoint(c10).  Only
-        meaningful for time-ordered coefficients, but testable on any.
+        That is, the quadruple equals its adjoint.  Only meaningful for
+        time-ordered coefficients, but testable on any.
         """
-        other = self.adjoint()
-        return all(
-            np.max(np.abs(getattr(self, key) - getattr(other, key))) <= DEFAULT_TOL
-            for key in BLOCK_KEYS
-        )
+        zero = np.zeros_like(self.c00)
+        pair = np.block([[zero, self.c01], [self.c10, zero]])
+        return all(is_hermitian(block) for block in (self.c00, self.c11, pair))
 
 
 def ito_product(x: ItoCoefficients, y: ItoCoefficients, params: NoiseParams) -> ItoCoefficients:

@@ -71,6 +71,22 @@ def test_convert_frozen_coupling_block(tmp_path, capsys):
     )
 
 
+def test_convert_hermitian_input_in_a_fast_time_unit(tmp_path, capsys, rng):
+    # E00 = Q diag(1e8 k) Q+ is Hermitian; its rounding asymmetry exceeds 1e-9 only absolutely.
+    q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    e00 = q @ np.diag(1e8 * np.arange(1.0, 5.0)) @ q.conj().T
+    assert np.abs(e00 - e00.conj().T).max() > 1e-9
+    zero, lower = np.zeros((4, 4)), np.diag(np.sqrt(np.arange(1.0, 4.0)), -1)
+    model = write_json(tmp_path / "model.json", {
+        "dim": 4, "gamma": 1.0, "C": _pairs(lower), "F": _pairs(zero),
+        "E": {"c00": _pairs(e00), "c01": _pairs(lower.T), "c10": _pairs(lower),
+              "c11": _pairs(zero)},
+    })
+    out = str(tmp_path / "normal.json")
+    assert main(["convert", "--model", model, "--direction", "to-normal", "--out", out]) == 0
+    assert json.loads(Path(out).read_text())["report"]["hermitian_generator_input"] is True
+
+
 def test_convert_missing_block(tmp_path, capsys):
     model = qubit_model_file(tmp_path)
     assert main(["convert", "--model", model]) == 2
@@ -189,6 +205,15 @@ def test_oracle_with_zero_errors_leaves_order_cells_empty(tmp_path, capsys, c):
     assert all(r[2] == "" for r in rows)
     # Fewer than two positive errors leave nothing to fit.
     assert all(r[3] == "" for r in rows)
+
+
+def test_oracle_error_rise_at_rounding_level_is_monotone(tmp_path, capsys):
+    model = qubit_model_file(tmp_path, C=[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]])
+    _, rows = run_csv(capsys, ["oracle", "--model", model, "--t-final", "0.5",
+                               "--dt-list", "0.1,0.05"])
+    errors = [float(r[1]) for r in rows]
+    assert errors[0] == 0.0 and 0.0 < errors[1] < 1e-14
+    assert all(r[4] == "true" for r in rows)
 
 
 def test_oracle_rejects_a_cutoff_beyond_the_step_budget(tmp_path, capsys):

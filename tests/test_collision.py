@@ -10,6 +10,7 @@ from helpers import (
     random_hermitian,
 )
 
+from gaussbath import collision
 from gaussbath.collision import (
     MAX_STEP_DIM,
     CollisionConfig,
@@ -239,6 +240,21 @@ def test_convergence_study_thermal(rng):
     result = convergence_study(model, rho0, t_final=0.4, dts=[0.04, 0.02], cutoff=5)
     assert result.monotone
     assert 0.8 < result.fitted_order < 1.3
+
+
+def test_convergence_study_flags_errors_that_really_grow(monkeypatch):
+    # Stand-in chain: the exact states off by 1e-4/dt in trace distance.
+    model = qubit_model(gamma=1.0)
+    rho0 = np.diag([0.5, 0.5]).astype(complex)
+
+    def drifting(config, rho):
+        grid = np.arange(config.steps + 1) * config.dt
+        return evolve(model, rho, grid, method="expm") + 1e-4 / config.dt * np.diag([1.0, -1.0])
+
+    monkeypatch.setattr(collision, "simulate", drifting)
+    result = convergence_study(model, rho0, t_final=0.5, dts=[0.1, 0.05], cutoff=3)
+    np.testing.assert_allclose(result.errors, [1e-3, 2e-3], rtol=1e-9)
+    assert not result.monotone
 
 
 def test_convergence_study_input_checks():

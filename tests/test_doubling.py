@@ -141,6 +141,51 @@ def test_operator_split_rejects_nonhermitian_n():
         operator_split(spec)
 
 
+def wide_range_pairs(rng, count):
+    """(n, m) with n = 10^u, u in [-12, 8], every other one on |m|^2 = n(n+1)."""
+    pairs = [(1e-10, 5e-11)]
+    for k in range(count):
+        n = 10.0 ** rng.uniform(-12.0, 8.0)
+        radius = (1.0 if k % 2 else rng.uniform()) * np.sqrt(n * (n + 1.0))
+        pairs.append((n, radius * np.exp(2j * np.pi * rng.uniform())))
+    return pairs
+
+
+def test_one_mode_operator_split_is_the_scalar_split(rng):
+    for n, m in wide_range_pairs(rng, 1000):
+        s = scalar_split(n, m)
+        x, y, z = operator_split(OperatorGaussianSpec(N=[[n]], M=[[m]]))
+        np.testing.assert_allclose(y[0, 0], s.y, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(z[0, 0], s.z, rtol=1e-12, atol=0.0)
+        # On the boundary X is the square root of rounding noise on both paths.
+        assert abs(x[0, 0] ** 2 - s.x**2) <= 1e-12 * (n + 1.0)
+
+
+def test_operator_split_rejects_a_tiny_noncommuting_pair():
+    # [N, M] is as large as N M itself; only an absolute floor let it through.
+    m_op = 1e-11 * np.array([[0.0, 1.0], [0.0, 0.0]])
+    spec = OperatorGaussianSpec(N=np.diag([1e-10, 2e-10]), M=m_op)
+    with pytest.raises(CommutationError):
+        operator_split(spec)
+
+
+def test_operator_split_small_n_overcorrelated_is_not_a_kernel_error():
+    with pytest.raises(DomainError, match="exceeds") as info:
+        operator_split(OperatorGaussianSpec(N=[[1e-10]], M=[[3e-5]]))
+    assert not isinstance(info.value, KernelError)
+
+
+def test_operator_split_accepts_large_n_with_rounding_asymmetry(rng):
+    q = random_unitary(rng, 3)
+    n_op = q @ np.diag([1e8, 2e8, 3e8]) @ adjoint(q)
+    m_op = q @ np.diag([5e7, 1e8j, 0.0]) @ adjoint(q)
+    assert np.abs(n_op - adjoint(n_op)).max() > 1e-9
+    x, y, z = operator_split(OperatorGaussianSpec(N=n_op, M=m_op))
+    eye = np.eye(3)
+    assert operator_norm(adjoint(x) @ x + adjoint(z) @ z - (n_op + eye)) < 1e-12 * 3e8
+    assert operator_norm(y @ z - m_op) < 1e-12 * 3e8
+
+
 def test_operator_spec_shape_check():
     with pytest.raises(DimensionError):
         OperatorGaussianSpec(N=np.eye(2), M=np.zeros((3, 3)))

@@ -84,13 +84,13 @@ def test_mat_sqrt_psd_squares_back(rng):
     a = random_complex(rng, (4, 4))
     psd = a @ adjoint(a)
     root = mat_sqrt_psd(psd)
-    assert is_psd(root, 1e-10)
+    assert is_psd(root, scale=0.1)  # eigenvalues >= -1e-10
     assert np.max(np.abs(root @ root - psd)) < 1e-10
 
 
 def test_mat_sqrt_psd_clips_tiny_negative_eigenvalues():
     a = np.diag([1.0, -1e-12]).astype(complex)
-    root = mat_sqrt_psd(a, tol=1e-10)
+    root = mat_sqrt_psd(a, scale=0.1)  # clips eigenvalues down to -1e-10
     assert root[1, 1] == 0.0
 
 
@@ -142,16 +142,18 @@ def test_partial_trace_preserves_total_trace(rng):
 
 
 def test_predicates_with_tolerance(rng):
+    # A scale s allows a residual of DEFAULT_TOL * s = 1e-9 * s.
     h = random_hermitian(rng, 3)
     perturbed = h + 1e-10 * np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    assert is_hermitian(perturbed, 1e-9)
-    assert not is_hermitian(perturbed, 1e-12)
+    assert is_hermitian(perturbed, scale=1.0)
+    assert is_hermitian(perturbed)  # at its own O(1) size
+    assert not is_hermitian(perturbed, scale=1e-3)
     u = random_unitary(rng, 3)
     assert is_unitary(u, 1e-9)
     assert not is_unitary(1.001 * u, 1e-9)
     rho = random_density(rng, 3)
-    assert is_psd(rho, 1e-12)
-    assert not is_psd(rho - 0.5 * np.eye(3), 1e-9)
+    assert is_psd(rho, scale=1e-3)
+    assert not is_psd(rho - 0.5 * np.eye(3), scale=1.0)
 
 
 def test_choi_of_unitary_conjugation_is_rank_one(rng):

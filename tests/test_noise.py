@@ -12,6 +12,7 @@ from gaussbath.noise import (
     TIME_ORDERED,
     ItoCoefficients,
     NoiseParams,
+    is_gaussian_state,
     ito_product,
     unitarity_defect,
 )
@@ -68,9 +69,9 @@ def test_noise_params_rejects_nonfinite(field, value):
 
 
 def test_gaussian_validity_predicate():
-    assert NoiseParams(gamma=1.0, n=1.0, m=np.sqrt(2.0)).is_gaussian_valid()
-    assert not NoiseParams(gamma=1.0, n=1.0, m=1.5).is_gaussian_valid()
-    assert NoiseParams(gamma=1.0, n=0.0, m=0.0).is_gaussian_valid()
+    assert is_gaussian_state(1.0, np.sqrt(2.0))
+    assert not is_gaussian_state(1.0, 1.5)
+    assert is_gaussian_state(0.0, 0.0)
 
 
 def test_differential_rejects_foreign_labels():
@@ -285,3 +286,19 @@ def test_unitarity_defect_vanishes_on_random_scattering_tables(d, gamma, seed):
     l = hp_table(random_unitary(rng, d), coupling, h, gamma)
     scale = 1.0 + gamma * np.linalg.norm(coupling, 2) ** 2 + np.linalg.norm(h, 2) + 1.0 / gamma
     assert unitarity_defect(l, gamma) <= 1e-12 * scale
+
+
+@PROPERTY
+@given(d=dims, seed=seeds, skewed=st.sampled_from([None, "c00", "c01", "c11"]),
+       exponents=st.tuples(*[st.floats(-12.0, 12.0)] * 3))
+def test_hermitian_generator_does_not_depend_on_block_units(d, seed, skewed, exponents):
+    rng = np.random.default_rng(seed)
+    q, c10 = random_unitary(rng, d), random_complex(rng, (d, d))
+    blocks = {"c00": q @ np.diag(np.arange(1.0, d + 1.0)) @ adjoint(q), "c01": adjoint(c10),
+              "c10": c10, "c11": random_hermitian(rng, d)}
+    if skewed:
+        blocks[skewed] = blocks[skewed] + 1e-6j * np.abs(blocks[skewed]).max() * np.eye(d)
+    x = quadruple(d, **blocks)
+    f00, f11, pair = 10.0 ** np.array(exponents)
+    scaled = quadruple(d, c00=f00 * x.c00, c01=pair * x.c01, c10=pair * x.c10, c11=f11 * x.c11)
+    assert scaled.hermitian_generator() == x.hermitian_generator() == (skewed is None)

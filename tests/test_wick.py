@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from helpers import SIGMA_MINUS, random_complex, random_hermitian
+from helpers import SIGMA_MINUS, random_complex, random_hermitian, random_unitary
 
 from gaussbath.errors import DomainError, SingularityError
-from gaussbath.linalg import adjoint, operator_norm
-from gaussbath.noise import NoiseParams, unitarity_defect
+from gaussbath.linalg import DEFAULT_TOL, adjoint, operator_norm
+from gaussbath.noise import BLOCK_KEYS, NoiseParams, unitarity_defect
 from gaussbath.wick import (
     HPParameters,
     ItoCoefficients,
@@ -64,6 +64,21 @@ def test_hermitian_generator_predicate(rng):
     for key in ("c00", "c01", "c10", "c11"):
         blocks = {k: getattr(e, k) for k in ("c00", "c01", "c10", "c11")}
         blocks[key] = blocks[key] + 1e-6j * np.eye(3)
+        assert not ItoCoefficients(TIME_ORDERED, **blocks).hermitian_generator()
+
+
+def test_hermitian_generator_is_relative_to_each_block(rng):
+    # E00 in a fast time unit: Hermitian up to rounding, skewed by more than DEFAULT_TOL.
+    q = random_unitary(rng, 4)
+    e00 = q @ np.diag(1e8 * np.arange(1.0, 5.0)) @ adjoint(q)
+    assert np.abs(e00 - adjoint(e00)).max() > DEFAULT_TOL
+    e10 = 1e-3 * random_complex(rng, (4, 4))
+    e = ItoCoefficients(TIME_ORDERED, e00, adjoint(e10), e10, 1e5 * random_hermitian(rng, 4))
+    assert e.hermitian_generator()
+    # A skew of 1e-6 of a block's own size is not rounding.
+    for key in BLOCK_KEYS:
+        blocks = {k: getattr(e, k) for k in BLOCK_KEYS}
+        blocks[key] = blocks[key] + 1e-6j * np.abs(blocks[key]).max() * np.eye(4)
         assert not ItoCoefficients(TIME_ORDERED, **blocks).hermitian_generator()
 
 
