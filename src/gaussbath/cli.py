@@ -13,9 +13,13 @@ Model files are JSON; complex scalars appear as [re, im] pairs and
 complex matrices as nested lists of such pairs (see
 schemas/model.schema.json).  Every matrix crosses this boundary in one
 numpy conversion each way: ``_parse_cmatrix`` accepts only a
-dim x dim x 2 array of finite numbers, and ``_pairs`` writes any
-complex scalar or array back as pairs.  Reports are JSON trees on the
-same convention; time series are CSV.  Initial states are only decoded
+dim x dim x 2 array of finite numbers, and ``_report_json`` writes a
+report tree as compact JSON.  Report trees hold complex scalars and
+arrays themselves; ``_pairs_json`` writes each one straight from numpy
+as pairs, formatting every distinct entry once, and every other leaf
+goes through ``json.dumps``.  A non-finite value anywhere in a report
+raises OverflowError naming its field, so no report holds NaN or
+Infinity.  Time series are CSV.  Initial states are only decoded
 here; the library checks them where they enter.  Exit codes: 0
 success, 2 validation failure, 3 numerical failure or out of memory,
 4 I/O failure.
@@ -146,9 +150,39 @@ def load_density_matrix(path: str, dim: int) -> np.ndarray:
 
 # ---------------------------------------------------------------- dumping
 
-def _pairs(a) -> list:
-    """A complex scalar or array as (nested lists of) [re, im] pairs."""
-    return np.stack([np.real(a), np.imag(a)], -1).astype(float).tolist()
+def _pairs_json(a, where: str = "value") -> str:
+    """A complex scalar or array as compact JSON (nested lists of) [re, im] pairs.
+
+    Each distinct (re, im) bit pattern is formatted once, by float repr as
+    json.dumps does; the 16-byte view keeps -0.0 apart from 0.0.
+    """
+    a = np.asarray(a, dtype=complex)
+    if not np.all(np.isfinite(a)):
+        raise OverflowError(f"report field '{where}' is not finite")
+    distinct, index = np.unique(a.reshape(-1).view("V16"), return_inverse=True)
+    text = np.array([f"[{z.real!r},{z.imag!r}]" for z in distinct.view(complex).tolist()],
+                    dtype=object)
+    cells = text[index].reshape(a.shape)
+    while cells.ndim:  # join the last axis into rows until one string is left
+        rows = cells.reshape(-1, cells.shape[-1]).tolist()
+        cells = np.array(["[" + ",".join(row) + "]" for row in rows],
+                         dtype=object).reshape(cells.shape[:-1])
+    return cells.item()
+
+
+def _report_json(tree, where: str = "") -> str:
+    """A report tree as compact JSON: complex values as pairs, other leaves by json.dumps."""
+    if isinstance(tree, dict):
+        return "{" + ",".join(
+            json.dumps(key) + ":" + _report_json(value, f"{where}.{key}" if where else key)
+            for key, value in tree.items()
+        ) + "}"
+    if isinstance(tree, (complex, np.complexfloating, np.ndarray)):
+        return _pairs_json(tree, where)
+    try:
+        return json.dumps(tree, separators=(",", ":"), allow_nan=False)
+    except ValueError:  # NaN or Infinity in a float leaf
+        raise OverflowError(f"report field '{where}' is not finite") from None
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -162,7 +196,7 @@ def _write_text(text: str, out: str | None) -> None:
 
 
 def _write_report(tree: dict, out: str | None) -> None:
-    _write_text(json.dumps(tree, indent=2), out)
+    _write_text(_report_json(tree), out)
 
 
 # ---------------------------------------------------------------- commands
@@ -176,7 +210,7 @@ def cmd_convert(args) -> int:
     if args.direction == "to-normal":
         e = block_from_dict(raw, "E", dim, TIME_ORDERED)
         l = time_to_normal(e, params)
-        report["L"] = {key: _pairs(getattr(l, key)) for key in BLOCK_KEYS}
+        report["L"] = {key: getattr(l, key) for key in BLOCK_KEYS}
         report["report"] = {
             "direction": "to-normal",
             "unitarity_defect": unitarity_defect(l, params.gamma),
@@ -185,7 +219,7 @@ def cmd_convert(args) -> int:
     else:
         l = block_from_dict(raw, "L", dim, NORMAL_ORDERED)
         e = normal_to_time(l, params)
-        report["E"] = {key: _pairs(getattr(e, key)) for key in BLOCK_KEYS}
+        report["E"] = {key: getattr(e, key) for key in BLOCK_KEYS}
         report["report"] = {"direction": "to-time"}
     _write_report(report, args.out)
     return 0
@@ -197,13 +231,13 @@ def cmd_generator(args) -> int:
     heis = form.heisenberg_matrix()
     report = {
         "dim": model.dim,
-        "h_eff": _pairs(form.h_eff),
+        "h_eff": form.h_eff,
         "jump_basis": ["C", "C_dagger"],
-        "kossakowski": _pairs(form.kossakowski),
+        "kossakowski": form.kossakowski,
         "kossakowski_eigenvalues": form.kossakowski_eigenvalues().tolist(),
         "completely_positive": form.is_cp(DEFAULT_TOL),
-        "liouvillian": _pairs(adjoint(heis)),
-        "heisenberg": _pairs(heis),
+        "liouvillian": adjoint(heis),
+        "heisenberg": heis,
     }
     _write_report(report, args.out)
     return 0
@@ -244,10 +278,10 @@ def cmd_steady(args) -> int:
     liouv = schrodinger_liouvillian(model)
     report = {
         "dim": model.dim,
-        "rho": _pairs(rho),
+        "rho": rho,
         "populations": rho.diagonal().real.tolist(),
         "eigenvalues": np.linalg.eigvalsh(rho).tolist(),
-        "trace": _pairs(np.trace(rho)),
+        "trace": np.trace(rho),
         "liouvillian_residual": float(np.linalg.norm(liouv @ vectorize(rho))),
     }
     _write_report(report, args.out)
@@ -292,10 +326,10 @@ def cmd_split(args) -> int:
     res = split_residuals(args.n, m, s)
     report = {
         "n": args.n,
-        "m": _pairs(m),
+        "m": m,
         "x": s.x,
         "y": s.y,
-        "z": _pairs(s.z),
+        "z": complex(s.z),
         "residuals": {key: float(val) for key, val in res.items()},
     }
     _write_report(report, args.out)

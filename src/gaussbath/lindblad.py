@@ -180,15 +180,21 @@ class GKSForm:
         return 1j * self.h_eff + 0.5 * _kossakowski_sum(self.kossakowski, self.jumps)
 
     def heisenberg_matrix(self) -> np.ndarray:
-        """The Heisenberg superoperator: sum_jk K_jk V_j+ X V_k - X G - G+ X."""
-        g = self.effective_G()
-        eye = np.eye(g.shape[0])
-        # Weights go on the d x d factors so each d^4 product is formed once.
-        out = sandwich(eye, -g)
-        out += sandwich(-adjoint(g), eye)
-        for j, vj in enumerate(self.jumps):
-            for k, vk in enumerate(self.jumps):
-                out += sandwich(self.kossakowski[j, k] * adjoint(vj), vk)
+        """The Heisenberg superoperator: sum_jk K_jk V_j+ X V_k - X G - G+ X.
+
+        A generator beyond the double range raises OverflowError.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = self.effective_G()
+            eye = np.eye(g.shape[0])
+            # Weights go on the d x d factors so each d^4 product is formed once.
+            out = sandwich(eye, -g)
+            out += sandwich(-adjoint(g), eye)
+            for j, vj in enumerate(self.jumps):
+                for k, vk in enumerate(self.jumps):
+                    out += sandwich(self.kossakowski[j, k] * adjoint(vj), vk)
+        if not np.all(np.isfinite(out)):
+            raise OverflowError("generator overflow: the Heisenberg generator is not finite")
         return out
 
     def kossakowski_eigenvalues(self) -> np.ndarray:
@@ -211,20 +217,19 @@ def gks_decompose(model: SystemModel) -> GKSForm:
 
     K is PSD exactly on the Gaussian-valid region |m|^2 <= n(n+1); an
     unphysical m shows up as a negative eigenvalue, not as an error.
+    Entries beyond the double range are left to heisenberg_matrix to report.
     """
     noise = model.noise
     alpha = noise.alpha
-    h_eff = (
-        model.F
-        + np.conj(alpha) * model.C
-        + alpha * adjoint(model.C)
-        + noise.sigma * dissipation_quadratic(model)
-    )
-    return GKSForm(
-        h_eff=h_eff,
-        jumps=(model.C, adjoint(model.C)),
-        kossakowski=noise.gamma * _bath_matrix(noise),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_eff = (
+            model.F
+            + np.conj(alpha) * model.C
+            + alpha * adjoint(model.C)
+            + noise.sigma * dissipation_quadratic(model)
+        )
+        kossakowski = noise.gamma * _bath_matrix(noise)
+    return GKSForm(h_eff=h_eff, jumps=(model.C, adjoint(model.C)), kossakowski=kossakowski)
 
 
 def _rk4_default_step(model: SystemModel, spacing: float) -> float:

@@ -6,9 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gaussbath import cli, collision
-from gaussbath.cli import _pairs, main
+from gaussbath.cli import _pairs_json, _report_json, main
 from gaussbath.linalg import vectorize
 from gaussbath.lindblad import SystemModel, schrodinger_liouvillian
 from gaussbath.noise import NoiseParams
@@ -21,6 +24,12 @@ Z2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
 def from_pairs(obj):
     a = np.asarray(obj, dtype=float)
     return a[..., 0] + 1j * a[..., 1]
+
+
+def to_pairs(a):
+    """A complex array as nested lists of [re, im] pairs, for model files."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def write_json(path, tree):
@@ -78,9 +87,9 @@ def test_convert_hermitian_input_in_a_fast_time_unit(tmp_path, capsys, rng):
     assert np.abs(e00 - e00.conj().T).max() > 1e-9
     zero, lower = np.zeros((4, 4)), np.diag(np.sqrt(np.arange(1.0, 4.0)), -1)
     model = write_json(tmp_path / "model.json", {
-        "dim": 4, "gamma": 1.0, "C": _pairs(lower), "F": _pairs(zero),
-        "E": {"c00": _pairs(e00), "c01": _pairs(lower.T), "c10": _pairs(lower),
-              "c11": _pairs(zero)},
+        "dim": 4, "gamma": 1.0, "C": to_pairs(lower), "F": to_pairs(zero),
+        "E": {"c00": to_pairs(e00), "c01": to_pairs(lower.T), "c10": to_pairs(lower),
+              "c11": to_pairs(zero)},
     })
     out = str(tmp_path / "normal.json")
     assert main(["convert", "--model", model, "--direction", "to-normal", "--out", out]) == 0
@@ -240,6 +249,52 @@ def test_split_report(capsys):
     assert max(tree["residuals"].values()) < 1e-12
 
 
+def reject_constant(constant):
+    raise ValueError(f"non-finite literal {constant}")
+
+
+def test_reports_are_canonical_compact_json(tmp_path, capsys):
+    e11 = [[[0.2, 0.0], [0.1, 0.05]], [[0.1, -0.05], [-0.4, 0.0]]]
+    model = qubit_model_file(tmp_path, n=0.5, m_re=0.2, m_im=-0.1, sigma=0.3,
+                             E={"c00": Z2, "c01": SP, "c10": SM, "c11": e11})
+    normal = str(tmp_path / "normal.json")
+    assert main(["convert", "--model", model, "--out", normal]) == 0
+    runs = [
+        ["generator", "--model", model],
+        ["convert", "--model", model, "--direction", "to-normal"],
+        ["convert", "--model", normal, "--direction", "to-time"],
+        ["steady", "--model", model],
+        ["split", "--n", "0.5", "--m-re", "0.1", "--m-im", "-0.2"],
+        ["split", "--n", "0"],
+    ]
+    for argv in runs:
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        tree = json.loads(out, parse_constant=reject_constant)
+        assert out == json.dumps(tree, separators=(",", ":")) + "\n", argv
+
+
+OVERFLOWING = {"gamma": {"gamma": 1e300}, "sigma": {"gamma": 1.0, "sigma": 1e300}}
+
+
+@pytest.mark.parametrize("model", sorted(OVERFLOWING))
+@pytest.mark.parametrize("command", ["generator", "steady", "evolve"])
+def test_overflowing_generator_is_numerical_exit_code(tmp_path, capsys, command, model):
+    c = [[[0.0, 0.0], [0.0, 0.0]], [[1e10, 0.0], [0.0, 0.0]]]
+    f = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    path = qubit_model_file(tmp_path, C=c, F=f, **OVERFLOWING[model])
+    argv = [command, "--model", path]
+    if command == "evolve":
+        rho0 = write_json(tmp_path / "rho0.json", {"rho": [[[1.0, 0.0], [0.0, 0.0]], Z2[0]]})
+        argv += ["--rho0", rho0, "--t-final", "1", "--points", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "generator overflow" in err and "not finite" in err
+
+
 def test_split_rejects_overcorrelated(capsys):
     assert main(["split", "--n", "1", "--m-re", "1.5"]) == 2
     assert "n(n+1)" in capsys.readouterr().err
@@ -379,8 +434,18 @@ def test_tol_flag_is_gone(tmp_path):
 
 
 def dump_complex(z):
-    """The per-entry [re, im] encoder that _pairs replaced."""
+    """The per-entry [re, im] encoder that the direct writer replaced."""
     return [float(np.real(z)), float(np.imag(z))]
+
+
+def per_entry(a):
+    """Nested lists of dump_complex pairs, one call per entry."""
+    a = np.asarray(a)
+    return dump_complex(a[()]) if a.ndim == 0 else [per_entry(x) for x in a]
+
+
+def compact(tree):
+    return json.dumps(tree, separators=(",", ":"))
 
 
 def test_pairs_matches_per_entry_encoding(rng):
@@ -388,11 +453,46 @@ def test_pairs_matches_per_entry_encoding(rng):
     a[0, 0] = complex(-0.0, -0.0)
     a[1, 2] = complex(0.0, -0.0)
     a[3, 4] = complex(-0.0, 2.5)
-    for arr in (a, np.array([[-0.0 + 1.25j]])):
-        want = [[dump_complex(z) for z in row] for row in arr]
-        assert json.dumps(_pairs(arr)) == json.dumps(want)
-    for z in (a[0, 0], a[3, 4], complex(0.5, -0.0), -1.5):
-        assert json.dumps(_pairs(z)) == json.dumps(dump_complex(z))
+    a[0, 1] = complex(5e-324, -5e-324)
+    a[2, 3] = complex(1e308, -1e308)
+    a[3, 0] = complex(1e-308, -0.0)
+    cube = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
+    cube[1, 2, 3] = complex(-0.0, 0.0)
+    for arr in (a, np.array([[-0.0 + 1.25j]]), cube):
+        assert _pairs_json(arr) == compact(per_entry(arr))
+    for z in (a[0, 0], a[3, 4], a[0, 1], a[2, 3], complex(0.5, -0.0), np.complex128(-2.0 + 0.25j),
+              -1.5):
+        assert _pairs_json(z) == compact(dump_complex(z))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
+                  elements=finite | st.sampled_from([0.0, -0.0])))
+def test_pairs_json_matches_per_entry_encoding_on_random_arrays(parts):
+    # Pair up the last axis as (re, im), padding an odd axis with -0.0.
+    if parts.shape[-1] % 2:
+        parts = np.concatenate([parts, np.full(parts.shape[:-1] + (1,), -0.0)], axis=-1)
+    arr = np.ascontiguousarray(parts).view(complex)
+    assert _pairs_json(arr) == compact(per_entry(arr))
+
+
+def test_report_writer_rejects_non_finite_values():
+    with pytest.raises(OverflowError, match="'L.c00'"):
+        _report_json({"L": {"c00": np.array([[1.0, np.inf * 1j]])}})
+    with pytest.raises(OverflowError, match="'residuals.x'"):
+        _report_json({"n": 1.0, "residuals": {"x": float("nan")}})
+    with pytest.raises(OverflowError, match="'trace'"):
+        _report_json({"trace": complex(np.nan, 0.0)})
+
+
+def test_non_finite_report_value_is_numerical_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "split_residuals", lambda n, m, s: {"x": float("inf")})
+    assert main(["split", "--n", "0.5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "'residuals.x'" in err and "not finite" in err
 
 
 @pytest.mark.parametrize("d", [3, 12])
