@@ -177,7 +177,7 @@ def _report_json(tree, where: str = "") -> str:
             json.dumps(key) + ":" + _report_json(value, f"{where}.{key}" if where else key)
             for key, value in tree.items()
         ) + "}"
-    if isinstance(tree, (complex, np.complexfloating, np.ndarray)):
+    if isinstance(tree, (complex, np.ndarray)):  # np.complex128 subclasses complex
         return _pairs_json(tree, where)
     try:
         return json.dumps(tree, separators=(",", ":"), allow_nan=False)

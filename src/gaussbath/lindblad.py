@@ -217,7 +217,7 @@ def gks_decompose(model: SystemModel) -> GKSForm:
 
     K is PSD exactly on the Gaussian-valid region |m|^2 <= n(n+1); an
     unphysical m shows up as a negative eigenvalue, not as an error.
-    Entries beyond the double range are left to heisenberg_matrix to report.
+    H_eff or K beyond the double range raises OverflowError.
     """
     noise = model.noise
     alpha = noise.alpha
@@ -229,6 +229,8 @@ def gks_decompose(model: SystemModel) -> GKSForm:
             + noise.sigma * dissipation_quadratic(model)
         )
         kossakowski = noise.gamma * _bath_matrix(noise)
+    if not (np.all(np.isfinite(h_eff)) and np.all(np.isfinite(kossakowski))):
+        raise OverflowError("generator overflow: the Kossakowski form is not finite")
     return GKSForm(h_eff=h_eff, jumps=(model.C, adjoint(model.C)), kossakowski=kossakowski)
 
 

@@ -274,7 +274,9 @@ def test_reports_are_canonical_compact_json(tmp_path, capsys):
         assert out == json.dumps(tree, separators=(",", ":")) + "\n", argv
 
 
-OVERFLOWING = {"gamma": {"gamma": 1e300}, "sigma": {"gamma": 1.0, "sigma": 1e300}}
+# gamma overflows G, sigma overflows H_eff, and gamma (n + 1) overflows K itself.
+OVERFLOWING = {"gamma": {"gamma": 1e300}, "sigma": {"gamma": 1.0, "sigma": 1e300},
+               "kossakowski": {"gamma": 1e300, "n": 1e10}}
 
 
 @pytest.mark.parametrize("model", sorted(OVERFLOWING))
@@ -465,17 +467,18 @@ def test_pairs_matches_per_entry_encoding(rng):
         assert _pairs_json(z) == compact(dump_complex(z))
 
 
-finite = st.floats(allow_nan=False, allow_infinity=False)
+# Complex arrays of random shape (scalars included) from (re, im) float64 pairs.
+complex_arrays = hnp.array_shapes(min_dims=0, max_dims=3, max_side=5).flatmap(
+    lambda shape: hnp.arrays(
+        np.float64, shape + (2,),
+        elements=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0]),
+    )
+).map(lambda parts: parts.view(complex)[..., 0])
 
 
 @settings(max_examples=200, deadline=None)
-@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
-                  elements=finite | st.sampled_from([0.0, -0.0])))
-def test_pairs_json_matches_per_entry_encoding_on_random_arrays(parts):
-    # Pair up the last axis as (re, im), padding an odd axis with -0.0.
-    if parts.shape[-1] % 2:
-        parts = np.concatenate([parts, np.full(parts.shape[:-1] + (1,), -0.0)], axis=-1)
-    arr = np.ascontiguousarray(parts).view(complex)
+@given(complex_arrays)
+def test_pairs_json_matches_per_entry_encoding_on_random_arrays(arr):
     assert _pairs_json(arr) == compact(per_entry(arr))
 
 
