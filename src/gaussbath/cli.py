@@ -19,17 +19,17 @@ arrays themselves; ``_pairs_json`` writes each one straight from numpy
 as pairs, formatting every distinct entry once, and every other leaf
 goes through ``json.dumps``.  A non-finite value anywhere in a report
 raises OverflowError naming its field, so no report holds NaN or
-Infinity.  Time series are CSV.  Initial states are only decoded
-here; the library checks them where they enter.  Exit codes: 0
-success, 2 validation failure, 3 numerical failure or out of memory,
-4 I/O failure.
+Infinity.  Time series are CSV from one writer, ``_write_csv``: a
+header and pre-formatted lines joined with commas, each ended with
+CRLF, which is what csv.writer writes for cells that need no quoting.
+Initial states are only decoded here; the library checks them where
+they enter.  Exit codes: 0 success, 2 validation failure, 3 numerical
+failure or out of memory, 4 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -144,7 +144,7 @@ def block_from_dict(raw: dict, name: str, dim: int, kind: str) -> ItoCoefficient
 
 def load_density_matrix(path: str, dim: int) -> np.ndarray:
     raw = _load_json(path)
-    payload = raw.get("rho") if isinstance(raw, dict) else raw
+    payload = _require(raw, "rho", list) if isinstance(raw, dict) else raw
     return _parse_cmatrix(payload, dim, "rho")
 
 
@@ -197,6 +197,11 @@ def _write_text(text: str, out: str | None) -> None:
 
 def _write_report(tree: dict, out: str | None) -> None:
     _write_text(_report_json(tree), out)
+
+
+def _write_csv(header: list, lines: list, out: str | None) -> None:
+    """A CSV table from a header and pre-formatted lines, as csv.writer writes plain cells."""
+    _write_text("\r\n".join([",".join(header), *lines, ""]), out)
 
 
 # ---------------------------------------------------------------- commands
@@ -264,11 +269,8 @@ def cmd_evolve(args) -> int:
         np.diagonal(states, axis1=1, axis2=2).real,
         np.trace(states @ states, axis1=1, axis2=2).real,
     ])
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows([f"{x:.12g}" for x in row] for row in table.tolist())
-    _write_text(buf.getvalue(), args.out)
+    line = ",".join(["%.12g"] * table.shape[1])
+    _write_csv(header, [line % tuple(row) for row in table.tolist()], args.out)
     return 0
 
 
@@ -299,24 +301,19 @@ def cmd_oracle(args) -> int:
     except ValueError as exc:
         raise FormatError("--dt-list must be a comma separated list of numbers") from exc
     result = convergence_study(model, rho0, args.t_final, dts, args.cutoff)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["dt", "max_trace_distance", "order_vs_prev", "fitted_order", "monotone"]
-    )
     # A zero error has no logarithm: its order cells stay empty.
     fitted = "" if result.fitted_order is None else f"{result.fitted_order:.6g}"
-    prev = None
+    monotone = str(result.monotone).lower()
+    lines, prev = [], None
     for dt, err in zip(result.dts, result.errors):
         if prev is None or err == 0 or prev[1] == 0:
             order = ""
         else:
             order = f"{np.log(prev[1] / err) / np.log(prev[0] / dt):.6g}"
-        writer.writerow(
-            [f"{dt:.12g}", f"{err:.12g}", order, fitted, str(result.monotone).lower()]
-        )
+        lines.append(f"{dt:.12g},{err:.12g},{order},{fitted},{monotone}")
         prev = (dt, err)
-    _write_text(buf.getvalue(), args.out)
+    header = ["dt", "max_trace_distance", "order_vs_prev", "fitted_order", "monotone"]
+    _write_csv(header, lines, args.out)
     return 0
 
 

@@ -79,6 +79,11 @@ class CollisionConfig:
         if self.model.dim * self.cutoff**2 > MAX_STEP_DIM:
             raise DomainError(f"cutoff {self.cutoff} at d = {self.model.dim} breaks "
                               f"d * cutoff^2 <= {MAX_STEP_DIM}")
+        # The stored trajectory gets the same 64 MiB budget as the step unitary.
+        if (self.steps + 1) * self.model.dim**2 > MAX_STEP_DIM**2:
+            raise DomainError(f"{self.steps:.6g} steps of dt = {self.dt} "
+                              f"(t_final = {self.steps * self.dt:.6g}) at d = {self.model.dim} "
+                              f"break (steps + 1) * d^2 <= {MAX_STEP_DIM**2}")
         if noise.sigma != 0:
             raise DomainError(
                 "collision comparisons are defined at sigma = 0; "
@@ -197,10 +202,16 @@ def convergence_study(
     dts.sort(reverse=True)
     if len(dts) < 2:
         raise DomainError("need at least two step sizes to study convergence")
-    errors = []
+    configs = []
     for dt in dts:
-        steps = max(1, int(round(t_final / dt)))
-        config = CollisionConfig(model=model, dt=dt, steps=steps, cutoff=cutoff)
+        steps = t_final / dt if dt > 0 else 1.0  # CollisionConfig rejects dt <= 0
+        if not np.isfinite(steps):
+            raise DomainError(f"t_final = {t_final} over dt = {dt} is not a finite step count")
+        steps = max(1, int(round(steps)))
+        configs.append(CollisionConfig(model=model, dt=dt, steps=steps, cutoff=cutoff))
+    errors = []
+    for config in configs:  # every step count is checked before any chain runs
+        dt, steps = config.dt, config.steps
         grid = np.arange(steps + 1) * dt
         approx = simulate(config, rho0)
         exact = evolve(model, rho0, grid, method="expm")

@@ -233,6 +233,66 @@ def test_oracle_rejects_a_cutoff_beyond_the_step_budget(tmp_path, capsys):
     assert "cutoff 1000" in err and "d = 2" in err
 
 
+@pytest.mark.parametrize("c", [SM, Z2], ids=["C=sigma_minus", "C=0"])
+def test_oracle_csv_matches_csv_writer(tmp_path, capsys, monkeypatch, c):
+    results = []
+
+    def study(*args):
+        results.append(collision.convergence_study(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "convergence_study", study)
+    model = qubit_model_file(tmp_path, C=c)
+    assert main(["oracle", "--model", model, "--t-final", "0.4",
+                 "--dt-list", "0.1,0.05,0.04", "--cutoff", "3"]) == 0
+    (result,) = results
+    assert (result.fitted_order is None) == (c is Z2)
+
+    # The csv.writer rows that the direct writer replaced.
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["dt", "max_trace_distance", "order_vs_prev", "fitted_order", "monotone"])
+    fitted = "" if result.fitted_order is None else f"{result.fitted_order:.6g}"
+    prev = None
+    for dt, err in zip(result.dts, result.errors):
+        if prev is None or err == 0 or prev[1] == 0:
+            order = ""
+        else:
+            order = f"{np.log(prev[1] / err) / np.log(prev[0] / dt):.6g}"
+        writer.writerow([f"{dt:.12g}", f"{err:.12g}", order, fitted, str(result.monotone).lower()])
+        prev = (dt, err)
+    assert capsys.readouterr().out == buf.getvalue()
+
+
+@pytest.mark.parametrize("t_final, dt_list, names", [
+    ("1e300", "1e-300,1e-301", ["t_final = 1e+300", "dt = 1e-300", "step count"]),
+    ("0.5", "1e-300,0.1", ["5e+299 steps", "dt = 1e-300", "t_final = 0.5"]),
+], ids=["ratio-overflows", "over-budget"])
+def test_oracle_rejects_a_step_count_it_cannot_store(tmp_path, capsys, t_final, dt_list, names):
+    argv = ["oracle", "--model", qubit_model_file(tmp_path), "--t-final", t_final,
+            "--dt-list", dt_list, "--cutoff", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid input" in err
+    assert all(name in err for name in names), err
+
+
+def test_rho0_object_without_rho_is_missing(tmp_path, capsys):
+    rho0 = write_json(tmp_path / "rho0.json", {"rhoo": [[[1.0, 0.0], [0.0, 0.0]], Z2[0]]})
+    argv = ["evolve", "--model", qubit_model_file(tmp_path), "--rho0", rho0, "--t-final", "1"]
+    assert main(argv) == 2
+    assert "field 'rho': missing" in capsys.readouterr().err
+
+
+def test_rho0_may_be_a_bare_matrix(tmp_path, capsys):
+    rho0 = write_json(tmp_path / "rho0.json", [[[1.0, 0.0], [0.0, 0.0]], Z2[0]])
+    header, rows = run_csv(capsys, ["evolve", "--model", qubit_model_file(tmp_path),
+                                    "--rho0", rho0, "--t-final", "1", "--points", "3"])
+    assert len(rows) == 3 and rows[0][header.index("pop_0")] == "1"
+
+
 def test_oracle_rejects_bad_dt_list(tmp_path, capsys):
     model = qubit_model_file(tmp_path)
     code = main(["oracle", "--model", model, "--t-final", "0.4", "--dt-list", "0.1,abc"])
@@ -503,6 +563,12 @@ def test_evolve_csv_matches_per_row_formatting(tmp_path, capsys, monkeypatch, rn
     points, t_final = 9, 1.3
     states = rng.normal(size=(points, d, d)) + 1j * rng.normal(size=(points, d, d))
     states[2, 0, 1] = complex(-0.0, -0.0)
+    # Exponent forms at the edges of the double range; the products in the
+    # purity stay finite.
+    states[3] = 0.0
+    states[3, 0, 1] = complex(1e308, -1e308)
+    states[3, 1, 0] = complex(5e-324, 1e-300)
+    states[3, 2, 2] = 1e21
     monkeypatch.setattr(cli, "evolve", lambda model, rho0, grid, method: states)
     zeros = np.zeros((d, d, 2)).tolist()
     rho = np.zeros((d, d, 2))

@@ -57,6 +57,11 @@ def test_config_validation():
         big = SystemModel(C=np.eye(d, k=1), F=np.zeros((d, d)), noise=NoiseParams(gamma=1.0))
         with pytest.raises(DomainError, match=f"cutoff {cutoff} at d = {d}"):
             CollisionConfig(model=big, dt=0.1, steps=1, cutoff=cutoff)
+    # The stored trajectory, (steps + 1) d x d states, has the same budget.
+    limit = MAX_STEP_DIM**2 // 4 - 1
+    assert CollisionConfig(model=model, dt=1e-6, steps=limit, cutoff=3).steps == limit
+    with pytest.raises(DomainError, match=r"dt = 1e-06 \(t_final = "):
+        CollisionConfig(model=model, dt=1e-6, steps=limit + 1, cutoff=3)
 
 
 def test_increment_moments_match_ito_table():
@@ -264,3 +269,21 @@ def test_convergence_study_input_checks():
         convergence_study(model, rho0, t_final=-1.0, dts=[0.1, 0.05], cutoff=3)
     with pytest.raises(DomainError):
         convergence_study(model, rho0, t_final=1.0, dts=[0.1], cutoff=3)
+
+
+@pytest.mark.parametrize("t_final, dts, match", [
+    (1e300, [1e-300, 1e-301], r"t_final = 1e\+300 over dt = 1e-300 is not a finite step count"),
+    (0.5, [1e-300, 0.1], r"5e\+299 steps of dt = 1e-300 \(t_final = 0.5\)"),
+    (0.5, [0.0, 0.1], "dt must be positive"),
+], ids=["ratio-overflows", "over-budget", "zero-dt"])
+def test_convergence_study_checks_every_step_count_before_running(monkeypatch, t_final, dts,
+                                                                   match):
+    def fail(config, rho):
+        raise AssertionError("a chain ran before every step count was checked")
+
+    monkeypatch.setattr(collision, "simulate", fail)
+    rho0 = np.diag([0.5, 0.5]).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=match):
+            convergence_study(qubit_model(), rho0, t_final=t_final, dts=dts, cutoff=3)
