@@ -154,14 +154,22 @@ def _pairs_json(a, where: str = "value") -> str:
     """A complex scalar or array as compact JSON (nested lists of) [re, im] pairs.
 
     Each distinct (re, im) bit pattern is formatted once, by float repr as
-    json.dumps does; the 16-byte view keeps -0.0 apart from 0.0.
+    json.dumps does; the bit patterns keep -0.0 apart from 0.0.  They are
+    grouped by a two-key sort of their uint64 halves, which numpy sorts far
+    faster than 16-byte void items.
     """
     a = np.asarray(a, dtype=complex)
     if not np.all(np.isfinite(a)):
         raise OverflowError(f"report field '{where}' is not finite")
-    distinct, index = np.unique(a.reshape(-1).view("V16"), return_inverse=True)
-    text = np.array([f"[{z.real!r},{z.imag!r}]" for z in distinct.view(complex).tolist()],
-                    dtype=object)
+    bits = np.ascontiguousarray(a.reshape(-1)).view(np.uint64).reshape(-1, 2)
+    order = np.lexsort((bits[:, 1], bits[:, 0]))
+    ranked = bits[order]
+    first = np.ones(len(ranked), dtype=bool)  # where a run of equal patterns starts
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
+    index = np.empty(len(ranked), dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    distinct = ranked[first].view(complex).ravel()
+    text = np.array([f"[{z.real!r},{z.imag!r}]" for z in distinct.tolist()], dtype=object)
     cells = text[index].reshape(a.shape)
     while cells.ndim:  # join the last axis into rows until one string is left
         rows = cells.reshape(-1, cells.shape[-1]).tolist()

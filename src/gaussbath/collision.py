@@ -34,7 +34,7 @@ import numpy as np
 from .doubling import SplitCoefficients, represent_annihilator, scalar_split
 from .errors import DimensionError, DomainError, TruncationWarning
 from .lindblad import SystemModel, evolve, validate_density_matrix
-from .linalg import adjoint, mat_exp, negligible, propagate, require_square
+from .linalg import MAX_DENSE_DIM, adjoint, mat_exp, negligible, propagate, require_square
 from .noise import require_finite
 
 __all__ = [
@@ -49,10 +49,6 @@ __all__ = [
 
 # Ancilla boundary occupation above this level triggers a truncation warning.
 BOUNDARY_TOL = 1e-3
-
-# Largest step space d * cutoff^2 (system times ancilla pair): its dense
-# step Hamiltonian and unitary then take 64 MiB each.
-MAX_STEP_DIM = 2048
 
 
 @dataclass
@@ -76,14 +72,16 @@ class CollisionConfig:
             raise DomainError(f"cutoff must be at least 2, got {self.cutoff}")
         if (noise.n > 0 or noise.m != 0) and self.cutoff < 3:
             raise DomainError("cutoff must be at least 3 for a non-vacuum bath")
-        if self.model.dim * self.cutoff**2 > MAX_STEP_DIM:
+        # The step space d * cutoff^2 (system times ancilla pair) holds the
+        # dense step Hamiltonian and unitary.
+        if self.model.dim * self.cutoff**2 > MAX_DENSE_DIM:
             raise DomainError(f"cutoff {self.cutoff} at d = {self.model.dim} breaks "
-                              f"d * cutoff^2 <= {MAX_STEP_DIM}")
+                              f"d * cutoff^2 <= {MAX_DENSE_DIM}")
         # The stored trajectory gets the same 64 MiB budget as the step unitary.
-        if (self.steps + 1) * self.model.dim**2 > MAX_STEP_DIM**2:
+        if (self.steps + 1) * self.model.dim**2 > MAX_DENSE_DIM**2:
             raise DomainError(f"{self.steps:.6g} steps of dt = {self.dt} "
                               f"(t_final = {self.steps * self.dt:.6g}) at d = {self.model.dim} "
-                              f"break (steps + 1) * d^2 <= {MAX_STEP_DIM**2}")
+                              f"break (steps + 1) * d^2 <= {MAX_DENSE_DIM**2}")
         if noise.sigma != 0:
             raise DomainError(
                 "collision comparisons are defined at sigma = 0; "

@@ -24,8 +24,13 @@ from .errors import DimensionError, DomainError
 # Relative for is_hermitian and psd_eigh; absolute for dimensionless is_unitary.
 DEFAULT_TOL = 1e-9
 
+# Largest dimension of a dense complex matrix beyond the d x d operators
+# (a collision step space, a dense Liouvillian SVD): 64 MiB each.
+MAX_DENSE_DIM = 2048
+
 __all__ = [
     "DEFAULT_TOL",
+    "MAX_DENSE_DIM",
     "adjoint",
     "choi_matrix",
     "devectorize",
@@ -41,6 +46,7 @@ __all__ = [
     "psd_eigh",
     "require_square",
     "sandwich",
+    "sandwich_triplets",
     "vectorize",
 ]
 
@@ -136,6 +142,23 @@ def mat_sqrt_psd(a: np.ndarray, scale: float | None = None) -> np.ndarray:
 def sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Superoperator of X -> A X B: ``vec(A X B) = sandwich(A, B) @ vec(X)``."""
     return np.kron(np.asarray(b).T, a)
+
+
+def sandwich_triplets(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """COO triplets (rows, cols, values) of sandwich(a, b) over the nonzeros of a and b.
+
+    kron(B^T, A) holds B[j, i] A[r, c] at row i p + r and column j q + c,
+    A being p x q; the product is taken in np.kron's operand order.  No
+    position repeats.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    p, q = a.shape
+    r, c = np.nonzero(a)
+    j, i = np.nonzero(b)
+    rows = (i[:, None] * p + r).ravel()
+    cols = (j[:, None] * q + c).ravel()
+    values = (b[j, i][:, None] * a[r, c]).ravel()
+    return rows, cols, values
 
 
 def vectorize(a: np.ndarray) -> np.ndarray:

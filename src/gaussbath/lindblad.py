@@ -13,11 +13,18 @@ closes, via the Gaussian Ito table, into the Heisenberg generator
     L(X) = gamma [ (n+1) C+XC + n CXC+ + conj(m) CXC + m C+XC+ ]
            - X G - G+ X,
 
-which is unital (L(1) = 0).  GKSForm.heisenberg_matrix is the one
-place a generator is assembled; the Schrodinger generator is its
-Hilbert-Schmidt adjoint L' = L+, so tr(L(X) rho) = tr(X L'(rho)) holds by
-construction.  The independent evidence for L is the Ito-closure test,
-which rebuilds L(X) column by column as the dt part of
+which is unital (L(1) = 0).  GKSForm.heisenberg_triplets is the one
+place a generator is assembled: COO triplets of its six sandwiches, taken
+from the nonzeros of their d x d factors, so the work follows the
+nonzeros of L rather than its d^4 entries.  heisenberg_matrix scatters
+them into a dense array for the dense callers (generator, evolve, the
+collision reference).  The Schrodinger generator is the Hilbert-Schmidt
+adjoint L' = L+, so tr(L(X) rho) = tr(X L'(rho)) holds by construction.
+steady_state hands the same triplets, conjugate-transposed, to a sparse
+LU solve of L' with its row 0 replaced by the scaled trace functional,
+certified by a condition estimate; the dense SVD of L' decides only when
+that certificate fails.  The independent evidence for L is the
+Ito-closure test, which rebuilds L(X) column by column as the dt part of
 dU+ X + X dU + dU+ X dU from the Gaussian Ito table in noise.
 All superoperators act on column-stacked operators (see linalg).
 """
@@ -37,6 +44,7 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    MAX_DENSE_DIM,
     adjoint,
     devectorize,
     is_hermitian,
@@ -48,6 +56,7 @@ from .linalg import (
     psd_eigh,
     require_square,
     sandwich,
+    sandwich_triplets,
 )
 from .noise import NoiseParams
 
@@ -66,7 +75,8 @@ __all__ = [
 ]
 
 
-# Relative singular-value threshold for the Liouvillian kernel in steady_state.
+# Relative singular-value threshold for the Liouvillian kernel in steady_state;
+# its inverse bounds the condition estimate of the sparse solve.
 RANK_RTOL = 1e-10
 
 
@@ -179,22 +189,34 @@ class GKSForm:
         """
         return 1j * self.h_eff + 0.5 * _kossakowski_sum(self.kossakowski, self.jumps)
 
-    def heisenberg_matrix(self) -> np.ndarray:
-        """The Heisenberg superoperator: sum_jk K_jk V_j+ X V_k - X G - G+ X.
+    def heisenberg_triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """COO triplets (rows, cols, values) of sum_jk K_jk V_j+ X V_k - X G - G+ X.
 
-        A generator beyond the double range raises OverflowError.
+        The six sandwiches come from the nonzeros of their d x d factors,
+        listed in the order heisenberg_matrix adds them; different
+        sandwiches share positions, so the triplets are summed by whoever
+        assembles them.  Values may overflow; the assembled sum is checked.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             g = self.effective_G()
             eye = np.eye(g.shape[0])
-            # Weights go on the d x d factors so each d^4 product is formed once.
-            out = sandwich(eye, -g)
-            out += sandwich(-adjoint(g), eye)
-            for j, vj in enumerate(self.jumps):
-                for k, vk in enumerate(self.jumps):
-                    out += sandwich(self.kossakowski[j, k] * adjoint(vj), vk)
-        if not np.all(np.isfinite(out)):
-            raise OverflowError("generator overflow: the Heisenberg generator is not finite")
+            # Weights go on the d x d factors so each product is formed once.
+            parts = [sandwich_triplets(eye, -g), sandwich_triplets(-adjoint(g), eye)]
+            parts += [sandwich_triplets(self.kossakowski[j, k] * adjoint(vj), vk)
+                      for j, vj in enumerate(self.jumps) for k, vk in enumerate(self.jumps)]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+    def heisenberg_matrix(self) -> np.ndarray:
+        """The Heisenberg superoperator as a dense array: the triplets scattered in order.
+
+        A generator beyond the double range raises OverflowError.
+        """
+        rows, cols, values = self.heisenberg_triplets()
+        dim = self.h_eff.shape[0] ** 2
+        out = np.zeros((dim, dim), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(out, (rows, cols), values)
+        _require_finite_generator(out)
         return out
 
     def kossakowski_eigenvalues(self) -> np.ndarray:
@@ -203,6 +225,11 @@ class GKSForm:
     def is_cp(self, tol: float = 1e-12) -> bool:
         """K is PSD: no eigenvalue below -tol times the largest |eigenvalue|."""
         return is_psd(self.kossakowski, rtol=tol)
+
+
+def _require_finite_generator(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise OverflowError("generator overflow: the Heisenberg generator is not finite")
 
 
 def gks_decompose(model: SystemModel) -> GKSForm:
@@ -313,22 +340,54 @@ def evolve(
 
 
 def steady_state(model: SystemModel) -> np.ndarray:
-    """Stationary density matrix from the Liouvillian kernel.
+    """Stationary density matrix: the Liouvillian kernel by one sparse LU solve.
 
-    Takes the right singular vector of the smallest singular value,
-    Hermitian-projects and trace-normalizes.  A kernel of dimension
-    other than one raises DegenerateKernelError carrying the count.
+    L' is the Heisenberg triplets conjugate-transposed, assembled as a
+    sparse CSC matrix.  Its row 0, the (0, 0) diagonal equation, depends
+    on the others because L' preserves trace, so A is L' with row 0
+    replaced by s vec(I)+, s = ||L'||_1; then A vec(rho) = s e_0 holds the
+    stationarity and tr rho = 1, and the scale s keeps both the answer and
+    the certificate unchanged by the unit of time.  The certificate is the
+    condition estimate kappa = ||A||_1 onenormest(A^-1).  When the LU
+    finds A singular or kappa >= 1/RANK_RTOL, the dense SVD of L' decides
+    (_dense_kernel_vector): it counts the kernel and raises
+    DegenerateKernelError with kernel_dim unless that count is one.
+    Above the MAX_DENSE_DIM budget for d^2 it raises at once, naming kappa,
+    with kernel_dim None.  The result is Hermitian-projected,
+    trace-normalized and checked positive.
     """
-    liouv = schrodinger_liouvillian(model)
+    # Imported here: the other commands never load scipy.sparse.
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     d = model.dim
-    _, svals, vh = np.linalg.svd(liouv)
-    kernel_dim = int(np.sum(negligible(svals, svals[0], RANK_RTOL)))
-    if kernel_dim != 1:
-        raise DegenerateKernelError(
-            f"Liouvillian kernel has dimension {kernel_dim}, expected 1",
-            kernel_dim=kernel_dim,
+    rows, cols, values = gks_decompose(model).heisenberg_triplets()
+    liouv = scipy.sparse.csc_array((values.conj(), (cols, rows)), shape=(d * d, d * d))
+    _require_finite_generator(liouv.data)
+    scale = scipy.sparse.linalg.norm(liouv, 1)
+    liouv.data[liouv.indices == 0] = 0.0  # row 0 gives way to the trace row
+    trace_row = scipy.sparse.csc_array(
+        (np.full(d, scale, dtype=complex), (np.zeros(d, dtype=int), np.arange(d) * (d + 1))),
+        shape=liouv.shape,
+    )
+    a = liouv + trace_row
+    rhs = np.zeros(d * d, dtype=complex)
+    rhs[0] = scale
+    try:
+        lu = scipy.sparse.linalg.splu(a)
+    except RuntimeError:  # SuperLU: the factor is exactly singular
+        kappa = np.inf
+    else:
+        inverse = scipy.sparse.linalg.LinearOperator(
+            a.shape, matvec=lu.solve, rmatvec=lambda v: lu.solve(v, trans="H"), dtype=complex
         )
-    rho = devectorize(vh[-1].conj(), d)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            vec = lu.solve(rhs)
+            # t = 1 draws no random columns, so the estimate is reproducible.
+            kappa = scipy.sparse.linalg.norm(a, 1) * scipy.sparse.linalg.onenormest(inverse, t=1)
+    if not kappa < 1.0 / RANK_RTOL:  # NaN included
+        vec = _dense_kernel_vector(model, kappa)
+    rho = devectorize(vec, d)
     rho = (rho + adjoint(rho)) / 2.0
     tr = np.trace(rho)
     if abs(tr) < 1e-12:
@@ -339,3 +398,27 @@ def steady_state(model: SystemModel) -> np.ndarray:
     except DomainError as exc:
         raise DecompositionError(str(exc)) from exc
     return rho
+
+
+def _dense_kernel_vector(model: SystemModel, kappa: float) -> np.ndarray:
+    """The right singular vector of the smallest singular value of the dense L'.
+
+    A kernel of dimension other than one, counted at RANK_RTOL relative to
+    the largest singular value, raises DegenerateKernelError with the count.
+    """
+    d = model.dim
+    if d * d > MAX_DENSE_DIM:
+        raise DegenerateKernelError(
+            f"Liouvillian kernel is not certified one-dimensional: condition estimate "
+            f"{kappa:.3e} >= {1.0 / RANK_RTOL:.0e}, and d^2 = {d * d} is beyond the "
+            f"dense budget {MAX_DENSE_DIM} for counting it",
+            kernel_dim=None,
+        )
+    _, svals, vh = np.linalg.svd(schrodinger_liouvillian(model))
+    kernel_dim = int(np.sum(negligible(svals, svals[0], RANK_RTOL)))
+    if kernel_dim != 1:
+        raise DegenerateKernelError(
+            f"Liouvillian kernel has dimension {kernel_dim}, expected 1",
+            kernel_dim=kernel_dim,
+        )
+    return vh[-1].conj()

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from gaussbath.errors import DegenerateKernelError
+from gaussbath.lindblad import RANK_RTOL, schrodinger_liouvillian
 from gaussbath.noise import NORMAL_ORDERED, ItoCoefficients, ito_product
 
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |g><e|
@@ -73,3 +75,22 @@ def ito_heisenberg(model):
         lx = du_adj.c00 @ x + x_du.c00 + ito_product(du_adj, x_du, p).c00
         out[:, col] = lx.flatten(order="F")
     return out
+
+
+def dense_steady_state(model):
+    """Steady state from one dense SVD of L': the oracle for lindblad.steady_state.
+
+    The right singular vector of the smallest singular value, Hermitian-
+    projected and trace-normalized.  Singular values at most RANK_RTOL times
+    the largest count as kernel; a count other than one raises
+    DegenerateKernelError carrying it.
+    """
+    _, svals, vh = np.linalg.svd(schrodinger_liouvillian(model))
+    kernel_dim = int(np.sum(svals <= RANK_RTOL * svals[0]))
+    if kernel_dim != 1:
+        raise DegenerateKernelError(
+            f"Liouvillian kernel has dimension {kernel_dim}, expected 1", kernel_dim=kernel_dim
+        )
+    rho = vh[-1].conj().reshape((model.dim, model.dim), order="F")
+    rho = (rho + rho.conj().T) / 2.0
+    return rho / np.trace(rho)

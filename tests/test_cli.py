@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -388,11 +391,31 @@ def test_nonfinite_model_literal_is_rejected(tmp_path, capsys):
 
 def test_linalg_error_is_numerical_exit_code(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "svd", fail)
+    # The positivity check of the steady state (linalg.psd_eigh) calls eigh.
+    monkeypatch.setattr(np.linalg, "eigh", fail)
     assert main(["steady", "--model", qubit_model_file(tmp_path, n=1.0)]) == 3
     assert "numerical error" in capsys.readouterr().err
+
+
+def test_only_steady_loads_scipy_sparse(tmp_path):
+    model = qubit_model_file(tmp_path, n=0.5)
+    script = f"""
+import sys
+from gaussbath.cli import main
+assert main(["generator", "--model", {model!r}, "--out", {str(tmp_path / "g.json")!r}]) == 0
+assert main(["oracle", "--model", {model!r}, "--t-final", "0.2", "--dt-list", "0.1,0.05",
+             "--cutoff", "3", "--out", {str(tmp_path / "o.csv")!r}]) == 0
+assert "scipy.sparse" not in sys.modules, "generator or oracle loaded scipy.sparse"
+assert main(["steady", "--model", {model!r}, "--out", {str(tmp_path / "s.json")!r}]) == 0
+assert "scipy.sparse" in sys.modules
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("argv, name", [

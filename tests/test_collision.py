@@ -12,7 +12,6 @@ from helpers import (
 
 from gaussbath import collision
 from gaussbath.collision import (
-    MAX_STEP_DIM,
     CollisionConfig,
     _step_channel,
     convergence_study,
@@ -24,7 +23,7 @@ from gaussbath.collision import (
 from gaussbath.doubling import mode_annihilators
 from gaussbath.errors import DimensionError, DomainError, TruncationWarning
 from gaussbath.lindblad import SystemModel, evolve
-from gaussbath.linalg import adjoint, is_unitary, partial_trace
+from gaussbath.linalg import MAX_DENSE_DIM, adjoint, is_unitary, partial_trace
 from gaussbath.noise import NoiseParams
 
 
@@ -53,12 +52,12 @@ def test_config_validation():
         CollisionConfig(model=shifted, dt=0.1, steps=10, cutoff=3)
     # Only values over the budget: the check runs before anything that size is allocated.
     for d, cutoff in ((2, 33), (8, 17)):
-        assert d * cutoff**2 > MAX_STEP_DIM
+        assert d * cutoff**2 > MAX_DENSE_DIM
         big = SystemModel(C=np.eye(d, k=1), F=np.zeros((d, d)), noise=NoiseParams(gamma=1.0))
         with pytest.raises(DomainError, match=f"cutoff {cutoff} at d = {d}"):
             CollisionConfig(model=big, dt=0.1, steps=1, cutoff=cutoff)
     # The stored trajectory, (steps + 1) d x d states, has the same budget.
-    limit = MAX_STEP_DIM**2 // 4 - 1
+    limit = MAX_DENSE_DIM**2 // 4 - 1
     assert CollisionConfig(model=model, dt=1e-6, steps=limit, cutoff=3).steps == limit
     with pytest.raises(DomainError, match=r"dt = 1e-06 \(t_final = "):
         CollisionConfig(model=model, dt=1e-6, steps=limit + 1, cutoff=3)

@@ -3,6 +3,7 @@ import pytest
 from helpers import (
     SIGMA_MINUS,
     ZERO2,
+    dense_steady_state,
     ito_heisenberg,
     ladder,
     random_complex,
@@ -21,11 +22,14 @@ from gaussbath.errors import (
     DomainError,
 )
 from gaussbath.linalg import (
+    MAX_DENSE_DIM,
     adjoint,
     choi_matrix,
     devectorize,
     mat_exp,
     operator_norm,
+    sandwich,
+    sandwich_triplets,
     vectorize,
 )
 from gaussbath.lindblad import (
@@ -231,6 +235,67 @@ def test_heisenberg_generator_matches_ito_closure(rng):
         )
         worst = max(worst, np.abs(heisenberg_generator(model) - ito_heisenberg(model)).max())
     assert worst <= 1e-12
+
+
+@st.composite
+def generated_forms(draw):
+    """A Kossakowski form with nonzero sigma, alpha and m, random F and a C with zeros.
+
+    Returns the form and whether C is complex.
+    """
+    d = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    complex_c = draw(st.booleans())
+    c = random_complex(rng, (d, d)) if complex_c else rng.standard_normal((d, d))
+    c *= rng.uniform(size=(d, d)) < draw(st.floats(0.2, 1.0))
+    n = draw(st.floats(0.01, 2.0))
+    m = draw(st.floats(0.01, 1.0)) * np.sqrt(n * (n + 1.0)) * np.exp(1j * draw(st.floats(0.0, 6.3)))
+    noise = NoiseParams(
+        gamma=draw(st.floats(0.1, 3.0)),
+        sigma=draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.1, 2.0)),
+        n=n,
+        m=m,
+        alpha=complex(draw(st.floats(0.1, 1.0)), draw(st.floats(-1.0, 1.0))),
+    )
+    model = SystemModel(C=c, F=random_hermitian(rng, d), noise=noise)
+    return gks_decompose(model), complex_c
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(generated=generated_forms())
+def test_triplet_scatter_equals_kron_sum(generated):
+    form, complex_c = generated
+    # The sum heisenberg_matrix formed before it scattered triplets: six
+    # np.kron sandwiches added in the same order.
+    g = form.effective_G()
+    eye = np.eye(g.shape[0])
+    want = sandwich(eye, -g)
+    want += sandwich(-adjoint(g), eye)
+    for j, vj in enumerate(form.jumps):
+        for k, vk in enumerate(form.jumps):
+            want += sandwich(form.kossakowski[j, k] * adjoint(vj), vk)
+    got = form.heisenberg_matrix()
+    err = np.abs(got - want).max()
+    if complex_c:
+        # numpy rounds a complex-by-complex product by a kernel (fused or
+        # not) chosen from the operand layout, so a C+ ... C product may
+        # differ from np.kron's in its last bit.
+        assert err <= 4 * np.finfo(float).eps * np.abs(want).max()
+    else:
+        # Every product has a real factor, so it is rounded once either way:
+        # equal as floats, only the sign of a zero may differ.
+        assert err == 0.0
+        assert np.array_equal(got, want)
+
+
+def test_sandwich_triplets_match_kron(rng):
+    a = random_complex(rng, (3, 4)) * (rng.uniform(size=(3, 4)) < 0.5)
+    b = random_complex(rng, (2, 5)) * (rng.uniform(size=(2, 5)) < 0.5)
+    rows, cols, values = sandwich_triplets(a, b)
+    dense = np.zeros((15, 8), dtype=complex)
+    dense[rows, cols] = values
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size
+    assert np.array_equal(dense, sandwich(a, b))
 
 
 def test_gks_unphysical_pair_correlation_flags_negative():
@@ -448,3 +513,82 @@ def test_answers_do_not_depend_on_the_unit_of_time(model_at, log_lam):
     np.testing.assert_allclose(steady_state(scaled), steady_state(unit), rtol=0, atol=1e-10)
     # Every generated bath is physical, the boundary included: CP at every scale.
     assert gks_decompose(unit).is_cp() and gks_decompose(scaled).is_cp()
+
+
+# ---------------------------------------------------------------- sparse steady state
+
+def steady_models():
+    """Thermal, squeezed (the boundary |m|^2 = n(n+1) included), displaced and random-F models."""
+    rng = np.random.default_rng(20261018)
+    number = lambda d: np.diag(np.arange(d)).astype(complex)  # noqa: E731
+    boundary = np.sqrt(0.8 * 1.8) * np.exp(0.4j)
+    return [
+        SystemModel(C=ladder(24), F=number(24), noise=NoiseParams(gamma=1.0, n=0.7)),
+        SystemModel(C=ladder(16), F=number(16),
+                    noise=NoiseParams(gamma=1.3, n=0.6, m=0.5 * np.sqrt(0.96) * np.exp(2j))),
+        SystemModel(C=ladder(12), F=np.zeros((12, 12)),
+                    noise=NoiseParams(gamma=1.0, n=0.8, m=boundary)),
+        SystemModel(C=ladder(24), F=number(24),
+                    noise=NoiseParams(gamma=1.0, sigma=0.3, n=0.2, m=0.1j, alpha=0.4 - 0.2j)),
+        SystemModel(C=ladder(10), F=random_hermitian(rng, 10),
+                    noise=NoiseParams(gamma=0.8, n=0.4, m=0.2 - 0.1j, alpha=0.3)),
+        random_model(rng, 6),
+        damped_qubit(gamma=1.0, n=1.0, m=np.sqrt(2.0)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(steady_models())))
+def test_steady_state_matches_dense_oracle(case):
+    model = steady_models()[case]
+    np.testing.assert_allclose(steady_state(model), dense_steady_state(model), rtol=0, atol=1e-10)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(model_at=damped_models())
+def test_steady_state_matches_dense_oracle_on_generated_models(model_at):
+    model = model_at(1.0)
+    np.testing.assert_allclose(steady_state(model), dense_steady_state(model), rtol=0, atol=1e-10)
+
+
+def linked_blocks(eps, link):
+    """Two damped two-level blocks, {0, 1} and {2, 3}, linked by eps through C or through F."""
+    c = np.zeros((4, 4), dtype=complex)
+    c[0, 1] = c[2, 3] = 1.0
+    f = np.zeros((4, 4), dtype=complex)
+    if link == "C":
+        c[1, 2] = eps
+    else:
+        f[1, 2] = f[2, 1] = eps
+    return SystemModel(C=c, F=f, noise=NoiseParams(gamma=1.0, n=0.5))
+
+
+@pytest.mark.parametrize("link", ["C", "F"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-5, 1e-7, 1e-9])
+def test_nearly_decoupled_blocks_get_the_oracle_verdict(eps, link):
+    model = linked_blocks(eps, link)
+    try:
+        want = dense_steady_state(model)
+    except DegenerateKernelError as exc:
+        with pytest.raises(DegenerateKernelError) as info:
+            steady_state(model)
+        assert info.value.kernel_dim == exc.kernel_dim
+    else:
+        np.testing.assert_allclose(steady_state(model), want, rtol=0, atol=1e-10)
+
+
+def test_degenerate_kernel_beyond_the_dense_budget_is_not_counted():
+    d = 46  # d^2 = 2116 > MAX_DENSE_DIM
+    assert d * d > MAX_DENSE_DIM
+    model = SystemModel(C=np.zeros((d, d)), F=np.zeros((d, d)), noise=NoiseParams(gamma=1.0))
+    with pytest.raises(DegenerateKernelError, match="condition estimate inf") as info:
+        steady_state(model)
+    assert info.value.kernel_dim is None
+
+
+def test_steady_state_of_a_large_squeezed_oscillator():
+    d, n = 64, 0.5
+    m = 0.5 * np.sqrt(n * (n + 1.0)) * np.exp(1.1j)
+    a = ladder(d)
+    rho = steady_state(SystemModel(C=a, F=np.zeros((d, d)), noise=NoiseParams(gamma=1.0, n=n, m=m)))
+    assert abs(np.trace(adjoint(a) @ a @ rho) - n) <= 1e-8
+    assert abs(abs(np.trace(a @ a @ rho)) - abs(m)) <= 1e-8
