@@ -265,8 +265,7 @@ def generated_forms(draw):
 @given(generated=generated_forms())
 def test_triplet_scatter_equals_kron_sum(generated):
     form, complex_c = generated
-    # The sum heisenberg_matrix formed before it scattered triplets: six
-    # np.kron sandwiches added in the same order.
+    # The six sandwiches as np.kron arrays, added in heisenberg_matrix's order.
     g = form.effective_G()
     eye = np.eye(g.shape[0])
     want = sandwich(eye, -g)
