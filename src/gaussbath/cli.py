@@ -42,7 +42,7 @@ from .lindblad import (
     SystemModel,
     evolve,
     gks_decompose,
-    schrodinger_liouvillian,
+    require_storable_trajectory,
     steady_state,
 )
 from .linalg import DEFAULT_TOL, adjoint, vectorize
@@ -263,6 +263,7 @@ def cmd_evolve(args) -> int:
         raise FormatError("--t-final must be positive and finite")
     if args.points < 2:
         raise FormatError("--points must be at least 2")
+    require_storable_trajectory(args.points, model.dim, f"--points {args.points}")
     grid = np.linspace(0.0, args.t_final, args.points)
     states = evolve(model, rho0, grid, method=args.method)
     d = model.dim
@@ -285,7 +286,7 @@ def cmd_evolve(args) -> int:
 def cmd_steady(args) -> int:
     model = model_from_dict(load_model_dict(args.model))
     rho = steady_state(model)
-    liouv = schrodinger_liouvillian(model)
+    liouv = gks_decompose(model).schrodinger_sparse()
     report = {
         "dim": model.dim,
         "rho": rho,

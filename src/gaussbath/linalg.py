@@ -216,7 +216,9 @@ def choi_matrix(s: np.ndarray) -> np.ndarray:
 def propagate(rho0: np.ndarray, maps: list) -> np.ndarray:
     """States rho0, S1 rho0, S2 S1 rho0, ... under a list of superoperators.
 
-    Every trajectory runs through this loop; list a repeated step again.
+    The dense trajectories run through this loop: evolve's RK4 and its
+    expm up to lindblad.DENSE_EXPM_MAX_DIM, and the collision chain.
+    List a repeated step again.
     """
     rho0 = require_square(rho0, "initial state")
     d = rho0.shape[0]

@@ -20,12 +20,16 @@ nonzeros of L rather than its d^4 entries.  heisenberg_matrix scatters
 them into a dense array for the dense callers (generator, evolve, the
 collision reference).  The Schrodinger generator is the Hilbert-Schmidt
 adjoint L' = L+, so tr(L(X) rho) = tr(X L'(rho)) holds by construction.
-steady_state hands the same triplets, conjugate-transposed, to a sparse
-LU solve of L' with its row 0 replaced by the scaled trace functional,
-certified by a condition estimate; the dense SVD of L' decides only when
-that certificate fails.  The independent evidence for L is the
-Ito-closure test, which rebuilds L(X) column by column as the dt part of
-dU+ X + X dU + dU+ X dU from the Gaussian Ito table in noise.
+GKSForm.schrodinger_sparse is the one sparse L': the same triplets,
+conjugate-transposed.  steady_state solves it by a sparse LU with its
+row 0 replaced by the scaled trace functional, certified by a condition
+estimate; the dense SVD of L' decides only when that certificate fails.
+evolve's "expm" keeps the dense exp(dt L') up to d^2 = DENSE_EXPM_MAX_DIM
+and above it applies the exponential to the state through the sparse L'
+(expm_multiply), one call per run of equal spacings.  The independent
+evidence for L is the Ito-closure test, which rebuilds L(X) column by
+column as the dt part of dU+ X + X dU + dU+ X dU from the Gaussian Ito
+table in noise.
 All superoperators act on column-stacked operators (see linalg).
 """
 
@@ -57,6 +61,7 @@ from .linalg import (
     require_square,
     sandwich,
     sandwich_triplets,
+    vectorize,
 )
 from .noise import NoiseParams
 
@@ -69,11 +74,16 @@ __all__ = [
     "extract_commutator_hamiltonian",
     "gks_decompose",
     "heisenberg_generator",
+    "require_storable_trajectory",
     "schrodinger_liouvillian",
     "steady_state",
     "validate_density_matrix",
 ]
 
+
+# Largest d^2 at which evolve's "expm" builds the dense d^2 x d^2 map; above
+# it, the sparse action of the exponential.  Measured crossover: see evolve.
+DENSE_EXPM_MAX_DIM = 324
 
 # Relative singular-value threshold for the Liouvillian kernel in steady_state;
 # its inverse bounds the condition estimate of the sparse solve.
@@ -219,6 +229,21 @@ class GKSForm:
         _require_finite_generator(out)
         return out
 
+    def schrodinger_sparse(self):
+        """L' = L+ as a scipy.sparse CSC array: the triplets conjugate-transposed, summed.
+
+        A generator beyond the double range raises OverflowError.
+        """
+        # Imported here: generator and oracle never load scipy.sparse.
+        import scipy.sparse
+
+        rows, cols, values = self.heisenberg_triplets()
+        dim = self.h_eff.shape[0] ** 2
+        liouv = scipy.sparse.csc_array((values.conj(), (cols, rows)), shape=(dim, dim))
+        liouv.sum_duplicates()
+        _require_finite_generator(liouv.data)
+        return liouv
+
     def kossakowski_eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.kossakowski)
 
@@ -301,24 +326,43 @@ def evolve(
 ) -> np.ndarray:
     """Propagate rho0 along the grid under exp(t L').
 
-    Each distinct spacing dt (to 12 digits relative to the largest) gets
-    one d^2 x d^2 map, built from the first spacing of its group and
-    applied in turn by linalg.propagate.  "expm" uses exp(dt L') (Pade
-    scaling and squaring).  "rk4" takes nsub equal substeps h <= min(smallest
+    Spacings equal to 12 digits relative to the largest form one group,
+    and every interval takes the first spacing of its group.  "expm"
+    has two routes, chosen by d alone.  Up to d^2 = DENSE_EXPM_MAX_DIM
+    each group gets one dense d^2 x d^2 map exp(dt L') (Pade scaling and
+    squaring), applied in turn by linalg.propagate.  Above it the dense
+    map costs O(d^6) while the sparse L' has O(d^3) nonzeros, so each
+    maximal run of consecutive intervals in one group is one call of
+    scipy's expm_multiply (Al-Mohy & Higham's action of the exponential,
+    sparse matvecs only) from the state at the run's start; a linspace
+    grid is one run.  A non-finite state raises OverflowError on either
+    route.  The threshold is the measured crossover for 101 points to
+    t = 5 on a squeezed oscillator (dense vs sparse, median ms on 2 cores):
+    d = 4 2 vs 67, d = 8 8-38 vs 59-65, d = 16 76 vs 87, d = 18 99-113
+    vs 89-109, d = 20 140-169 vs 90-115, d = 24 246 vs 140, d = 32 1311
+    vs 211.  "rk4" takes nsub equal substeps h <= min(smallest
     spacing/20, 0.01/scale), scale = gamma (2n+1+2|m|) ||C||^2 + ||F||.
     One RK4 substep of a linear equation is exactly T4(hL') = I + hL' +
     (hL')^2/2 + (hL')^3/6 + (hL')^4/24, so the map is T4(hL')^nsub by
     repeated squaring: O(d^6 log nsub) per spacing in place of 4 nsub
     O(d^4) matvecs per interval, which is less work once t_final exceeds
     about d/40 (for very short runs at large d, matvecs take fewer flops).
-    Taylor-4 substeps stay an independent check of the Pade expm.
+    Taylor-4 substeps stay an independent check of the Pade expm, so
+    "rk4" rejects d^2 beyond MAX_DENSE_DIM.  A grid whose stored states
+    would exceed MAX_DENSE_DIM^2 complex entries is rejected up front.
     """
     grid = _check_grid(grid)
     rho0 = validate_density_matrix(rho0)
-    if rho0.shape[0] != model.dim:
+    d = model.dim
+    if rho0.shape[0] != d:
         raise DimensionError("rho0 dimension does not match the model")
     if method not in ("expm", "rk4"):
         raise DomainError(f"method must be 'expm' or 'rk4', got {method!r}")
+    require_storable_trajectory(grid.size, d, f"a time grid of {grid.size} points")
+    if method == "rk4" and d * d > MAX_DENSE_DIM:
+        raise DomainError(f"method 'rk4' builds dense d^2 x d^2 maps, and d^2 = {d * d} at "
+                          f"d = {d} is beyond the dense budget {MAX_DENSE_DIM}; "
+                          f"use --method expm")
     spacings = np.diff(grid)
     if not spacings.size:
         return propagate(rho0, [])
@@ -327,6 +371,8 @@ def evolve(
     _, first, group = np.unique(
         np.round(spacings / spacings.max(), 12), return_index=True, return_inverse=True
     )
+    if method == "expm" and d * d > DENSE_EXPM_MAX_DIM:
+        return _krylov_trajectory(gks_decompose(model), rho0, spacings[first], group)
     liouv = schrodinger_liouvillian(model)
     if method == "expm":
         group_maps = [mat_exp(dt * liouv) for dt in spacings[first]]
@@ -337,6 +383,44 @@ def evolve(
             nsub = max(1, ceil(dt / rk4_step))
             group_maps.append(np.linalg.matrix_power(_taylor4((dt / nsub) * liouv), nsub))
     return propagate(rho0, [group_maps[k] for k in group])
+
+
+def require_storable_trajectory(points: int, d: int, what: str) -> None:
+    """DomainError naming what when points d x d states exceed MAX_DENSE_DIM^2 entries."""
+    if points * d * d > MAX_DENSE_DIM**2:
+        raise DomainError(f"{what} at d = {d} breaks points * d^2 <= {MAX_DENSE_DIM**2}, "
+                          f"the budget for a stored trajectory")
+
+
+def _krylov_trajectory(form: GKSForm, rho0: np.ndarray, group_dt: np.ndarray,
+                       group: np.ndarray) -> np.ndarray:
+    """States along the grid by one expm_multiply per run of intervals in one group."""
+    # Imported here: generator and oracle never load scipy.sparse.
+    import scipy.sparse.linalg
+
+    liouv = form.schrodinger_sparse().tocsr()  # row-wise matvecs: same sums, fewer misses
+    d = rho0.shape[0]
+    vecs = np.empty((group.size + 1, d * d), dtype=complex)
+    vecs[0] = vectorize(rho0)
+    edges = [0, *(np.flatnonzero(np.diff(group)) + 1), group.size]
+    # expm_multiply's norm estimates draw sign vectors from numpy's global
+    # generator: a fixed seed makes the answer reproducible, and the caller's
+    # stream is put back.
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                run = scipy.sparse.linalg.expm_multiply(
+                    liouv, vecs[lo], start=0.0, stop=(hi - lo) * group_dt[group[lo]],
+                    num=hi - lo + 1, endpoint=True,
+                )
+            vecs[lo + 1:hi + 1] = run[1:]
+    finally:
+        np.random.set_state(state)
+    if not np.all(np.isfinite(vecs)):
+        raise OverflowError("expm_multiply overflow: the trajectory is not finite")
+    return vecs.reshape(-1, d, d).transpose(0, 2, 1)
 
 
 def steady_state(model: SystemModel) -> np.ndarray:
@@ -356,14 +440,11 @@ def steady_state(model: SystemModel) -> np.ndarray:
     with kernel_dim None.  The result is Hermitian-projected,
     trace-normalized and checked positive.
     """
-    # Imported here: the other commands never load scipy.sparse.
     import scipy.sparse
     import scipy.sparse.linalg
 
     d = model.dim
-    rows, cols, values = gks_decompose(model).heisenberg_triplets()
-    liouv = scipy.sparse.csc_array((values.conj(), (cols, rows)), shape=(d * d, d * d))
-    _require_finite_generator(liouv.data)
+    liouv = gks_decompose(model).schrodinger_sparse()
     scale = scipy.sparse.linalg.norm(liouv, 1)
     liouv.data[liouv.indices == 0] = 0.0  # row 0 gives way to the trace row
     trace_row = scipy.sparse.csc_array(

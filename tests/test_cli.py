@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gaussbath import cli, collision
+from gaussbath import cli, collision, lindblad
 from gaussbath.cli import _pairs_json, _report_json, main
 from gaussbath.linalg import vectorize
 from gaussbath.lindblad import SystemModel, schrodinger_liouvillian
@@ -173,6 +173,30 @@ def test_evolve_rejects_bad_initial_state(tmp_path, capsys):
     code = main(["evolve", "--model", model, "--rho0", rho0, "--t-final", "1.0"])
     assert code == 2
     assert "trace" in capsys.readouterr().err
+
+
+def test_evolve_rejects_a_trajectory_it_cannot_store(tmp_path, capsys):
+    rho0 = write_json(tmp_path / "rho0.json", {"rho": [[[1.0, 0.0], [0.0, 0.0]], Z2[0]]})
+    code = main(["evolve", "--model", qubit_model_file(tmp_path), "--rho0", rho0,
+                 "--t-final", "1", "--points", str(10**10)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--points 10000000000 at d = 2" in err and "4194304" in err
+
+
+def test_rk4_rejects_a_dimension_beyond_the_dense_budget(tmp_path, capsys):
+    d = 46  # d^2 = 2116 > MAX_DENSE_DIM
+    zeros = np.zeros((d, d, 2))
+    rho = zeros.copy()
+    rho[0, 0, 0] = 1.0
+    model = write_json(tmp_path / "m.json", {"dim": d, "gamma": 1.0, "C": zeros.tolist(),
+                                             "F": zeros.tolist()})
+    rho0 = write_json(tmp_path / "rho0.json", {"rho": rho.tolist()})
+    code = main(["evolve", "--model", model, "--rho0", rho0, "--t-final", "1",
+                 "--method", "rk4"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "d^2 = 2116" in err and "2048" in err and "--method expm" in err
 
 
 def test_steady_report(tmp_path, capsys):
@@ -343,11 +367,15 @@ OVERFLOWING = {"gamma": {"gamma": 1e300}, "sigma": {"gamma": 1.0, "sigma": 1e300
 
 
 @pytest.mark.parametrize("model", sorted(OVERFLOWING))
-@pytest.mark.parametrize("command", ["generator", "steady", "evolve"])
-def test_overflowing_generator_is_numerical_exit_code(tmp_path, capsys, command, model):
+@pytest.mark.parametrize("command", ["generator", "steady", "evolve", "evolve-krylov"])
+def test_overflowing_generator_is_numerical_exit_code(tmp_path, capsys, monkeypatch, command,
+                                                      model):
     c = [[[0.0, 0.0], [0.0, 0.0]], [[1e10, 0.0], [0.0, 0.0]]]
     f = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     path = qubit_model_file(tmp_path, C=c, F=f, **OVERFLOWING[model])
+    if command == "evolve-krylov":  # the sparse route of evolve --method expm
+        monkeypatch.setattr(lindblad, "DENSE_EXPM_MAX_DIM", 0)
+        command = "evolve"
     argv = [command, "--model", path]
     if command == "evolve":
         rho0 = write_json(tmp_path / "rho0.json", {"rho": [[[1.0, 0.0], [0.0, 0.0]], Z2[0]]})

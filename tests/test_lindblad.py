@@ -1,3 +1,6 @@
+from math import isqrt
+from unittest import mock
+
 import numpy as np
 import pytest
 from helpers import (
@@ -274,6 +277,9 @@ def test_triplet_scatter_equals_kron_sum(generated):
         for k, vk in enumerate(form.jumps):
             want += sandwich(form.kossakowski[j, k] * adjoint(vj), vk)
     got = form.heisenberg_matrix()
+    # The sparse L' sums the same triplets, in an order its index sort picks.
+    sparse_err = np.abs(form.schrodinger_sparse().toarray() - adjoint(got)).max()
+    assert sparse_err <= 4 * np.finfo(float).eps * np.abs(want).max()
     err = np.abs(got - want).max()
     if complex_c:
         # numpy rounds a complex-by-complex product by a kernel (fused or
@@ -405,6 +411,13 @@ def test_evolve_input_checks(rng):
         evolve(model, np.eye(3) / 3.0, np.array([0.0, 1.0]))
     with pytest.raises(DomainError):
         evolve(model, np.diag([0.9, 0.3]), np.array([0.0, 1.0]))
+    # points * d^2 <= MAX_DENSE_DIM^2 bounds the stored trajectory.
+    with pytest.raises(DomainError, match="1048577 points at d = 2 breaks"):
+        evolve(model, rho0, np.linspace(0.0, 1.0, MAX_DENSE_DIM**2 // 4 + 1))
+    d = 46  # d^2 = 2116: RK4's dense maps are beyond MAX_DENSE_DIM
+    big = SystemModel(C=ladder(d), F=np.zeros((d, d)), noise=NoiseParams(gamma=1.0))
+    with pytest.raises(DomainError, match="dense budget 2048; use --method expm"):
+        evolve(big, np.eye(d) / d, np.array([0.0, 1.0]), method="rk4")
 
 
 def test_evolve_trivial_grid():
@@ -437,6 +450,120 @@ def test_evolve_builds_one_map_per_distinct_spacing(rng, monkeypatch):
         for dt in np.diff(grid):
             per_interval.append(devectorize(mat_exp(dt * liouv) @ vectorize(per_interval[-1]), 3))
         assert np.max(np.abs(got - np.array(per_interval))) <= 1e-12
+
+
+# ---------------------------------------------------------------- Krylov route
+
+def number(d):
+    return np.diag(np.arange(d)).astype(complex)
+
+
+TRAJECTORY_KINDS = ("thermal", "squeezed", "boundary", "displaced", "random F", "random C")
+
+
+@st.composite
+def trajectory_cases(draw, kind):
+    """(model, rho0, grid) at d <= 24 for the Krylov pin.
+
+    kind is one of TRAJECTORY_KINDS; "boundary" puts m on |m|^2 = n(n+1).
+    The grid is a linspace, or runs of two spacings a, b, a, so that the
+    spacing a recurs after the b run.
+    """
+    d = draw(st.integers(2, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c, f = ladder(d), number(d)
+    n, m, sigma, alpha = draw(st.floats(0.0, 1.5)), 0.0, 0.0, 0.0
+    if kind in ("squeezed", "boundary", "random F", "random C"):
+        fill = 1.0 if kind == "boundary" else draw(st.floats(0.0, 1.0))
+        m = fill * np.sqrt(n * (n + 1.0)) * np.exp(1j * draw(st.floats(0.0, 6.3)))
+    if kind == "displaced":
+        sigma = draw(st.floats(-1.0, 1.0))
+        alpha = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    if kind == "random F":
+        f = random_hermitian(rng, d)
+    if kind == "random C":
+        c = random_complex(rng, (d, d)) / np.sqrt(d)
+    noise = NoiseParams(gamma=draw(st.floats(0.3, 2.0)), sigma=sigma, n=n, m=m, alpha=alpha)
+    t_final = draw(st.floats(0.1, 3.0))
+    if draw(st.booleans()):
+        grid = np.linspace(0.0, t_final, draw(st.integers(2, 41)))
+    else:
+        a, b = t_final / 20.0, t_final / draw(st.sampled_from([7.0, 33.0]))
+        runs = [a] * draw(st.integers(1, 10)) + [b] * draw(st.integers(1, 10))
+        runs += [a] * draw(st.integers(0, 10))
+        grid = np.concatenate([[0.0], np.cumsum(runs)])
+    return SystemModel(C=c, F=f, noise=noise), random_density(rng, d), grid
+
+
+def evolve_on_route(route, *args, **kwargs):
+    """evolve with the dense/Krylov threshold moved so that "expm" takes route."""
+    with mock.patch.object(lindblad, "DENSE_EXPM_MAX_DIM", 0 if route == "krylov" else 10**9):
+        return evolve(*args, **kwargs)
+
+
+@pytest.mark.parametrize("kind", TRAJECTORY_KINDS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=6)
+@given(data=st.data())
+def test_krylov_route_matches_dense_expm(kind, data):
+    model, rho0, grid = data.draw(trajectory_cases(kind))
+    dense = evolve_on_route("dense", model, rho0, grid)
+    krylov = evolve_on_route("krylov", model, rho0, grid)
+    assert krylov.shape == dense.shape
+    assert np.max(np.abs(krylov - dense)) <= 1e-12
+
+
+def test_krylov_route_calls_expm_multiply_once_per_run(rng, monkeypatch):
+    import scipy.sparse.linalg
+
+    calls = []
+    expm_multiply = scipy.sparse.linalg.expm_multiply
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["num"])
+        return expm_multiply(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", counting)
+    model, rho0 = random_model(rng, 3), random_density(rng, 3)
+    a, b = 0.1, 0.25
+    for grid, nums in (
+        (np.linspace(0.0, 5.0, 101), [101]),  # spacings differ in the last bits only
+        (np.array([0.0, 1e-13, 3e-13]), [2, 2]),  # a tiny grid: two runs, not one at 0
+        (np.cumsum([0.0, a, a, b, b, b, a]), [3, 4, 2]),
+    ):
+        calls.clear()
+        evolve_on_route("krylov", model, rho0, grid)
+        assert calls == nums
+
+
+def test_evolve_above_the_threshold_never_builds_a_dense_map(monkeypatch):
+    def fail(*args):
+        raise AssertionError("dense route taken")
+
+    d = isqrt(lindblad.DENSE_EXPM_MAX_DIM) + 1
+    model = SystemModel(C=ladder(d), F=number(d), noise=NoiseParams(gamma=0.7))
+    rho0 = np.zeros((d, d), dtype=complex)
+    rho0[1, 1] = 1.0
+    grid = np.linspace(0.0, 2.0, 11)
+    monkeypatch.setattr(lindblad, "schrodinger_liouvillian", fail)
+    monkeypatch.setattr(lindblad, "mat_exp", fail)
+    _, keys, pos, *_ = np.random.get_state()
+    states = evolve(model, rho0, grid)
+    # expm_multiply's norm estimates leave numpy's global stream where it was.
+    _, keys_after, pos_after, *_ = np.random.get_state()
+    assert np.array_equal(keys_after, keys) and pos_after == pos
+    # One quantum in a vacuum bath decays at rate gamma.
+    np.testing.assert_allclose(states[:, 1, 1].real, np.exp(-0.7 * grid), rtol=0, atol=1e-12)
+    with pytest.raises(AssertionError, match="dense route"):
+        evolve(SystemModel(C=ladder(d - 1), F=number(d - 1), noise=model.noise),
+               rho0[:-1, :-1], grid)
+
+
+@pytest.mark.parametrize("route", ["dense", "krylov"])
+def test_a_trajectory_beyond_the_double_range_overflows(route):
+    # |m| far beyond sqrt(n(n+1)): the coherences of an unphysical bath grow.
+    model = damped_qubit(gamma=1.0, n=0.0, m=5.0)
+    with pytest.raises(OverflowError, match="not finite"):
+        evolve_on_route(route, model, np.full((2, 2), 0.5, dtype=complex), np.array([0.0, 400.0]))
 
 
 def test_dynamics_stay_completely_positive(rng):
