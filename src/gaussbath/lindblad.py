@@ -426,12 +426,12 @@ def _krylov_trajectory(form: GKSForm, rho0: np.ndarray, group_dt: np.ndarray,
 def steady_state(model: SystemModel) -> np.ndarray:
     """Stationary density matrix: the Liouvillian kernel by one sparse LU solve.
 
-    L' is the Heisenberg triplets conjugate-transposed, assembled as a
-    sparse CSC matrix.  Its row 0, the (0, 0) diagonal equation, depends
-    on the others because L' preserves trace, so A is L' with row 0
-    replaced by s vec(I)+, s = ||L'||_1; then A vec(rho) = s e_0 holds the
-    stationarity and tr rho = 1, and the scale s keeps both the answer and
-    the certificate unchanged by the unit of time.  The certificate is the
+    L' is the sparse CSC matrix of GKSForm.schrodinger_sparse.  Its row
+    0, the (0, 0) diagonal equation, depends on the others because L'
+    preserves trace, so A is L' with row 0 replaced by s vec(I)+,
+    s = ||L'||_1; then A vec(rho) = s e_0 holds the stationarity and
+    tr rho = 1, and the scale s keeps both the answer and the certificate
+    unchanged by the unit of time.  The certificate is the
     condition estimate kappa = ||A||_1 onenormest(A^-1).  When the LU
     finds A singular or kappa >= 1/RANK_RTOL, the dense SVD of L' decides
     (_dense_kernel_vector): it counts the kernel and raises
