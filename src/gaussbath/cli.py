@@ -38,14 +38,8 @@ import numpy as np
 from .collision import convergence_study
 from .doubling import scalar_split, split_residuals
 from .errors import FormatError, GaussBathError
-from .lindblad import (
-    SystemModel,
-    evolve,
-    gks_decompose,
-    require_storable_trajectory,
-    steady_state,
-)
-from .linalg import DEFAULT_TOL, adjoint, vectorize
+from .lindblad import SystemModel, evolve, gks_decompose, steady_state
+from .linalg import DEFAULT_TOL, adjoint, require_dense, vectorize
 from .noise import BLOCK_KEYS, NoiseParams, unitarity_defect
 from .wick import NORMAL_ORDERED, TIME_ORDERED, ItoCoefficients, normal_to_time, time_to_normal
 
@@ -263,10 +257,10 @@ def cmd_evolve(args) -> int:
         raise FormatError("--t-final must be positive and finite")
     if args.points < 2:
         raise FormatError("--points must be at least 2")
-    require_storable_trajectory(args.points, model.dim, f"--points {args.points}")
+    d = model.dim
+    require_dense(args.points * d * d, f"--points {args.points} at d = {d}", "points * d^2")
     grid = np.linspace(0.0, args.t_final, args.points)
     states = evolve(model, rho0, grid, method=args.method)
-    d = model.dim
     header = ["t"] + [f"rho_{i}_{j}_{part}" for j in range(d) for i in range(d)
                       for part in ("re", "im")]
     header += [f"pop_{k}" for k in range(d)] + ["purity"]

@@ -34,7 +34,7 @@ import numpy as np
 from .doubling import SplitCoefficients, represent_annihilator, scalar_split
 from .errors import DimensionError, DomainError, TruncationWarning
 from .lindblad import SystemModel, evolve, validate_density_matrix
-from .linalg import MAX_DENSE_DIM, adjoint, mat_exp, negligible, propagate, require_square
+from .linalg import adjoint, mat_exp, negligible, propagate, require_dense, require_square
 from .noise import require_finite
 
 __all__ = [
@@ -72,16 +72,14 @@ class CollisionConfig:
             raise DomainError(f"cutoff must be at least 2, got {self.cutoff}")
         if (noise.n > 0 or noise.m != 0) and self.cutoff < 3:
             raise DomainError("cutoff must be at least 3 for a non-vacuum bath")
-        # The step space d * cutoff^2 (system times ancilla pair) holds the
-        # dense step Hamiltonian and unitary.
-        if self.model.dim * self.cutoff**2 > MAX_DENSE_DIM:
-            raise DomainError(f"cutoff {self.cutoff} at d = {self.model.dim} breaks "
-                              f"d * cutoff^2 <= {MAX_DENSE_DIM}")
-        # The stored trajectory gets the same 64 MiB budget as the step unitary.
-        if (self.steps + 1) * self.model.dim**2 > MAX_DENSE_DIM**2:
-            raise DomainError(f"{self.steps:.6g} steps of dt = {self.dt} "
-                              f"(t_final = {self.steps * self.dt:.6g}) at d = {self.model.dim} "
-                              f"break (steps + 1) * d^2 <= {MAX_DENSE_DIM**2}")
+        # The dense arrays of a run: the step Hamiltonian and unitary on system
+        # times ancilla pair, the step channel S and the stored trajectory.
+        d = self.model.dim
+        require_dense((d * self.cutoff**2) ** 2, f"cutoff {self.cutoff} at d = {d}",
+                      "(d * cutoff^2)^2")
+        require_dense(d**4, f"the step channel at d = {d}", "(d^2)^2")
+        require_dense((int(self.steps) + 1) * d**2, f"{self.steps:.6g} steps of dt = {self.dt} "
+                      f"(t_final = {self.steps * self.dt:.6g}) at d = {d}", "(steps + 1) * d^2")
         if noise.sigma != 0:
             raise DomainError(
                 "collision comparisons are defined at sigma = 0; "
@@ -186,10 +184,11 @@ def convergence_study(
 
     For each dt the collision trajectory is compared with the exact
     exp(t L') propagation on the same grid and the maximum trace
-    distance recorded.  The empirical order is the log-log slope over
-    the positive errors, None when fewer than two are positive; an error
-    rise beyond 10 percent plus 1e-12 of the unit trace (rounding) is
-    flagged as not monotone in the result, not fatal.
+    distance recorded.  The step sizes must be distinct, and t_final / dt
+    must round to at least one step.  The empirical order is the log-log
+    slope over the positive errors, None when fewer than two are positive;
+    an error rise beyond 10 percent plus 1e-12 of the unit trace (rounding)
+    is flagged as not monotone in the result, not fatal.
     """
     dts = [float(dt) for dt in dts]
     require_finite(t_final=t_final)
@@ -200,12 +199,17 @@ def convergence_study(
     dts.sort(reverse=True)
     if len(dts) < 2:
         raise DomainError("need at least two step sizes to study convergence")
+    for a, b in zip(dts, dts[1:]):
+        if a == b:  # two rows at one dt leave no slope between them
+            raise DomainError(f"dt = {a} is repeated in the step sizes")
     configs = []
     for dt in dts:
         steps = t_final / dt if dt > 0 else 1.0  # CollisionConfig rejects dt <= 0
         if not np.isfinite(steps):
             raise DomainError(f"t_final = {t_final} over dt = {dt} is not a finite step count")
-        steps = max(1, int(round(steps)))
+        steps = int(round(steps))
+        if steps == 0:
+            raise DomainError(f"t_final = {t_final} over dt = {dt} rounds to 0 steps")
         configs.append(CollisionConfig(model=model, dt=dt, steps=steps, cutoff=cutoff))
     errors = []
     for config in configs:  # every step count is checked before any chain runs

@@ -12,6 +12,10 @@ operators under this convention.  All helpers take and return plain
 The one Hermiticity check (is_hermitian) and positivity check (psd_eigh)
 allow DEFAULT_TOL times a scale the caller names: an operand's own size,
 the size of a difference's operands, or a density matrix's unit trace.
+
+require_dense is the one dense-memory budget: a dense complex array sized by
+the input, beyond the d x d operators, holds at most MAX_DENSE_DIM^2 entries
+(64 MiB); it is checked where the input enters, before the allocation.
 """
 
 from __future__ import annotations
@@ -24,8 +28,7 @@ from .errors import DimensionError, DomainError
 # Relative for is_hermitian and psd_eigh; absolute for dimensionless is_unitary.
 DEFAULT_TOL = 1e-9
 
-# Largest dimension of a dense complex matrix beyond the d x d operators
-# (a collision step space, a dense Liouvillian SVD): 64 MiB each.
+# The side of the largest dense complex matrix that require_dense admits.
 MAX_DENSE_DIM = 2048
 
 __all__ = [
@@ -44,6 +47,7 @@ __all__ = [
     "partial_trace",
     "propagate",
     "psd_eigh",
+    "require_dense",
     "require_square",
     "sandwich",
     "sandwich_triplets",
@@ -57,6 +61,13 @@ def require_square(a: np.ndarray, name: str = "operator") -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be a square matrix, got shape {a.shape}")
     return a
+
+
+def require_dense(entries: int, what: str, rule: str, hint: str = "") -> None:
+    """DomainError naming what, the size rule and hint when entries > MAX_DENSE_DIM^2."""
+    if entries > MAX_DENSE_DIM**2:
+        raise DomainError(f"{what} breaks {rule} <= {MAX_DENSE_DIM**2}, "
+                          f"the dense budget {MAX_DENSE_DIM}{hint}")
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:

@@ -58,6 +58,7 @@ from .linalg import (
     operator_norm,
     propagate,
     psd_eigh,
+    require_dense,
     require_square,
     sandwich,
     sandwich_triplets,
@@ -74,7 +75,6 @@ __all__ = [
     "extract_commutator_hamiltonian",
     "gks_decompose",
     "heisenberg_generator",
-    "require_storable_trajectory",
     "schrodinger_liouvillian",
     "steady_state",
     "validate_density_matrix",
@@ -302,7 +302,7 @@ def _check_grid(grid: np.ndarray) -> np.ndarray:
         raise DomainError("time grid must be a one-dimensional array")
     if not np.all(np.isfinite(grid)):
         raise DomainError("time grid must be finite")
-    if abs(grid[0]) > 1e-15:
+    if grid[0] != 0:
         raise DomainError("time grid must start at 0")
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
         raise DomainError("time grid must be strictly increasing")
@@ -348,8 +348,8 @@ def evolve(
     O(d^4) matvecs per interval, which is less work once t_final exceeds
     about d/40 (for very short runs at large d, matvecs take fewer flops).
     Taylor-4 substeps stay an independent check of the Pade expm, so
-    "rk4" rejects d^2 beyond MAX_DENSE_DIM.  A grid whose stored states
-    would exceed MAX_DENSE_DIM^2 complex entries is rejected up front.
+    "rk4" rejects d >= 46, and either method a grid too long to store,
+    both up front by linalg.require_dense.
     """
     grid = _check_grid(grid)
     rho0 = validate_density_matrix(rho0)
@@ -358,11 +358,11 @@ def evolve(
         raise DimensionError("rho0 dimension does not match the model")
     if method not in ("expm", "rk4"):
         raise DomainError(f"method must be 'expm' or 'rk4', got {method!r}")
-    require_storable_trajectory(grid.size, d, f"a time grid of {grid.size} points")
-    if method == "rk4" and d * d > MAX_DENSE_DIM:
-        raise DomainError(f"method 'rk4' builds dense d^2 x d^2 maps, and d^2 = {d * d} at "
-                          f"d = {d} is beyond the dense budget {MAX_DENSE_DIM}; "
-                          f"use --method expm")
+    require_dense(grid.size * d * d, f"a time grid of {grid.size} points at d = {d}",
+                  "points * d^2")
+    if method == "rk4":
+        require_dense(d**4, f"method 'rk4' at d = {d} (d^2 = {d * d})", "(d^2)^2",
+                      "; use --method expm")
     spacings = np.diff(grid)
     if not spacings.size:
         return propagate(rho0, [])
@@ -383,13 +383,6 @@ def evolve(
             nsub = max(1, ceil(dt / rk4_step))
             group_maps.append(np.linalg.matrix_power(_taylor4((dt / nsub) * liouv), nsub))
     return propagate(rho0, [group_maps[k] for k in group])
-
-
-def require_storable_trajectory(points: int, d: int, what: str) -> None:
-    """DomainError naming what when points d x d states exceed MAX_DENSE_DIM^2 entries."""
-    if points * d * d > MAX_DENSE_DIM**2:
-        raise DomainError(f"{what} at d = {d} breaks points * d^2 <= {MAX_DENSE_DIM**2}, "
-                          f"the budget for a stored trajectory")
 
 
 def _krylov_trajectory(form: GKSForm, rho0: np.ndarray, group_dt: np.ndarray,

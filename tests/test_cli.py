@@ -294,7 +294,9 @@ def test_oracle_csv_matches_csv_writer(tmp_path, capsys, monkeypatch, c):
 @pytest.mark.parametrize("t_final, dt_list, names", [
     ("1e300", "1e-300,1e-301", ["t_final = 1e+300", "dt = 1e-300", "step count"]),
     ("0.5", "1e-300,0.1", ["5e+299 steps", "dt = 1e-300", "t_final = 0.5"]),
-], ids=["ratio-overflows", "over-budget"])
+    ("0.4", "0.1,0.1", ["dt = 0.1 is repeated"]),
+    ("0.4", "1,0.5", ["t_final = 0.4", "dt = 1.0", "rounds to 0 steps"]),
+], ids=["ratio-overflows", "over-budget", "repeated-dt", "zero-steps"])
 def test_oracle_rejects_a_step_count_it_cannot_store(tmp_path, capsys, t_final, dt_list, names):
     argv = ["oracle", "--model", qubit_model_file(tmp_path), "--t-final", t_final,
             "--dt-list", dt_list, "--cutoff", "3"]

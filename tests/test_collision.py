@@ -1,3 +1,5 @@
+import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,12 +7,14 @@ import pytest
 from helpers import (
     SIGMA_MINUS,
     ZERO2,
+    ladder,
     random_complex,
     random_density,
     random_hermitian,
 )
 
 from gaussbath import collision
+from gaussbath.cli import main
 from gaussbath.collision import (
     CollisionConfig,
     _step_channel,
@@ -61,6 +65,36 @@ def test_config_validation():
     assert CollisionConfig(model=model, dt=1e-6, steps=limit, cutoff=3).steps == limit
     with pytest.raises(DomainError, match=r"dt = 1e-06 \(t_final = "):
         CollisionConfig(model=model, dt=1e-6, steps=limit + 1, cutoff=3)
+    with pytest.raises(DomainError, match="steps"):  # a numpy count must not wrap the product
+        CollisionConfig(model=model, dt=1e-6, steps=np.int64(2**62), cutoff=3)
+
+
+def test_step_channel_is_inside_the_dense_budget(tmp_path, capsys):
+    # At cutoff 3 the step space 9 d is far inside the budget; the d^2 x d^2
+    # step channel S is not, from d = 46 ((d^2)^2 = 4477456 > 2048^2).
+    def oscillator(d):
+        a = ladder(d)
+        return SystemModel(C=a, F=adjoint(a) @ a, noise=NoiseParams(gamma=1.0, n=0.5))
+
+    small, big = oscillator(45), oscillator(46)
+    tracemalloc.start()
+    try:
+        CollisionConfig(model=small, dt=0.1, steps=4, cutoff=3)
+        with pytest.raises(DomainError, match=r"the step channel at d = 46 breaks \(d\^2\)\^2"):
+            CollisionConfig(model=big, dt=0.1, steps=4, cutoff=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    path = tmp_path / "oscillator.json"
+    path.write_text(json.dumps({"dim": 46, "gamma": 1.0, "n": 0.5, **{
+        name: np.stack([a.real, a.imag], -1).tolist() for name, a in (("C", big.C), ("F", big.F))
+    }}))
+    argv = ["oracle", "--model", str(path), "--t-final", "0.4", "--dt-list", "0.1,0.05",
+            "--cutoff", "3"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "the step channel at d = 46" in err, err
 
 
 def test_increment_moments_match_ito_table():
@@ -274,7 +308,9 @@ def test_convergence_study_input_checks():
     (1e300, [1e-300, 1e-301], r"t_final = 1e\+300 over dt = 1e-300 is not a finite step count"),
     (0.5, [1e-300, 0.1], r"5e\+299 steps of dt = 1e-300 \(t_final = 0.5\)"),
     (0.5, [0.0, 0.1], "dt must be positive"),
-], ids=["ratio-overflows", "over-budget", "zero-dt"])
+    (0.4, [0.1, 0.05, 0.1], r"dt = 0\.1 is repeated"),
+    (0.4, [1.0, 0.5], r"t_final = 0\.4 over dt = 1\.0 rounds to 0 steps"),
+], ids=["ratio-overflows", "over-budget", "zero-dt", "repeated-dt", "zero-steps"])
 def test_convergence_study_checks_every_step_count_before_running(monkeypatch, t_final, dts,
                                                                    match):
     def fail(config, rho):

@@ -400,6 +400,9 @@ def test_evolve_input_checks(rng):
     rho0 = np.diag([0.5, 0.5]).astype(complex)
     with pytest.raises(DomainError):
         evolve(model, rho0, np.array([0.5, 1.0]))
+    # No absolute floor: at gamma = 1e15 (femtoseconds) 9e-16 is most of a decay time.
+    with pytest.raises(DomainError, match="time grid must start at 0"):
+        evolve(damped_qubit(gamma=1e15), rho0, np.array([9e-16, 1.8e-15]))
     with pytest.raises(DomainError):
         evolve(model, rho0, np.array([0.0, 0.5, 0.4]))
     for bad in (np.inf, np.nan):
