@@ -16,16 +16,22 @@ levels.  One collision applies
 and traces the ancillas out.  The pair starts in vacuum, so a collision
 is one channel with Kraus operators K_k = (1 (x) <k|) U (1 (x) |0>);
 S = sum_k conj(K_k) (x) K_k is built once, applied at every step by
-linalg.propagate, and preserves trace because U is unitary.  U comes
-from the increment, not from L', so the chain is independent evidence
-for L'.  Trotter error per step is O(dt^2), so the reduced dynamics
-converges to exp(t L') at first order in dt.  The comparison runs at
+linalg.propagate, and preserves trace because U is unitary.  The chain
+needs only the d columns U |j, 00>.  Up to a step space d cutoff^2 =
+DENSE_STEP_MAX_DIM they are read off the dense exp(-iH) (step_unitary);
+above it expm_multiply applies exp(-iH) to those d columns through the
+sparse H, which costs less than the dense O((d cutoff^2)^3) expm.  Both
+routes take H from one builder.  U comes from the increment, not from
+L', so the chain is independent evidence for L'.  Trotter error per step
+is O(dt^2), so the reduced dynamics converges to exp(t L') at first
+order in dt.  The comparison runs at
 sigma = 0; a sigma shift is a system Hamiltonian term and has no
 collision counterpart in this scheme.
 """
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -34,7 +40,15 @@ import numpy as np
 from .doubling import SplitCoefficients, represent_annihilator, scalar_split
 from .errors import DimensionError, DomainError, TruncationWarning
 from .lindblad import SystemModel, evolve, validate_density_matrix
-from .linalg import adjoint, mat_exp, negligible, propagate, require_dense, require_square
+from .linalg import (
+    adjoint,
+    fixed_global_seed,
+    mat_exp,
+    negligible,
+    propagate,
+    require_dense,
+    require_square,
+)
 from .noise import require_finite
 
 __all__ = [
@@ -50,6 +64,10 @@ __all__ = [
 # Ancilla boundary occupation above this level triggers a truncation warning.
 BOUNDARY_TOL = 1e-3
 
+# Largest step space d * cutoff^2 whose Kraus operators come from the dense
+# step_unitary; above it, expm_multiply.  Measured crossover: see _kraus_tensor.
+DENSE_STEP_MAX_DIM = 100
+
 
 @dataclass
 class CollisionConfig:
@@ -63,6 +81,10 @@ class CollisionConfig:
 
     def __post_init__(self):
         noise = self.model.noise
+        for name in ("steps", "cutoff"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         require_finite(dt=self.dt)
         if self.dt <= 0:
             raise DomainError(f"dt must be positive, got {self.dt}")
@@ -94,23 +116,67 @@ def increment_operator(config: CollisionConfig) -> np.ndarray:
     return amp * represent_annihilator(np.ones(1), config.split, config.cutoff)
 
 
-def step_unitary(config: CollisionConfig) -> np.ndarray:
-    """Unitary for one collision on system (x) ancilla pair.
+def _step_hamiltonian(config: CollisionConfig) -> np.ndarray:
+    """Dense Hamiltonian of one collision on system (x) ancilla pair.
 
     The displacement alpha enters as the c-number Hamiltonian term
-    conj(alpha) C + alpha C+ scaled by dt.
+    conj(alpha) C + alpha C+ scaled by dt.  A Hamiltonian beyond the
+    double range raises OverflowError.
     """
     model = config.model
     b = increment_operator(config)
     pair_dim = b.shape[0]
     alpha = model.noise.alpha
-    drift = model.F + np.conj(alpha) * model.C + alpha * adjoint(model.C)
-    h = (
-        config.dt * np.kron(drift, np.eye(pair_dim))
-        + np.kron(model.C, adjoint(b))
-        + np.kron(adjoint(model.C), b)
-    )
-    return mat_exp(-1j * h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = model.F + np.conj(alpha) * model.C + alpha * adjoint(model.C)
+        h = (
+            config.dt * np.kron(drift, np.eye(pair_dim))
+            + np.kron(model.C, adjoint(b))
+            + np.kron(adjoint(model.C), b)
+        )
+    if not np.all(np.isfinite(h)):
+        raise OverflowError("collision overflow: the step Hamiltonian is not finite")
+    return h
+
+
+def step_unitary(config: CollisionConfig) -> np.ndarray:
+    """Unitary for one collision on system (x) ancilla pair: the dense exp(-iH)."""
+    return mat_exp(-1j * _step_hamiltonian(config))
+
+
+def _kraus_tensor(config: CollisionConfig) -> np.ndarray:
+    """kraus[i, k, j] = <i, k| U |j, 0>, so that K_k = kraus[:, k, :].
+
+    Up to a step space d cutoff^2 = DENSE_STEP_MAX_DIM the d columns come
+    from the dense step_unitary, above it from expm_multiply on the sparse
+    -iH applied to the d columns |j> (x) |00>.  A non-finite tensor raises
+    OverflowError on either route.  The threshold is the measured crossover
+    of one step channel (dense vs sparse, median ms on 2 cores, oscillators
+    at dt = 0.01-0.04): d cutoff^2 = 50 1.1 vs 2.5, 72 1.8-2.4 vs 2.5-3.0,
+    100 3.3-4.5 vs 2.9-3.7, 128 5.0-6.3 vs 2.9-4.1, 200 13-17 vs 5.9,
+    256 22-23 vs 6.3-6.5, 512 137-145 vs 18-19, 576 201-217 vs 36-44.  At
+    100 the routes tie within a millisecond, and the dense one loads no
+    scipy.sparse.
+    """
+    d, pair_dim = config.model.dim, config.cutoff**2
+    if d * pair_dim <= DENSE_STEP_MAX_DIM:
+        return step_unitary(config).reshape(d, pair_dim, d, pair_dim)[:, :, :, 0]
+    # Imported here: the dense route, and so small oracle runs, never load scipy.sparse.
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    h = scipy.sparse.csr_array(-1j * _step_hamiltonian(config))
+    vacuum = np.zeros((d * pair_dim, d), dtype=complex)
+    vacuum[np.arange(d) * pair_dim, np.arange(d)] = 1.0
+    try:
+        with fixed_global_seed(), np.errstate(over="ignore", invalid="ignore"):
+            columns = scipy.sparse.linalg.expm_multiply(h, vacuum)
+        finite = np.all(np.isfinite(columns))
+    except OverflowError:  # scipy's step count from a norm beyond the double range
+        finite = False
+    if not finite:
+        raise OverflowError("expm_multiply overflow: the Kraus operators are not finite")
+    return columns.reshape(d, pair_dim, d)
 
 
 def _step_channel(config: CollisionConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -119,9 +185,7 @@ def _step_channel(config: CollisionConfig) -> tuple[np.ndarray, np.ndarray]:
     tr(E rho) is the pair population at the top Fock level of either mode.
     """
     d, cutoff = config.model.dim, config.cutoff
-    pair_dim = cutoff**2
-    # kraus[i, k, j] = <i, k| U |j, 0>: K_k = kraus[:, k, :].
-    kraus = step_unitary(config).reshape(d, pair_dim, d, pair_dim)[:, :, :, 0]
+    kraus = _kraus_tensor(config)
     # sandwich(K, K+) = kron(conj(K), K), summed over k.
     step = np.einsum("akb,ikj->aibj", kraus.conj(), kraus).reshape(d * d, d * d)
     top = np.zeros((cutoff, cutoff), dtype=bool)

@@ -20,8 +20,9 @@ the input, beyond the d x d operators, holds at most MAX_DENSE_DIM^2 entries
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, DomainError
 
@@ -37,6 +38,7 @@ __all__ = [
     "adjoint",
     "choi_matrix",
     "devectorize",
+    "fixed_global_seed",
     "is_hermitian",
     "is_psd",
     "is_unitary",
@@ -133,6 +135,9 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
 
     Non-finite entries raise DomainError, a non-finite result OverflowError.
     """
+    # Imported here: generator, convert and split never load scipy.
+    import scipy.linalg
+
     a = require_square(a, "mat_exp argument")
     if not np.all(np.isfinite(a)):
         raise DomainError("mat_exp argument contains non-finite entries")
@@ -141,6 +146,21 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise OverflowError("mat_exp overflow: result is not finite")
     return out
+
+
+@contextmanager
+def fixed_global_seed():
+    """Seed numpy's global generator with 0 for the block, then put the caller's stream back.
+
+    scipy's expm_multiply draws the sign vectors of its norm estimates from
+    that generator, so a fixed seed makes its answer reproducible.
+    """
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        yield
+    finally:
+        np.random.set_state(state)
 
 
 def mat_sqrt_psd(a: np.ndarray, scale: float | None = None) -> np.ndarray:

@@ -51,6 +51,7 @@ from .linalg import (
     MAX_DENSE_DIM,
     adjoint,
     devectorize,
+    fixed_global_seed,
     is_hermitian,
     is_psd,
     mat_exp,
@@ -234,7 +235,8 @@ class GKSForm:
 
         A generator beyond the double range raises OverflowError.
         """
-        # Imported here: generator and oracle never load scipy.sparse.
+        # Imported here: generator, and oracle up to collision.DENSE_STEP_MAX_DIM,
+        # never load scipy.sparse.
         import scipy.sparse
 
         rows, cols, values = self.heisenberg_triplets()
@@ -388,7 +390,8 @@ def evolve(
 def _krylov_trajectory(form: GKSForm, rho0: np.ndarray, group_dt: np.ndarray,
                        group: np.ndarray) -> np.ndarray:
     """States along the grid by one expm_multiply per run of intervals in one group."""
-    # Imported here: generator and oracle never load scipy.sparse.
+    # Imported here: generator, and oracle up to collision.DENSE_STEP_MAX_DIM,
+    # never load scipy.sparse.
     import scipy.sparse.linalg
 
     liouv = form.schrodinger_sparse().tocsr()  # row-wise matvecs: same sums, fewer misses
@@ -396,12 +399,7 @@ def _krylov_trajectory(form: GKSForm, rho0: np.ndarray, group_dt: np.ndarray,
     vecs = np.empty((group.size + 1, d * d), dtype=complex)
     vecs[0] = vectorize(rho0)
     edges = [0, *(np.flatnonzero(np.diff(group)) + 1), group.size]
-    # expm_multiply's norm estimates draw sign vectors from numpy's global
-    # generator: a fixed seed makes the answer reproducible, and the caller's
-    # stream is put back.
-    state = np.random.get_state()
-    np.random.seed(0)
-    try:
+    with fixed_global_seed():
         for lo, hi in zip(edges[:-1], edges[1:]):
             with np.errstate(over="ignore", invalid="ignore"):
                 run = scipy.sparse.linalg.expm_multiply(
@@ -409,8 +407,6 @@ def _krylov_trajectory(form: GKSForm, rho0: np.ndarray, group_dt: np.ndarray,
                     num=hi - lo + 1, endpoint=True,
                 )
             vecs[lo + 1:hi + 1] = run[1:]
-    finally:
-        np.random.set_state(state)
     if not np.all(np.isfinite(vecs)):
         raise OverflowError("expm_multiply overflow: the trajectory is not finite")
     return vecs.reshape(-1, d, d).transpose(0, 2, 1)

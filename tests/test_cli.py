@@ -448,6 +448,30 @@ assert "scipy.sparse" in sys.modules
     assert proc.returncode == 0, proc.stderr
 
 
+def test_report_commands_never_load_scipy(tmp_path):
+    model = qubit_model_file(tmp_path, n=0.5)
+    blocks = qubit_model_file(tmp_path, "blocks.json",
+                              E={"c00": Z2, "c01": SP, "c10": SM, "c11": Z2})
+    script = f"""
+import sys
+from gaussbath.cli import main
+assert main(["generator", "--model", {model!r}, "--out", {str(tmp_path / "g.json")!r}]) == 0
+assert main(["convert", "--model", {blocks!r}, "--direction", "to-normal",
+             "--out", {str(tmp_path / "c.json")!r}]) == 0
+assert main(["split", "--n", "0.5", "--m-re", "0.1", "--out", {str(tmp_path / "s.json")!r}]) == 0
+assert "scipy" not in sys.modules, "generator, convert or split loaded scipy"
+assert main(["evolve", "--model", {model!r}, "--rho0", {str(tmp_path / "rho0.json")!r},
+             "--t-final", "0.2", "--points", "3", "--out", {str(tmp_path / "e.csv")!r}]) == 0
+assert "scipy.linalg" in sys.modules
+"""
+    write_json(tmp_path / "rho0.json", {"rho": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("argv, name", [
     (["oracle", "--t-final", "inf", "--dt-list", "0.1,0.05"], "t_final must be finite"),
     (["oracle", "--t-final", "0.4", "--dt-list", "nan,0.05"], "dt must be finite"),

@@ -1,6 +1,8 @@
 import json
 import tracemalloc
 import warnings
+from math import isqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from helpers import (
     random_density,
     random_hermitian,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussbath import collision
 from gaussbath.cli import main
@@ -67,6 +71,12 @@ def test_config_validation():
         CollisionConfig(model=model, dt=1e-6, steps=limit + 1, cutoff=3)
     with pytest.raises(DomainError, match="steps"):  # a numpy count must not wrap the product
         CollisionConfig(model=model, dt=1e-6, steps=np.int64(2**62), cutoff=3)
+    # Sizes are integers, numpy's included; a float fails here, not in simulate.
+    for name, bad in (("steps", 2.5), ("steps", 3.0), ("cutoff", 4.5)):
+        with pytest.raises(DomainError, match=f"{name} must be an integer, got {bad}"):
+            CollisionConfig(model=model, dt=0.1, **{"steps": 2, "cutoff": 3, name: bad})
+    config = CollisionConfig(model=model, dt=0.1, steps=np.int32(2), cutoff=np.int64(3))
+    assert simulate(config, np.diag([1.0, 0.0])).shape == (3, 2, 2)
 
 
 def test_step_channel_is_inside_the_dense_budget(tmp_path, capsys):
@@ -234,6 +244,102 @@ def test_step_channel_boundary_matches_diagonal_mask(rng, case):
     _, boundary = _step_channel(config)
     got = max(float(np.real(np.trace(boundary @ rho))) for rho in states[:-1])
     assert abs(got - want) <= 1e-14
+
+
+# ------------------------------------------------------------ Krylov route
+
+STEP_KINDS = ("thermal", "squeezed", "displaced", "random F", "random C")
+
+
+@st.composite
+def step_configs(draw, kind):
+    """A one-step config whose step space d cutoff^2 lies between 18 and 320.
+
+    That is on either side of DENSE_STEP_MAX_DIM; kind is one of STEP_KINDS.
+    """
+    d = draw(st.integers(2, 8))
+    cutoff = draw(st.integers(3, min(8, isqrt(320 // d))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c, f = ladder(d), np.diag(np.arange(d)).astype(complex)
+    n, m, alpha = draw(st.floats(0.0, 1.5)), 0.0, 0.0
+    if kind in ("squeezed", "random F", "random C"):
+        fill = draw(st.floats(0.0, 1.0))
+        m = fill * np.sqrt(n * (n + 1.0)) * np.exp(1j * draw(st.floats(0.0, 6.3)))
+    if kind == "displaced":
+        alpha = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    if kind == "random F":
+        f = random_hermitian(rng, d)
+    if kind == "random C":
+        c = random_complex(rng, (d, d)) / np.sqrt(d)
+    noise = NoiseParams(gamma=draw(st.floats(0.3, 2.0)), n=n, m=m, alpha=alpha)
+    return CollisionConfig(model=SystemModel(C=c, F=f, noise=noise),
+                           dt=draw(st.floats(0.005, 0.05)), steps=1, cutoff=cutoff)
+
+
+def step_channel_on_route(route, config):
+    """_step_channel with the threshold moved so that its Kraus operators take route."""
+    limit = 0 if route == "krylov" else 10**9
+    with mock.patch.object(collision, "DENSE_STEP_MAX_DIM", limit):
+        return _step_channel(config)
+
+
+@pytest.mark.parametrize("kind", STEP_KINDS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=6)
+@given(data=st.data())
+def test_krylov_step_channel_matches_dense_step_unitary(kind, data):
+    config = data.draw(step_configs(kind))
+    dense_step, dense_boundary = step_channel_on_route("dense", config)
+    krylov_step, krylov_boundary = step_channel_on_route("krylov", config)
+    assert np.max(np.abs(krylov_step - dense_step)) <= 1e-12
+    assert np.max(np.abs(krylov_boundary - dense_boundary)) <= 1e-12
+
+
+def test_step_space_chooses_the_route(monkeypatch):
+    import scipy.sparse.linalg
+
+    def fail(route):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{route} route taken")
+        return call
+
+    d = 4
+    cutoff = isqrt(collision.DENSE_STEP_MAX_DIM // d)  # the largest dense cutoff at d
+
+    def config(cutoff):
+        model = SystemModel(C=ladder(d), F=np.zeros((d, d)), noise=NoiseParams(gamma=1.0, n=0.5))
+        return CollisionConfig(model=model, dt=0.02, steps=1, cutoff=cutoff)
+
+    at, above = config(cutoff), config(cutoff + 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.sparse.linalg, "expm_multiply", fail("krylov"))
+        _step_channel(at)
+        with pytest.raises(AssertionError, match="krylov route"):
+            _step_channel(above)
+    monkeypatch.setattr(collision, "step_unitary", fail("dense"))
+    _, keys, pos, *_ = np.random.get_state()
+    step, _ = _step_channel(above)
+    # expm_multiply's norm estimates leave numpy's global stream where it was.
+    _, keys_after, pos_after, *_ = np.random.get_state()
+    assert np.array_equal(keys_after, keys) and pos_after == pos
+    # Trace preservation: vec(1)+ S = vec(1)+.
+    eye = np.eye(d).flatten(order="F")
+    assert np.max(np.abs(eye @ step - eye)) <= 1e-13
+    with pytest.raises(AssertionError, match="dense route"):
+        _step_channel(at)
+
+
+@pytest.mark.parametrize("route", ["dense", "krylov"])
+@pytest.mark.parametrize("scale, gamma, match", [
+    (1e100, 1e20, "not finite"),
+    (1e200, 1e250, "the step Hamiltonian is not finite"),
+], ids=["exponential-overflows", "hamiltonian-overflows"])
+def test_a_step_beyond_the_double_range_overflows(route, scale, gamma, match):
+    model = SystemModel(C=scale * SIGMA_MINUS, F=ZERO2, noise=NoiseParams(gamma=gamma))
+    config = CollisionConfig(model=model, dt=0.1, steps=1, cutoff=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=match):
+            step_channel_on_route(route, config)
 
 
 def test_simulate_warns_on_truncation():
