@@ -39,7 +39,7 @@ from .collision import convergence_study
 from .doubling import scalar_split, split_residuals
 from .errors import FormatError, GaussBathError
 from .lindblad import SystemModel, evolve, gks_decompose, steady_state
-from .linalg import DEFAULT_TOL, adjoint, require_dense, vectorize
+from .linalg import DEFAULT_TOL, adjoint, require_dense, require_finite_result, vectorize
 from .noise import BLOCK_KEYS, NoiseParams, unitarity_defect
 from .wick import NORMAL_ORDERED, TIME_ORDERED, ItoCoefficients, normal_to_time, time_to_normal
 
@@ -152,9 +152,7 @@ def _pairs_json(a, where: str = "value") -> str:
     grouped by a two-key sort of their uint64 halves, which numpy sorts far
     faster than 16-byte void items.
     """
-    a = np.asarray(a, dtype=complex)
-    if not np.all(np.isfinite(a)):
-        raise OverflowError(f"report field '{where}' is not finite")
+    a = require_finite_result(np.asarray(a, dtype=complex), f"report field '{where}'")
     bits = np.ascontiguousarray(a.reshape(-1)).view(np.uint64).reshape(-1, 2)
     order = np.lexsort((bits[:, 1], bits[:, 0]))
     ranked = bits[order]
@@ -280,14 +278,17 @@ def cmd_evolve(args) -> int:
 def cmd_steady(args) -> int:
     model = model_from_dict(load_model_dict(args.model))
     rho = steady_state(model)
-    liouv = gks_decompose(model).schrodinger_sparse()
+    residual = gks_decompose(model).schrodinger_sparse() @ vectorize(rho)
+    # Scaled by the power of two at its largest entry, the squares stay in the
+    # double range; the scaling is exact, so an in-range norm keeps every bit.
+    unit = np.ldexp(1.0, np.frexp(np.abs(residual).max())[1] - 1)
     report = {
         "dim": model.dim,
         "rho": rho,
         "populations": rho.diagonal().real.tolist(),
         "eigenvalues": np.linalg.eigvalsh(rho).tolist(),
         "trace": np.trace(rho),
-        "liouvillian_residual": float(np.linalg.norm(liouv @ vectorize(rho))),
+        "liouvillian_residual": float(np.linalg.norm(residual / unit) * unit),
     }
     _write_report(report, args.out)
     return 0

@@ -42,11 +42,12 @@ from .errors import DimensionError, DomainError, TruncationWarning
 from .lindblad import SystemModel, evolve, validate_density_matrix
 from .linalg import (
     adjoint,
-    fixed_global_seed,
+    expm_action,
     mat_exp,
     negligible,
     propagate,
     require_dense,
+    require_finite_result,
     require_square,
 )
 from .noise import require_finite
@@ -134,9 +135,7 @@ def _step_hamiltonian(config: CollisionConfig) -> np.ndarray:
             + np.kron(model.C, adjoint(b))
             + np.kron(adjoint(model.C), b)
         )
-    if not np.all(np.isfinite(h)):
-        raise OverflowError("collision overflow: the step Hamiltonian is not finite")
-    return h
+    return require_finite_result(h, "collision overflow: the step Hamiltonian")
 
 
 def step_unitary(config: CollisionConfig) -> np.ndarray:
@@ -148,9 +147,9 @@ def _kraus_tensor(config: CollisionConfig) -> np.ndarray:
     """kraus[i, k, j] = <i, k| U |j, 0>, so that K_k = kraus[:, k, :].
 
     Up to a step space d cutoff^2 = DENSE_STEP_MAX_DIM the d columns come
-    from the dense step_unitary, above it from expm_multiply on the sparse
-    -iH applied to the d columns |j> (x) |00>.  A non-finite tensor raises
-    OverflowError on either route.  The threshold is the measured crossover
+    from the dense step_unitary, above it from linalg.expm_action on the
+    sparse -iH applied to the d columns |j> (x) |00>.  A non-finite tensor
+    raises OverflowError on either route.  The threshold is the measured crossover
     of one step channel (dense vs sparse, median ms on 2 cores, oscillators
     at dt = 0.01-0.04): d cutoff^2 = 50 1.1 vs 2.5, 72 1.8-2.4 vs 2.5-3.0,
     100 3.3-4.5 vs 2.9-3.7, 128 5.0-6.3 vs 2.9-4.1, 200 13-17 vs 5.9,
@@ -161,21 +160,9 @@ def _kraus_tensor(config: CollisionConfig) -> np.ndarray:
     d, pair_dim = config.model.dim, config.cutoff**2
     if d * pair_dim <= DENSE_STEP_MAX_DIM:
         return step_unitary(config).reshape(d, pair_dim, d, pair_dim)[:, :, :, 0]
-    # Imported here: the dense route, and so small oracle runs, never load scipy.sparse.
-    import scipy.sparse
-    import scipy.sparse.linalg
-
-    h = scipy.sparse.csr_array(-1j * _step_hamiltonian(config))
     vacuum = np.zeros((d * pair_dim, d), dtype=complex)
     vacuum[np.arange(d) * pair_dim, np.arange(d)] = 1.0
-    try:
-        with fixed_global_seed(), np.errstate(over="ignore", invalid="ignore"):
-            columns = scipy.sparse.linalg.expm_multiply(h, vacuum)
-        finite = np.all(np.isfinite(columns))
-    except OverflowError:  # scipy's step count from a norm beyond the double range
-        finite = False
-    if not finite:
-        raise OverflowError("expm_multiply overflow: the Kraus operators are not finite")
+    columns = expm_action(-1j * _step_hamiltonian(config), vacuum, "the Kraus operators")
     return columns.reshape(d, pair_dim, d)
 
 

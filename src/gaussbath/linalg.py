@@ -16,11 +16,16 @@ the size of a difference's operands, or a density matrix's unit trace.
 require_dense is the one dense-memory budget: a dense complex array sized by
 the input, beyond the d x d operators, holds at most MAX_DENSE_DIM^2 entries
 (64 MiB); it is checked where the input enters, before the allocation.
+
+require_finite_result is the one overflow rule for results: a computed
+array beyond the double range raises OverflowError "{what} is not
+finite" (exit 3), while non-finite input is a DomainError where it
+enters.  expm_action is the one caller of scipy's expm_multiply; both
+exponential actions (evolve's trajectories, the collision Kraus columns)
+take its seeding, its overflow guard and its range check.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -38,7 +43,7 @@ __all__ = [
     "adjoint",
     "choi_matrix",
     "devectorize",
-    "fixed_global_seed",
+    "expm_action",
     "is_hermitian",
     "is_psd",
     "is_unitary",
@@ -50,6 +55,7 @@ __all__ = [
     "propagate",
     "psd_eigh",
     "require_dense",
+    "require_finite_result",
     "require_square",
     "sandwich",
     "sandwich_triplets",
@@ -70,6 +76,13 @@ def require_dense(entries: int, what: str, rule: str, hint: str = "") -> None:
     if entries > MAX_DENSE_DIM**2:
         raise DomainError(f"{what} breaks {rule} <= {MAX_DENSE_DIM**2}, "
                           f"the dense budget {MAX_DENSE_DIM}{hint}")
+
+
+def require_finite_result(values, what: str):
+    """values, or OverflowError "{what} is not finite" when an entry is not finite."""
+    if not np.all(np.isfinite(values)):
+        raise OverflowError(f"{what} is not finite")
+    return values
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
@@ -143,24 +156,36 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
         raise DomainError("mat_exp argument contains non-finite entries")
     with np.errstate(over="ignore", invalid="ignore"):
         out = scipy.linalg.expm(a)
-    if not np.all(np.isfinite(out)):
-        raise OverflowError("mat_exp overflow: result is not finite")
-    return out
+    return require_finite_result(out, "mat_exp overflow: result")
 
 
-@contextmanager
-def fixed_global_seed():
-    """Seed numpy's global generator with 0 for the block, then put the caller's stream back.
+def expm_action(a, v: np.ndarray, what: str, **grid) -> np.ndarray:
+    """exp(a) v by scipy's expm_multiply (Al-Mohy & Higham), sparse matvecs only.
 
-    scipy's expm_multiply draws the sign vectors of its norm estimates from
-    that generator, so a fixed seed makes its answer reproducible.
+    grid holds expm_multiply's start, stop, num and endpoint, for the
+    states exp(t a) v along a linspace of t.  a is taken as a CSR array:
+    row-wise matvecs, the same sums as CSC with fewer cache misses.
+    The norm estimates draw sign vectors from numpy's global generator, so
+    it is seeded with 0 for the call and the caller's stream is put back:
+    the answer is reproducible.  A norm of a beyond the double range
+    breaks scipy's step count (OverflowError or ValueError from int() of a
+    non-finite float); that and a non-finite result raise OverflowError
+    "expm_multiply overflow: {what} is not finite".
     """
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    a = scipy.sparse.csr_array(a)
     state = np.random.get_state()
     np.random.seed(0)
     try:
-        yield
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = scipy.sparse.linalg.expm_multiply(a, v, **grid)
+    except (OverflowError, ValueError) as exc:
+        raise OverflowError(f"expm_multiply overflow: {what} is not finite") from exc
     finally:
         np.random.set_state(state)
+    return require_finite_result(out, f"expm_multiply overflow: {what}")
 
 
 def mat_sqrt_psd(a: np.ndarray, scale: float | None = None) -> np.ndarray:

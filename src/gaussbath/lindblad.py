@@ -51,7 +51,7 @@ from .linalg import (
     MAX_DENSE_DIM,
     adjoint,
     devectorize,
-    fixed_global_seed,
+    expm_action,
     is_hermitian,
     is_psd,
     mat_exp,
@@ -60,6 +60,7 @@ from .linalg import (
     propagate,
     psd_eigh,
     require_dense,
+    require_finite_result,
     require_square,
     sandwich,
     sandwich_triplets,
@@ -227,8 +228,7 @@ class GKSForm:
         out = np.zeros((dim, dim), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             np.add.at(out, (rows, cols), values)
-        _require_finite_generator(out)
-        return out
+        return require_finite_result(out, "generator overflow: the Heisenberg generator")
 
     def schrodinger_sparse(self):
         """L' = L+ as a scipy.sparse CSC array: the triplets conjugate-transposed, summed.
@@ -243,7 +243,7 @@ class GKSForm:
         dim = self.h_eff.shape[0] ** 2
         liouv = scipy.sparse.csc_array((values.conj(), (cols, rows)), shape=(dim, dim))
         liouv.sum_duplicates()
-        _require_finite_generator(liouv.data)
+        require_finite_result(liouv.data, "generator overflow: the Heisenberg generator")
         return liouv
 
     def kossakowski_eigenvalues(self) -> np.ndarray:
@@ -252,11 +252,6 @@ class GKSForm:
     def is_cp(self, tol: float = 1e-12) -> bool:
         """K is PSD: no eigenvalue below -tol times the largest |eigenvalue|."""
         return is_psd(self.kossakowski, rtol=tol)
-
-
-def _require_finite_generator(values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
-        raise OverflowError("generator overflow: the Heisenberg generator is not finite")
 
 
 def gks_decompose(model: SystemModel) -> GKSForm:
@@ -283,8 +278,8 @@ def gks_decompose(model: SystemModel) -> GKSForm:
             + noise.sigma * dissipation_quadratic(model)
         )
         kossakowski = noise.gamma * _bath_matrix(noise)
-    if not (np.all(np.isfinite(h_eff)) and np.all(np.isfinite(kossakowski))):
-        raise OverflowError("generator overflow: the Kossakowski form is not finite")
+    for part in (h_eff, kossakowski):
+        require_finite_result(part, "generator overflow: the Kossakowski form")
     return GKSForm(h_eff=h_eff, jumps=(model.C, adjoint(model.C)), kossakowski=kossakowski)
 
 
@@ -389,26 +384,16 @@ def evolve(
 
 def _krylov_trajectory(form: GKSForm, rho0: np.ndarray, group_dt: np.ndarray,
                        group: np.ndarray) -> np.ndarray:
-    """States along the grid by one expm_multiply per run of intervals in one group."""
-    # Imported here: generator, and oracle up to collision.DENSE_STEP_MAX_DIM,
-    # never load scipy.sparse.
-    import scipy.sparse.linalg
-
-    liouv = form.schrodinger_sparse().tocsr()  # row-wise matvecs: same sums, fewer misses
+    """States along the grid by one expm_action per run of intervals in one group."""
+    liouv = form.schrodinger_sparse()
     d = rho0.shape[0]
     vecs = np.empty((group.size + 1, d * d), dtype=complex)
     vecs[0] = vectorize(rho0)
     edges = [0, *(np.flatnonzero(np.diff(group)) + 1), group.size]
-    with fixed_global_seed():
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            with np.errstate(over="ignore", invalid="ignore"):
-                run = scipy.sparse.linalg.expm_multiply(
-                    liouv, vecs[lo], start=0.0, stop=(hi - lo) * group_dt[group[lo]],
-                    num=hi - lo + 1, endpoint=True,
-                )
-            vecs[lo + 1:hi + 1] = run[1:]
-    if not np.all(np.isfinite(vecs)):
-        raise OverflowError("expm_multiply overflow: the trajectory is not finite")
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        run = expm_action(liouv, vecs[lo], "the trajectory", start=0.0,
+                          stop=(hi - lo) * group_dt[group[lo]], num=hi - lo + 1, endpoint=True)
+        vecs[lo + 1:hi + 1] = run[1:]
     return vecs.reshape(-1, d, d).transpose(0, 2, 1)
 
 

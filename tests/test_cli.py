@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import ladder
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -16,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 from gaussbath import cli, collision, lindblad
 from gaussbath.cli import _pairs_json, _report_json, main
 from gaussbath.linalg import vectorize
-from gaussbath.lindblad import SystemModel, schrodinger_liouvillian
+from gaussbath.lindblad import SystemModel, gks_decompose, schrodinger_liouvillian
 from gaussbath.noise import NoiseParams
 
 SM = [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
@@ -208,6 +209,27 @@ def test_steady_report(tmp_path, capsys):
     assert tree["liouvillian_residual"] < 1e-10
 
 
+def test_steady_residual_beyond_the_range_of_its_squares(tmp_path, capsys):
+    # A thermal qubit with C = 1e140 |1><0|: a fine steady state, but the squares
+    # of L' vec(rho), about 1e263 each, overflow an unscaled 2-norm.
+    c = [[[0.0, 0.0], [0.0, 0.0]], [[1e140, 0.0], [0.0, 0.0]]]
+    f = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    path = qubit_model_file(tmp_path, C=c, F=f, n=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["steady", "--model", path]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    tree = json.loads(out)
+    assert tree["populations"] == pytest.approx([0.25, 0.75], abs=1e-12)
+    model = cli.model_from_dict(cli.load_model_dict(path))
+    residual = gks_decompose(model).schrodinger_sparse() @ vectorize(from_pairs(tree["rho"]))
+    largest = np.abs(residual).max()
+    expected = largest * np.linalg.norm(residual / largest)
+    assert 1e263 < expected < np.inf
+    assert tree["liouvillian_residual"] == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
 def test_steady_degenerate_kernel_exit_code(tmp_path, capsys):
     model = qubit_model_file(tmp_path, C=Z2)
     assert main(["steady", "--model", model]) == 3
@@ -388,6 +410,25 @@ def test_overflowing_generator_is_numerical_exit_code(tmp_path, capsys, monkeypa
     out, err = capsys.readouterr()
     assert out == ""
     assert "generator overflow" in err and "not finite" in err
+
+
+def test_krylov_step_count_beyond_the_double_range_is_numerical_exit_code(tmp_path, capsys):
+    # d = 20 takes the Krylov route; L' has finite entries, but scipy's step
+    # count from its norm is NaN.
+    d = 20
+    zeros = np.zeros((d, d))
+    rho = zeros.copy()
+    rho[0, 0] = 1.0
+    path = write_json(tmp_path / "m.json", {"dim": d, "gamma": 1.0,
+                                            "C": to_pairs(1e153 * ladder(d)), "F": to_pairs(zeros)})
+    rho0 = write_json(tmp_path / "rho0.json", {"rho": to_pairs(rho)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--model", path, "--rho0", rho0, "--t-final", "1",
+                     "--points", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "expm_multiply overflow: the trajectory is not finite" in err
 
 
 def test_split_rejects_overcorrelated(capsys):

@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
-from helpers import random_complex, random_density, random_hermitian, random_unitary
+from helpers import ladder, random_complex, random_density, random_hermitian, random_unitary
 
 from gaussbath.errors import DimensionError, DomainError
 from gaussbath.linalg import (
     adjoint,
     choi_matrix,
     devectorize,
+    expm_action,
     is_hermitian,
     is_psd,
     is_unitary,
@@ -14,9 +17,12 @@ from gaussbath.linalg import (
     mat_sqrt_psd,
     operator_norm,
     partial_trace,
+    require_finite_result,
     sandwich,
     vectorize,
 )
+from gaussbath.lindblad import SystemModel, gks_decompose
+from gaussbath.noise import NoiseParams
 
 
 def taylor_exp(a, terms=60):
@@ -177,3 +183,52 @@ def test_choi_matrix_equals_probe_sum(rng):
                 e[i, k] = 1.0
                 want += np.kron(e, devectorize(s @ vectorize(e), d))
         assert np.max(np.abs(choi_matrix(s) - want)) <= 1e-15
+
+
+def test_require_finite_result_passes_values_through():
+    values = np.array([1.0, -2.5j])
+    assert require_finite_result(values, "the test array") is values
+    for bad in (np.inf, np.nan, complex(0.0, -np.inf)):
+        with pytest.raises(OverflowError, match="^the test array is not finite$"):
+            require_finite_result(np.array([1.0, bad]), "the test array")
+
+
+def oscillator_liouvillian(d, noise, scale=1.0):
+    model = SystemModel(C=scale * ladder(d), F=np.diag(np.arange(d)).astype(complex), noise=noise)
+    return gks_decompose(model).schrodinger_sparse()
+
+
+def test_expm_action_is_reproducible_and_leaves_the_global_stream(rng):
+    # At d = 6, t = 5 scipy's norm estimates draw from numpy's global stream.
+    d, t = 6, 5.0
+    liouv = oscillator_liouvillian(d, NoiseParams(gamma=1.0, n=0.5, m=0.3))
+    v = vectorize(random_density(rng, d))
+    answers = []
+    for seed in (1, 2):
+        np.random.seed(seed)
+        _, keys, pos, *_ = np.random.get_state()
+        answers.append(expm_action(t * liouv, v, "the test state"))
+        _, keys_after, pos_after, *_ = np.random.get_state()
+        assert np.array_equal(keys_after, keys) and pos_after == pos
+    assert np.array_equal(answers[0], answers[1])
+    assert np.max(np.abs(answers[0] - mat_exp(t * liouv.toarray()) @ v)) <= 1e-12
+    grid = expm_action(liouv, v, "the test state", start=0.0, stop=t, num=3, endpoint=True)
+    assert grid.shape == (3, d * d)
+    assert np.max(np.abs(grid[-1] - answers[0])) <= 1e-12
+
+
+@pytest.mark.parametrize("scale, cause", [(1e60, OverflowError), (1e153, ValueError)],
+                         ids=["infinite-step-count", "nan-step-count"])
+def test_expm_action_names_a_norm_beyond_the_double_range(scale, cause):
+    # Every entry of L' is finite, its norm is not: scipy's int() of its step
+    # count fails, and the failure is renamed, chained to scipy's exception.
+    liouv = oscillator_liouvillian(20, NoiseParams(gamma=1.0), scale)
+    assert np.all(np.isfinite(liouv.data))
+    v = np.zeros(400, dtype=complex)
+    v[0] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="^expm_multiply overflow: the test state is not "
+                           "finite$") as info:
+            expm_action(liouv, v, "the test state")
+    assert type(info.value.__cause__) is cause

@@ -1,3 +1,4 @@
+import warnings
 from math import isqrt
 from unittest import mock
 
@@ -561,12 +562,29 @@ def test_evolve_above_the_threshold_never_builds_a_dense_map(monkeypatch):
                rho0[:-1, :-1], grid)
 
 
-@pytest.mark.parametrize("route", ["dense", "krylov"])
-def test_a_trajectory_beyond_the_double_range_overflows(route):
+def scaled_ladder(scale, d=20):
+    """A vacuum-bath oscillator with C = scale a and F = 0; d = 20 is on the Krylov route."""
+    return SystemModel(C=scale * ladder(d), F=np.zeros((d, d)), noise=NoiseParams(gamma=1.0))
+
+
+@pytest.mark.parametrize("route, model, grid, match", [
     # |m| far beyond sqrt(n(n+1)): the coherences of an unphysical bath grow.
-    model = damped_qubit(gamma=1.0, n=0.0, m=5.0)
-    with pytest.raises(OverflowError, match="not finite"):
-        evolve_on_route(route, model, np.full((2, 2), 0.5, dtype=complex), np.array([0.0, 400.0]))
+    ("dense", damped_qubit(gamma=1.0, n=0.0, m=5.0), np.array([0.0, 400.0]), "not finite"),
+    ("krylov", damped_qubit(gamma=1.0, n=0.0, m=5.0), np.array([0.0, 400.0]), "not finite"),
+    # Every entry of L' is finite but its norm is not, so scipy's own step count
+    # from that norm fails (on infinity at 1e60, on NaN at 1e153).
+    *[("natural", scaled_ladder(scale), np.linspace(0.0, 1.0, 3),
+       "expm_multiply overflow: the trajectory is not finite") for scale in (1e60, 1e153)],
+], ids=["dense", "krylov", "ladder-1e60", "ladder-1e153"])
+def test_a_trajectory_beyond_the_double_range_overflows(route, model, grid, match):
+    rho0 = np.full((model.dim, model.dim), 1.0 / model.dim, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=match):
+            if route == "natural":
+                evolve(model, rho0, grid)
+            else:
+                evolve_on_route(route, model, rho0, grid)
 
 
 def test_dynamics_stay_completely_positive(rng):
