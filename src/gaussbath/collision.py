@@ -17,12 +17,12 @@ and traces the ancillas out.  The pair starts in vacuum, so a collision
 is one channel with Kraus operators K_k = (1 (x) <k|) U (1 (x) |0>);
 S = sum_k conj(K_k) (x) K_k is built once, applied at every step by
 linalg.propagate, and preserves trace because U is unitary.  The chain
-needs only the d columns U |j, 00>.  Up to a step space d cutoff^2 =
-DENSE_STEP_MAX_DIM they are read off the dense exp(-iH) (step_unitary);
-above it expm_multiply applies exp(-iH) to those d columns through the
-sparse H, which costs less than the dense O((d cutoff^2)^3) expm.  Both
-routes take H from one builder.  U comes from the increment, not from
-L', so the chain is independent evidence for L'.  Trotter error per step
+needs only the d columns U |j, 00>.  H is listed once as three sandwiches
+and summed by linalg's one assembly.  Up to a step space d cutoff^2 =
+DENSE_STEP_MAX_DIM the columns are read off the dense exp(-iH)
+(step_unitary); above it expm_multiply applies exp(-iH) to them through
+the sparse H, with no dense H built.  U comes from the increment, not
+from L', so the chain is independent evidence for L'.  Trotter error per step
 is O(dt^2), so the reduced dynamics converges to exp(t L') at first
 order in dt.  The comparison runs at
 sigma = 0; a sigma shift is a system Hamiltonian term and has no
@@ -47,8 +47,9 @@ from .linalg import (
     negligible,
     propagate,
     require_dense,
-    require_finite_result,
     require_square,
+    sandwich_sum,
+    sandwich_sum_sparse,
 )
 from .noise import require_finite
 
@@ -117,30 +118,24 @@ def increment_operator(config: CollisionConfig) -> np.ndarray:
     return amp * represent_annihilator(np.ones(1), config.split, config.cutoff)
 
 
-def _step_hamiltonian(config: CollisionConfig) -> np.ndarray:
-    """Dense Hamiltonian of one collision on system (x) ancilla pair.
+def _step_sandwiches(config: CollisionConfig) -> list:
+    """(A, B) pairs of the step Hamiltonian on system (x) ancilla pair, H = sum sandwich(A, B).
 
-    The displacement alpha enters as the c-number Hamiltonian term
-    conj(alpha) C + alpha C+ scaled by dt.  A Hamiltonian beyond the
-    double range raises OverflowError.
+    H = dt drift (x) 1 + C (x) B+ + C+ (x) B with kron(X, Y) = sandwich(Y, X^T)
+    and the c-number drift F + conj(alpha) C + alpha C+.  Factors may overflow.
     """
-    model = config.model
-    b = increment_operator(config)
-    pair_dim = b.shape[0]
-    alpha = model.noise.alpha
+    model, alpha = config.model, config.model.noise.alpha
     with np.errstate(over="ignore", invalid="ignore"):
+        b = increment_operator(config)
         drift = model.F + np.conj(alpha) * model.C + alpha * adjoint(model.C)
-        h = (
-            config.dt * np.kron(drift, np.eye(pair_dim))
-            + np.kron(model.C, adjoint(b))
-            + np.kron(adjoint(model.C), b)
-        )
-    return require_finite_result(h, "collision overflow: the step Hamiltonian")
+        return [(np.eye(b.shape[0]), config.dt * drift.T), (adjoint(b), model.C.T),
+                (b, adjoint(model.C).T)]
 
 
 def step_unitary(config: CollisionConfig) -> np.ndarray:
     """Unitary for one collision on system (x) ancilla pair: the dense exp(-iH)."""
-    return mat_exp(-1j * _step_hamiltonian(config))
+    h = sandwich_sum(_step_sandwiches(config), "collision overflow: the step Hamiltonian")
+    return mat_exp(-1j * h)
 
 
 def _kraus_tensor(config: CollisionConfig) -> np.ndarray:
@@ -162,7 +157,8 @@ def _kraus_tensor(config: CollisionConfig) -> np.ndarray:
         return step_unitary(config).reshape(d, pair_dim, d, pair_dim)[:, :, :, 0]
     vacuum = np.zeros((d * pair_dim, d), dtype=complex)
     vacuum[np.arange(d) * pair_dim, np.arange(d)] = 1.0
-    columns = expm_action(-1j * _step_hamiltonian(config), vacuum, "the Kraus operators")
+    h = sandwich_sum_sparse(_step_sandwiches(config), "collision overflow: the step Hamiltonian")
+    columns = expm_action(-1j * h, vacuum, "the Kraus operators")
     return columns.reshape(d, pair_dim, d)
 
 

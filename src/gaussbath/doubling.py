@@ -76,7 +76,10 @@ def scalar_split(n: float, m: complex) -> SplitCoefficients:
     m = complex(m)
     if n == 0.0:
         return SplitCoefficients(1.0, 0.0, 0.0)
-    xsq = n + 1.0 - abs(m) ** 2 / n
+    try:
+        xsq = n + 1.0 - abs(m) ** 2 / n
+    except OverflowError:  # |m|^2 beyond the double range; |m|^2 / n <= n + 1 is not
+        xsq = n + 1.0 - abs(m) * (abs(m) / n)
     # xsq can dip a hair below zero at the boundary from rounding.
     x = sqrt(max(xsq, 0.0))
     return SplitCoefficients(x, sqrt(n), m / sqrt(n))

@@ -6,8 +6,10 @@ Convention used repo-wide: vectorization is COLUMN stacking,
     vec(A X B) = (B^T kron A) vec(X) = sandwich(A, B) vec(X).
 
 Superoperators are ``d**2 x d**2`` matrices acting on column-stacked
-operators under this convention.  All helpers take and return plain
-``numpy.ndarray`` with complex dtype.
+operators under this convention.  sandwich_sum (dense) and
+sandwich_sum_sparse (scipy.sparse CSC) are the one assembly of a sum of
+sandwiches, from the nonzeros of the factors; they agree bit for bit.
+The other helpers take and return plain ``numpy.ndarray`` with complex dtype.
 
 The one Hermiticity check (is_hermitian) and positivity check (psd_eigh)
 allow DEFAULT_TOL times a scale the caller names: an operand's own size,
@@ -58,6 +60,8 @@ __all__ = [
     "require_finite_result",
     "require_square",
     "sandwich",
+    "sandwich_sum",
+    "sandwich_sum_sparse",
     "sandwich_triplets",
     "vectorize",
 ]
@@ -215,6 +219,35 @@ def sandwich_triplets(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     cols = (j[:, None] * q + c).ravel()
     values = (b[j, i][:, None] * a[r, c]).ravel()
     return rows, cols, values
+
+
+def _sandwich_entries(pairs, what: str) -> tuple:
+    """Column-major keys, values (terms added in list order from 0) and shape of the sum."""
+    (p, q), (r, s) = np.shape(pairs[0][0]), np.shape(pairs[0][1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = [sandwich_triplets(a, b) for a, b in pairs]
+        rows, cols, values = (np.concatenate(arrays) for arrays in zip(*parts))
+        keys, where = np.unique(cols * (s * p) + rows, return_inverse=True)
+        data = np.zeros(keys.size, dtype=complex)
+        np.add.at(data, where, values)
+    return keys, require_finite_result(data, what), (s * p, r * q)
+
+
+def sandwich_sum(pairs, what: str) -> np.ndarray:
+    """sum_k sandwich(A_k, B_k) over (A_k, B_k) pairs as a dense array, range-checked."""
+    keys, data, (m, n) = _sandwich_entries(pairs, what)
+    out = np.zeros((m, n), dtype=complex)
+    out[keys % m, keys // m] = data
+    return out
+
+
+def sandwich_sum_sparse(pairs, what: str):
+    """The same sum as a scipy.sparse CSC array, equal entry for entry to sandwich_sum."""
+    import scipy.sparse
+
+    keys, data, (m, n) = _sandwich_entries(pairs, what)
+    indptr = np.searchsorted(keys, np.arange(n + 1) * m)
+    return scipy.sparse.csc_array((data, keys % m, indptr), shape=(m, n))
 
 
 def vectorize(a: np.ndarray) -> np.ndarray:

@@ -13,17 +13,16 @@ closes, via the Gaussian Ito table, into the Heisenberg generator
     L(X) = gamma [ (n+1) C+XC + n CXC+ + conj(m) CXC + m C+XC+ ]
            - X G - G+ X,
 
-which is unital (L(1) = 0).  GKSForm.heisenberg_triplets is the one
-place a generator is assembled: COO triplets of its six sandwiches, taken
-from the nonzeros of their d x d factors, so the work follows the
-nonzeros of L rather than its d^4 entries.  heisenberg_matrix scatters
-them into a dense array for the dense callers (generator, evolve, the
-collision reference).  The Schrodinger generator is the Hilbert-Schmidt
-adjoint L' = L+, so tr(L(X) rho) = tr(X L'(rho)) holds by construction.
-GKSForm.schrodinger_sparse is the one sparse L': the same triplets,
-conjugate-transposed.  steady_state solves it by a sparse LU with its
-row 0 replaced by the scaled trace functional, certified by a condition
-estimate; the dense SVD of L' decides only when that certificate fails.
+which is unital (L(1) = 0).  GKSForm.sandwiches lists L as six sandwiches
+of d x d factors; linalg's one assembly sums them from the nonzeros of the
+factors, densely for heisenberg_matrix (generator, evolve, the collision
+reference).  The Schrodinger generator is the Hilbert-Schmidt adjoint
+L' = L+, so tr(L(X) rho) = tr(X L'(rho)) holds by construction; the one
+sparse L', GKSForm.schrodinger_sparse, is the CSC sum of the adjoint
+sandwiches sandwich(A+, B+).  steady_state solves it by a sparse LU with
+its row 0 replaced by the scaled trace functional, certified by a
+condition estimate; the dense SVD of L' decides only when that
+certificate fails.
 evolve's "expm" keeps the dense exp(dt L') up to d^2 = DENSE_EXPM_MAX_DIM
 and above it applies the exponential to the state through the sparse L'
 (expm_multiply), one call per run of equal spacings.  The independent
@@ -63,7 +62,8 @@ from .linalg import (
     require_finite_result,
     require_square,
     sandwich,
-    sandwich_triplets,
+    sandwich_sum,
+    sandwich_sum_sparse,
     vectorize,
 )
 from .noise import NoiseParams
@@ -201,50 +201,26 @@ class GKSForm:
         """
         return 1j * self.h_eff + 0.5 * _kossakowski_sum(self.kossakowski, self.jumps)
 
-    def heisenberg_triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """COO triplets (rows, cols, values) of sum_jk K_jk V_j+ X V_k - X G - G+ X.
+    def sandwiches(self) -> list:
+        """The six (A, B) of L = sum sandwich(A, B): sum_jk K_jk V_j+ X V_k - X G - G+ X.
 
-        The six sandwiches come from the nonzeros of their d x d factors,
-        listed in the order heisenberg_matrix adds them; different
-        sandwiches share positions, so the triplets are summed by whoever
-        assembles them.  Values may overflow; the assembled sum is checked.
+        Weights go on the d x d factors so each product is formed once.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             g = self.effective_G()
             eye = np.eye(g.shape[0])
-            # Weights go on the d x d factors so each product is formed once.
-            parts = [sandwich_triplets(eye, -g), sandwich_triplets(-adjoint(g), eye)]
-            parts += [sandwich_triplets(self.kossakowski[j, k] * adjoint(vj), vk)
-                      for j, vj in enumerate(self.jumps) for k, vk in enumerate(self.jumps)]
-        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+            return [(eye, -g), (-adjoint(g), eye)] + [
+                (self.kossakowski[j, k] * adjoint(vj), vk)
+                for j, vj in enumerate(self.jumps) for k, vk in enumerate(self.jumps)]
 
     def heisenberg_matrix(self) -> np.ndarray:
-        """The Heisenberg superoperator as a dense array: the triplets scattered in order.
-
-        A generator beyond the double range raises OverflowError.
-        """
-        rows, cols, values = self.heisenberg_triplets()
-        dim = self.h_eff.shape[0] ** 2
-        out = np.zeros((dim, dim), dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.add.at(out, (rows, cols), values)
-        return require_finite_result(out, "generator overflow: the Heisenberg generator")
+        """L as a dense array; a generator beyond the double range raises OverflowError."""
+        return sandwich_sum(self.sandwiches(), "generator overflow: the Heisenberg generator")
 
     def schrodinger_sparse(self):
-        """L' = L+ as a scipy.sparse CSC array: the triplets conjugate-transposed, summed.
-
-        A generator beyond the double range raises OverflowError.
-        """
-        # Imported here: generator, and oracle up to collision.DENSE_STEP_MAX_DIM,
-        # never load scipy.sparse.
-        import scipy.sparse
-
-        rows, cols, values = self.heisenberg_triplets()
-        dim = self.h_eff.shape[0] ** 2
-        liouv = scipy.sparse.csc_array((values.conj(), (cols, rows)), shape=(dim, dim))
-        liouv.sum_duplicates()
-        require_finite_result(liouv.data, "generator overflow: the Heisenberg generator")
-        return liouv
+        """L' = L+ as a scipy.sparse CSC array, by sandwich(A, B)+ = sandwich(A+, B+)."""
+        pairs = [(adjoint(a), adjoint(b)) for a, b in self.sandwiches()]
+        return sandwich_sum_sparse(pairs, "generator overflow: the Heisenberg generator")
 
     def kossakowski_eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.kossakowski)
@@ -333,7 +309,8 @@ def evolve(
     scipy's expm_multiply (Al-Mohy & Higham's action of the exponential,
     sparse matvecs only) from the state at the run's start; a linspace
     grid is one run.  A non-finite state raises OverflowError on either
-    route.  The threshold is the measured crossover for 101 points to
+    route, as does dt L' or an RK4 substep count beyond the double range.
+    The threshold is the measured crossover for 101 points to
     t = 5 on a squeezed oscillator (dense vs sparse, median ms on 2 cores):
     d = 4 2 vs 67, d = 8 8-38 vs 59-65, d = 16 76 vs 87, d = 18 99-113
     vs 89-109, d = 20 140-169 vs 90-115, d = 24 246 vs 140, d = 32 1311
@@ -371,14 +348,15 @@ def evolve(
     if method == "expm" and d * d > DENSE_EXPM_MAX_DIM:
         return _krylov_trajectory(gks_decompose(model), rho0, spacings[first], group)
     liouv = schrodinger_liouvillian(model)
-    if method == "expm":
-        group_maps = [mat_exp(dt * liouv) for dt in spacings[first]]
-    else:
-        rk4_step = _rk4_default_step(model, spacings.min())
-        group_maps = []
-        for dt in spacings[first]:
-            nsub = max(1, ceil(dt / rk4_step))
-            group_maps.append(np.linalg.matrix_power(_taylor4((dt / nsub) * liouv), nsub))
+    rk4_step = _rk4_default_step(model, spacings.min()) if method == "rk4" else np.inf
+    group_maps = []
+    for dt in spacings[first]:  # expm takes one substep
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            nsub = max(1, ceil(require_finite_result(
+                dt / rk4_step, "evolve overflow: the RK4 substep count")))
+            step = require_finite_result((dt / nsub) * liouv, "evolve overflow: dt L'")
+        group_maps.append(mat_exp(step) if method == "expm"
+                          else np.linalg.matrix_power(_taylor4(step), nsub))
     return propagate(rho0, [group_maps[k] for k in group])
 
 

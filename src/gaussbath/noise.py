@@ -26,6 +26,7 @@ unitarity_defect is the Ito closure of d(V+V) on that vacuum table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import frexp, ldexp
 
 import numpy as np
 
@@ -57,9 +58,18 @@ def require_finite(**values) -> None:
 
 
 def is_gaussian_state(n: float, m: complex) -> bool:
-    """Whether n >= 0 and |m|^2 <= n(n+1) within 1e-12 of n(n+1): n = 0 admits only m = 0."""
-    bound = n * (n + 1.0)
-    return bool(n >= 0 and negligible(abs(m) ** 2 - bound, bound, 1e-12))
+    """Whether n >= 0 and |m|^2 <= n(n+1) within 1e-12 of n(n+1): n = 0 admits only m = 0.
+
+    Where |m|^2 is beyond the double range, both sides are scaled by 4^-e,
+    2^e the binary order of |m|; the scaling is exact, so the verdict stands.
+    """
+    n, size = float(n), abs(complex(m))  # Python floats: their ** raises on overflow
+    try:
+        square, bound = size**2, n * (n + 1.0)
+    except OverflowError:
+        e = frexp(size)[1]
+        square, bound = ldexp(size, -e) ** 2, ldexp(n, -e) * ldexp(n + 1.0, -e)
+    return bool(n >= 0 and negligible(square - bound, bound, 1e-12))
 
 
 @dataclass(frozen=True)

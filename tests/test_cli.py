@@ -712,3 +712,42 @@ def test_evolve_csv_matches_per_row_formatting(tmp_path, capsys, monkeypatch, rn
         row.append(f"{np.trace(rho @ rho).real:.12g}")
         writer.writerow(row)
     assert capsys.readouterr().out == buf.getvalue()
+
+
+def run_installed_cli(*argv):
+    """The CLI in a fresh interpreter, with Python's default warning filters."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "gaussbath.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["evolve", "--t-final", "1e10", "--points", "2"], "evolve overflow: dt L' is not finite"),
+    (["evolve", "--t-final", "1e10", "--points", "2", "--method", "rk4"],
+     "evolve overflow: the RK4 substep count is not finite"),
+    (["oracle", "--t-final", "1e10", "--dt-list", "1e10,5e9", "--cutoff", "3"],
+     "collision overflow: the step Hamiltonian is not finite"),
+], ids=["evolve-expm", "evolve-rk4", "oracle"])
+def test_a_step_beyond_the_double_range_names_the_overflow(tmp_path, argv, message):
+    # gamma dt = 1e310 on a decaying qubit: no numpy warning may reach stderr first.
+    model = qubit_model_file(tmp_path, gamma=1e300)
+    rho0 = write_json(tmp_path / "rho0.json", {"rho": [[[1.0, 0.0], [0.0, 0.0]], Z2[0]]})
+    extra = ["--rho0", rho0] if argv[0] == "evolve" else []
+    proc = run_installed_cli(argv[0], "--model", model, *extra, *argv[1:])
+    assert proc.returncode == 3 and proc.stdout == "", (proc.returncode, proc.stdout)
+    assert proc.stderr == f"gaussbath: numerical error: {message}\n", proc.stderr
+
+
+def test_split_where_m_squared_is_beyond_the_double_range(capsys):
+    n, m = 1e155, 5e154
+    assert main(["split", "--n", repr(n), "--m-re", repr(m)]) == 0
+    tree = json.loads(capsys.readouterr().out)
+    x, y, z = tree["x"], tree["y"], complex(*tree["z"])
+    assert all(np.isfinite([x, y, z]))
+    assert abs(x * x - y * y + abs(z) ** 2 - 1.0) <= 1e-12 * (n + 1.0)
+    assert abs(x * x + abs(z) ** 2 - (n + 1.0)) <= 1e-12 * (n + 1.0)
+    assert abs(y * z - m) <= 1e-12 * (n + 1.0)
+    for n_text, m_text in (("1e155", "2e155"), ("1e200", "1e300")):
+        assert main(["split", "--n", n_text, "--m-re", m_text]) == 2
+        assert "violates |m|^2 <= n(n+1)" in capsys.readouterr().err

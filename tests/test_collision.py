@@ -31,7 +31,14 @@ from gaussbath.collision import (
 from gaussbath.doubling import mode_annihilators
 from gaussbath.errors import DimensionError, DomainError, TruncationWarning
 from gaussbath.lindblad import SystemModel, evolve
-from gaussbath.linalg import MAX_DENSE_DIM, adjoint, is_unitary, partial_trace
+from gaussbath.linalg import (
+    MAX_DENSE_DIM,
+    adjoint,
+    is_unitary,
+    partial_trace,
+    sandwich_sum,
+    sandwich_sum_sparse,
+)
 from gaussbath.noise import NoiseParams
 
 
@@ -428,3 +435,45 @@ def test_convergence_study_checks_every_step_count_before_running(monkeypatch, t
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=match):
             convergence_study(qubit_model(), rho0, t_final=t_final, dts=dts, cutoff=3)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_step_hamiltonian_is_the_kron_sum(rng, kind):
+    for d, cutoff in ((2, 3), (3, 4), (4, 5)):
+        if kind == "real":
+            c, f = rng.standard_normal((d, d)), rng.standard_normal((d, d))
+            noise = NoiseParams(gamma=1.3, n=0.6, m=0.4)
+            f = f + f.T
+        else:
+            c, f = random_complex(rng, (d, d)), random_hermitian(rng, d)
+            noise = NoiseParams(gamma=1.3, n=0.6, m=0.4 * np.exp(0.9j), alpha=0.3 - 0.2j)
+        config = CollisionConfig(model=SystemModel(C=c, F=f, noise=noise), dt=0.03, steps=1,
+                                 cutoff=cutoff)
+        model, b, alpha = config.model, increment_operator(config), noise.alpha
+        drift = model.F + np.conj(alpha) * model.C + alpha * adjoint(model.C)
+        want = (config.dt * np.kron(drift, np.eye(cutoff**2)) + np.kron(model.C, adjoint(b))
+                + np.kron(adjoint(model.C), b))
+        pairs = collision._step_sandwiches(config)
+        dense = sandwich_sum(pairs, "H")
+        assert sandwich_sum_sparse(pairs, "H").toarray().tobytes() == dense.tobytes()
+        if kind == "real":
+            assert np.array_equal(dense, want)
+        else:
+            assert np.abs(dense - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
+
+
+def test_krylov_step_channel_builds_no_dense_step_hamiltonian():
+    d, cutoff = 16, 6
+    a = ladder(d)
+    model = SystemModel(C=a, F=adjoint(a) @ a, noise=NoiseParams(gamma=1.0, n=0.1))
+    config = CollisionConfig(model=model, dt=0.04, steps=1, cutoff=cutoff)
+    assert d * cutoff**2 > collision.DENSE_STEP_MAX_DIM
+    _step_channel(config)  # imports and first-call set-up stay out of the measurement
+    tracemalloc.start()
+    try:
+        _step_channel(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Below one dense complex (d cutoff^2)^2 array, 5.1 MiB: no dense H.
+    assert peak < (d * cutoff**2) ** 2 * 16, peak

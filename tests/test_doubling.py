@@ -265,3 +265,24 @@ def test_split_coefficients_as_matrices():
     x, y, z = s.as_matrices()
     assert x.shape == (1, 1) and y.shape == (1, 1) and z.shape == (1, 1)
     assert z[0, 0] == 0.5j
+
+
+@pytest.mark.parametrize("n, m", [(1e155, 5e154), (1e155, 5e154j), (1e300, 3e299 - 4e299j),
+                                  (1.7e308, 1.7e308)])
+def test_scalar_split_where_m_squared_is_beyond_the_double_range(n, m):
+    with pytest.raises(OverflowError):
+        abs(m) ** 2
+    s = scalar_split(n, m)
+    assert np.all(np.isfinite([s.x, s.y, s.z]))
+    r = split_residuals(n, m, s)
+    assert max(r.values()) <= 1e-12 * (n + 1.0)
+
+
+def test_gaussian_bound_where_m_squared_is_beyond_the_double_range():
+    # |m| = n is inside n(n+1) by n; the slack stays 1e-12 relative to n(n+1).
+    assert is_gaussian_state(1e200, 1e200)
+    assert not is_gaussian_state(1e200, 1e200 * (1.0 + 1e-9))
+    for n, m in ((1e155, 2e155), (1e200, 1e300), (1e-300, 1e300)):
+        assert not is_gaussian_state(n, m)
+        with pytest.raises(DomainError, match=r"violates \|m\|\^2 <= n\(n\+1\)"):
+            scalar_split(n, m)

@@ -19,6 +19,8 @@ from gaussbath.linalg import (
     partial_trace,
     require_finite_result,
     sandwich,
+    sandwich_sum,
+    sandwich_sum_sparse,
     vectorize,
 )
 from gaussbath.lindblad import SystemModel, gks_decompose
@@ -232,3 +234,38 @@ def test_expm_action_names_a_norm_beyond_the_double_range(scale, cause):
                            "finite$") as info:
             expm_action(liouv, v, "the test state")
     assert type(info.value.__cause__) is cause
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_sandwich_sums_equal_the_kron_sum(rng, kind):
+    def factor(shape):
+        a = rng.standard_normal(shape) if kind == "real" else random_complex(rng, shape)
+        return a * (rng.uniform(size=shape) < 0.6)
+
+    for _ in range(60):
+        p, q, r, s = rng.integers(1, 6, size=4)
+        pairs = [(factor((p, q)), factor((r, s))) for _ in range(rng.integers(1, 7))]
+        want = sandwich(*pairs[0])
+        for a, b in pairs[1:]:  # np.kron arrays added in list order
+            want = want + sandwich(a, b)
+        dense = sandwich_sum(pairs, "the sum")
+        sparse = sandwich_sum_sparse(pairs, "the sum")
+        assert sparse.format == "csc" and sparse.has_canonical_format
+        assert sparse.toarray().tobytes() == dense.tobytes()
+        if kind == "real":
+            # Every product is rounded once either way: equal as floats.
+            assert np.array_equal(dense, want)
+        else:
+            # numpy may round a complex product by a fused kernel in np.kron.
+            assert np.abs(dense - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
+
+
+@pytest.mark.parametrize("assemble", [sandwich_sum, sandwich_sum_sparse])
+def test_sandwich_sums_beyond_the_double_range_overflow(assemble):
+    eye, big = np.eye(2), np.diag([1e200, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # A product beyond the range, and two finite terms whose sum is beyond it.
+        for pairs in ([(big, big)], [(1e308 * eye, eye), (eye, 1e308 * eye)]):
+            with pytest.raises(OverflowError, match="^the sum is not finite$"):
+                assemble(pairs, "the sum")

@@ -739,3 +739,16 @@ def test_steady_state_of_a_large_squeezed_oscillator():
     rho = steady_state(SystemModel(C=a, F=np.zeros((d, d)), noise=NoiseParams(gamma=1.0, n=n, m=m)))
     assert abs(np.trace(adjoint(a) @ a @ rho) - n) <= 1e-8
     assert abs(abs(np.trace(a @ a @ rho)) - abs(m)) <= 1e-8
+
+
+@pytest.mark.parametrize("method, match", [
+    ("expm", "^evolve overflow: dt L' is not finite$"),
+    ("rk4", "^evolve overflow: the RK4 substep count is not finite$"),
+])
+def test_a_step_map_beyond_the_double_range_overflows(method, match):
+    # gamma dt = 1e310: dt L', and dt over RK4's 0.01 / gamma substep, leave the range.
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=match):
+            evolve(damped_qubit(gamma=1e300), rho0, np.array([0.0, 1e10]), method=method)
