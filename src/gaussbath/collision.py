@@ -18,15 +18,14 @@ is one channel with Kraus operators K_k = (1 (x) <k|) U (1 (x) |0>);
 S = sum_k conj(K_k) (x) K_k is built once, applied at every step by
 linalg.propagate, and preserves trace because U is unitary.  The chain
 needs only the d columns U |j, 00>.  H is listed once as three sandwiches
-and summed by linalg's one assembly.  Up to a step space d cutoff^2 =
-DENSE_STEP_MAX_DIM the columns are read off the dense exp(-iH)
-(step_unitary); above it expm_multiply applies exp(-iH) to them through
-the sparse H, with no dense H built.  U comes from the increment, not
-from L', so the chain is independent evidence for L'.  Trotter error per step
-is O(dt^2), so the reduced dynamics converges to exp(t L') at first
-order in dt.  The comparison runs at
-sigma = 0; a sigma shift is a system Hamiltonian term and has no
-collision counterpart in this scheme.
+and summed by linalg's one assembly.  The columns come from the dense
+exp(-iH) (step_unitary) or from expm_multiply on the sparse H, with no
+dense H built, as linalg.dense_exp_is_cheaper picks.  U comes from the
+increment, not from L', so the chain is independent evidence for L'.
+Trotter error per step is O(dt^2), so the reduced dynamics converges to
+exp(t L') at first order in dt.  The comparison runs at sigma = 0; a
+sigma shift is a system Hamiltonian term and has no collision
+counterpart in this scheme.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from .errors import DimensionError, DomainError, TruncationWarning
 from .lindblad import SystemModel, evolve, validate_density_matrix
 from .linalg import (
     adjoint,
+    dense_exp_is_cheaper,
     expm_action,
     mat_exp,
     negligible,
@@ -65,10 +65,6 @@ __all__ = [
 
 # Ancilla boundary occupation above this level triggers a truncation warning.
 BOUNDARY_TOL = 1e-3
-
-# Largest step space d * cutoff^2 whose Kraus operators come from the dense
-# step_unitary; above it, expm_multiply.  Measured crossover: see _kraus_tensor.
-DENSE_STEP_MAX_DIM = 100
 
 
 @dataclass
@@ -141,23 +137,17 @@ def step_unitary(config: CollisionConfig) -> np.ndarray:
 def _kraus_tensor(config: CollisionConfig) -> np.ndarray:
     """kraus[i, k, j] = <i, k| U |j, 0>, so that K_k = kraus[:, k, :].
 
-    Up to a step space d cutoff^2 = DENSE_STEP_MAX_DIM the d columns come
-    from the dense step_unitary, above it from linalg.expm_action on the
-    sparse -iH applied to the d columns |j> (x) |00>.  A non-finite tensor
-    raises OverflowError on either route.  The threshold is the measured crossover
-    of one step channel (dense vs sparse, median ms on 2 cores, oscillators
-    at dt = 0.01-0.04): d cutoff^2 = 50 1.1 vs 2.5, 72 1.8-2.4 vs 2.5-3.0,
-    100 3.3-4.5 vs 2.9-3.7, 128 5.0-6.3 vs 2.9-4.1, 200 13-17 vs 5.9,
-    256 22-23 vs 6.3-6.5, 512 137-145 vs 18-19, 576 201-217 vs 36-44.  At
-    100 the routes tie within a millisecond, and the dense one loads no
-    scipy.sparse.
+    From the dense step_unitary or from linalg.expm_action of the sparse -iH
+    on the d columns |j> (x) |00>, as linalg.dense_exp_is_cheaper picks for
+    one step.  A non-finite tensor raises OverflowError on either route.
     """
     d, pair_dim = config.model.dim, config.cutoff**2
-    if d * pair_dim <= DENSE_STEP_MAX_DIM:
+    pairs = _step_sandwiches(config)
+    if dense_exp_is_cheaper(pairs, [(1.0, 1)], columns=d):
         return step_unitary(config).reshape(d, pair_dim, d, pair_dim)[:, :, :, 0]
     vacuum = np.zeros((d * pair_dim, d), dtype=complex)
     vacuum[np.arange(d) * pair_dim, np.arange(d)] = 1.0
-    h = sandwich_sum_sparse(_step_sandwiches(config), "collision overflow: the step Hamiltonian")
+    h = sandwich_sum_sparse(pairs, "collision overflow: the step Hamiltonian")
     columns = expm_action(-1j * h, vacuum, "the Kraus operators")
     return columns.reshape(d, pair_dim, d)
 

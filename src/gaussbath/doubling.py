@@ -86,11 +86,11 @@ def scalar_split(n: float, m: complex) -> SplitCoefficients:
 
 
 def split_residuals(n: float, m: complex, s: SplitCoefficients) -> dict:
-    """The three defining identities as absolute residuals."""
+    """The three defining identities as residuals relative to n + 1, their common scale."""
     return {
-        "commutator": abs(s.x**2 - s.y**2 + abs(s.z) ** 2 - 1.0),
-        "occupation": abs(s.x**2 + abs(s.z) ** 2 - (n + 1.0)),
-        "pair": abs(s.y * s.z - m),
+        "commutator": abs(s.x**2 - s.y**2 + abs(s.z) ** 2 - 1.0) / (n + 1.0),
+        "occupation": abs(s.x**2 + abs(s.z) ** 2 - (n + 1.0)) / (n + 1.0),
+        "pair": abs(s.y * s.z - m) / (n + 1.0),
     }
 
 

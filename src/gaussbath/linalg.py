@@ -25,6 +25,8 @@ finite" (exit 3), while non-finite input is a DomainError where it
 enters.  expm_action is the one caller of scipy's expm_multiply; both
 exponential actions (evolve's trajectories, the collision Kraus columns)
 take its seeding, its overflow guard and its range check.
+dense_exp_is_cheaper is the one route rule for those exponentials, dense
+Pade maps or expm_action, by a flop estimate worked out with numpy alone.
 """
 
 from __future__ import annotations
@@ -39,11 +41,22 @@ DEFAULT_TOL = 1e-9
 # The side of the largest dense complex matrix that require_dense admits.
 MAX_DENSE_DIM = 2048
 
+# Al-Mohy & Higham (2011) Table 3.1: theta_m for m Taylor terms, as scipy's expm_multiply has it.
+_TAYLOR_M = np.array([*range(1, 31), 35, 40, 45, 50, 55])
+_THETA_M = np.array([
+    2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2, 8.96e-2, 1.44e-1,
+    2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1, 9.31e-1, 1.09, 1.26, 1.44, 1.62, 1.82,
+    2.01, 2.22, 2.43, 2.64, 2.86, 3.08, 3.31, 3.54, 4.7, 6.0, 7.2, 8.5, 9.9])
+
+# Flops per expm_multiply matvec of Python work: 8.8e4-1.2e5 fit all 30 clear timed cases.
+MATVEC_OVERHEAD = 1e5
+
 __all__ = [
     "DEFAULT_TOL",
     "MAX_DENSE_DIM",
     "adjoint",
     "choi_matrix",
+    "dense_exp_is_cheaper",
     "devectorize",
     "expm_action",
     "is_hermitian",
@@ -192,6 +205,29 @@ def expm_action(a, v: np.ndarray, what: str, **grid) -> np.ndarray:
     return require_finite_result(out, f"expm_multiply overflow: {what}")
 
 
+def dense_exp_is_cheaper(pairs, runs, columns: int = 1) -> bool:
+    """Whether dense maps cost fewer flops than expm_action for exp(t A) on columns vectors.
+
+    A = sum sandwich(A_k, B_k) over pairs, n x n; runs are (step, count) of equal steps.  Dense:
+    (6 + s) n^3 per distinct step, s squarings to ||step A||_1 <= 5.37 (Higham 2005), and n^2
+    per step and column.  expm_action: per run, 1 + min_m m ceil(||t A||_1 / theta_m) matvecs
+    (Al-Mohy & Higham 2011) of nnz columns + MATVEC_OVERHEAD, A shifted by tr(A)/n as in scipy.
+    Dense needs the require_dense budget and a finite ||A||_1; the sparse route names overflow.
+    """
+    keys, data, (n, _) = _sandwich_entries(pairs, None)
+    cols, rows = np.divmod(keys, n)
+    diag = np.zeros(n, dtype=complex)
+    diag[cols[cols == rows]] = data[cols == rows]
+    steps, counts = np.array(runs, dtype=float).T
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        norm = np.max(np.bincount(cols, np.abs(data), n) + abs(diag - diag.mean()) - abs(diag))
+        squarings = np.maximum(0.0, np.ceil(np.log2(np.unique(steps) * norm / 5.37)))
+        dense = np.sum(6.0 + squarings) * n**3 + counts.sum() * n * n * columns
+        matvecs = np.min(_TAYLOR_M * np.ceil((steps * counts * norm)[:, None] / _THETA_M), axis=1)
+        krylov = np.sum(1.0 + matvecs) * (keys.size * columns + MATVEC_OVERHEAD)
+    return bool(np.isfinite(norm) and n * n <= MAX_DENSE_DIM**2 and dense <= krylov)
+
+
 def mat_sqrt_psd(a: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Hermitian PSD square root of a matrix that psd_eigh accepts at scale."""
     evals, vecs = psd_eigh(a, scale, name="mat_sqrt_psd argument")
@@ -221,8 +257,8 @@ def sandwich_triplets(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     return rows, cols, values
 
 
-def _sandwich_entries(pairs, what: str) -> tuple:
-    """Column-major keys, values (terms added in list order from 0) and shape of the sum."""
+def _sandwich_entries(pairs, what: str | None) -> tuple:
+    """Column-major keys, values (added in list order, checked unless what is None), shape."""
     (p, q), (r, s) = np.shape(pairs[0][0]), np.shape(pairs[0][1])
     with np.errstate(over="ignore", invalid="ignore"):
         parts = [sandwich_triplets(a, b) for a, b in pairs]
@@ -230,7 +266,7 @@ def _sandwich_entries(pairs, what: str) -> tuple:
         keys, where = np.unique(cols * (s * p) + rows, return_inverse=True)
         data = np.zeros(keys.size, dtype=complex)
         np.add.at(data, where, values)
-    return keys, require_finite_result(data, what), (s * p, r * q)
+    return keys, data if what is None else require_finite_result(data, what), (s * p, r * q)
 
 
 def sandwich_sum(pairs, what: str) -> np.ndarray:
@@ -305,9 +341,8 @@ def choi_matrix(s: np.ndarray) -> np.ndarray:
 def propagate(rho0: np.ndarray, maps: list) -> np.ndarray:
     """States rho0, S1 rho0, S2 S1 rho0, ... under a list of superoperators.
 
-    The dense trajectories run through this loop: evolve's RK4 and its
-    expm up to lindblad.DENSE_EXPM_MAX_DIM, and the collision chain.
-    List a repeated step again.
+    The dense trajectories run through this loop: evolve's RK4, its dense
+    expm and the collision chain.  List a repeated step again.
     """
     rho0 = require_square(rho0, "initial state")
     d = rho0.shape[0]

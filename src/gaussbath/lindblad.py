@@ -23,9 +23,8 @@ sandwiches sandwich(A+, B+).  steady_state solves it by a sparse LU with
 its row 0 replaced by the scaled trace functional, certified by a
 condition estimate; the dense SVD of L' decides only when that
 certificate fails.
-evolve's "expm" keeps the dense exp(dt L') up to d^2 = DENSE_EXPM_MAX_DIM
-and above it applies the exponential to the state through the sparse L'
-(expm_multiply), one call per run of equal spacings.  The independent
+evolve's "expm" takes dense maps exp(dt L') or expm_multiply through the
+sparse L', as linalg.dense_exp_is_cheaper picks.  The independent
 evidence for L is the Ito-closure test, which rebuilds L(X) column by
 column as the dt part of dU+ X + X dU + dU+ X dU from the Gaussian Ito
 table in noise.
@@ -49,6 +48,7 @@ from .linalg import (
     DEFAULT_TOL,
     MAX_DENSE_DIM,
     adjoint,
+    dense_exp_is_cheaper,
     devectorize,
     expm_action,
     is_hermitian,
@@ -82,10 +82,6 @@ __all__ = [
     "validate_density_matrix",
 ]
 
-
-# Largest d^2 at which evolve's "expm" builds the dense d^2 x d^2 map; above
-# it, the sparse action of the exponential.  Measured crossover: see evolve.
-DENSE_EXPM_MAX_DIM = 324
 
 # Relative singular-value threshold for the Liouvillian kernel in steady_state;
 # its inverse bounds the condition estimate of the sparse solve.
@@ -126,9 +122,9 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
 
 
 def _kossakowski_sum(k: np.ndarray, jumps) -> np.ndarray:
-    """sum_jl K_jl V_j+ V_l over a jump basis V."""
+    """sum_jl (K_jl V_j+) V_l over a jump basis V, the weight on a factor before the product."""
     return sum(
-        k[j, l] * (adjoint(vj) @ vl)
+        (k[j, l] * adjoint(vj)) @ vl
         for j, vj in enumerate(jumps)
         for l, vl in enumerate(jumps)
     )
@@ -217,9 +213,13 @@ class GKSForm:
         """L as a dense array; a generator beyond the double range raises OverflowError."""
         return sandwich_sum(self.sandwiches(), "generator overflow: the Heisenberg generator")
 
+    def schrodinger_sandwiches(self) -> list:
+        """The (A+, B+) of L' = L+, by sandwich(A, B)+ = sandwich(A+, B+)."""
+        return [(adjoint(a), adjoint(b)) for a, b in self.sandwiches()]
+
     def schrodinger_sparse(self):
-        """L' = L+ as a scipy.sparse CSC array, by sandwich(A, B)+ = sandwich(A+, B+)."""
-        pairs = [(adjoint(a), adjoint(b)) for a, b in self.sandwiches()]
+        """L' as a scipy.sparse CSC array."""
+        pairs = self.schrodinger_sandwiches()
         return sandwich_sum_sparse(pairs, "generator overflow: the Heisenberg generator")
 
     def kossakowski_eigenvalues(self) -> np.ndarray:
@@ -251,7 +251,7 @@ def gks_decompose(model: SystemModel) -> GKSForm:
             model.F
             + np.conj(alpha) * model.C
             + alpha * adjoint(model.C)
-            + noise.sigma * dissipation_quadratic(model)
+            + _kossakowski_sum(noise.sigma * _bath_matrix(noise), (model.C, adjoint(model.C)))
         )
         kossakowski = noise.gamma * _bath_matrix(noise)
     for part in (h_eff, kossakowski):
@@ -261,7 +261,8 @@ def gks_decompose(model: SystemModel) -> GKSForm:
 
 def _rk4_default_step(model: SystemModel, spacing: float) -> float:
     noise = model.noise
-    scale = noise.gamma * (2.0 * noise.n + 1.0 + 2.0 * abs(noise.m)) * operator_norm(model.C) ** 2
+    norm_c = operator_norm(model.C)  # a float product overflows to inf, unlike float ** 2
+    scale = noise.gamma * (2.0 * noise.n + 1.0 + 2.0 * abs(noise.m)) * norm_c * norm_c
     scale += operator_norm(model.F)
     step = spacing / 20.0
     if scale > 0.0:
@@ -301,20 +302,12 @@ def evolve(
 
     Spacings equal to 12 digits relative to the largest form one group,
     and every interval takes the first spacing of its group.  "expm"
-    has two routes, chosen by d alone.  Up to d^2 = DENSE_EXPM_MAX_DIM
-    each group gets one dense d^2 x d^2 map exp(dt L') (Pade scaling and
-    squaring), applied in turn by linalg.propagate.  Above it the dense
-    map costs O(d^6) while the sparse L' has O(d^3) nonzeros, so each
-    maximal run of consecutive intervals in one group is one call of
-    scipy's expm_multiply (Al-Mohy & Higham's action of the exponential,
-    sparse matvecs only) from the state at the run's start; a linspace
-    grid is one run.  A non-finite state raises OverflowError on either
-    route, as does dt L' or an RK4 substep count beyond the double range.
-    The threshold is the measured crossover for 101 points to
-    t = 5 on a squeezed oscillator (dense vs sparse, median ms on 2 cores):
-    d = 4 2 vs 67, d = 8 8-38 vs 59-65, d = 16 76 vs 87, d = 18 99-113
-    vs 89-109, d = 20 140-169 vs 90-115, d = 24 246 vs 140, d = 32 1311
-    vs 211.  "rk4" takes nsub equal substeps h <= min(smallest
+    takes the route linalg.dense_exp_is_cheaper picks for L' and the grid:
+    one map exp(dt L') per group, applied in turn by linalg.propagate, or
+    one expm_multiply call per maximal run of intervals in one group (a
+    linspace grid is one run).  A non-finite state raises OverflowError on
+    either route, as does dt L' or an RK4 substep count beyond the double
+    range.  "rk4" takes nsub equal substeps h <= min(smallest
     spacing/20, 0.01/scale), scale = gamma (2n+1+2|m|) ||C||^2 + ||F||.
     One RK4 substep of a linear equation is exactly T4(hL') = I + hL' +
     (hL')^2/2 + (hL')^3/6 + (hL')^4/24, so the map is T4(hL')^nsub by
@@ -345,8 +338,16 @@ def evolve(
     _, first, group = np.unique(
         np.round(spacings / spacings.max(), 12), return_index=True, return_inverse=True
     )
-    if method == "expm" and d * d > DENSE_EXPM_MAX_DIM:
-        return _krylov_trajectory(gks_decompose(model), rho0, spacings[first], group)
+    if method == "expm":
+        edges = [0, *(np.flatnonzero(np.diff(group)) + 1), group.size]
+        runs = [(spacings[first][group[lo]], hi - lo) for lo, hi in zip(edges[:-1], edges[1:])]
+        form = gks_decompose(model)
+        if not dense_exp_is_cheaper(form.schrodinger_sandwiches(), runs):
+            liouv, vecs = form.schrodinger_sparse(), [vectorize(rho0)]
+            for dt, count in runs:  # one expm_action per run, from the state at its start
+                vecs.extend(expm_action(liouv, vecs[-1], "the trajectory", start=0.0,
+                                        stop=count * dt, num=count + 1, endpoint=True)[1:])
+            return np.reshape(vecs, (-1, d, d)).transpose(0, 2, 1)
     liouv = schrodinger_liouvillian(model)
     rk4_step = _rk4_default_step(model, spacings.min()) if method == "rk4" else np.inf
     group_maps = []
@@ -358,21 +359,6 @@ def evolve(
         group_maps.append(mat_exp(step) if method == "expm"
                           else np.linalg.matrix_power(_taylor4(step), nsub))
     return propagate(rho0, [group_maps[k] for k in group])
-
-
-def _krylov_trajectory(form: GKSForm, rho0: np.ndarray, group_dt: np.ndarray,
-                       group: np.ndarray) -> np.ndarray:
-    """States along the grid by one expm_action per run of intervals in one group."""
-    liouv = form.schrodinger_sparse()
-    d = rho0.shape[0]
-    vecs = np.empty((group.size + 1, d * d), dtype=complex)
-    vecs[0] = vectorize(rho0)
-    edges = [0, *(np.flatnonzero(np.diff(group)) + 1), group.size]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        run = expm_action(liouv, vecs[lo], "the trajectory", start=0.0,
-                          stop=(hi - lo) * group_dt[group[lo]], num=hi - lo + 1, endpoint=True)
-        vecs[lo + 1:hi + 1] = run[1:]
-    return vecs.reshape(-1, d, d).transpose(0, 2, 1)
 
 
 def steady_state(model: SystemModel) -> np.ndarray:

@@ -398,7 +398,7 @@ def test_overflowing_generator_is_numerical_exit_code(tmp_path, capsys, monkeypa
     f = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     path = qubit_model_file(tmp_path, C=c, F=f, **OVERFLOWING[model])
     if command == "evolve-krylov":  # the sparse route of evolve --method expm
-        monkeypatch.setattr(lindblad, "DENSE_EXPM_MAX_DIM", 0)
+        monkeypatch.setattr(lindblad, "dense_exp_is_cheaper", lambda *args, **kwargs: False)
         command = "evolve"
     argv = [command, "--model", path]
     if command == "evolve":
@@ -413,8 +413,8 @@ def test_overflowing_generator_is_numerical_exit_code(tmp_path, capsys, monkeypa
 
 
 def test_krylov_step_count_beyond_the_double_range_is_numerical_exit_code(tmp_path, capsys):
-    # d = 20 takes the Krylov route; L' has finite entries, but scipy's step
-    # count from its norm is NaN.
+    # L' has finite entries but tr(L') overflows, so the route rule takes the Krylov
+    # route, where scipy's step count from the shifted norm is NaN.
     d = 20
     zeros = np.zeros((d, d))
     rho = zeros.copy()
@@ -429,6 +429,42 @@ def test_krylov_step_count_beyond_the_double_range_is_numerical_exit_code(tmp_pa
     out, err = capsys.readouterr()
     assert out == ""
     assert "expm_multiply overflow: the trajectory is not finite" in err
+
+
+def test_split_residuals_of_a_large_state_read_at_rounding_level(capsys):
+    assert main(["split", "--n", "1e154", "--m-re", "5e153"]) == 0
+    residuals = json.loads(capsys.readouterr().out)["residuals"]
+    assert max(residuals.values()) <= 1e-12, residuals
+
+
+# C = 1e160 |1><0| with gamma = 1e-100: C+C is beyond the double range, the generator
+# (entries about 1e220) is not, and the state decays into |1><1|.
+TINY_GAMMA = {"gamma": 1e-100, "C": [[[0.0, 0.0], [0.0, 0.0]], [[1e160, 0.0], [0.0, 0.0]]]}
+
+
+def test_a_finite_generator_of_overflowing_products_is_reported(tmp_path, capsys):
+    path = qubit_model_file(tmp_path, **TINY_GAMMA)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["generator", "--model", path]) == 0
+        liouv = from_pairs(json.loads(capsys.readouterr().out)["liouvillian"])
+        assert main(["steady", "--model", path]) == 0
+        rho = from_pairs(json.loads(capsys.readouterr().out)["rho"])
+    assert np.all(np.isfinite(liouv)) and np.abs(liouv).max() == pytest.approx(1e220)
+    np.testing.assert_allclose(rho, np.diag([0.0, 1.0]), atol=1e-12)
+
+
+def test_rk4_runs_a_finite_generator_of_overflowing_products(tmp_path, capsys):
+    path = qubit_model_file(tmp_path, **TINY_GAMMA)
+    rho0 = write_json(tmp_path / "rho0.json", {"rho": [[[1.0, 0.0], [0.0, 0.0]], Z2[0]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["evolve", "--model", path, "--rho0", rho0, "--t-final", "1",
+                     "--points", "3", "--method", "rk4"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    header, *rows = list(csv.reader(out.splitlines()))
+    assert [float(row[header.index("pop_1")]) for row in rows] == pytest.approx([0.0, 1.0, 1.0])
 
 
 def test_split_rejects_overcorrelated(capsys):

@@ -34,6 +34,7 @@ from gaussbath.lindblad import SystemModel, evolve
 from gaussbath.linalg import (
     MAX_DENSE_DIM,
     adjoint,
+    dense_exp_is_cheaper,
     is_unitary,
     partial_trace,
     sandwich_sum,
@@ -262,7 +263,7 @@ STEP_KINDS = ("thermal", "squeezed", "displaced", "random F", "random C")
 def step_configs(draw, kind):
     """A one-step config whose step space d cutoff^2 lies between 18 and 320.
 
-    That is on either side of DENSE_STEP_MAX_DIM; kind is one of STEP_KINDS.
+    That spans both routes of the rule; kind is one of STEP_KINDS.
     """
     d = draw(st.integers(2, 8))
     cutoff = draw(st.integers(3, min(8, isqrt(320 // d))))
@@ -284,9 +285,8 @@ def step_configs(draw, kind):
 
 
 def step_channel_on_route(route, config):
-    """_step_channel with the threshold moved so that its Kraus operators take route."""
-    limit = 0 if route == "krylov" else 10**9
-    with mock.patch.object(collision, "DENSE_STEP_MAX_DIM", limit):
+    """_step_channel with the route rule fixed so that its Kraus operators take route."""
+    with mock.patch.object(collision, "dense_exp_is_cheaper", lambda *a, **k: route == "dense"):
         return _step_channel(config)
 
 
@@ -301,7 +301,7 @@ def test_krylov_step_channel_matches_dense_step_unitary(kind, data):
     assert np.max(np.abs(krylov_boundary - dense_boundary)) <= 1e-12
 
 
-def test_step_space_chooses_the_route(monkeypatch):
+def test_the_rule_chooses_the_step_route(monkeypatch):
     import scipy.sparse.linalg
 
     def fail(route):
@@ -309,14 +309,14 @@ def test_step_space_chooses_the_route(monkeypatch):
             raise AssertionError(f"{route} route taken")
         return call
 
-    d = 4
-    cutoff = isqrt(collision.DENSE_STEP_MAX_DIM // d)  # the largest dense cutoff at d
-
-    def config(cutoff):
+    def config(d):
         model = SystemModel(C=ladder(d), F=np.zeros((d, d)), noise=NoiseParams(gamma=1.0, n=0.5))
-        return CollisionConfig(model=model, dt=0.02, steps=1, cutoff=cutoff)
+        return CollisionConfig(model=model, dt=0.02, steps=1, cutoff=5)
 
-    at, above = config(cutoff), config(cutoff + 1)
+    at, above = config(2), config(4)  # step spaces d cutoff^2 = 50 (dense) and 100 (Krylov)
+    for c, dense in ((at, True), (above, False)):
+        pairs = collision._step_sandwiches(c)
+        assert dense_exp_is_cheaper(pairs, [(1.0, 1)], c.model.dim) is dense
     with monkeypatch.context() as patch:
         patch.setattr(scipy.sparse.linalg, "expm_multiply", fail("krylov"))
         _step_channel(at)
@@ -329,7 +329,7 @@ def test_step_space_chooses_the_route(monkeypatch):
     _, keys_after, pos_after, *_ = np.random.get_state()
     assert np.array_equal(keys_after, keys) and pos_after == pos
     # Trace preservation: vec(1)+ S = vec(1)+.
-    eye = np.eye(d).flatten(order="F")
+    eye = np.eye(above.model.dim).flatten(order="F")
     assert np.max(np.abs(eye @ step - eye)) <= 1e-13
     with pytest.raises(AssertionError, match="dense route"):
         _step_channel(at)
@@ -467,7 +467,7 @@ def test_krylov_step_channel_builds_no_dense_step_hamiltonian():
     a = ladder(d)
     model = SystemModel(C=a, F=adjoint(a) @ a, noise=NoiseParams(gamma=1.0, n=0.1))
     config = CollisionConfig(model=model, dt=0.04, steps=1, cutoff=cutoff)
-    assert d * cutoff**2 > collision.DENSE_STEP_MAX_DIM
+    assert not dense_exp_is_cheaper(collision._step_sandwiches(config), [(1.0, 1)], d)
     _step_channel(config)  # imports and first-call set-up stay out of the measurement
     tracemalloc.start()
     try:

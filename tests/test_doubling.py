@@ -67,7 +67,14 @@ def test_rounded_boundary_points_are_gaussian(rng):
         assert is_gaussian_state(n, m)
         assert not is_gaussian_state(n, m * (1.0 + 1e-9))
         r = split_residuals(n, m, scalar_split(n, m))
-        assert max(r.values()) <= 1e-12 * (n + 1.0)
+        assert max(r.values()) <= 1e-12
+
+
+def test_split_residuals_are_relative_to_n_plus_one():
+    # Absolute residuals of these identities were 7.4e137 and 1.5e138.
+    n, m = 1e154, 5e153
+    r = split_residuals(n, m, scalar_split(n, m))
+    assert max(r.values()) <= 1e-12, r
 
 
 @pytest.mark.parametrize("n, m", [(np.nan, 0.0), (np.inf, 0.0), (1.0, complex(np.nan, 0.0)),

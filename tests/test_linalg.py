@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from helpers import ladder, random_complex, random_density, random_hermitian, random_unitary
 
+from gaussbath import linalg
+from gaussbath.collision import CollisionConfig, _step_sandwiches
 from gaussbath.errors import DimensionError, DomainError
 from gaussbath.linalg import (
     adjoint,
     choi_matrix,
+    dense_exp_is_cheaper,
     devectorize,
     expm_action,
     is_hermitian,
@@ -234,6 +237,63 @@ def test_expm_action_names_a_norm_beyond_the_double_range(scale, cause):
                            "finite$") as info:
             expm_action(liouv, v, "the test state")
     assert type(info.value.__cause__) is cause
+
+
+def oscillator_pairs(d, scale=1.0, **noise):
+    """The sandwiches of L' for C = scale a and F = a+a."""
+    model = SystemModel(C=scale * ladder(d), F=np.diag(np.arange(d)).astype(complex),
+                        noise=NoiseParams(**{"gamma": 1.0, **noise}))
+    return gks_decompose(model).schrodinger_sandwiches()
+
+
+def step_pairs(d, cutoff, dt=0.02):
+    """The sandwiches of a collision step Hamiltonian on a thermal oscillator."""
+    model = SystemModel(C=ladder(d), F=np.diag(np.arange(d)).astype(complex),
+                        noise=NoiseParams(gamma=1.0, n=0.5))
+    return _step_sandwiches(CollisionConfig(model=model, dt=dt, steps=1, cutoff=cutoff))
+
+
+BENCH_BATH = {"n": 0.5, "m": 0.2}  # n + |m| = 0.7, as the evolve benchmark jobs hold it
+
+
+# (operator pairs, runs of (step, count), columns, whether dense is cheaper)
+ROUTES = {
+    "evolve-expm/d4": (lambda: oscillator_pairs(4, **BENCH_BATH), [(0.05, 100)], 1, True),
+    "evolve-expm/d8": (lambda: oscillator_pairs(8, **BENCH_BATH), [(0.05, 100)], 1, True),
+    "evolve-expm/d16": (lambda: oscillator_pairs(16, **BENCH_BATH), [(0.05, 100)], 1, True),
+    "evolve-expm/d24": (lambda: oscillator_pairs(24, **BENCH_BATH), [(0.05, 100)], 1, False),
+    "collision-reference/d8": (lambda: oscillator_pairs(8, n=0.75), [(0.01, 50)], 1, True),
+    "step-space-50": (lambda: step_pairs(2, 5), [(1.0, 1)], 2, True),
+    "step-space-100": (lambda: step_pairs(4, 5), [(1.0, 1)], 4, False),
+    "step-space-200": (lambda: step_pairs(8, 5), [(1.0, 1)], 8, False),
+    "step-space-256": (lambda: step_pairs(4, 8), [(1.0, 1)], 4, False),
+    # Stiff and long grids: expm_multiply's matvecs grow with t ||A||_1.
+    "d20-gamma1e4-t1": (lambda: oscillator_pairs(20, gamma=1e4, n=0.5), [(0.5, 2)], 1, True),
+    "d19-t10": (lambda: oscillator_pairs(19, n=0.5), [(1.0, 10)], 1, False),
+    "d19-t1000": (lambda: oscillator_pairs(19, n=0.5), [(100.0, 10)], 1, True),
+    # Beyond the dense budget only Krylov is left, however long the grid.
+    "d46-t1000": (lambda: oscillator_pairs(46, n=0.5), [(100.0, 10)], 1, False),
+    # tr(L') overflows, so the shifted ||L'||_1 is not finite: expm_multiply names it.
+    "ladder-1e153": (lambda: oscillator_pairs(20, scale=1e153), [(0.5, 2)], 1, False),
+    # ||L'||_1 is finite but ||t L'||_1 is not: the dense route names dt L'.
+    "qubit-gamma1e300-t1e10": (lambda: oscillator_pairs(2, gamma=1e300), [(1e10, 1)], 1, True),
+    # An entry beyond the double range: the sparse builder names it.
+    "infinite-entry": (lambda: [(np.array([[1e300]]), np.array([[1e300]]))], [(1.0, 1)], 1, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUTES))
+def test_the_route_rule_picks_the_cheaper_route(case):
+    pairs, runs, columns, dense = ROUTES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dense_exp_is_cheaper(pairs(), runs, columns) is dense
+
+
+def test_theta_table_is_scipys():
+    from scipy.sparse.linalg._expm_multiply import _theta
+
+    assert dict(zip(linalg._TAYLOR_M.tolist(), linalg._THETA_M.tolist())) == _theta
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])

@@ -1,5 +1,4 @@
 import warnings
-from math import isqrt
 from unittest import mock
 
 import numpy as np
@@ -29,6 +28,7 @@ from gaussbath.linalg import (
     MAX_DENSE_DIM,
     adjoint,
     choi_matrix,
+    dense_exp_is_cheaper,
     devectorize,
     mat_exp,
     operator_norm,
@@ -500,8 +500,8 @@ def trajectory_cases(draw, kind):
 
 
 def evolve_on_route(route, *args, **kwargs):
-    """evolve with the dense/Krylov threshold moved so that "expm" takes route."""
-    with mock.patch.object(lindblad, "DENSE_EXPM_MAX_DIM", 0 if route == "krylov" else 10**9):
+    """evolve with the route rule fixed so that "expm" takes route."""
+    with mock.patch.object(lindblad, "dense_exp_is_cheaper", lambda *a, **k: route == "dense"):
         return evolve(*args, **kwargs)
 
 
@@ -539,15 +539,19 @@ def test_krylov_route_calls_expm_multiply_once_per_run(rng, monkeypatch):
         assert calls == nums
 
 
-def test_evolve_above_the_threshold_never_builds_a_dense_map(monkeypatch):
+def test_evolve_on_the_krylov_route_never_builds_a_dense_map(monkeypatch):
     def fail(*args):
         raise AssertionError("dense route taken")
 
-    d = isqrt(lindblad.DENSE_EXPM_MAX_DIM) + 1
+    d = 20
     model = SystemModel(C=ladder(d), F=number(d), noise=NoiseParams(gamma=0.7))
     rho0 = np.zeros((d, d), dtype=complex)
     rho0[1, 1] = 1.0
     grid = np.linspace(0.0, 2.0, 11)
+    # The rule sends this grid to Krylov and the same grid stretched 1000-fold to dense.
+    pairs = gks_decompose(model).schrodinger_sandwiches()
+    assert not dense_exp_is_cheaper(pairs, [(0.2, 10)])
+    assert dense_exp_is_cheaper(pairs, [(200.0, 10)])
     monkeypatch.setattr(lindblad, "schrodinger_liouvillian", fail)
     monkeypatch.setattr(lindblad, "mat_exp", fail)
     _, keys, pos, *_ = np.random.get_state()
@@ -558,12 +562,11 @@ def test_evolve_above_the_threshold_never_builds_a_dense_map(monkeypatch):
     # One quantum in a vacuum bath decays at rate gamma.
     np.testing.assert_allclose(states[:, 1, 1].real, np.exp(-0.7 * grid), rtol=0, atol=1e-12)
     with pytest.raises(AssertionError, match="dense route"):
-        evolve(SystemModel(C=ladder(d - 1), F=number(d - 1), noise=model.noise),
-               rho0[:-1, :-1], grid)
+        evolve(model, rho0, 1000.0 * grid)
 
 
 def scaled_ladder(scale, d=20):
-    """A vacuum-bath oscillator with C = scale a and F = 0; d = 20 is on the Krylov route."""
+    """A vacuum-bath oscillator with C = scale a and F = 0."""
     return SystemModel(C=scale * ladder(d), F=np.zeros((d, d)), noise=NoiseParams(gamma=1.0))
 
 
@@ -571,10 +574,14 @@ def scaled_ladder(scale, d=20):
     # |m| far beyond sqrt(n(n+1)): the coherences of an unphysical bath grow.
     ("dense", damped_qubit(gamma=1.0, n=0.0, m=5.0), np.array([0.0, 400.0]), "not finite"),
     ("krylov", damped_qubit(gamma=1.0, n=0.0, m=5.0), np.array([0.0, 400.0]), "not finite"),
-    # Every entry of L' is finite but its norm is not, so scipy's own step count
-    # from that norm fails (on infinity at 1e60, on NaN at 1e153).
-    *[("natural", scaled_ladder(scale), np.linspace(0.0, 1.0, 3),
-       "expm_multiply overflow: the trajectory is not finite") for scale in (1e60, 1e153)],
+    # ||L'||_1 = 3.8e121 is finite, so the rule takes the dense route, where the
+    # exponential of dt L' overflows.
+    ("natural", scaled_ladder(1e60), np.linspace(0.0, 1.0, 3),
+     "mat_exp overflow: result is not finite"),
+    # Every entry of L' is finite but its norm is not, so the rule takes the Krylov
+    # route, where scipy's own step count from that norm fails (on NaN).
+    ("natural", scaled_ladder(1e153), np.linspace(0.0, 1.0, 3),
+     "expm_multiply overflow: the trajectory is not finite"),
 ], ids=["dense", "krylov", "ladder-1e60", "ladder-1e153"])
 def test_a_trajectory_beyond_the_double_range_overflows(route, model, grid, match):
     rho0 = np.full((model.dim, model.dim), 1.0 / model.dim, dtype=complex)
