@@ -26,10 +26,13 @@ enters.  expm_action is the one caller of scipy's expm_multiply; both
 exponential actions (evolve's trajectories, the collision Kraus columns)
 take its seeding, its overflow guard and its range check.
 dense_exp_is_cheaper is the one route rule for those exponentials, dense
-Pade maps or expm_action, by a flop estimate worked out with numpy alone.
+Pade maps (mat_exp) or expm_action.  The rule and mat_exp are numpy alone,
+so only the sparse routes load scipy: expm_action and sandwich_sum_sparse.
 """
 
 from __future__ import annotations
+
+from math import factorial
 
 import numpy as np
 
@@ -47,6 +50,11 @@ _THETA_M = np.array([
     2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2, 8.96e-2, 1.44e-1,
     2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1, 9.31e-1, 1.09, 1.26, 1.44, 1.62, 1.82,
     2.01, 2.22, 2.43, 2.64, 2.86, 3.08, 3.31, 3.54, 4.7, 6.0, 7.2, 8.5, 9.9])
+
+# Higham (2005) Table 2.3: theta_m, the largest ||2^-s A||_1 at which the [m/m] Pade
+# approximant of exp is exact in double precision.
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+               9: 2.097847961257068, 13: 5.371920351148152}
 
 # Flops per expm_multiply matvec of Python work: 8.8e4-1.2e5 fit all 30 clear timed cases.
 MATVEC_OVERHEAD = 1e5
@@ -161,19 +169,66 @@ def is_psd(a: np.ndarray, scale: float | None = None, rtol: float = DEFAULT_TOL)
 
 
 def mat_exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring (scipy).
+    """Matrix exponential by Pade scaling and squaring, in numpy alone.
 
-    Non-finite entries raise DomainError, a non-finite result OverflowError.
+    The method of scipy.linalg.expm (Al-Mohy & Higham 2009) with Higham's
+    (2005) theta_m.  The order m and the squarings s come from d_k =
+    ||A^k||_1^(1/k) of the unscaled A: d_4 and d_6 exact, d_8 <= d_4 and
+    d_10 <= (||A^4||_1 ||A^6||_1)^(1/10).  As in scipy, a diagonal A gives exp
+    of its diagonal, and a triangular A keeps that diagonal exact through the
+    squarings.  Non-finite entries raise DomainError; a non-finite power or
+    result raises OverflowError.
     """
-    # Imported here: generator, convert and split never load scipy.
-    import scipy.linalg
-
     a = require_square(a, "mat_exp argument")
     if not np.all(np.isfinite(a)):
         raise DomainError("mat_exp argument contains non-finite entries")
+    what, n = "mat_exp overflow: result", a.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        out = scipy.linalg.expm(a)
-    return require_finite_result(out, "mat_exp overflow: result")
+        if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
+            return require_finite_result(np.diag(np.exp(np.diagonal(a))), what)
+        # One workspace: A^2, A^4, A^6, then |A^4| and |A^6| or A^8, then the Pade sums.
+        w = np.empty((7, n, n), dtype=complex)
+        np.matmul(a, a, out=w[0])
+        np.matmul(w[0], w[0], out=w[1])
+        np.matmul(w[1], w[0], out=w[2])
+        norms = np.abs(w[1:3], out=w[3].view(float).reshape(2, n, n)).sum(axis=1).max(axis=1)
+        d4, d6 = require_finite_result(norms, what) ** np.array([1 / 4, 1 / 6])
+        m = next((m for m in (3, 5, 7, 9) if max(d4, d6) <= _PADE_THETA[m]), 13)
+        eta = max(d4, d4**0.4 * d6**0.6)  # max(d_8, d_10), by their bounds
+        s = max(0, int(np.ceil(np.log2(eta / _PADE_THETA[13])))) if m == 13 else 0
+        if s:
+            a = a * 2.0**-s
+            w[:3] *= 2.0 ** (-s * np.array([2, 4, 6]))[:, None, None]
+        if m == 9:
+            np.matmul(w[1], w[1], out=w[3])
+        # Higham (2005) (2.2) scaled to b_m = 1: p_m(x) = sum_k b_k x^k, b_k = (2m-k)!/(k!(m-k)!).
+        b = [factorial(2 * m - k) // factorial(k) / factorial(m - k) for k in range(m + 1)]
+        if m == 13:  # Higham (2005) (2.11): U = A (A^6 P + U'), V = A^6 Q + V'
+            p, u, q, v = _combine([b[9::2], b[3:8:2], b[8::2], b[2:7:2]], w[:3], w[3:])
+            u += np.matmul(w[2], p, out=w[0])
+            v += np.matmul(w[2], q, out=w[1])
+        else:
+            u, v = _combine([b[3::2], b[2::2]], w[: m // 2], w[4:6])
+        u.flat[:: n + 1] += b[1]
+        v.flat[:: n + 1] += b[0]
+        u = np.matmul(a, u, out=w[0])
+        x = np.linalg.solve(np.subtract(v, u, out=w[1]), np.add(v, u, out=v))
+        # Al-Mohy & Higham (2009) Code Fragment 2.1: otherwise the rounding of a unit
+        # eigenvalue of a triangular A grows 2^s-fold, and a stiff decay loses its trace.
+        triangular = s > 0 and not (np.tril(a, -1).any() and np.triu(a, 1).any())
+        for k in range(s + 1):
+            if k:
+                x = x @ x
+            if triangular:
+                np.fill_diagonal(x, np.exp(np.diagonal(a) * 2.0**k))
+    return require_finite_result(x, what)
+
+
+def _combine(coeffs, powers: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i] = sum_k coeffs[i][k] powers[k], as one real product of the float views."""
+    real = [array.view(float).reshape(len(array), -1) for array in (powers, out)]
+    np.matmul(coeffs, real[0], out=real[1])
+    return out
 
 
 def expm_action(a, v: np.ndarray, what: str, **grid) -> np.ndarray:
@@ -209,7 +264,7 @@ def dense_exp_is_cheaper(pairs, runs, columns: int = 1) -> bool:
     """Whether dense maps cost fewer flops than expm_action for exp(t A) on columns vectors.
 
     A = sum sandwich(A_k, B_k) over pairs, n x n; runs are (step, count) of equal steps.  Dense:
-    (6 + s) n^3 per distinct step, s squarings to ||step A||_1 <= 5.37 (Higham 2005), and n^2
+    (6 + s) n^3 per distinct step, s squarings to mat_exp's ||step A||_1 <= theta_13, and n^2
     per step and column.  expm_action: per run, 1 + min_m m ceil(||t A||_1 / theta_m) matvecs
     (Al-Mohy & Higham 2011) of nnz columns + MATVEC_OVERHEAD, A shifted by tr(A)/n as in scipy.
     Dense needs the require_dense budget and a finite ||A||_1; the sparse route names overflow.
@@ -221,7 +276,7 @@ def dense_exp_is_cheaper(pairs, runs, columns: int = 1) -> bool:
     steps, counts = np.array(runs, dtype=float).T
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         norm = np.max(np.bincount(cols, np.abs(data), n) + abs(diag - diag.mean()) - abs(diag))
-        squarings = np.maximum(0.0, np.ceil(np.log2(np.unique(steps) * norm / 5.37)))
+        squarings = np.maximum(0.0, np.ceil(np.log2(np.unique(steps) * norm / _PADE_THETA[13])))
         dense = np.sum(6.0 + squarings) * n**3 + counts.sum() * n * n * columns
         matvecs = np.min(_TAYLOR_M * np.ceil((steps * counts * norm)[:, None] / _THETA_M), axis=1)
         krylov = np.sum(1.0 + matvecs) * (keys.size * columns + MATVEC_OVERHEAD)

@@ -537,9 +537,14 @@ assert main(["convert", "--model", {blocks!r}, "--direction", "to-normal",
              "--out", {str(tmp_path / "c.json")!r}]) == 0
 assert main(["split", "--n", "0.5", "--m-re", "0.1", "--out", {str(tmp_path / "s.json")!r}]) == 0
 assert "scipy" not in sys.modules, "generator, convert or split loaded scipy"
+# The dense routes: evolve's exp(dt L') and oracle's step unitaries at a step space of 18.
 assert main(["evolve", "--model", {model!r}, "--rho0", {str(tmp_path / "rho0.json")!r},
              "--t-final", "0.2", "--points", "3", "--out", {str(tmp_path / "e.csv")!r}]) == 0
-assert "scipy.linalg" in sys.modules
+assert main(["oracle", "--model", {model!r}, "--t-final", "0.2", "--dt-list", "0.1,0.05",
+             "--cutoff", "3", "--out", {str(tmp_path / "o.csv")!r}]) == 0
+assert "scipy" not in sys.modules, "a dense evolve or oracle loaded scipy"
+assert main(["steady", "--model", {model!r}, "--out", {str(tmp_path / "st.json")!r}]) == 0
+assert "scipy.sparse" in sys.modules
 """
     write_json(tmp_path / "rho0.json", {"rho": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]})
     src = str(Path(cli.__file__).resolve().parents[1])

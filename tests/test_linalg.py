@@ -1,8 +1,11 @@
 import warnings
+from math import isqrt
 
 import numpy as np
 import pytest
 from helpers import ladder, random_complex, random_density, random_hermitian, random_unitary
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussbath import linalg
 from gaussbath.collision import CollisionConfig, _step_sandwiches
@@ -26,7 +29,7 @@ from gaussbath.linalg import (
     sandwich_sum_sparse,
     vectorize,
 )
-from gaussbath.lindblad import SystemModel, gks_decompose
+from gaussbath.lindblad import SystemModel, gks_decompose, schrodinger_liouvillian
 from gaussbath.noise import NoiseParams
 
 
@@ -89,6 +92,72 @@ def test_mat_exp_rejects_nonfinite():
 def test_mat_exp_overflow_is_range_error():
     with pytest.raises(OverflowError):
         mat_exp(np.diag([1e6, 1.0]).astype(complex))
+
+
+@st.composite
+def exp_arguments(draw):
+    """-iH of a one-step collision at d cutoff^2 <= 200, or dt L' at d <= 8, dt in [0.01, 1].
+
+    The model has a ladder or a random complex C, a random Hermitian F and a
+    squeezed thermal bath; the L' kind also draws sigma and alpha.
+    """
+    d = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = random_complex(rng, (d, d)) / np.sqrt(d) if draw(st.booleans()) else ladder(d)
+    n = draw(st.floats(0.0, 1.5))
+    m = draw(st.floats(0.0, 1.0)) * np.sqrt(n * (n + 1.0)) * np.exp(1j * draw(st.floats(0.0, 6.3)))
+    noise = dict(gamma=draw(st.floats(0.1, 3.0)), n=n, m=m,
+                 alpha=complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))))
+    if draw(st.booleans()):
+        model = SystemModel(C=c, F=random_hermitian(rng, d), noise=NoiseParams(**noise))
+        config = CollisionConfig(model=model, dt=draw(st.floats(0.005, 0.1)), steps=1,
+                                 cutoff=draw(st.integers(3, isqrt(200 // d))))
+        return -1j * sandwich_sum(_step_sandwiches(config), "the step Hamiltonian")
+    noise["sigma"] = draw(st.floats(-1.0, 1.0))
+    model = SystemModel(C=c, F=random_hermitian(rng, d), noise=NoiseParams(**noise))
+    return draw(st.floats(0.01, 1.0)) * schrodinger_liouvillian(model)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(a=exp_arguments())
+def test_mat_exp_matches_scipy_expm(a):
+    import scipy.linalg
+
+    want = scipy.linalg.expm(a)
+    assert np.max(np.abs(mat_exp(a) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_mat_exp_of_a_diagonal_is_exp_of_the_diagonal(rng):
+    # L' of C = sigma_z is diagonal, and the oracle's zero error there rests on this.
+    sigma_z = SystemModel(C=np.diag([1.0, -1.0]), F=np.zeros((2, 2)), noise=NoiseParams(gamma=1.0))
+    for a in (np.diag(random_complex(rng, 6)), 0.1 * schrodinger_liouvillian(sigma_z),
+              np.array([[-3.0 + 1j]])):
+        assert np.array_equal(mat_exp(a), np.diag(np.exp(np.diagonal(a))))
+
+
+@pytest.mark.parametrize("d", [2, 8])
+def test_mat_exp_keeps_the_trace_of_a_stiff_decay(d):
+    import scipy.linalg
+
+    # A vacuum bath makes L' triangular.  At ||dt L'||_1 about 1e16, s is about 50: squarings
+    # that do not keep the diagonal exact grow the unit eigenvalue's rounding 2^50-fold.
+    model = SystemModel(C=1e8 * ladder(d), F=np.diag(np.arange(d)), noise=NoiseParams(gamma=1.0))
+    a = 0.5 * schrodinger_liouvillian(model)
+    got, trace = mat_exp(a), np.eye(d).flatten(order="F")
+    assert np.max(np.abs(trace @ got - trace)) <= 1e-14
+    want = scipy.linalg.expm(a)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("a", [
+    np.full((3, 3), 1e80),  # exp(a) itself is beyond the double range
+    np.array([[-1e80, 1e80], [0.0, -1e80]]),  # exp(a) is a contraction, A^4 is not finite
+], ids=["growing", "contraction"])
+def test_mat_exp_overflowing_power_is_range_error(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="mat_exp overflow: result is not finite"):
+            mat_exp(a)
 
 
 def test_mat_sqrt_psd_squares_back(rng):

@@ -582,7 +582,12 @@ def scaled_ladder(scale, d=20):
     # route, where scipy's own step count from that norm fails (on NaN).
     ("natural", scaled_ladder(1e153), np.linspace(0.0, 1.0, 3),
      "expm_multiply overflow: the trajectory is not finite"),
-], ids=["dense", "krylov", "ladder-1e60", "ladder-1e153"])
+    # C = 1e160 |1><0|, gamma = 1e-100: dt L' (about 1e220) is finite and exp(dt L') a
+    # contraction, but (dt L')^2 is not finite, so the dense route names the overflow.
+    ("natural", SystemModel(C=np.array([[0.0, 0.0], [1e160, 0.0]]), F=np.zeros((2, 2)),
+                            noise=NoiseParams(gamma=1e-100)), np.linspace(0.0, 1.0, 3),
+     "mat_exp overflow: result is not finite"),
+], ids=["dense", "krylov", "ladder-1e60", "ladder-1e153", "tiny-gamma"])
 def test_a_trajectory_beyond_the_double_range_overflows(route, model, grid, match):
     rho0 = np.full((model.dim, model.dim), 1.0 / model.dim, dtype=complex)
     with warnings.catch_warnings():
