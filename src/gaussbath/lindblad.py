@@ -15,9 +15,9 @@ closes, via the Gaussian Ito table, into the Heisenberg generator
 
 which is unital (L(1) = 0).  GKSForm.sandwiches lists L as six sandwiches
 of d x d factors; linalg's one assembly sums them from the nonzeros of the
-factors, densely for heisenberg_matrix (generator, evolve, the collision
-reference).  The Schrodinger generator is the Hilbert-Schmidt adjoint
-L' = L+, so tr(L(X) rho) = tr(X L'(rho)) holds by construction; the one
+factors, densely in heisenberg_matrix.  The Schrodinger generator is the
+Hilbert-Schmidt adjoint L' = L+, so tr(L(X) rho) = tr(X L'(rho)) holds by
+construction; every dense L' is adjoint(heisenberg_matrix()), and the one
 sparse L', GKSForm.schrodinger_sparse, is the CSC sum of the adjoint
 sandwiches sandwich(A+, B+).  steady_state solves it by a sparse LU with
 its row 0 replaced by the scaled trace functional, certified by a
@@ -300,6 +300,7 @@ def evolve(
 ) -> np.ndarray:
     """Propagate rho0 along the grid under exp(t L').
 
+    One gks_decompose per call serves the route rule and every L' it takes.
     Spacings equal to 12 digits relative to the largest form one group,
     and every interval takes the first spacing of its group.  "expm"
     takes the route linalg.dense_exp_is_cheaper picks for L' and the grid:
@@ -338,17 +339,17 @@ def evolve(
     _, first, group = np.unique(
         np.round(spacings / spacings.max(), 12), return_index=True, return_inverse=True
     )
+    form = gks_decompose(model)
     if method == "expm":
         edges = [0, *(np.flatnonzero(np.diff(group)) + 1), group.size]
         runs = [(spacings[first][group[lo]], hi - lo) for lo, hi in zip(edges[:-1], edges[1:])]
-        form = gks_decompose(model)
         if not dense_exp_is_cheaper(form.schrodinger_sandwiches(), runs):
             liouv, vecs = form.schrodinger_sparse(), [vectorize(rho0)]
             for dt, count in runs:  # one expm_action per run, from the state at its start
                 vecs.extend(expm_action(liouv, vecs[-1], "the trajectory", start=0.0,
                                         stop=count * dt, num=count + 1, endpoint=True)[1:])
             return np.reshape(vecs, (-1, d, d)).transpose(0, 2, 1)
-    liouv = schrodinger_liouvillian(model)
+    liouv = adjoint(form.heisenberg_matrix())
     rk4_step = _rk4_default_step(model, spacings.min()) if method == "rk4" else np.inf
     group_maps = []
     for dt in spacings[first]:  # expm takes one substep
@@ -382,7 +383,8 @@ def steady_state(model: SystemModel) -> np.ndarray:
     import scipy.sparse.linalg
 
     d = model.dim
-    liouv = gks_decompose(model).schrodinger_sparse()
+    form = gks_decompose(model)
+    liouv = form.schrodinger_sparse()
     scale = scipy.sparse.linalg.norm(liouv, 1)
     liouv.data[liouv.indices == 0] = 0.0  # row 0 gives way to the trace row
     trace_row = scipy.sparse.csc_array(
@@ -405,7 +407,7 @@ def steady_state(model: SystemModel) -> np.ndarray:
             # t = 1 draws no random columns, so the estimate is reproducible.
             kappa = scipy.sparse.linalg.norm(a, 1) * scipy.sparse.linalg.onenormest(inverse, t=1)
     if not kappa < 1.0 / RANK_RTOL:  # NaN included
-        vec = _dense_kernel_vector(model, kappa)
+        vec = _dense_kernel_vector(form, kappa)
     rho = devectorize(vec, d)
     rho = (rho + adjoint(rho)) / 2.0
     tr = np.trace(rho)
@@ -419,13 +421,13 @@ def steady_state(model: SystemModel) -> np.ndarray:
     return rho
 
 
-def _dense_kernel_vector(model: SystemModel, kappa: float) -> np.ndarray:
-    """The right singular vector of the smallest singular value of the dense L'.
+def _dense_kernel_vector(form: GKSForm, kappa: float) -> np.ndarray:
+    """The right singular vector of the smallest singular value of the dense L' of form.
 
     A kernel of dimension other than one, counted at RANK_RTOL relative to
     the largest singular value, raises DegenerateKernelError with the count.
     """
-    d = model.dim
+    d = form.h_eff.shape[0]
     if d * d > MAX_DENSE_DIM:
         raise DegenerateKernelError(
             f"Liouvillian kernel is not certified one-dimensional: condition estimate "
@@ -433,7 +435,7 @@ def _dense_kernel_vector(model: SystemModel, kappa: float) -> np.ndarray:
             f"dense budget {MAX_DENSE_DIM} for counting it",
             kernel_dim=None,
         )
-    _, svals, vh = np.linalg.svd(schrodinger_liouvillian(model))
+    _, svals, vh = np.linalg.svd(adjoint(form.heisenberg_matrix()))
     kernel_dim = int(np.sum(negligible(svals, svals[0], RANK_RTOL)))
     if kernel_dim != 1:
         raise DegenerateKernelError(

@@ -274,6 +274,20 @@ def test_oracle_error_rise_at_rounding_level_is_monotone(tmp_path, capsys):
     assert all(r[4] == "true" for r in rows)
 
 
+def test_oracle_reads_rho0(tmp_path, capsys):
+    argv = ["oracle", "--model", qubit_model_file(tmp_path), "--t-final", "0.4",
+            "--dt-list", "0.1,0.05", "--cutoff", "3"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    # The default initial state is I/d: given as a file it writes the same bytes.
+    mixed = write_json(tmp_path / "mixed.json", {"rho": to_pairs(np.eye(2) / 2.0)})
+    assert main(argv + ["--rho0", mixed]) == 0
+    assert capsys.readouterr().out == default
+    excited = write_json(tmp_path / "excited.json", {"rho": [[[1.0, 0.0], [0.0, 0.0]], Z2[0]]})
+    assert main(argv + ["--rho0", excited]) == 0
+    assert capsys.readouterr().out != default
+
+
 def test_oracle_rejects_a_cutoff_beyond_the_step_budget(tmp_path, capsys):
     argv = ["oracle", "--model", qubit_model_file(tmp_path), "--t-final", "0.4",
             "--dt-list", "0.1,0.05", "--cutoff", "1000"]
@@ -506,25 +520,6 @@ def test_linalg_error_is_numerical_exit_code(tmp_path, capsys, monkeypatch):
     assert "numerical error" in capsys.readouterr().err
 
 
-def test_only_steady_loads_scipy_sparse(tmp_path):
-    model = qubit_model_file(tmp_path, n=0.5)
-    script = f"""
-import sys
-from gaussbath.cli import main
-assert main(["generator", "--model", {model!r}, "--out", {str(tmp_path / "g.json")!r}]) == 0
-assert main(["oracle", "--model", {model!r}, "--t-final", "0.2", "--dt-list", "0.1,0.05",
-             "--cutoff", "3", "--out", {str(tmp_path / "o.csv")!r}]) == 0
-assert "scipy.sparse" not in sys.modules, "generator or oracle loaded scipy.sparse"
-assert main(["steady", "--model", {model!r}, "--out", {str(tmp_path / "s.json")!r}]) == 0
-assert "scipy.sparse" in sys.modules
-"""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-
-
 def test_report_commands_never_load_scipy(tmp_path):
     model = qubit_model_file(tmp_path, n=0.5)
     blocks = qubit_model_file(tmp_path, "blocks.json",
@@ -559,7 +554,9 @@ assert "scipy.sparse" in sys.modules
     (["oracle", "--t-final", "0.4", "--dt-list", "nan,0.05"], "dt must be finite"),
     (["evolve", "--t-final", "inf"], "--t-final"),
     (["evolve", "--t-final", "nan"], "--t-final"),
-], ids=["oracle-t-final-inf", "oracle-dt-nan", "evolve-t-final-inf", "evolve-t-final-nan"])
+    (["evolve", "--t-final", "1", "--points", "1"], "--points must be at least 2"),
+], ids=["oracle-t-final-inf", "oracle-dt-nan", "evolve-t-final-inf", "evolve-t-final-nan",
+        "evolve-one-point"])
 def test_nonfinite_time_input_is_invalid_input(tmp_path, capsys, argv, name):
     argv = argv + ["--model", qubit_model_file(tmp_path)]
     if argv[0] == "evolve":
@@ -604,6 +601,12 @@ def test_model_field_validation(tmp_path, capsys):
     model = write_json(tmp_path / "m3.json", {"dim": 3, "gamma": 1.0, "C": SM, "F": Z2})
     assert main(["steady", "--model", model]) == 2
     assert "rows" in capsys.readouterr().err
+    model = write_json(tmp_path / "m4.json", [{"dim": 2, "gamma": 1.0, "C": SM, "F": Z2}])
+    assert main(["steady", "--model", model]) == 2
+    assert "top level must be a JSON object" in capsys.readouterr().err
+    model = write_json(tmp_path / "m5.json", {"dim": 0, "gamma": 1.0, "C": [], "F": []})
+    assert main(["steady", "--model", model]) == 2
+    assert "field 'dim': must be a positive integer" in capsys.readouterr().err
 
 
 def test_overflowing_block_entry_is_invalid_input(tmp_path, capsys):

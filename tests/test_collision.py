@@ -365,13 +365,21 @@ def test_simulate_input_checks():
         simulate(config, np.diag([0.9, 0.3]))
 
 
-def test_trace_distance_frozen_and_checks():
+def test_trace_distance_frozen_and_checks(rng):
     a = np.diag([0.7, 0.3]).astype(complex)
     b = np.diag([0.5, 0.5]).astype(complex)
     assert trace_distance(a, b) == pytest.approx(0.2, abs=1e-14)
     assert trace_distance(a, a) == 0.0
     with pytest.raises(DimensionError):
         trace_distance(a, np.eye(3))
+    # Stacks: one value per pair, equal to the pairwise calls.
+    lhs = np.array([random_density(rng, 4) for _ in range(6)])
+    rhs = np.array([random_density(rng, 4) for _ in range(6)])
+    assert trace_distance(lhs, rhs).tolist() == [trace_distance(x, y) for x, y in zip(lhs, rhs)]
+    with pytest.raises(DimensionError):
+        trace_distance(lhs, rhs[:5])
+    with pytest.raises(DimensionError):
+        trace_distance(lhs[:, :, :3], rhs[:, :, :3])
 
 
 def test_convergence_study_vacuum_first_order():

@@ -194,6 +194,11 @@ def test_vectorize_roundtrip(rng):
     np.testing.assert_array_equal(devectorize(vectorize(a), 3), a)
 
 
+def test_vectorize_rejects_a_non_square_array():
+    with pytest.raises(DimensionError, match=r"vectorize argument must be a square matrix"):
+        vectorize(np.zeros((2, 3)))
+
+
 def test_devectorize_rejects_bad_length():
     with pytest.raises(DimensionError):
         devectorize(np.zeros(5), 2)

@@ -552,7 +552,7 @@ def test_evolve_on_the_krylov_route_never_builds_a_dense_map(monkeypatch):
     pairs = gks_decompose(model).schrodinger_sandwiches()
     assert not dense_exp_is_cheaper(pairs, [(0.2, 10)])
     assert dense_exp_is_cheaper(pairs, [(200.0, 10)])
-    monkeypatch.setattr(lindblad, "schrodinger_liouvillian", fail)
+    monkeypatch.setattr(lindblad.GKSForm, "heisenberg_matrix", fail)
     monkeypatch.setattr(lindblad, "mat_exp", fail)
     _, keys, pos, *_ = np.random.get_state()
     states = evolve(model, rho0, grid)
@@ -563,6 +563,22 @@ def test_evolve_on_the_krylov_route_never_builds_a_dense_map(monkeypatch):
     np.testing.assert_allclose(states[:, 1, 1].real, np.exp(-0.7 * grid), rtol=0, atol=1e-12)
     with pytest.raises(AssertionError, match="dense route"):
         evolve(model, rho0, 1000.0 * grid)
+
+
+@pytest.mark.parametrize("route, method",
+                         [("dense", "expm"), ("krylov", "expm"), ("dense", "rk4")],
+                         ids=["dense", "krylov", "rk4"])
+def test_evolve_builds_one_gks_form_per_call(rng, monkeypatch, route, method):
+    forms = []
+
+    def counting(model):
+        forms.append(gks_decompose(model))
+        return forms[-1]
+
+    monkeypatch.setattr(lindblad, "gks_decompose", counting)
+    model, rho0 = random_model(rng, 3), random_density(rng, 3)
+    evolve_on_route(route, model, rho0, np.linspace(0.0, 1.0, 5), method=method)
+    assert len(forms) == 1
 
 
 def scaled_ladder(scale, d=20):
@@ -733,6 +749,24 @@ def test_nearly_decoupled_blocks_get_the_oracle_verdict(eps, link):
         assert info.value.kernel_dim == exc.kernel_dim
     else:
         np.testing.assert_allclose(steady_state(model), want, rtol=0, atol=1e-10)
+
+
+def test_steady_state_falls_back_to_the_dense_kernel_when_the_lu_is_singular(monkeypatch):
+    import scipy.sparse.linalg
+
+    calls = []
+
+    def singular(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    d, n = 6, 0.5
+    m = 0.5 * np.sqrt(n * (n + 1.0)) * np.exp(0.7j)
+    model = SystemModel(C=ladder(d), F=number(d), noise=NoiseParams(gamma=1.0, n=n, m=m))
+    rho = steady_state(model)
+    assert len(calls) == 1
+    np.testing.assert_allclose(rho, dense_steady_state(model), rtol=0, atol=1e-10)
 
 
 def test_degenerate_kernel_beyond_the_dense_budget_is_not_counted():
