@@ -15,13 +15,15 @@ levels.  One collision applies
 
 and traces the ancillas out.  The pair starts in vacuum, so a collision
 is one channel with Kraus operators K_k = (1 (x) <k|) U (1 (x) |0>);
-S = sum_k conj(K_k) (x) K_k is built once, applied at every step by
-linalg.propagate, and preserves trace because U is unitary.  The chain
-needs only the d columns U |j, 00>.  H is listed once as three sandwiches
-and summed by linalg's one assembly.  The columns come from the dense
+S = sum_k conj(K_k) (x) K_k is built once, applied steps times by
+linalg.propagate, and preserves trace because U is unitary: the chain
+is one step map repeated, like evolve's trajectories.  The chain needs
+only the d columns U |j, 00>.  H is listed once as three sandwiches and
+summed by linalg's one assembly.  The columns come from the dense
 exp(-iH) (step_unitary) or from expm_multiply on the sparse H, with no
-dense H built, as linalg.dense_exp_is_cheaper picks.  U comes from the
-increment, not from L', so the chain is independent evidence for L'.
+dense H built, as linalg.dense_exp_is_cheaper picks for one step.  U
+comes from the increment, not from L', so the chain is independent
+evidence for L'.
 Trotter error per step is O(dt^2), so the reduced dynamics converges to
 exp(t L') at first order in dt.  The comparison runs at sigma = 0; a
 sigma shift is a system Hamiltonian term and has no collision
@@ -142,7 +144,7 @@ def _kraus_tensor(config: CollisionConfig) -> np.ndarray:
     """
     d, pair_dim = config.model.dim, config.cutoff**2
     pairs = _step_sandwiches(config)
-    if dense_exp_is_cheaper(pairs, [(1.0, 1)], columns=d):
+    if dense_exp_is_cheaper(pairs, 1.0, 1, columns=d):
         return step_unitary(config).reshape(d, pair_dim, d, pair_dim)[:, :, :, 0]
     vacuum = np.zeros((d * pair_dim, d), dtype=complex)
     vacuum[np.arange(d) * pair_dim, np.arange(d)] = 1.0
@@ -178,7 +180,7 @@ def simulate(config: CollisionConfig, rho0: np.ndarray) -> np.ndarray:
     if rho.shape[0] != config.model.dim:
         raise DimensionError("rho0 dimension does not match the model")
     step, boundary = _step_channel(config)
-    out = propagate(rho, [step] * config.steps)
+    out = propagate(rho, step, config.steps)
     worst_boundary = float(np.einsum("bj,kjb->k", boundary, out[:-1]).real.max())
     if worst_boundary > BOUNDARY_TOL:
         warnings.warn(

@@ -25,9 +25,11 @@ finite" (exit 3), while non-finite input is a DomainError where it
 enters.  expm_action is the one caller of scipy's expm_multiply; both
 exponential actions (evolve's trajectories, the collision Kraus columns)
 take its seeding, its overflow guard and its range check.
-dense_exp_is_cheaper is the one route rule for those exponentials, dense
-Pade maps (mat_exp) or expm_action.  The rule and mat_exp are numpy alone,
-so only the sparse routes load scipy: expm_action and sandwich_sum_sparse.
+dense_exp_is_cheaper is the one route rule for those exponentials, one
+dense Pade map (mat_exp) or expm_action, over count steps of one size:
+every trajectory is one step map repeated (propagate).  The rule and
+mat_exp are numpy alone, so only the sparse routes load scipy:
+expm_action and sandwich_sum_sparse.
 """
 
 from __future__ import annotations
@@ -260,26 +262,25 @@ def expm_action(a, v: np.ndarray, what: str, **grid) -> np.ndarray:
     return require_finite_result(out, f"expm_multiply overflow: {what}")
 
 
-def dense_exp_is_cheaper(pairs, runs, columns: int = 1) -> bool:
-    """Whether dense maps cost fewer flops than expm_action for exp(t A) on columns vectors.
+def dense_exp_is_cheaper(pairs, step: float, count: int, columns: int = 1) -> bool:
+    """Whether one dense map beats expm_action for exp(k step A) on columns vectors, k <= count.
 
-    A = sum sandwich(A_k, B_k) over pairs, n x n; runs are (step, count) of equal steps.  Dense:
-    (6 + s) n^3 per distinct step, s squarings to mat_exp's ||step A||_1 <= theta_13, and n^2
-    per step and column.  expm_action: per run, 1 + min_m m ceil(||t A||_1 / theta_m) matvecs
-    (Al-Mohy & Higham 2011) of nnz columns + MATVEC_OVERHEAD, A shifted by tr(A)/n as in scipy.
+    A = sum sandwich(A_k, B_k) over pairs, n x n.  Dense: (6 + s) n^3 for the one map, s
+    squarings to mat_exp's ||step A||_1 <= theta_13, and n^2 per step and column.
+    expm_action: 1 + min_m m ceil(||count step A||_1 / theta_m) matvecs (Al-Mohy & Higham
+    2011) of nnz columns + MATVEC_OVERHEAD, A shifted by tr(A)/n as in scipy.
     Dense needs the require_dense budget and a finite ||A||_1; the sparse route names overflow.
     """
     keys, data, (n, _) = _sandwich_entries(pairs, None)
     cols, rows = np.divmod(keys, n)
     diag = np.zeros(n, dtype=complex)
     diag[cols[cols == rows]] = data[cols == rows]
-    steps, counts = np.array(runs, dtype=float).T
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         norm = np.max(np.bincount(cols, np.abs(data), n) + abs(diag - diag.mean()) - abs(diag))
-        squarings = np.maximum(0.0, np.ceil(np.log2(np.unique(steps) * norm / _PADE_THETA[13])))
-        dense = np.sum(6.0 + squarings) * n**3 + counts.sum() * n * n * columns
-        matvecs = np.min(_TAYLOR_M * np.ceil((steps * counts * norm)[:, None] / _THETA_M), axis=1)
-        krylov = np.sum(1.0 + matvecs) * (keys.size * columns + MATVEC_OVERHEAD)
+        squarings = max(0.0, np.ceil(np.log2(step * norm / _PADE_THETA[13])))
+        dense = (6.0 + squarings) * n**3 + count * n * n * columns
+        matvecs = np.min(_TAYLOR_M * np.ceil(step * count * norm / _THETA_M))
+        krylov = (1.0 + matvecs) * (keys.size * columns + MATVEC_OVERHEAD)
     return bool(np.isfinite(norm) and n * n <= MAX_DENSE_DIM**2 and dense <= krylov)
 
 
@@ -393,18 +394,18 @@ def choi_matrix(s: np.ndarray) -> np.ndarray:
     return s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d2, d2)
 
 
-def propagate(rho0: np.ndarray, maps: list) -> np.ndarray:
-    """States rho0, S1 rho0, S2 S1 rho0, ... under a list of superoperators.
+def propagate(rho0: np.ndarray, step_map: np.ndarray, count: int) -> np.ndarray:
+    """States rho0, S rho0, S^2 rho0, ..., S^count rho0 under one step superoperator S.
 
     The dense trajectories run through this loop: evolve's RK4, its dense
-    expm and the collision chain.  List a repeated step again.
+    expm and the collision chain.
     """
     rho0 = require_square(rho0, "initial state")
     d = rho0.shape[0]
-    out = np.empty((len(maps) + 1, d, d), dtype=complex)
+    out = np.empty((count + 1, d, d), dtype=complex)
     out[0] = rho0
     v = vectorize(rho0)
-    for k, s in enumerate(maps):
-        v = s @ v
+    for k in range(count):
+        v = step_map @ v
         out[k + 1] = devectorize(v, d)
     return out

@@ -23,11 +23,12 @@ sandwiches sandwich(A+, B+).  steady_state solves it by a sparse LU with
 its row 0 replaced by the scaled trace functional, certified by a
 condition estimate; the dense SVD of L' decides only when that
 certificate fails.
-evolve's "expm" takes dense maps exp(dt L') or expm_multiply through the
-sparse L', as linalg.dense_exp_is_cheaper picks.  The independent
-evidence for L is the Ito-closure test, which rebuilds L(X) column by
-column as the dt part of dU+ X + X dU + dU+ X dU from the Gaussian Ito
-table in noise.
+evolve takes an evenly spaced grid, so a trajectory is one step map
+repeated; its "expm" takes the dense map exp(dt L') or one expm_multiply
+call through the sparse L', as linalg.dense_exp_is_cheaper picks.  The
+independent evidence for L is the Ito-closure test, which rebuilds L(X)
+column by column as the dt part of dU+ X + X dU + dU+ X dU from the
+Gaussian Ito table in noise.
 All superoperators act on column-stacked operators (see linalg).
 """
 
@@ -280,6 +281,11 @@ def _check_grid(grid: np.ndarray) -> np.ndarray:
         raise DomainError("time grid must start at 0")
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
         raise DomainError("time grid must be strictly increasing")
+    # Against np.linspace itself, which the command line grid equals bit for bit,
+    # even where k grid[1] is far from it (a subnormal step).
+    deviation = np.abs(grid - np.linspace(0.0, grid[-1], grid.size))
+    if not np.all(negligible(deviation, grid[-1], 1e-12)):
+        raise DomainError("time grid must be evenly spaced, within 1e-12 of its last point")
     return grid
 
 
@@ -298,26 +304,26 @@ def evolve(
     grid: np.ndarray,
     method: str = "expm",
 ) -> np.ndarray:
-    """Propagate rho0 along the grid under exp(t L').
+    """Propagate rho0 along an evenly spaced grid under exp(t L').
 
+    The grid starts at 0 and deviates from np.linspace(0, grid[-1],
+    grid.size) by at most 1e-12 of grid[-1], else DomainError; its step
+    dt = grid[1] makes one map, so the trajectory is that map repeated.
     One gks_decompose per call serves the route rule and every L' it takes.
-    Spacings equal to 12 digits relative to the largest form one group,
-    and every interval takes the first spacing of its group.  "expm"
-    takes the route linalg.dense_exp_is_cheaper picks for L' and the grid:
-    one map exp(dt L') per group, applied in turn by linalg.propagate, or
-    one expm_multiply call per maximal run of intervals in one group (a
-    linspace grid is one run).  A non-finite state raises OverflowError on
-    either route, as does dt L' or an RK4 substep count beyond the double
-    range.  "rk4" takes nsub equal substeps h <= min(smallest
-    spacing/20, 0.01/scale), scale = gamma (2n+1+2|m|) ||C||^2 + ||F||.
+    "expm" takes the route linalg.dense_exp_is_cheaper picks for L' and
+    the grid: the map exp(dt L') applied by linalg.propagate, or one
+    expm_multiply call over the whole grid.  A non-finite state raises
+    OverflowError on either route, as does dt L' or an RK4 substep count
+    beyond the double range.  "rk4" takes nsub equal substeps h <=
+    min(dt/20, 0.01/scale), scale = gamma (2n+1+2|m|) ||C||^2 + ||F||.
     One RK4 substep of a linear equation is exactly T4(hL') = I + hL' +
     (hL')^2/2 + (hL')^3/6 + (hL')^4/24, so the map is T4(hL')^nsub by
-    repeated squaring: O(d^6 log nsub) per spacing in place of 4 nsub
-    O(d^4) matvecs per interval, which is less work once t_final exceeds
-    about d/40 (for very short runs at large d, matvecs take fewer flops).
-    Taylor-4 substeps stay an independent check of the Pade expm, so
-    "rk4" rejects d >= 46, and either method a grid too long to store,
-    both up front by linalg.require_dense.
+    repeated squaring: O(d^6 log nsub) in place of 4 nsub O(d^4) matvecs
+    per interval, which is less work once t_final exceeds about d/40 (for
+    very short runs at large d, matvecs take fewer flops).  Taylor-4
+    substeps stay an independent check of the Pade expm, so "rk4" rejects
+    d >= 46, and either method a grid too long to store, both up front by
+    linalg.require_dense.
     """
     grid = _check_grid(grid)
     rho0 = validate_density_matrix(rho0)
@@ -331,35 +337,23 @@ def evolve(
     if method == "rk4":
         require_dense(d**4, f"method 'rk4' at d = {d} (d^2 = {d * d})", "(d^2)^2",
                       "; use --method expm")
-    spacings = np.diff(grid)
-    if not spacings.size:
-        return propagate(rho0, [])
-    # Spacings equal to 12 digits relative to the largest share one map;
-    # relative, so that the spacings of a tiny grid do not all round to 0.
-    _, first, group = np.unique(
-        np.round(spacings / spacings.max(), 12), return_index=True, return_inverse=True
-    )
+    if grid.size == 1:
+        return np.array([rho0])
+    dt, count = grid[1], grid.size - 1
     form = gks_decompose(model)
-    if method == "expm":
-        edges = [0, *(np.flatnonzero(np.diff(group)) + 1), group.size]
-        runs = [(spacings[first][group[lo]], hi - lo) for lo, hi in zip(edges[:-1], edges[1:])]
-        if not dense_exp_is_cheaper(form.schrodinger_sandwiches(), runs):
-            liouv, vecs = form.schrodinger_sparse(), [vectorize(rho0)]
-            for dt, count in runs:  # one expm_action per run, from the state at its start
-                vecs.extend(expm_action(liouv, vecs[-1], "the trajectory", start=0.0,
-                                        stop=count * dt, num=count + 1, endpoint=True)[1:])
-            return np.reshape(vecs, (-1, d, d)).transpose(0, 2, 1)
+    if method == "expm" and not dense_exp_is_cheaper(form.schrodinger_sandwiches(), dt, count):
+        vecs = expm_action(form.schrodinger_sparse(), vectorize(rho0), "the trajectory",
+                           start=0.0, stop=count * dt, num=count + 1, endpoint=True)
+        vecs[0] = vectorize(rho0)
+        return vecs.reshape(-1, d, d).transpose(0, 2, 1)
     liouv = adjoint(form.heisenberg_matrix())
-    rk4_step = _rk4_default_step(model, spacings.min()) if method == "rk4" else np.inf
-    group_maps = []
-    for dt in spacings[first]:  # expm takes one substep
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            nsub = max(1, ceil(require_finite_result(
-                dt / rk4_step, "evolve overflow: the RK4 substep count")))
-            step = require_finite_result((dt / nsub) * liouv, "evolve overflow: dt L'")
-        group_maps.append(mat_exp(step) if method == "expm"
-                          else np.linalg.matrix_power(_taylor4(step), nsub))
-    return propagate(rho0, [group_maps[k] for k in group])
+    rk4_step = _rk4_default_step(model, dt) if method == "rk4" else np.inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # expm: one substep
+        nsub = max(1, ceil(require_finite_result(
+            dt / rk4_step, "evolve overflow: the RK4 substep count")))
+        step = require_finite_result((dt / nsub) * liouv, "evolve overflow: dt L'")
+    step_map = mat_exp(step) if method == "expm" else np.linalg.matrix_power(_taylor4(step), nsub)
+    return propagate(rho0, step_map, count)
 
 
 def steady_state(model: SystemModel) -> np.ndarray:

@@ -316,7 +316,7 @@ def test_the_rule_chooses_the_step_route(monkeypatch):
     at, above = config(2), config(4)  # step spaces d cutoff^2 = 50 (dense) and 100 (Krylov)
     for c, dense in ((at, True), (above, False)):
         pairs = collision._step_sandwiches(c)
-        assert dense_exp_is_cheaper(pairs, [(1.0, 1)], c.model.dim) is dense
+        assert dense_exp_is_cheaper(pairs, 1.0, 1, c.model.dim) is dense
     with monkeypatch.context() as patch:
         patch.setattr(scipy.sparse.linalg, "expm_multiply", fail("krylov"))
         _step_channel(at)
@@ -475,7 +475,7 @@ def test_krylov_step_channel_builds_no_dense_step_hamiltonian():
     a = ladder(d)
     model = SystemModel(C=a, F=adjoint(a) @ a, noise=NoiseParams(gamma=1.0, n=0.1))
     config = CollisionConfig(model=model, dt=0.04, steps=1, cutoff=cutoff)
-    assert not dense_exp_is_cheaper(collision._step_sandwiches(config), [(1.0, 1)], d)
+    assert not dense_exp_is_cheaper(collision._step_sandwiches(config), 1.0, 1, d)
     _step_channel(config)  # imports and first-call set-up stay out of the measurement
     tracemalloc.start()
     try:

@@ -330,38 +330,38 @@ def step_pairs(d, cutoff, dt=0.02):
 BENCH_BATH = {"n": 0.5, "m": 0.2}  # n + |m| = 0.7, as the evolve benchmark jobs hold it
 
 
-# (operator pairs, runs of (step, count), columns, whether dense is cheaper)
+# (operator pairs, step, count, columns, whether dense is cheaper)
 ROUTES = {
-    "evolve-expm/d4": (lambda: oscillator_pairs(4, **BENCH_BATH), [(0.05, 100)], 1, True),
-    "evolve-expm/d8": (lambda: oscillator_pairs(8, **BENCH_BATH), [(0.05, 100)], 1, True),
-    "evolve-expm/d16": (lambda: oscillator_pairs(16, **BENCH_BATH), [(0.05, 100)], 1, True),
-    "evolve-expm/d24": (lambda: oscillator_pairs(24, **BENCH_BATH), [(0.05, 100)], 1, False),
-    "collision-reference/d8": (lambda: oscillator_pairs(8, n=0.75), [(0.01, 50)], 1, True),
-    "step-space-50": (lambda: step_pairs(2, 5), [(1.0, 1)], 2, True),
-    "step-space-100": (lambda: step_pairs(4, 5), [(1.0, 1)], 4, False),
-    "step-space-200": (lambda: step_pairs(8, 5), [(1.0, 1)], 8, False),
-    "step-space-256": (lambda: step_pairs(4, 8), [(1.0, 1)], 4, False),
+    "evolve-expm/d4": (lambda: oscillator_pairs(4, **BENCH_BATH), 0.05, 100, 1, True),
+    "evolve-expm/d8": (lambda: oscillator_pairs(8, **BENCH_BATH), 0.05, 100, 1, True),
+    "evolve-expm/d16": (lambda: oscillator_pairs(16, **BENCH_BATH), 0.05, 100, 1, True),
+    "evolve-expm/d24": (lambda: oscillator_pairs(24, **BENCH_BATH), 0.05, 100, 1, False),
+    "collision-reference/d8": (lambda: oscillator_pairs(8, n=0.75), 0.01, 50, 1, True),
+    "step-space-50": (lambda: step_pairs(2, 5), 1.0, 1, 2, True),
+    "step-space-100": (lambda: step_pairs(4, 5), 1.0, 1, 4, False),
+    "step-space-200": (lambda: step_pairs(8, 5), 1.0, 1, 8, False),
+    "step-space-256": (lambda: step_pairs(4, 8), 1.0, 1, 4, False),
     # Stiff and long grids: expm_multiply's matvecs grow with t ||A||_1.
-    "d20-gamma1e4-t1": (lambda: oscillator_pairs(20, gamma=1e4, n=0.5), [(0.5, 2)], 1, True),
-    "d19-t10": (lambda: oscillator_pairs(19, n=0.5), [(1.0, 10)], 1, False),
-    "d19-t1000": (lambda: oscillator_pairs(19, n=0.5), [(100.0, 10)], 1, True),
+    "d20-gamma1e4-t1": (lambda: oscillator_pairs(20, gamma=1e4, n=0.5), 0.5, 2, 1, True),
+    "d19-t10": (lambda: oscillator_pairs(19, n=0.5), 1.0, 10, 1, False),
+    "d19-t1000": (lambda: oscillator_pairs(19, n=0.5), 100.0, 10, 1, True),
     # Beyond the dense budget only Krylov is left, however long the grid.
-    "d46-t1000": (lambda: oscillator_pairs(46, n=0.5), [(100.0, 10)], 1, False),
+    "d46-t1000": (lambda: oscillator_pairs(46, n=0.5), 100.0, 10, 1, False),
     # tr(L') overflows, so the shifted ||L'||_1 is not finite: expm_multiply names it.
-    "ladder-1e153": (lambda: oscillator_pairs(20, scale=1e153), [(0.5, 2)], 1, False),
+    "ladder-1e153": (lambda: oscillator_pairs(20, scale=1e153), 0.5, 2, 1, False),
     # ||L'||_1 is finite but ||t L'||_1 is not: the dense route names dt L'.
-    "qubit-gamma1e300-t1e10": (lambda: oscillator_pairs(2, gamma=1e300), [(1e10, 1)], 1, True),
+    "qubit-gamma1e300-t1e10": (lambda: oscillator_pairs(2, gamma=1e300), 1e10, 1, 1, True),
     # An entry beyond the double range: the sparse builder names it.
-    "infinite-entry": (lambda: [(np.array([[1e300]]), np.array([[1e300]]))], [(1.0, 1)], 1, False),
+    "infinite-entry": (lambda: [(np.array([[1e300]]), np.array([[1e300]]))], 1.0, 1, 1, False),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ROUTES))
 def test_the_route_rule_picks_the_cheaper_route(case):
-    pairs, runs, columns, dense = ROUTES[case]
+    pairs, step, count, columns, dense = ROUTES[case]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert dense_exp_is_cheaper(pairs(), runs, columns) is dense
+        assert dense_exp_is_cheaper(pairs(), step, count, columns) is dense
 
 
 def test_theta_table_is_scipys():

@@ -326,7 +326,7 @@ def test_evolve_vacuum_decay_analytic():
     gamma = 0.9
     model = damped_qubit(gamma=gamma)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
-    grid = np.array([0.0, 0.1, 0.25, 0.7, 1.3])
+    grid = np.linspace(0.0, 1.3, 5)
     states = evolve(model, rho0, grid)
     np.testing.assert_allclose(states[:, 0, 0], np.exp(-gamma * grid), atol=1e-10)
     np.testing.assert_allclose(states[:, 0, 0] + states[:, 1, 1], 1.0, atol=1e-12)
@@ -351,18 +351,20 @@ def test_evolve_rk4_matches_expm(rng):
 
 
 def rk4_stage_loop(model, rho0, grid):
-    """Classical RK4 with four Liouvillian matvecs per substep, on evolve's substep rule."""
+    """Classical RK4 with four Liouvillian matvecs per substep, on evolve's substep rule.
+
+    The grid is evenly spaced: every interval takes the step grid[1].
+    """
     liouv = schrodinger_liouvillian(model)
     noise = model.noise
     scale = (noise.gamma * (2.0 * noise.n + 1.0 + 2.0 * abs(noise.m))
              * operator_norm(model.C) ** 2 + operator_norm(model.F))
-    spacings = np.diff(grid)
-    step = min(spacings.min() / 20.0, 0.01 / scale)
+    dt = grid[1]
+    nsub = max(1, int(np.ceil(dt / min(dt / 20.0, 0.01 / scale))))
+    h = dt / nsub
     v = vectorize(rho0)
     states = [rho0]
-    for dt in spacings:
-        nsub = max(1, int(np.ceil(dt / step)))
-        h = dt / nsub
+    for _ in range(grid.size - 1):
         for _ in range(nsub):
             k1 = liouv @ v
             k2 = liouv @ (v + 0.5 * h * k1)
@@ -377,7 +379,7 @@ def rk4_stage_loop(model, rho0, grid):
 def test_evolve_rk4_equals_stage_loop(rng, d):
     model = random_model(rng, d)
     rho0 = random_density(rng, d)
-    grid = np.concatenate([np.linspace(0.0, 0.5, 6), [0.55, 0.8, 1.5]])
+    grid = np.linspace(0.0, 1.5, 9)
     got = evolve(model, rho0, grid, method="rk4")
     assert np.max(np.abs(got - rk4_stage_loop(model, rho0, grid))) <= 1e-12
 
@@ -406,6 +408,10 @@ def test_evolve_input_checks(rng):
         evolve(damped_qubit(gamma=1e15), rho0, np.array([9e-16, 1.8e-15]))
     with pytest.raises(DomainError):
         evolve(model, rho0, np.array([0.0, 0.5, 0.4]))
+    # One step map per trajectory: an uneven grid, however small, is rejected.
+    for uneven in ([0.0, 0.1, 0.25, 0.7, 1.3], [0.0, 1e-13, 3e-13]):
+        with pytest.raises(DomainError, match="evenly spaced"):
+            evolve(model, rho0, np.array(uneven))
     for bad in (np.inf, np.nan):
         with pytest.raises(DomainError, match="finite"):
             evolve(model, rho0, np.array([0.0, 1.0, bad]))
@@ -432,30 +438,6 @@ def test_evolve_trivial_grid():
     np.testing.assert_array_equal(states[0], rho0)
 
 
-def test_evolve_builds_one_map_per_distinct_spacing(rng, monkeypatch):
-    calls = []
-
-    def counting_exp(a):
-        calls.append(a)
-        return mat_exp(a)
-
-    monkeypatch.setattr(lindblad, "mat_exp", counting_exp)
-    model = random_model(rng, 3)
-    rho0 = random_density(rng, 3)
-    liouv = schrodinger_liouvillian(model)
-    # The command line grid: its spacings differ in the last bits only.
-    # A tiny grid: two spacings that an absolute rounding would merge to 0.
-    for grid, maps in ((np.linspace(0.0, 5.0, 101), 1), (np.array([0.0, 1e-13, 3e-13]), 2)):
-        assert np.unique(np.diff(grid)).size > 1
-        calls.clear()
-        got = evolve(model, rho0, grid)
-        assert len(calls) == maps
-        per_interval = [rho0]
-        for dt in np.diff(grid):
-            per_interval.append(devectorize(mat_exp(dt * liouv) @ vectorize(per_interval[-1]), 3))
-        assert np.max(np.abs(got - np.array(per_interval))) <= 1e-12
-
-
 # ---------------------------------------------------------------- Krylov route
 
 def number(d):
@@ -470,8 +452,7 @@ def trajectory_cases(draw, kind):
     """(model, rho0, grid) at d <= 24 for the Krylov pin.
 
     kind is one of TRAJECTORY_KINDS; "boundary" puts m on |m|^2 = n(n+1).
-    The grid is a linspace, or runs of two spacings a, b, a, so that the
-    spacing a recurs after the b run.
+    The grid is a linspace.
     """
     d = draw(st.integers(2, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -488,14 +469,7 @@ def trajectory_cases(draw, kind):
     if kind == "random C":
         c = random_complex(rng, (d, d)) / np.sqrt(d)
     noise = NoiseParams(gamma=draw(st.floats(0.3, 2.0)), sigma=sigma, n=n, m=m, alpha=alpha)
-    t_final = draw(st.floats(0.1, 3.0))
-    if draw(st.booleans()):
-        grid = np.linspace(0.0, t_final, draw(st.integers(2, 41)))
-    else:
-        a, b = t_final / 20.0, t_final / draw(st.sampled_from([7.0, 33.0]))
-        runs = [a] * draw(st.integers(1, 10)) + [b] * draw(st.integers(1, 10))
-        runs += [a] * draw(st.integers(0, 10))
-        grid = np.concatenate([[0.0], np.cumsum(runs)])
+    grid = np.linspace(0.0, draw(st.floats(0.1, 3.0)), draw(st.integers(2, 41)))
     return SystemModel(C=c, F=f, noise=noise), random_density(rng, d), grid
 
 
@@ -516,27 +490,41 @@ def test_krylov_route_matches_dense_expm(kind, data):
     assert np.max(np.abs(krylov - dense)) <= 1e-12
 
 
-def test_krylov_route_calls_expm_multiply_once_per_run(rng, monkeypatch):
+def test_evolve_accepts_every_linspace_grid(monkeypatch):
     import scipy.sparse.linalg
 
-    calls = []
-    expm_multiply = scipy.sparse.linalg.expm_multiply
+    exps, nums = [], []
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs["num"])
-        return expm_multiply(*args, **kwargs)
+    def counting_exp(a):
+        exps.append(a)
+        return mat_exp(a)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", counting)
-    model, rho0 = random_model(rng, 3), random_density(rng, 3)
-    a, b = 0.1, 0.25
-    for grid, nums in (
-        (np.linspace(0.0, 5.0, 101), [101]),  # spacings differ in the last bits only
-        (np.array([0.0, 1e-13, 3e-13]), [2, 2]),  # a tiny grid: two runs, not one at 0
-        (np.cumsum([0.0, a, a, b, b, b, a]), [3, 4, 2]),
-    ):
-        calls.clear()
-        evolve_on_route("krylov", model, rho0, grid)
-        assert calls == nums
+    def constant_action(a, v, **grid):  # records the call; the numbers are pinned elsewhere
+        nums.append(grid["num"])
+        return np.repeat(v[None], grid["num"], axis=0)
+
+    monkeypatch.setattr(lindblad, "mat_exp", counting_exp)
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", constant_action)
+    model, rho0 = damped_qubit(), np.diag([1.0, 0.0]).astype(complex)
+    for t_final in (1e-320, 1e-300, 5.0, 1e10):
+        for points in (2, 5001, 100001):
+            grid = np.linspace(0.0, t_final, points)
+            if t_final == 1e-320 and points > 2:
+                # t_final / (points - 1) underflows to 0, so linspace repeats
+                # points: not a time grid, whatever its spacing.
+                with pytest.raises(DomainError, match="strictly increasing"):
+                    evolve(model, rho0, grid)
+                continue
+            exps.clear()
+            nums.clear()
+            dense = evolve_on_route("dense", model, rho0, grid)
+            krylov = evolve_on_route("krylov", model, rho0, grid)
+            assert len(dense) == len(krylov) == points
+            assert len(exps) == 1 and nums == [points]
+            np.testing.assert_allclose(dense[:, 0, 0].real, np.exp(-grid), rtol=0, atol=1e-10)
+    # arange grids, k dt, deviate from the linspace by rounding alone.
+    for dt in (1e-7, 0.1, 3.7):
+        lindblad._check_grid(np.arange(10**6 + 1) * dt)
 
 
 def test_evolve_on_the_krylov_route_never_builds_a_dense_map(monkeypatch):
@@ -550,8 +538,8 @@ def test_evolve_on_the_krylov_route_never_builds_a_dense_map(monkeypatch):
     grid = np.linspace(0.0, 2.0, 11)
     # The rule sends this grid to Krylov and the same grid stretched 1000-fold to dense.
     pairs = gks_decompose(model).schrodinger_sandwiches()
-    assert not dense_exp_is_cheaper(pairs, [(0.2, 10)])
-    assert dense_exp_is_cheaper(pairs, [(200.0, 10)])
+    assert not dense_exp_is_cheaper(pairs, 0.2, 10)
+    assert dense_exp_is_cheaper(pairs, 200.0, 10)
     monkeypatch.setattr(lindblad.GKSForm, "heisenberg_matrix", fail)
     monkeypatch.setattr(lindblad, "mat_exp", fail)
     _, keys, pos, *_ = np.random.get_state()
