@@ -438,6 +438,31 @@ def test_evolve_trivial_grid():
     np.testing.assert_array_equal(states[0], rho0)
 
 
+def test_evolve_builds_one_map_per_distinct_spacing(rng, monkeypatch):
+    calls = []
+
+    def counting_exp(a):
+        calls.append(a)
+        return mat_exp(a)
+
+    monkeypatch.setattr(lindblad, "mat_exp", counting_exp)
+    model = random_model(rng, 3)
+    rho0 = random_density(rng, 3)
+    liouv = schrodinger_liouvillian(model)
+    # An evenly spaced grid has one spacing, so one map, even where rounding
+    # makes np.diff differ in the last bits, and a tiny grid that an absolute
+    # rounding would merge to 0.
+    for grid in (np.linspace(0.0, 5.0, 101), np.linspace(0.0, 3e-13, 4)):
+        assert np.unique(np.diff(grid)).size > 1
+        calls.clear()
+        got = evolve(model, rho0, grid)
+        assert len(calls) == 1
+        per_interval = [rho0]
+        for dt in np.diff(grid):
+            per_interval.append(devectorize(mat_exp(dt * liouv) @ vectorize(per_interval[-1]), 3))
+        assert np.max(np.abs(got - np.array(per_interval))) <= 1e-12
+
+
 # ---------------------------------------------------------------- Krylov route
 
 def number(d):
@@ -488,6 +513,27 @@ def test_krylov_route_matches_dense_expm(kind, data):
     krylov = evolve_on_route("krylov", model, rho0, grid)
     assert krylov.shape == dense.shape
     assert np.max(np.abs(krylov - dense)) <= 1e-12
+
+
+def test_krylov_route_calls_expm_multiply_once_per_run(rng, monkeypatch):
+    import scipy.sparse.linalg
+
+    calls = []
+    expm_multiply = scipy.sparse.linalg.expm_multiply
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["num"])
+        return expm_multiply(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", counting)
+    model, rho0 = random_model(rng, 3), random_density(rng, 3)
+    # An evenly spaced grid is one run: one call over all of its points.
+    for grid in (np.linspace(0.0, 5.0, 101), np.linspace(0.0, 3e-13, 4)):
+        calls.clear()
+        krylov = evolve_on_route("krylov", model, rho0, grid)
+        assert calls == [grid.size]
+        dense = evolve_on_route("dense", model, rho0, grid)
+        assert np.max(np.abs(krylov - dense)) <= 1e-12
 
 
 def test_evolve_accepts_every_linspace_grid(monkeypatch):
