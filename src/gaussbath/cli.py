@@ -263,10 +263,9 @@ def cmd_evolve(args) -> int:
                       for part in ("re", "im")]
     header += [f"pop_{k}" for k in range(d)] + ["purity"]
     # Row k: t, vec(rho) as interleaved (re, im), populations, purity.
-    vecs = np.ascontiguousarray(states.transpose(0, 2, 1)).reshape(grid.size, -1).view(float)
     table = np.column_stack([
         grid,
-        vecs,
+        np.ascontiguousarray(vectorize(states)).view(float),
         np.diagonal(states, axis1=1, axis2=2).real,
         np.trace(states @ states, axis1=1, axis2=2).real,
     ])

@@ -71,6 +71,8 @@ def scalar_split(n: float, m: complex) -> SplitCoefficients:
     phase information sits in z.
     """
     require_finite(n=n, m=m)
+    if n < 0:
+        raise DomainError(f"n must be nonnegative, got {n}")
     if not is_gaussian_state(n, m):
         raise DomainError(f"(n, m) = ({n}, {m}) violates |m|^2 <= n(n+1)")
     m = complex(m)

@@ -6,7 +6,8 @@ Convention used repo-wide: vectorization is COLUMN stacking,
     vec(A X B) = (B^T kron A) vec(X) = sandwich(A, B) vec(X).
 
 Superoperators are ``d**2 x d**2`` matrices acting on column-stacked
-operators under this convention.  sandwich_sum (dense) and
+operators; vectorize and devectorize map stacks (..., d, d) <-> (..., d**2),
+and a trajectory is one such stack.  sandwich_sum (dense) and
 sandwich_sum_sparse (scipy.sparse CSC) are the one assembly of a sum of
 sandwiches, from the nonzeros of the factors; they agree bit for bit.
 The other helpers take and return plain ``numpy.ndarray`` with complex dtype.
@@ -58,7 +59,7 @@ _THETA_M = np.array([
 _PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
                9: 2.097847961257068, 13: 5.371920351148152}
 
-# Flops per expm_multiply matvec of Python work: 8.8e4-1.2e5 fit all 30 clear timed cases.
+# Flops per expm_multiply matvec of Python work: 7e4-1.7e5 fit all 56 clear timed cases.
 MATVEC_OVERHEAD = 1e5
 
 __all__ = [
@@ -175,8 +176,10 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
 
     The method of scipy.linalg.expm (Al-Mohy & Higham 2009) with Higham's
     (2005) theta_m.  The order m and the squarings s come from d_k =
-    ||A^k||_1^(1/k) of the unscaled A: d_4 and d_6 exact, d_8 <= d_4 and
-    d_10 <= (||A^4||_1 ||A^6||_1)^(1/10).  As in scipy, a diagonal A gives exp
+    ||A^k||_1^(1/k) of the unscaled A: d_4 and d_6 exact, d_10 <= (||A^4||_1
+    ||A^6||_1)^(1/10), and d_8 exact where theta_7 < max(d_4, d_6) and d_6 <= theta_9:
+    only there can A^8 = (A^4)^2, which m = 9 evaluates anyway, lower m.  Elsewhere,
+    or where A^8 is not finite, d_8 <= d_4.  As in scipy, a diagonal A gives exp
     of its diagonal, and a triangular A keeps that diagonal exact through the
     squarings.  Non-finite entries raise DomainError; a non-finite power or
     result raises OverflowError.
@@ -188,21 +191,24 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
             return require_finite_result(np.diag(np.exp(np.diagonal(a))), what)
-        # One workspace: A^2, A^4, A^6, then |A^4| and |A^6| or A^8, then the Pade sums.
+        # One workspace: A^2, A^4, A^6, then |A^4| and |A^6|, A^8 and |A^8|, then the Pade sums.
         w = np.empty((7, n, n), dtype=complex)
         np.matmul(a, a, out=w[0])
         np.matmul(w[0], w[0], out=w[1])
         np.matmul(w[1], w[0], out=w[2])
         norms = np.abs(w[1:3], out=w[3].view(float).reshape(2, n, n)).sum(axis=1).max(axis=1)
         d4, d6 = require_finite_result(norms, what) ** np.array([1 / 4, 1 / 6])
-        m = next((m for m in (3, 5, 7, 9) if max(d4, d6) <= _PADE_THETA[m]), 13)
-        eta = max(d4, d4**0.4 * d6**0.6)  # max(d_8, d_10), by their bounds
+        m, d8 = next((m for m in (3, 5, 7, 9) if max(d4, d6) <= _PADE_THETA[m]), 13), d4
+        if m >= 9 and d6 <= _PADE_THETA[9]:
+            np.matmul(w[1], w[1], out=w[3])
+            norm8 = np.abs(w[3], out=w[4].view(float).reshape(2, n, n)[0]).sum(axis=0).max()
+            d8 = norm8 ** (1 / 8) if np.isfinite(norm8) else d4
+            m = next((m for m in (7, 9) if max(d6, d8) <= _PADE_THETA[m]), 13)
+        eta = max(d8, d4**0.4 * d6**0.6)  # max(d_8, d_10), d_10 by its bound
         s = max(0, int(np.ceil(np.log2(eta / _PADE_THETA[13])))) if m == 13 else 0
         if s:
             a = a * 2.0**-s
             w[:3] *= 2.0 ** (-s * np.array([2, 4, 6]))[:, None, None]
-        if m == 9:
-            np.matmul(w[1], w[1], out=w[3])
         # Higham (2005) (2.2) scaled to b_m = 1: p_m(x) = sum_k b_k x^k, b_k = (2m-k)!/(k!(m-k)!).
         b = [factorial(2 * m - k) // factorial(k) / factorial(m - k) for k in range(m + 1)]
         if m == 13:  # Higham (2005) (2.11): U = A (A^6 P + U'), V = A^6 Q + V'
@@ -267,8 +273,9 @@ def dense_exp_is_cheaper(pairs, step: float, count: int, columns: int = 1) -> bo
 
     A = sum sandwich(A_k, B_k) over pairs, n x n.  Dense: (6 + s) n^3 for the one map, s
     squarings to mat_exp's ||step A||_1 <= theta_13, and n^2 per step and column.
-    expm_action: 1 + min_m m ceil(||count step A||_1 / theta_m) matvecs (Al-Mohy & Higham
-    2011) of nnz columns + MATVEC_OVERHEAD, A shifted by tr(A)/n as in scipy.
+    expm_action: 1 + m max(s, count) matvecs of nnz columns + MATVEC_OVERHEAD, m and
+    s = ceil(||count step A||_1 / theta_m) minimising m s (Al-Mohy & Higham 2011), A shifted
+    by tr(A)/n as in scipy; past s points scipy runs up to m terms, a matvec each, per point.
     Dense needs the require_dense budget and a finite ||A||_1; the sparse route names overflow.
     """
     keys, data, (n, _) = _sandwich_entries(pairs, None)
@@ -279,7 +286,9 @@ def dense_exp_is_cheaper(pairs, step: float, count: int, columns: int = 1) -> bo
         norm = np.max(np.bincount(cols, np.abs(data), n) + abs(diag - diag.mean()) - abs(diag))
         squarings = max(0.0, np.ceil(np.log2(step * norm / _PADE_THETA[13])))
         dense = (6.0 + squarings) * n**3 + count * n * n * columns
-        matvecs = np.min(_TAYLOR_M * np.ceil(step * count * norm / _THETA_M))
+        spans = np.ceil(step * count * norm / _THETA_M)
+        best = np.argmin(_TAYLOR_M * spans)
+        matvecs = _TAYLOR_M[best] * max(spans[best], count)
         krylov = (1.0 + matvecs) * (keys.size * columns + MATVEC_OVERHEAD)
     return bool(np.isfinite(norm) and n * n <= MAX_DENSE_DIM**2 and dense <= krylov)
 
@@ -343,17 +352,19 @@ def sandwich_sum_sparse(pairs, what: str):
 
 
 def vectorize(a: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix into a vector."""
-    a = require_square(a, "vectorize argument")
-    return a.flatten(order="F")
+    """Column-stack a matrix, or each of a stack of matrices: (..., d, d) -> (..., d^2)."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionError(f"vectorize argument must be a square matrix, got shape {a.shape}")
+    return np.swapaxes(a, -1, -2).reshape(*a.shape[:-2], -1)
 
 
 def devectorize(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
-    v = np.asarray(v, dtype=complex).ravel()
-    if v.size != dim * dim:
-        raise DimensionError(f"vector of length {v.size} is not {dim}x{dim}")
-    return v.reshape((dim, dim), order="F")
+    """Inverse of :func:`vectorize`: (..., dim^2) -> (..., dim, dim), a view where it can be."""
+    v = np.atleast_1d(np.asarray(v, dtype=complex))
+    if v.shape[-1] != dim * dim:
+        raise DimensionError(f"vector of length {v.shape[-1]} is not {dim}x{dim}")
+    return np.swapaxes(v.reshape(*v.shape[:-1], dim, dim), -1, -2)
 
 
 def partial_trace(a: np.ndarray, dims: tuple[int, int], which: str = "second") -> np.ndarray:
@@ -398,14 +409,12 @@ def propagate(rho0: np.ndarray, step_map: np.ndarray, count: int) -> np.ndarray:
     """States rho0, S rho0, S^2 rho0, ..., S^count rho0 under one step superoperator S.
 
     The dense trajectories run through this loop: evolve's RK4, its dense
-    expm and the collision chain.
+    expm and the collision chain, in one (count + 1, d^2) stack of
+    column-stacked vectors filled in place; the states are its devectorize view.
     """
     rho0 = require_square(rho0, "initial state")
-    d = rho0.shape[0]
-    out = np.empty((count + 1, d, d), dtype=complex)
-    out[0] = rho0
-    v = vectorize(rho0)
+    vecs = np.empty((count + 1, rho0.size), dtype=complex)
+    vecs[0] = vectorize(rho0)
     for k in range(count):
-        v = step_map @ v
-        out[k + 1] = devectorize(v, d)
-    return out
+        np.matmul(step_map, vecs[k], out=vecs[k + 1])
+    return devectorize(vecs, rho0.shape[0])

@@ -15,14 +15,13 @@ closes, via the Gaussian Ito table, into the Heisenberg generator
 
 which is unital (L(1) = 0).  GKSForm.sandwiches lists L as six sandwiches
 of d x d factors; linalg's one assembly sums them from the nonzeros of the
-factors, densely in heisenberg_matrix.  The Schrodinger generator is the
-Hilbert-Schmidt adjoint L' = L+, so tr(L(X) rho) = tr(X L'(rho)) holds by
-construction; every dense L' is adjoint(heisenberg_matrix()), and the one
-sparse L', GKSForm.schrodinger_sparse, is the CSC sum of the adjoint
-sandwiches sandwich(A+, B+).  steady_state solves it by a sparse LU with
-its row 0 replaced by the scaled trace functional, certified by a
-condition estimate; the dense SVD of L' decides only when that
-certificate fails.
+factors (heisenberg_matrix).  The Schrodinger generator L' = L+ is the
+Hilbert-Schmidt adjoint, so tr(L(X) rho) = tr(X L'(rho)) by construction;
+every L' sums the adjoint sandwiches sandwich(A+, B+), dense in
+schrodinger_matrix and CSC in schrodinger_sparse, equal bit for bit.
+steady_state solves it by a sparse LU with its row 0 replaced by the scaled
+trace functional, certified by a condition estimate; the dense SVD of L'
+decides only when that certificate fails.
 evolve takes an evenly spaced grid, so a trajectory is one step map
 repeated; its "expm" takes the dense map exp(dt L') or one expm_multiply
 call through the sparse L', as linalg.dense_exp_is_cheaper picks.  The
@@ -88,6 +87,9 @@ __all__ = [
 # its inverse bounds the condition estimate of the sparse solve.
 RANK_RTOL = 1e-10
 
+# The OverflowError of every generator assembly, L or L', dense or sparse.
+_OVERFLOW = "generator overflow: the Heisenberg generator"
+
 
 @dataclass(frozen=True)
 class SystemModel:
@@ -148,7 +150,7 @@ def heisenberg_generator(model: SystemModel) -> np.ndarray:
 
 def schrodinger_liouvillian(model: SystemModel) -> np.ndarray:
     """Superoperator of L'(rho) = ... - G rho - rho G+, the adjoint of L."""
-    return adjoint(heisenberg_generator(model))
+    return gks_decompose(model).schrodinger_matrix()
 
 
 def commutator_superoperator(h: np.ndarray) -> np.ndarray:
@@ -212,16 +214,19 @@ class GKSForm:
 
     def heisenberg_matrix(self) -> np.ndarray:
         """L as a dense array; a generator beyond the double range raises OverflowError."""
-        return sandwich_sum(self.sandwiches(), "generator overflow: the Heisenberg generator")
+        return sandwich_sum(self.sandwiches(), _OVERFLOW)
 
     def schrodinger_sandwiches(self) -> list:
         """The (A+, B+) of L' = L+, by sandwich(A, B)+ = sandwich(A+, B+)."""
         return [(adjoint(a), adjoint(b)) for a, b in self.sandwiches()]
 
+    def schrodinger_matrix(self) -> np.ndarray:
+        """L' as a dense array, equal entry for entry to schrodinger_sparse."""
+        return sandwich_sum(self.schrodinger_sandwiches(), _OVERFLOW)
+
     def schrodinger_sparse(self):
         """L' as a scipy.sparse CSC array."""
-        pairs = self.schrodinger_sandwiches()
-        return sandwich_sum_sparse(pairs, "generator overflow: the Heisenberg generator")
+        return sandwich_sum_sparse(self.schrodinger_sandwiches(), _OVERFLOW)
 
     def kossakowski_eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.kossakowski)
@@ -345,8 +350,8 @@ def evolve(
         vecs = expm_action(form.schrodinger_sparse(), vectorize(rho0), "the trajectory",
                            start=0.0, stop=count * dt, num=count + 1, endpoint=True)
         vecs[0] = vectorize(rho0)
-        return vecs.reshape(-1, d, d).transpose(0, 2, 1)
-    liouv = adjoint(form.heisenberg_matrix())
+        return devectorize(vecs, d)
+    liouv = form.schrodinger_matrix()
     rk4_step = _rk4_default_step(model, dt) if method == "rk4" else np.inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # expm: one substep
         nsub = max(1, ceil(require_finite_result(
@@ -429,7 +434,7 @@ def _dense_kernel_vector(form: GKSForm, kappa: float) -> np.ndarray:
             f"dense budget {MAX_DENSE_DIM} for counting it",
             kernel_dim=None,
         )
-    _, svals, vh = np.linalg.svd(adjoint(form.heisenberg_matrix()))
+    _, svals, vh = np.linalg.svd(form.schrodinger_matrix())
     kernel_dim = int(np.sum(negligible(svals, svals[0], RANK_RTOL)))
     if kernel_dim != 1:
         raise DegenerateKernelError(

@@ -491,6 +491,12 @@ def test_split_vacuum_rejects_any_pair_correlation(capsys):
     assert "n(n+1)" in capsys.readouterr().err
 
 
+def test_split_names_a_negative_n(capsys):
+    assert main(["split", "--n", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "n must be nonnegative, got -1.0" in err and "violates" not in err
+
+
 def test_split_rejects_nonfinite(capsys):
     assert main(["split", "--n", "nan"]) == 2
     assert "finite" in capsys.readouterr().err

@@ -59,6 +59,13 @@ def test_scalar_split_rejects_overcorrelated():
         scalar_split(0.0, 1e-7j)
 
 
+def test_scalar_split_names_a_negative_n():
+    # m = 0 meets |m|^2 <= n(n+1) at n = -1, so the Gaussian check would name the wrong cause.
+    for n in (-1.0, -0.5, -1e-300):
+        with pytest.raises(DomainError, match=rf"^n must be nonnegative, got {n}$"):
+            scalar_split(n, 0.0)
+
+
 def test_rounded_boundary_points_are_gaussian(rng):
     # |m|^2 = n(n+1) up to rounding, at every scale of n; the slack is relative to n(n+1).
     for _ in range(1000):

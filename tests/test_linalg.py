@@ -23,6 +23,7 @@ from gaussbath.linalg import (
     mat_sqrt_psd,
     operator_norm,
     partial_trace,
+    propagate,
     require_finite_result,
     sandwich,
     sandwich_sum,
@@ -149,6 +150,36 @@ def test_mat_exp_keeps_the_trace_of_a_stiff_decay(d):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def test_mat_exp_takes_m_9_by_the_exact_d8(monkeypatch):
+    import scipy.linalg
+
+    # -iH of a d = 8 collision step at cutoff 5: d_4 > theta_9 > d_6 > d_8, so m = 9 takes
+    # five n x n products (A^2, A^4, A^6, A^8, A U), where the bound d_8 <= d_4 took m = 13
+    # and six (A^2, A^4, A^6, A^6 P, A^6 Q, A U).
+    a = -1j * sandwich_sum(step_pairs(8, 5), "the step Hamiltonian")
+    n = a.shape[0]
+    d = {k: np.abs(np.linalg.matrix_power(a, k)).sum(axis=0).max() ** (1 / k) for k in (4, 6, 8)}
+    assert d[4] > linalg._PADE_THETA[9] > d[6] > d[8]
+    products = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(x, y, *args, **kwargs):
+            if np.shape(x) == np.shape(y) == (n, n):
+                products.append(1)
+            return np.matmul(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "np", CountingNumpy())
+    got = mat_exp(a)
+    monkeypatch.undo()
+    assert len(products) == 5
+    want = scipy.linalg.expm(a)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("a", [
     np.full((3, 3), 1e80),  # exp(a) itself is beyond the double range
     np.array([[-1e80, 1e80], [0.0, -1e80]]),  # exp(a) is a contraction, A^4 is not finite
@@ -202,6 +233,37 @@ def test_vectorize_rejects_a_non_square_array():
 def test_devectorize_rejects_bad_length():
     with pytest.raises(DimensionError):
         devectorize(np.zeros(5), 2)
+
+
+def test_vectorize_and_devectorize_take_stacks(rng):
+    stack = random_complex(rng, (2, 4, 3, 3))
+    vecs = vectorize(stack)
+    assert vecs.shape == (2, 4, 9)
+    back = devectorize(vecs, 3)
+    assert back.shape == stack.shape
+    assert np.ascontiguousarray(back).tobytes() == stack.tobytes()
+    for j in range(2):
+        for k in range(4):
+            assert vecs[j, k].tobytes() == vectorize(stack[j, k]).tobytes()
+            assert back[j, k].tobytes() == devectorize(vecs[j, k], 3).tobytes()
+    with pytest.raises(DimensionError, match=r"square matrix, got shape \(4, 2, 3\)"):
+        vectorize(np.zeros((4, 2, 3)))
+    with pytest.raises(DimensionError, match="vector of length 5 is not 2x2"):
+        devectorize(np.zeros((4, 5)), 2)
+
+
+@pytest.mark.parametrize("count", [0, 1, 7])
+@pytest.mark.parametrize("d", [1, 3])
+def test_propagate_is_the_step_loop_bit_for_bit(rng, d, count):
+    step = random_complex(rng, (d * d, d * d)) / d
+    rho0 = random_density(rng, d)
+    v, want = vectorize(rho0), [rho0]
+    for _ in range(count):
+        v = step @ v
+        want.append(devectorize(v, d))
+    states = propagate(rho0, step, count)
+    assert states.shape == (count + 1, d, d)
+    assert np.ascontiguousarray(states).tobytes() == np.array(want).tobytes()
 
 
 def test_partial_trace_product_states(rng):
@@ -345,6 +407,12 @@ ROUTES = {
     "d20-gamma1e4-t1": (lambda: oscillator_pairs(20, gamma=1e4, n=0.5), 0.5, 2, 1, True),
     "d19-t10": (lambda: oscillator_pairs(19, n=0.5), 1.0, 10, 1, False),
     "d19-t1000": (lambda: oscillator_pairs(19, n=0.5), 100.0, 10, 1, True),
+    # The d = 24 bench oscillator to t = 5 (101 points is evolve-expm/d24): past s points
+    # expm_multiply runs its Taylor terms at every point, so long grids go dense.
+    "d24-t5-1001-points": (lambda: oscillator_pairs(24, **BENCH_BATH), 0.005, 1000, 1, True),
+    "d24-t5-5001-points": (lambda: oscillator_pairs(24, **BENCH_BATH), 0.001, 5000, 1, True),
+    # Ten points to t = 20 is fewer than s = 161 steps: no per-point terms, Krylov stays.
+    "d24-t20-11-points": (lambda: oscillator_pairs(24, **BENCH_BATH), 2.0, 10, 1, False),
     # Beyond the dense budget only Krylov is left, however long the grid.
     "d46-t1000": (lambda: oscillator_pairs(46, n=0.5), 100.0, 10, 1, False),
     # tr(L') overflows, so the shifted ||L'||_1 is not finite: expm_multiply names it.

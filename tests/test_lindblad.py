@@ -176,6 +176,38 @@ def test_heisenberg_schrodinger_trace_duality(rng):
     np.testing.assert_allclose(liouv, adjoint(heis), atol=1e-12)
 
 
+def test_schrodinger_matrix_is_the_dense_twin_of_the_sparse_one(rng):
+    for d in (1, 2, 3, 5):
+        form = gks_decompose(random_model(rng, d))
+        dense = form.schrodinger_matrix()
+        assert dense.tobytes() == form.schrodinger_sparse().toarray().tobytes()
+        np.testing.assert_array_equal(dense, adjoint(form.heisenberg_matrix()))
+
+
+def test_no_schrodinger_path_builds_the_heisenberg_matrix(rng, monkeypatch):
+    import scipy.sparse.linalg
+
+    def fail(*args, **kwargs):
+        raise AssertionError("L' taken from the Heisenberg matrix")
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    model, rho0, grid = random_model(rng, 3), random_density(rng, 3), np.linspace(0.0, 1.0, 5)
+    liouv = adjoint(heisenberg_generator(model))
+    want = [rho0]
+    for _ in grid[1:]:
+        want.append(apply(mat_exp(grid[1] * liouv), want[-1]))
+    steady = dense_steady_state(model)
+    monkeypatch.setattr(lindblad.GKSForm, "heisenberg_matrix", fail)
+    np.testing.assert_array_equal(schrodinger_liouvillian(model), liouv)
+    for method in ("expm", "rk4"):
+        states = evolve_on_route("dense", model, rho0, grid, method=method)
+        np.testing.assert_allclose(states, want, rtol=0, atol=1e-10)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)  # the dense SVD decides
+    np.testing.assert_allclose(steady_state(model), steady, rtol=0, atol=1e-10)
+
+
 def test_commutator_hamiltonian_round_trip(rng):
     h = random_hermitian(rng, 4)
     h = h - h[0, 0] * np.eye(4)
@@ -586,7 +618,7 @@ def test_evolve_on_the_krylov_route_never_builds_a_dense_map(monkeypatch):
     pairs = gks_decompose(model).schrodinger_sandwiches()
     assert not dense_exp_is_cheaper(pairs, 0.2, 10)
     assert dense_exp_is_cheaper(pairs, 200.0, 10)
-    monkeypatch.setattr(lindblad.GKSForm, "heisenberg_matrix", fail)
+    monkeypatch.setattr(lindblad.GKSForm, "schrodinger_matrix", fail)
     monkeypatch.setattr(lindblad, "mat_exp", fail)
     _, keys, pos, *_ = np.random.get_state()
     states = evolve(model, rho0, grid)
