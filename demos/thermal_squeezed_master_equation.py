@@ -52,12 +52,12 @@ print("  expected: 0 (steady), gamma(n+1/2-m) = %.2f, gamma(n+1/2+m) = %.2f, gam
 print("\ncoherence decay, slow quadrature vs fast quadrature")
 plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)       # <sigma_x> = 1
 plus_i = np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex)  # <sigma_y> = 1
-grid = np.linspace(0.0, 2.0, 5)
-states_x = evolve(qubit(n, m), plus, grid)
-states_y = evolve(qubit(n, m), plus_i, grid)
+dt, steps = 0.5, 4  # the states at t = k dt, k = 0, ..., steps
+states_x = evolve(qubit(n, m), plus, dt, steps)
+states_y = evolve(qubit(n, m), plus_i, dt, steps)
 sx = 2.0 * states_x[:, 1, 0].real
 sy = 2.0 * states_y[:, 1, 0].imag
 print("  t       <sigma_x>   exp(-(n+1/2-m)t)   <sigma_y>   exp(-(n+1/2+m)t)")
-for k, t in enumerate(grid):
+for k, t in enumerate(dt * np.arange(steps + 1)):
     print("  %-6.2f  %9.5f   %16.5f   %9.5f   %16.5f"
           % (t, sx[k], np.exp(-(n + 0.5 - m) * t), sy[k], np.exp(-(n + 0.5 + m) * t)))

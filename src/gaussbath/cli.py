@@ -30,6 +30,7 @@ failure or out of memory, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -257,14 +258,18 @@ def cmd_evolve(args) -> int:
         raise FormatError("--points must be at least 2")
     d = model.dim
     require_dense(args.points * d * d, f"--points {args.points} at d = {d}", "points * d^2")
-    grid = np.linspace(0.0, args.t_final, args.points)
-    states = evolve(model, rho0, grid, method=args.method)
+    # Where it is not 0, the step is np.linspace's own, bit for bit.
+    dt = args.t_final / (args.points - 1)
+    if dt == 0:
+        raise FormatError(f"--t-final {args.t_final!r} over the {args.points - 1} intervals "
+                          f"of --points {args.points} underflows to a zero step")
+    states = evolve(model, rho0, dt, args.points - 1, method=args.method)
     header = ["t"] + [f"rho_{i}_{j}_{part}" for j in range(d) for i in range(d)
                       for part in ("re", "im")]
     header += [f"pop_{k}" for k in range(d)] + ["purity"]
     # Row k: t, vec(rho) as interleaved (re, im), populations, purity.
     table = np.column_stack([
-        grid,
+        np.linspace(0.0, args.t_final, args.points),
         np.ascontiguousarray(vectorize(states)).view(float),
         np.diagonal(states, axis1=1, axis2=2).real,
         np.trace(states @ states, axis1=1, axis2=2).real,
@@ -338,7 +343,9 @@ def cmd_split(args) -> int:
 
 # ---------------------------------------------------------------- driver
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="gaussbath",
         description="Gaussian-bath quantum noise engine",

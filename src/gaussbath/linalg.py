@@ -411,10 +411,13 @@ def propagate(rho0: np.ndarray, step_map: np.ndarray, count: int) -> np.ndarray:
     The dense trajectories run through this loop: evolve's RK4, its dense
     expm and the collision chain, in one (count + 1, d^2) stack of
     column-stacked vectors filled in place; the states are its devectorize view.
+    A stack that is not finite raises OverflowError.
     """
     rho0 = require_square(rho0, "initial state")
     vecs = np.empty((count + 1, rho0.size), dtype=complex)
     vecs[0] = vectorize(rho0)
-    for k in range(count):
-        np.matmul(step_map, vecs[k], out=vecs[k + 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(count):
+            np.matmul(step_map, vecs[k], out=vecs[k + 1])
+    require_finite_result(vecs, "propagate overflow: the trajectory")
     return devectorize(vecs, rho0.shape[0])

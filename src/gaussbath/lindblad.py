@@ -22,8 +22,9 @@ schrodinger_matrix and CSC in schrodinger_sparse, equal bit for bit.
 steady_state solves it by a sparse LU with its row 0 replaced by the scaled
 trace functional, certified by a condition estimate; the dense SVD of L'
 decides only when that certificate fails.
-evolve takes an evenly spaced grid, so a trajectory is one step map
-repeated; its "expm" takes the dense map exp(dt L') or one expm_multiply
+A trajectory is (dt, steps): one step map applied steps times, checked
+by validate_trajectory for evolve and the collision chain alike.
+evolve's "expm" takes the dense map exp(dt L') or one expm_multiply
 call through the sparse L', as linalg.dense_exp_is_cheaper picks.  The
 independent evidence for L is the Ito-closure test, which rebuilds L(X)
 column by column as the dt part of dU+ X + X dU + dU+ X dU from the
@@ -33,6 +34,7 @@ All superoperators act on column-stacked operators (see linalg).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from math import ceil
 
@@ -66,7 +68,7 @@ from .linalg import (
     sandwich_sum_sparse,
     vectorize,
 )
-from .noise import NoiseParams
+from .noise import NoiseParams, require_finite
 
 __all__ = [
     "GKSForm",
@@ -80,6 +82,7 @@ __all__ = [
     "schrodinger_liouvillian",
     "steady_state",
     "validate_density_matrix",
+    "validate_trajectory",
 ]
 
 
@@ -122,6 +125,20 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     if abs(tr - 1.0) > DEFAULT_TOL:
         raise DomainError(f"density matrix has trace {tr}, expected 1")
     return rho
+
+
+def validate_trajectory(dt: float, steps: int, dim: int) -> None:
+    """DomainError unless steps >= 1 is an integer, dt > 0 is finite and (steps + 1) d x d
+    states fit the dense budget: the one check of a trajectory, evolve's or the chain's."""
+    if not isinstance(steps, numbers.Integral):
+        raise DomainError(f"steps must be an integer, got {steps!r}")
+    require_finite(dt=dt)
+    if dt <= 0:
+        raise DomainError(f"dt must be positive, got {dt}")
+    if steps < 1:
+        raise DomainError(f"steps must be at least 1, got {steps}")
+    require_dense((int(steps) + 1) * dim**2, f"{steps:.6g} steps of dt = {dt} "
+                  f"(t_final = {steps * dt:.6g}) at d = {dim}", "(steps + 1) * d^2")
 
 
 def _kossakowski_sum(k: np.ndarray, jumps) -> np.ndarray:
@@ -276,24 +293,6 @@ def _rk4_default_step(model: SystemModel, spacing: float) -> float:
     return step
 
 
-def _check_grid(grid: np.ndarray) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise DomainError("time grid must be a one-dimensional array")
-    if not np.all(np.isfinite(grid)):
-        raise DomainError("time grid must be finite")
-    if grid[0] != 0:
-        raise DomainError("time grid must start at 0")
-    if grid.size > 1 and np.any(np.diff(grid) <= 0):
-        raise DomainError("time grid must be strictly increasing")
-    # Against np.linspace itself, which the command line grid equals bit for bit,
-    # even where k grid[1] is far from it (a subnormal step).
-    deviation = np.abs(grid - np.linspace(0.0, grid[-1], grid.size))
-    if not np.all(negligible(deviation, grid[-1], 1e-12)):
-        raise DomainError("time grid must be evenly spaced, within 1e-12 of its last point")
-    return grid
-
-
 def _taylor4(a: np.ndarray) -> np.ndarray:
     """I + A + A^2/2 + A^3/6 + A^4/24 in Horner form: one RK4 step of a linear ODE."""
     eye = np.eye(a.shape[0])
@@ -306,49 +305,42 @@ def _taylor4(a: np.ndarray) -> np.ndarray:
 def evolve(
     model: SystemModel,
     rho0: np.ndarray,
-    grid: np.ndarray,
+    dt: float,
+    steps: int,
     method: str = "expm",
 ) -> np.ndarray:
-    """Propagate rho0 along an evenly spaced grid under exp(t L').
+    """The (steps + 1, d, d) states exp(k dt L') rho0, k = 0, ..., steps.
 
-    The grid starts at 0 and deviates from np.linspace(0, grid[-1],
-    grid.size) by at most 1e-12 of grid[-1], else DomainError; its step
-    dt = grid[1] makes one map, so the trajectory is that map repeated.
-    One gks_decompose per call serves the route rule and every L' it takes.
-    "expm" takes the route linalg.dense_exp_is_cheaper picks for L' and
-    the grid: the map exp(dt L') applied by linalg.propagate, or one
-    expm_multiply call over the whole grid.  A non-finite state raises
-    OverflowError on either route, as does dt L' or an RK4 substep count
-    beyond the double range.  "rk4" takes nsub equal substeps h <=
-    min(dt/20, 0.01/scale), scale = gamma (2n+1+2|m|) ||C||^2 + ||F||.
-    One RK4 substep of a linear equation is exactly T4(hL') = I + hL' +
-    (hL')^2/2 + (hL')^3/6 + (hL')^4/24, so the map is T4(hL')^nsub by
-    repeated squaring: O(d^6 log nsub) in place of 4 nsub O(d^4) matvecs
-    per interval, which is less work once t_final exceeds about d/40 (for
-    very short runs at large d, matvecs take fewer flops).  Taylor-4
-    substeps stay an independent check of the Pade expm, so "rk4" rejects
-    d >= 46, and either method a grid too long to store, both up front by
-    linalg.require_dense.
+    validate_trajectory checks (dt, steps), so the trajectory is one map
+    repeated.  One gks_decompose per call serves the route rule and every
+    L' it takes.  "expm" takes the route linalg.dense_exp_is_cheaper
+    picks for L', dt and steps: the map exp(dt L') applied by
+    linalg.propagate, or one expm_multiply call over all steps.  A
+    non-finite state raises OverflowError on either route, as does dt L'
+    or an RK4 substep count beyond the double range.  "rk4" takes nsub
+    equal substeps h <= min(dt/20, 0.01/scale), scale = gamma (2n+1+2|m|)
+    ||C||^2 + ||F||.  One RK4 substep of a linear equation is exactly
+    T4(hL') = I + hL' + (hL')^2/2 + (hL')^3/6 + (hL')^4/24, so the map is
+    T4(hL')^nsub by repeated squaring: O(d^6 log nsub) in place of 4 nsub
+    O(d^4) matvecs per step, which is less work once t_final exceeds about
+    d/40 (for very short runs at large d, matvecs take fewer flops).
+    Taylor-4 substeps stay an independent check of the Pade expm, so
+    "rk4" rejects d >= 46 up front by linalg.require_dense.
     """
-    grid = _check_grid(grid)
-    rho0 = validate_density_matrix(rho0)
     d = model.dim
+    validate_trajectory(dt, steps, d)
+    rho0 = validate_density_matrix(rho0)
     if rho0.shape[0] != d:
         raise DimensionError("rho0 dimension does not match the model")
     if method not in ("expm", "rk4"):
         raise DomainError(f"method must be 'expm' or 'rk4', got {method!r}")
-    require_dense(grid.size * d * d, f"a time grid of {grid.size} points at d = {d}",
-                  "points * d^2")
     if method == "rk4":
         require_dense(d**4, f"method 'rk4' at d = {d} (d^2 = {d * d})", "(d^2)^2",
                       "; use --method expm")
-    if grid.size == 1:
-        return np.array([rho0])
-    dt, count = grid[1], grid.size - 1
     form = gks_decompose(model)
-    if method == "expm" and not dense_exp_is_cheaper(form.schrodinger_sandwiches(), dt, count):
+    if method == "expm" and not dense_exp_is_cheaper(form.schrodinger_sandwiches(), dt, steps):
         vecs = expm_action(form.schrodinger_sparse(), vectorize(rho0), "the trajectory",
-                           start=0.0, stop=count * dt, num=count + 1, endpoint=True)
+                           start=0.0, stop=steps * dt, num=steps + 1, endpoint=True)
         vecs[0] = vectorize(rho0)
         return devectorize(vecs, d)
     liouv = form.schrodinger_matrix()
@@ -357,8 +349,10 @@ def evolve(
         nsub = max(1, ceil(require_finite_result(
             dt / rk4_step, "evolve overflow: the RK4 substep count")))
         step = require_finite_result((dt / nsub) * liouv, "evolve overflow: dt L'")
-    step_map = mat_exp(step) if method == "expm" else np.linalg.matrix_power(_taylor4(step), nsub)
-    return propagate(rho0, step_map, count)
+        # A T4 power beyond the double range shows in the trajectory, which propagate checks.
+        step_map = (mat_exp(step) if method == "expm"
+                    else np.linalg.matrix_power(_taylor4(step), nsub))
+    return propagate(rho0, step_map, steps)
 
 
 def steady_state(model: SystemModel) -> np.ndarray:

@@ -185,6 +185,24 @@ def test_evolve_rejects_a_trajectory_it_cannot_store(tmp_path, capsys):
     assert "--points 10000000000 at d = 2" in err and "4194304" in err
 
 
+def test_evolve_rejects_a_step_that_underflows_to_zero(tmp_path, capsys):
+    rho0 = write_json(tmp_path / "rho0.json", {"rho": [[[1.0, 0.0], [0.0, 0.0]], Z2[0]]})
+    code = main(["evolve", "--model", qubit_model_file(tmp_path), "--rho0", rho0,
+                 "--t-final", "1e-320", "--points", "100001"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--t-final 1e-320 over the 100000 intervals of --points 100001" in err
+
+
+@settings(deadline=None, max_examples=60)
+@given(t_final=st.floats(5e-324, 1e300), points=st.integers(2, 10**6))
+def test_the_evolve_step_is_the_linspace_step(t_final, points):
+    # So the t column, written from np.linspace, holds the times of the states.
+    dt = t_final / (points - 1)
+    if dt != 0:
+        assert dt == np.linspace(0.0, t_final, points)[1]
+
+
 def test_rk4_rejects_a_dimension_beyond_the_dense_budget(tmp_path, capsys):
     d = 46  # d^2 = 2116 > MAX_DENSE_DIM
     zeros = np.zeros((d, d, 2))
@@ -737,7 +755,7 @@ def test_evolve_csv_matches_per_row_formatting(tmp_path, capsys, monkeypatch, rn
     states[3, 0, 1] = complex(1e308, -1e308)
     states[3, 1, 0] = complex(5e-324, 1e-300)
     states[3, 2, 2] = 1e21
-    monkeypatch.setattr(cli, "evolve", lambda model, rho0, grid, method: states)
+    monkeypatch.setattr(cli, "evolve", lambda model, rho0, dt, steps, method: states)
     zeros = np.zeros((d, d, 2)).tolist()
     rho = np.zeros((d, d, 2))
     rho[0, 0, 0] = 1.0
@@ -801,3 +819,19 @@ def test_split_where_m_squared_is_beyond_the_double_range(capsys):
     for n_text, m_text in (("1e155", "2e155"), ("1e200", "1e300")):
         assert main(["split", "--n", n_text, "--m-re", m_text]) == 2
         assert "violates |m|^2 <= n(n+1)" in capsys.readouterr().err
+
+
+def test_a_usage_error_leaves_the_one_parser_as_it_was(capsys):
+    argv = ["split", "--n", "0.5", "--m-re", "0.1"]
+    cli.build_parser.cache_clear()
+    assert main(argv) == 0
+    fresh = capsys.readouterr()
+    for bad in (["split", "--n", "0.5", "--bogus", "1"], ["split", "--n", "abc"], ["split"],
+                ["nosuchcommand"]):
+        with pytest.raises(SystemExit) as info:
+            main(bad)
+        assert info.value.code == 2
+        assert "usage: gaussbath" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert capsys.readouterr() == fresh
+    assert cli.build_parser() is cli.build_parser()

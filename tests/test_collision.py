@@ -87,6 +87,27 @@ def test_config_validation():
     assert simulate(config, np.diag([1.0, 0.0])).shape == (3, 2, 2)
 
 
+@pytest.mark.parametrize("dt, steps, message", [
+    (0.1, 2.5, "steps must be an integer, got 2.5"),
+    (0.1, 0, "steps must be at least 1, got 0"),
+    (0.0, 2, "dt must be positive, got 0.0"),
+    (-0.1, 2, "dt must be positive, got -0.1"),
+    (np.inf, 2, "dt must be finite, got inf"),
+    (np.nan, 2, "dt must be finite, got nan"),
+    (1e-6, MAX_DENSE_DIM**2 // 4, "1.04858e+06 steps of dt = 1e-06 (t_final = 1.04858) at d = 2 "
+                                  "breaks (steps + 1) * d^2 <= 4194304"),
+], ids=["fractional-steps", "zero-steps", "zero-dt", "negative-dt", "infinite-dt", "nan-dt",
+        "over-budget"])
+def test_evolve_and_the_chain_share_one_trajectory_check(dt, steps, message):
+    model, rho0 = qubit_model(), np.diag([0.5, 0.5]).astype(complex)
+    with pytest.raises(DomainError) as chain:
+        CollisionConfig(model=model, dt=dt, steps=steps, cutoff=3)
+    with pytest.raises(DomainError) as master:
+        evolve(model, rho0, dt, steps)
+    assert str(chain.value) == str(master.value)
+    assert str(chain.value).startswith(message)
+
+
 def test_step_channel_is_inside_the_dense_budget(tmp_path, capsys):
     # At cutoff 3 the step space 9 d is far inside the budget; the d^2 x d^2
     # step channel S is not, from d = 46 ((d^2)^2 = 4477456 > 2048^2).
@@ -167,7 +188,7 @@ def test_single_collision_error_is_second_order():
     for dt in (0.08, 0.04):
         config = CollisionConfig(model=model, dt=dt, steps=1, cutoff=4)
         approx = simulate(config, rho0)[-1]
-        exact = evolve(model, rho0, np.array([0.0, dt]))[-1]
+        exact = evolve(model, rho0, dt, 1)[-1]
         errs.append(trace_distance(approx, exact))
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 5.0
@@ -178,8 +199,7 @@ def test_vacuum_trajectory_tracks_exact_decay():
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     config = CollisionConfig(model=model, dt=0.01, steps=500, cutoff=3)
     states = simulate(config, rho0)
-    grid = np.arange(501) * 0.01
-    exact = evolve(model, rho0, grid)
+    exact = evolve(model, rho0, 0.01, 500)
     worst = max(trace_distance(states[k], exact[k]) for k in range(501))
     assert worst < 5e-3
     traces = np.einsum("kii->k", states)
@@ -407,8 +427,8 @@ def test_convergence_study_flags_errors_that_really_grow(monkeypatch):
     rho0 = np.diag([0.5, 0.5]).astype(complex)
 
     def drifting(config, rho):
-        grid = np.arange(config.steps + 1) * config.dt
-        return evolve(model, rho, grid, method="expm") + 1e-4 / config.dt * np.diag([1.0, -1.0])
+        exact = evolve(model, rho, config.dt, config.steps, method="expm")
+        return exact + 1e-4 / config.dt * np.diag([1.0, -1.0])
 
     monkeypatch.setattr(collision, "simulate", drifting)
     result = convergence_study(model, rho0, t_final=0.5, dts=[0.1, 0.05], cutoff=3)

@@ -193,16 +193,16 @@ def test_no_schrodinger_path_builds_the_heisenberg_matrix(rng, monkeypatch):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    model, rho0, grid = random_model(rng, 3), random_density(rng, 3), np.linspace(0.0, 1.0, 5)
+    model, rho0 = random_model(rng, 3), random_density(rng, 3)
     liouv = adjoint(heisenberg_generator(model))
     want = [rho0]
-    for _ in grid[1:]:
-        want.append(apply(mat_exp(grid[1] * liouv), want[-1]))
+    for _ in range(4):
+        want.append(apply(mat_exp(0.25 * liouv), want[-1]))
     steady = dense_steady_state(model)
     monkeypatch.setattr(lindblad.GKSForm, "heisenberg_matrix", fail)
     np.testing.assert_array_equal(schrodinger_liouvillian(model), liouv)
     for method in ("expm", "rk4"):
-        states = evolve_on_route("dense", model, rho0, grid, method=method)
+        states = evolve_on_route("dense", model, rho0, 0.25, 4, method=method)
         np.testing.assert_allclose(states, want, rtol=0, atol=1e-10)
     monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)  # the dense SVD decides
     np.testing.assert_allclose(steady_state(model), steady, rtol=0, atol=1e-10)
@@ -359,7 +359,7 @@ def test_evolve_vacuum_decay_analytic():
     model = damped_qubit(gamma=gamma)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     grid = np.linspace(0.0, 1.3, 5)
-    states = evolve(model, rho0, grid)
+    states = evolve(model, rho0, 1.3 / 4, 4)
     np.testing.assert_allclose(states[:, 0, 0], np.exp(-gamma * grid), atol=1e-10)
     np.testing.assert_allclose(states[:, 0, 0] + states[:, 1, 1], 1.0, atol=1e-12)
 
@@ -369,34 +369,29 @@ def test_evolve_coherence_half_rate():
     model = damped_qubit(gamma=gamma)
     rho0 = np.full((2, 2), 0.5, dtype=complex)
     grid = np.linspace(0.0, 2.0, 9)
-    states = evolve(model, rho0, grid)
+    states = evolve(model, rho0, 0.25, 8)
     np.testing.assert_allclose(states[:, 0, 1], 0.5 * np.exp(-0.5 * gamma * grid), atol=1e-10)
 
 
 def test_evolve_rk4_matches_expm(rng):
     model = random_model(rng, 2)
     rho0 = random_density(rng, 2)
-    grid = np.linspace(0.0, 1.0, 6)
-    a = evolve(model, rho0, grid, method="expm")
-    b = evolve(model, rho0, grid, method="rk4")
+    a = evolve(model, rho0, 0.2, 5, method="expm")
+    b = evolve(model, rho0, 0.2, 5, method="rk4")
     assert max(operator_norm(x - y) for x, y in zip(a, b)) < 1e-8
 
 
-def rk4_stage_loop(model, rho0, grid):
-    """Classical RK4 with four Liouvillian matvecs per substep, on evolve's substep rule.
-
-    The grid is evenly spaced: every interval takes the step grid[1].
-    """
+def rk4_stage_loop(model, rho0, dt, steps):
+    """Classical RK4 with four Liouvillian matvecs per substep, on evolve's substep rule."""
     liouv = schrodinger_liouvillian(model)
     noise = model.noise
     scale = (noise.gamma * (2.0 * noise.n + 1.0 + 2.0 * abs(noise.m))
              * operator_norm(model.C) ** 2 + operator_norm(model.F))
-    dt = grid[1]
     nsub = max(1, int(np.ceil(dt / min(dt / 20.0, 0.01 / scale))))
     h = dt / nsub
     v = vectorize(rho0)
     states = [rho0]
-    for _ in range(grid.size - 1):
+    for _ in range(steps):
         for _ in range(nsub):
             k1 = liouv @ v
             k2 = liouv @ (v + 0.5 * h * k1)
@@ -411,9 +406,8 @@ def rk4_stage_loop(model, rho0, grid):
 def test_evolve_rk4_equals_stage_loop(rng, d):
     model = random_model(rng, d)
     rho0 = random_density(rng, d)
-    grid = np.linspace(0.0, 1.5, 9)
-    got = evolve(model, rho0, grid, method="rk4")
-    assert np.max(np.abs(got - rk4_stage_loop(model, rho0, grid))) <= 1e-12
+    got = evolve(model, rho0, 1.5 / 8, 8, method="rk4")
+    assert np.max(np.abs(got - rk4_stage_loop(model, rho0, 1.5 / 8, 8))) <= 1e-12
 
 
 def test_taylor4_is_one_rk4_step(rng):
@@ -433,41 +427,17 @@ def test_taylor4_is_one_rk4_step(rng):
 def test_evolve_input_checks(rng):
     model = damped_qubit()
     rho0 = np.diag([0.5, 0.5]).astype(complex)
+    # (dt, steps) has the check of the collision chain (test_collision).
     with pytest.raises(DomainError):
-        evolve(model, rho0, np.array([0.5, 1.0]))
-    # No absolute floor: at gamma = 1e15 (femtoseconds) 9e-16 is most of a decay time.
-    with pytest.raises(DomainError, match="time grid must start at 0"):
-        evolve(damped_qubit(gamma=1e15), rho0, np.array([9e-16, 1.8e-15]))
-    with pytest.raises(DomainError):
-        evolve(model, rho0, np.array([0.0, 0.5, 0.4]))
-    # One step map per trajectory: an uneven grid, however small, is rejected.
-    for uneven in ([0.0, 0.1, 0.25, 0.7, 1.3], [0.0, 1e-13, 3e-13]):
-        with pytest.raises(DomainError, match="evenly spaced"):
-            evolve(model, rho0, np.array(uneven))
-    for bad in (np.inf, np.nan):
-        with pytest.raises(DomainError, match="finite"):
-            evolve(model, rho0, np.array([0.0, 1.0, bad]))
-    with pytest.raises(DomainError):
-        evolve(model, rho0, np.array([0.0, 1.0]), method="euler")
+        evolve(model, rho0, 1.0, 1, method="euler")
     with pytest.raises(DimensionError):
-        evolve(model, np.eye(3) / 3.0, np.array([0.0, 1.0]))
+        evolve(model, np.eye(3) / 3.0, 1.0, 1)
     with pytest.raises(DomainError):
-        evolve(model, np.diag([0.9, 0.3]), np.array([0.0, 1.0]))
-    # points * d^2 <= MAX_DENSE_DIM^2 bounds the stored trajectory.
-    with pytest.raises(DomainError, match="1048577 points at d = 2 breaks"):
-        evolve(model, rho0, np.linspace(0.0, 1.0, MAX_DENSE_DIM**2 // 4 + 1))
+        evolve(model, np.diag([0.9, 0.3]), 1.0, 1)
     d = 46  # d^2 = 2116: RK4's dense maps are beyond MAX_DENSE_DIM
     big = SystemModel(C=ladder(d), F=np.zeros((d, d)), noise=NoiseParams(gamma=1.0))
     with pytest.raises(DomainError, match="dense budget 2048; use --method expm"):
-        evolve(big, np.eye(d) / d, np.array([0.0, 1.0]), method="rk4")
-
-
-def test_evolve_trivial_grid():
-    model = damped_qubit()
-    rho0 = np.diag([0.5, 0.5]).astype(complex)
-    states = evolve(model, rho0, np.array([0.0]))
-    assert states.shape == (1, 2, 2)
-    np.testing.assert_array_equal(states[0], rho0)
+        evolve(big, np.eye(d) / d, 1.0, 1, method="rk4")
 
 
 def test_evolve_builds_one_map_per_distinct_spacing(rng, monkeypatch):
@@ -487,7 +457,7 @@ def test_evolve_builds_one_map_per_distinct_spacing(rng, monkeypatch):
     for grid in (np.linspace(0.0, 5.0, 101), np.linspace(0.0, 3e-13, 4)):
         assert np.unique(np.diff(grid)).size > 1
         calls.clear()
-        got = evolve(model, rho0, grid)
+        got = evolve(model, rho0, grid[1], grid.size - 1)
         assert len(calls) == 1
         per_interval = [rho0]
         for dt in np.diff(grid):
@@ -506,10 +476,9 @@ TRAJECTORY_KINDS = ("thermal", "squeezed", "boundary", "displaced", "random F", 
 
 @st.composite
 def trajectory_cases(draw, kind):
-    """(model, rho0, grid) at d <= 24 for the Krylov pin.
+    """(model, rho0, dt, steps) at d <= 24 for the Krylov pin.
 
     kind is one of TRAJECTORY_KINDS; "boundary" puts m on |m|^2 = n(n+1).
-    The grid is a linspace.
     """
     d = draw(st.integers(2, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -526,8 +495,8 @@ def trajectory_cases(draw, kind):
     if kind == "random C":
         c = random_complex(rng, (d, d)) / np.sqrt(d)
     noise = NoiseParams(gamma=draw(st.floats(0.3, 2.0)), sigma=sigma, n=n, m=m, alpha=alpha)
-    grid = np.linspace(0.0, draw(st.floats(0.1, 3.0)), draw(st.integers(2, 41)))
-    return SystemModel(C=c, F=f, noise=noise), random_density(rng, d), grid
+    t_final, steps = draw(st.floats(0.1, 3.0)), draw(st.integers(1, 40))
+    return SystemModel(C=c, F=f, noise=noise), random_density(rng, d), t_final / steps, steps
 
 
 def evolve_on_route(route, *args, **kwargs):
@@ -540,9 +509,9 @@ def evolve_on_route(route, *args, **kwargs):
 @settings(derandomize=True, database=None, deadline=None, max_examples=6)
 @given(data=st.data())
 def test_krylov_route_matches_dense_expm(kind, data):
-    model, rho0, grid = data.draw(trajectory_cases(kind))
-    dense = evolve_on_route("dense", model, rho0, grid)
-    krylov = evolve_on_route("krylov", model, rho0, grid)
+    model, rho0, dt, steps = data.draw(trajectory_cases(kind))
+    dense = evolve_on_route("dense", model, rho0, dt, steps)
+    krylov = evolve_on_route("krylov", model, rho0, dt, steps)
     assert krylov.shape == dense.shape
     assert np.max(np.abs(krylov - dense)) <= 1e-12
 
@@ -559,50 +528,13 @@ def test_krylov_route_calls_expm_multiply_once_per_run(rng, monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", counting)
     model, rho0 = random_model(rng, 3), random_density(rng, 3)
-    # An evenly spaced grid is one run: one call over all of its points.
-    for grid in (np.linspace(0.0, 5.0, 101), np.linspace(0.0, 3e-13, 4)):
+    # A trajectory is one run: one call over all of its points.
+    for dt, steps in ((0.05, 100), (1e-13, 3)):
         calls.clear()
-        krylov = evolve_on_route("krylov", model, rho0, grid)
-        assert calls == [grid.size]
-        dense = evolve_on_route("dense", model, rho0, grid)
+        krylov = evolve_on_route("krylov", model, rho0, dt, steps)
+        assert calls == [steps + 1]
+        dense = evolve_on_route("dense", model, rho0, dt, steps)
         assert np.max(np.abs(krylov - dense)) <= 1e-12
-
-
-def test_evolve_accepts_every_linspace_grid(monkeypatch):
-    import scipy.sparse.linalg
-
-    exps, nums = [], []
-
-    def counting_exp(a):
-        exps.append(a)
-        return mat_exp(a)
-
-    def constant_action(a, v, **grid):  # records the call; the numbers are pinned elsewhere
-        nums.append(grid["num"])
-        return np.repeat(v[None], grid["num"], axis=0)
-
-    monkeypatch.setattr(lindblad, "mat_exp", counting_exp)
-    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", constant_action)
-    model, rho0 = damped_qubit(), np.diag([1.0, 0.0]).astype(complex)
-    for t_final in (1e-320, 1e-300, 5.0, 1e10):
-        for points in (2, 5001, 100001):
-            grid = np.linspace(0.0, t_final, points)
-            if t_final == 1e-320 and points > 2:
-                # t_final / (points - 1) underflows to 0, so linspace repeats
-                # points: not a time grid, whatever its spacing.
-                with pytest.raises(DomainError, match="strictly increasing"):
-                    evolve(model, rho0, grid)
-                continue
-            exps.clear()
-            nums.clear()
-            dense = evolve_on_route("dense", model, rho0, grid)
-            krylov = evolve_on_route("krylov", model, rho0, grid)
-            assert len(dense) == len(krylov) == points
-            assert len(exps) == 1 and nums == [points]
-            np.testing.assert_allclose(dense[:, 0, 0].real, np.exp(-grid), rtol=0, atol=1e-10)
-    # arange grids, k dt, deviate from the linspace by rounding alone.
-    for dt in (1e-7, 0.1, 3.7):
-        lindblad._check_grid(np.arange(10**6 + 1) * dt)
 
 
 def test_evolve_on_the_krylov_route_never_builds_a_dense_map(monkeypatch):
@@ -614,21 +546,21 @@ def test_evolve_on_the_krylov_route_never_builds_a_dense_map(monkeypatch):
     rho0 = np.zeros((d, d), dtype=complex)
     rho0[1, 1] = 1.0
     grid = np.linspace(0.0, 2.0, 11)
-    # The rule sends this grid to Krylov and the same grid stretched 1000-fold to dense.
+    # The rule sends this trajectory to Krylov and the same one stretched 1000-fold to dense.
     pairs = gks_decompose(model).schrodinger_sandwiches()
     assert not dense_exp_is_cheaper(pairs, 0.2, 10)
     assert dense_exp_is_cheaper(pairs, 200.0, 10)
     monkeypatch.setattr(lindblad.GKSForm, "schrodinger_matrix", fail)
     monkeypatch.setattr(lindblad, "mat_exp", fail)
     _, keys, pos, *_ = np.random.get_state()
-    states = evolve(model, rho0, grid)
+    states = evolve(model, rho0, 0.2, 10)
     # expm_multiply's norm estimates leave numpy's global stream where it was.
     _, keys_after, pos_after, *_ = np.random.get_state()
     assert np.array_equal(keys_after, keys) and pos_after == pos
     # One quantum in a vacuum bath decays at rate gamma.
     np.testing.assert_allclose(states[:, 1, 1].real, np.exp(-0.7 * grid), rtol=0, atol=1e-12)
     with pytest.raises(AssertionError, match="dense route"):
-        evolve(model, rho0, 1000.0 * grid)
+        evolve(model, rho0, 200.0, 10)
 
 
 @pytest.mark.parametrize("route, method",
@@ -643,7 +575,7 @@ def test_evolve_builds_one_gks_form_per_call(rng, monkeypatch, route, method):
 
     monkeypatch.setattr(lindblad, "gks_decompose", counting)
     model, rho0 = random_model(rng, 3), random_density(rng, 3)
-    evolve_on_route(route, model, rho0, np.linspace(0.0, 1.0, 5), method=method)
+    evolve_on_route(route, model, rho0, 0.25, 4, method=method)
     assert len(forms) == 1
 
 
@@ -652,33 +584,44 @@ def scaled_ladder(scale, d=20):
     return SystemModel(C=scale * ladder(d), F=np.zeros((d, d)), noise=NoiseParams(gamma=1.0))
 
 
-@pytest.mark.parametrize("route, model, grid, match", [
+@pytest.mark.parametrize("route, method, model, rho0, dt, steps, match", [
     # |m| far beyond sqrt(n(n+1)): the coherences of an unphysical bath grow.
-    ("dense", damped_qubit(gamma=1.0, n=0.0, m=5.0), np.array([0.0, 400.0]), "not finite"),
-    ("krylov", damped_qubit(gamma=1.0, n=0.0, m=5.0), np.array([0.0, 400.0]), "not finite"),
+    ("dense", "expm", damped_qubit(gamma=1.0, n=0.0, m=5.0), None, 400.0, 1, "not finite"),
+    ("krylov", "expm", damped_qubit(gamma=1.0, n=0.0, m=5.0), None, 400.0, 1, "not finite"),
     # ||L'||_1 = 3.8e121 is finite, so the rule takes the dense route, where the
     # exponential of dt L' overflows.
-    ("natural", scaled_ladder(1e60), np.linspace(0.0, 1.0, 3),
+    ("natural", "expm", scaled_ladder(1e60), None, 0.5, 2,
      "mat_exp overflow: result is not finite"),
     # Every entry of L' is finite but its norm is not, so the rule takes the Krylov
     # route, where scipy's own step count from that norm fails (on NaN).
-    ("natural", scaled_ladder(1e153), np.linspace(0.0, 1.0, 3),
+    ("natural", "expm", scaled_ladder(1e153), None, 0.5, 2,
      "expm_multiply overflow: the trajectory is not finite"),
     # C = 1e160 |1><0|, gamma = 1e-100: dt L' (about 1e220) is finite and exp(dt L') a
     # contraction, but (dt L')^2 is not finite, so the dense route names the overflow.
-    ("natural", SystemModel(C=np.array([[0.0, 0.0], [1e160, 0.0]]), F=np.zeros((2, 2)),
-                            noise=NoiseParams(gamma=1e-100)), np.linspace(0.0, 1.0, 3),
+    ("natural", "expm", SystemModel(C=np.array([[0.0, 0.0], [1e160, 0.0]]), F=np.zeros((2, 2)),
+                                    noise=NoiseParams(gamma=1e-100)), None, 0.5, 2,
      "mat_exp overflow: result is not finite"),
-], ids=["dense", "krylov", "ladder-1e60", "ladder-1e153", "tiny-gamma"])
-def test_a_trajectory_beyond_the_double_range_overflows(route, model, grid, match):
-    rho0 = np.full((model.dim, model.dim), 1.0 / model.dim, dtype=complex)
+    # The unphysical bath on 100,000 short steps: each dense step map is finite,
+    # the states it makes leave the double range.
+    ("natural", "expm", damped_qubit(gamma=1.0, n=0.0, m=5.0), None, 0.004, 100000,
+     "^propagate overflow: the trajectory is not finite$"),
+    # A thermal qubit to t = 1e30 on 1e32 RK4 substeps: T4(hL')^nsub by repeated
+    # squaring takes the rounding of its unit eigenvalue beyond the double range.
+    ("natural", "rk4", damped_qubit(gamma=1.0, n=0.5), np.diag([1.0, 0.0]), 5e29, 2,
+     "^propagate overflow: the trajectory is not finite$"),
+], ids=["dense", "krylov", "ladder-1e60", "ladder-1e153", "tiny-gamma", "dense-100000-steps",
+        "rk4-to-1e30"])
+def test_a_trajectory_beyond_the_double_range_overflows(route, method, model, rho0, dt, steps,
+                                                        match):
+    if rho0 is None:
+        rho0 = np.full((model.dim, model.dim), 1.0 / model.dim, dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match=match):
             if route == "natural":
-                evolve(model, rho0, grid)
+                evolve(model, rho0, dt, steps, method=method)
             else:
-                evolve_on_route(route, model, rho0, grid)
+                evolve_on_route(route, model, rho0, dt, steps, method=method)
 
 
 def test_dynamics_stay_completely_positive(rng):
@@ -863,4 +806,4 @@ def test_a_step_map_beyond_the_double_range_overflows(method, match):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match=match):
-            evolve(damped_qubit(gamma=1e300), rho0, np.array([0.0, 1e10]), method=method)
+            evolve(damped_qubit(gamma=1e300), rho0, 1e10, 1, method=method)
