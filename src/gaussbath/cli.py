@@ -40,7 +40,7 @@ from .collision import convergence_study
 from .doubling import scalar_split, split_residuals
 from .errors import FormatError, GaussBathError
 from .lindblad import SystemModel, evolve, gks_decompose, steady_state
-from .linalg import DEFAULT_TOL, adjoint, require_dense, require_finite_result, vectorize
+from .linalg import DEFAULT_TOL, adjoint, require_finite_result, vectorize
 from .noise import BLOCK_KEYS, NoiseParams, unitarity_defect
 from .wick import NORMAL_ORDERED, TIME_ORDERED, ItoCoefficients, normal_to_time, time_to_normal
 
@@ -257,7 +257,6 @@ def cmd_evolve(args) -> int:
     if args.points < 2:
         raise FormatError("--points must be at least 2")
     d = model.dim
-    require_dense(args.points * d * d, f"--points {args.points} at d = {d}", "points * d^2")
     # Where it is not 0, the step is np.linspace's own, bit for bit.
     dt = args.t_final / (args.points - 1)
     if dt == 0:

@@ -20,7 +20,7 @@ linalg.propagate, and preserves trace because U is unitary: the chain
 is one step map repeated, like evolve's trajectories.  The chain needs
 only the d columns U |j, 00>.  H is listed once as three sandwiches and
 summed by linalg's one assembly.  The columns come from the dense
-exp(-iH) (step_unitary) or from expm_multiply on the sparse H, with no
+exp(-iH) (step_unitary) or from linalg.expm_action on the sparse H, with no
 dense H built, as linalg.dense_exp_is_cheaper picks for one step.  U
 comes from the increment, not from L', so the chain is independent
 evidence for L'.

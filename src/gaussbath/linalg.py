@@ -23,14 +23,16 @@ the input, beyond the d x d operators, holds at most MAX_DENSE_DIM^2 entries
 require_finite_result is the one overflow rule for results: a computed
 array beyond the double range raises OverflowError "{what} is not
 finite" (exit 3), while non-finite input is a DomainError where it
-enters.  expm_action is the one caller of scipy's expm_multiply; both
-exponential actions (evolve's trajectories, the collision Kraus columns)
-take its seeding, its overflow guard and its range check.
+enters.  expm_action is the one exponential action, Al-Mohy & Higham's
+Taylor blocks in numpy around scipy.sparse's CSR matvec; both actions
+(evolve's trajectories, the collision Kraus columns) take its work
+budget (MAX_MATVECS), its overflow guard and its range check.
 dense_exp_is_cheaper is the one route rule for those exponentials, one
 dense Pade map (mat_exp) or expm_action, over count steps of one size:
-every trajectory is one step map repeated (propagate).  The rule and
-mat_exp are numpy alone, so only the sparse routes load scipy:
-expm_action and sandwich_sum_sparse.
+every trajectory is one step map repeated (propagate).  Both count the
+work of one plan, _taylor_plan.  The rule and mat_exp are numpy alone,
+so only the sparse routes load scipy.sparse: expm_action and
+sandwich_sum_sparse.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ DEFAULT_TOL = 1e-9
 # The side of the largest dense complex matrix that require_dense admits.
 MAX_DENSE_DIM = 2048
 
-# Al-Mohy & Higham (2011) Table 3.1: theta_m for m Taylor terms, as scipy's expm_multiply has it.
+# Al-Mohy & Higham (2011) Table 3.1: theta_m for m Taylor terms, as scipy's expm_multiply has it:
+# m terms keep a block of ||w A||_1 <= theta_m within double precision.
 _TAYLOR_M = np.array([*range(1, 31), 35, 40, 45, 50, 55])
 _THETA_M = np.array([
     2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2, 8.96e-2, 1.44e-1,
@@ -59,12 +62,20 @@ _THETA_M = np.array([
 _PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
                9: 2.097847961257068, 13: 5.371920351148152}
 
-# Flops per expm_multiply matvec of Python work: 7e4-1.7e5 fit all 56 clear timed cases.
-MATVEC_OVERHEAD = 1e5
+# Flops per expm_action matvec of Python work.  Of 80 timed cases (evolve at d = 8-24 to
+# t = 1, 5, 20 on 11-3,001 points; collision steps), no value routes all 72 clear ones
+# (one route >= 1.25x faster): 7e4 misses 2, and 7.5e4, just above the 72,872 that keeps
+# the d = 16 bench oscillator dense, 3.
+MATVEC_OVERHEAD = 7.5e4
+
+# The most matvecs one expm_action run may take: 14-26 us each at d = 24-64 and 110 us at
+# d = 128 (2-core VM), so at most about 20 s at d = 46, t ||L'||_1 up to about 1.8e5.
+MAX_MATVECS = 10**6
 
 __all__ = [
     "DEFAULT_TOL",
     "MAX_DENSE_DIM",
+    "MAX_MATVECS",
     "adjoint",
     "choi_matrix",
     "dense_exp_is_cheaper",
@@ -240,32 +251,97 @@ def _combine(coeffs, powers: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def expm_action(a, v: np.ndarray, what: str, **grid) -> np.ndarray:
-    """exp(a) v by scipy's expm_multiply (Al-Mohy & Higham), sparse matvecs only.
+    """exp(a) v, or the states exp(t a) v along np.linspace(**grid) of t >= 0, by sparse matvecs.
 
-    grid holds expm_multiply's start, stop, num and endpoint, for the
-    states exp(t a) v along a linspace of t.  a is taken as a CSR array:
-    row-wise matvecs, the same sums as CSC with fewer cache misses.
-    The norm estimates draw sign vectors from numpy's global generator, so
-    it is seeded with 0 for the call and the caller's stream is put back:
-    the answer is reproducible.  A norm of a beyond the double range
-    breaks scipy's step count (OverflowError or ValueError from int() of a
-    non-finite float); that and a non-finite result raise OverflowError
+    Al-Mohy & Higham (2011), Algorithms 3.2 and 5.2, in numpy around the CSR
+    matvec, with the exact ||a - mu I||_1, mu = tr(a)/n, in place of their
+    norm estimates, so no random number is drawn.  _taylor_action has the
+    blocks; a run of more than MAX_MATVECS matvecs raises DomainError before
+    the first one.  A step count beyond 2^53, which includes a norm beyond
+    the double range, and a non-finite result raise OverflowError
     "expm_multiply overflow: {what} is not finite".
     """
     import scipy.sparse
-    import scipy.sparse.linalg
 
-    a = scipy.sparse.csr_array(a)
-    state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = scipy.sparse.linalg.expm_multiply(a, v, **grid)
-    except (OverflowError, ValueError) as exc:
-        raise OverflowError(f"expm_multiply overflow: {what} is not finite") from exc
-    finally:
-        np.random.set_state(state)
-    return require_finite_result(out, f"expm_multiply overflow: {what}")
+    x = np.asarray(v, dtype=complex)
+    n = x.shape[0]
+    times = np.linspace(**grid) if grid else np.ones(1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = scipy.sparse.csr_array(a)
+        mu = a.trace() / n
+        a = a - mu * scipy.sparse.eye_array(n, format="csr")
+        norm = np.bincount(a.indices, np.abs(a.data), n).max()
+        out = _taylor_action(a, x, mu, norm, times, what)
+    return out if grid else out[0]
+
+
+def _taylor_plan(norm: float, span: float) -> tuple[float, float]:
+    """(m, s): s blocks of m Taylor terms for exp(span A), ||A||_1 = norm, m s least.
+
+    s = ceil(span norm / theta_m), at least 1, keeps each block within theta_m
+    (Al-Mohy & Higham 2011, with the exact norm).  Not finite where the norm
+    is not; the caller sets np.errstate.
+    """
+    blocks = np.maximum(np.ceil(span * norm / _THETA_M), 1.0)
+    best = np.argmin(_TAYLOR_M * blocks)
+    return float(_TAYLOR_M[best]), blocks[best]
+
+
+def _taylor_action(a, x: np.ndarray, mu, norm: float, times: np.ndarray,
+                   what: str) -> np.ndarray:
+    """The states exp(t (a + mu I)) x at the increasing times t >= 0, a shifted.
+
+    _taylor_plan cuts [0, T], T the last time, into s blocks of width w.
+    Each forms K_p = (w a)^p / p! z once, z its first state, on all columns
+    of x: up to m matvecs, stopped by the paper's test at the block's full
+    width.  A time t = (i + tau) w in block i takes sum_p tau^p K_p e^{mu tau w},
+    so the matvecs do not depend on the number of times.
+    """
+    overflow = f"expm_multiply overflow: {what}"
+    m, s = _taylor_plan(norm, times[-1])
+    if not m * s <= 2.0**53:
+        raise OverflowError(f"{overflow} is not finite")
+    if m * s > MAX_MATVECS:
+        raise DomainError(f"{what} at t ||A||_1 = {times[-1] * norm:.6g} breaks m s = "
+                          f"{m * s:.0f} matvecs <= {MAX_MATVECS}, the work budget")
+    m, s = int(m), int(s)
+    width, tol = times[-1] / s, 2.0**-53
+    block_of = np.clip(np.ceil(times / width) - 1, 0, s - 1)
+    bounds = np.searchsorted(block_of, np.arange(s + 1))
+
+    def inf_norm(k):  # of a vector, or the largest row sum of an n x columns block
+        return np.abs(k).max() if k.ndim == 1 else np.abs(k).sum(axis=1).max()
+
+    # Every K_p, for one product per block, where a block holds two times or more (as
+    # scipy's interval algorithm keeps them); else the last two, the times summed per term.
+    keep = m + 1 if np.diff(bounds).max() > 1 else 2
+    out = np.empty((times.size, *x.shape), dtype=complex)
+    terms = np.empty((keep, *x.shape), dtype=complex)
+    rows, flat = out.reshape(times.size, -1), terms.reshape(keep, -1)
+    series = np.empty(x.shape, dtype=complex)
+    z = x
+    for block in range(s):
+        lo, hi = bounds[block], bounds[block + 1]
+        tau = times[lo:hi] / width - block
+        weights = tau[:, None] ** np.arange(m + 1) * np.exp(mu * width * tau)[:, None]
+        terms[0] = series[...] = z
+        if keep == 2:
+            rows[lo:hi] = weights[:, :1] * flat[0]
+        last = bound = inf_norm(z)
+        for p in range(1, m + 1):
+            term = np.multiply(a @ terms[(p - 1) % keep], width / p, out=terms[p % keep])
+            series += term
+            if keep == 2 and hi > lo:
+                rows[lo:hi] += weights[:, p, None] * flat[p % 2]
+            size = inf_norm(term)
+            bound += size  # >= ||series||, so that norm is taken only where the test can pass
+            if last + size <= tol * bound and last + size <= tol * inf_norm(series):
+                break
+            last = size
+        if keep > 2:
+            np.matmul(weights[:, : p + 1], flat[: p + 1], out=rows[lo:hi])
+        z = series * np.exp(mu * width)
+    return require_finite_result(out, overflow)
 
 
 def dense_exp_is_cheaper(pairs, step: float, count: int, columns: int = 1) -> bool:
@@ -273,10 +349,10 @@ def dense_exp_is_cheaper(pairs, step: float, count: int, columns: int = 1) -> bo
 
     A = sum sandwich(A_k, B_k) over pairs, n x n.  Dense: (6 + s) n^3 for the one map, s
     squarings to mat_exp's ||step A||_1 <= theta_13, and n^2 per step and column.
-    expm_action: 1 + m max(s, count) matvecs of nnz columns + MATVEC_OVERHEAD, m and
-    s = ceil(||count step A||_1 / theta_m) minimising m s (Al-Mohy & Higham 2011), A shifted
-    by tr(A)/n as in scipy; past s points scipy runs up to m terms, a matvec each, per point.
-    Dense needs the require_dense budget and a finite ||A||_1; the sparse route names overflow.
+    expm_action: 1 + m s matvecs of nnz columns + MATVEC_OVERHEAD, with expm_action's own
+    m and s from _taylor_plan of ||count step A||_1, A shifted by tr(A)/n; however many
+    steps, each K_p is formed once per block.  Dense needs the require_dense budget and a
+    finite ||A||_1; the sparse route names overflow.
     """
     keys, data, (n, _) = _sandwich_entries(pairs, None)
     cols, rows = np.divmod(keys, n)
@@ -286,10 +362,8 @@ def dense_exp_is_cheaper(pairs, step: float, count: int, columns: int = 1) -> bo
         norm = np.max(np.bincount(cols, np.abs(data), n) + abs(diag - diag.mean()) - abs(diag))
         squarings = max(0.0, np.ceil(np.log2(step * norm / _PADE_THETA[13])))
         dense = (6.0 + squarings) * n**3 + count * n * n * columns
-        spans = np.ceil(step * count * norm / _THETA_M)
-        best = np.argmin(_TAYLOR_M * spans)
-        matvecs = _TAYLOR_M[best] * max(spans[best], count)
-        krylov = (1.0 + matvecs) * (keys.size * columns + MATVEC_OVERHEAD)
+        m, blocks = _taylor_plan(norm, step * count)
+        krylov = (1.0 + m * blocks) * (keys.size * columns + MATVEC_OVERHEAD)
     return bool(np.isfinite(norm) and n * n <= MAX_DENSE_DIM**2 and dense <= krylov)
 
 

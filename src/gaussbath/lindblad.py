@@ -24,7 +24,7 @@ trace functional, certified by a condition estimate; the dense SVD of L'
 decides only when that certificate fails.
 A trajectory is (dt, steps): one step map applied steps times, checked
 by validate_trajectory for evolve and the collision chain alike.
-evolve's "expm" takes the dense map exp(dt L') or one expm_multiply
+evolve's "expm" takes the dense map exp(dt L') or one linalg.expm_action
 call through the sparse L', as linalg.dense_exp_is_cheaper picks.  The
 independent evidence for L is the Ito-closure test, which rebuilds L(X)
 column by column as the dt part of dU+ X + X dU + dU+ X dU from the
@@ -315,7 +315,8 @@ def evolve(
     repeated.  One gks_decompose per call serves the route rule and every
     L' it takes.  "expm" takes the route linalg.dense_exp_is_cheaper
     picks for L', dt and steps: the map exp(dt L') applied by
-    linalg.propagate, or one expm_multiply call over all steps.  A
+    linalg.propagate, or one expm_action call over all steps, which
+    raises DomainError beyond its work budget (linalg.MAX_MATVECS).  A
     non-finite state raises OverflowError on either route, as does dt L'
     or an RK4 substep count beyond the double range.  "rk4" takes nsub
     equal substeps h <= min(dt/20, 0.01/scale), scale = gamma (2n+1+2|m|)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -182,7 +183,31 @@ def test_evolve_rejects_a_trajectory_it_cannot_store(tmp_path, capsys):
                  "--t-final", "1", "--points", str(10**10)])
     assert code == 2
     err = capsys.readouterr().err
-    assert "--points 10000000000 at d = 2" in err and "4194304" in err
+    assert "1e+10 steps of dt = 1.0000000001e-10 (t_final = 1) at d = 2" in err
+    assert "(steps + 1) * d^2 <= 4194304" in err
+
+
+@pytest.mark.parametrize("t_final, code", [("1e4", 2), ("100", 0)], ids=["t1e4", "t100"])
+def test_evolve_beyond_the_work_budget_exits_2(tmp_path, capsys, t_final, code):
+    # A d = 46 thermal oscillator is Krylov only (beyond the dense budget); to t = 1e4 it
+    # would take about 7.3e6 matvecs, so it is refused before the first one.
+    d = 46
+    a = ladder(d)
+    model = write_json(tmp_path / "m.json", {"dim": d, "gamma": 1.0, "n": 0.5, "C": to_pairs(a),
+                                             "F": to_pairs(a.conj().T @ a)})
+    rho = np.zeros((d, d))
+    rho[0, 0] = 1.0
+    rho0 = write_json(tmp_path / "rho0.json", {"rho": to_pairs(rho)})
+    start = time.perf_counter()
+    assert main(["evolve", "--model", model, "--rho0", rho0, "--t-final", t_final,
+                 "--points", "11"]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert time.perf_counter() - start < 1.0
+        assert out == "" and "the trajectory at t ||A||_1 = 1.32e+06 breaks m s = " in err
+        assert "matvecs <= 1000000, the work budget" in err
+    else:
+        assert len(out.splitlines()) == 12 and err == ""
 
 
 def test_evolve_rejects_a_step_that_underflows_to_zero(tmp_path, capsys):
@@ -548,6 +573,9 @@ def test_report_commands_never_load_scipy(tmp_path):
     model = qubit_model_file(tmp_path, n=0.5)
     blocks = qubit_model_file(tmp_path, "blocks.json",
                               E={"c00": Z2, "c01": SP, "c10": SM, "c11": Z2})
+    big = write_json(tmp_path / "m46.json", {"dim": 46, "gamma": 1.0, "n": 0.5,
+                                             "C": to_pairs(ladder(46)),
+                                             "F": to_pairs(np.diag(np.arange(46.0)))})
     script = f"""
 import sys
 from gaussbath.cli import main
@@ -562,10 +590,18 @@ assert main(["evolve", "--model", {model!r}, "--rho0", {str(tmp_path / "rho0.jso
 assert main(["oracle", "--model", {model!r}, "--t-final", "0.2", "--dt-list", "0.1,0.05",
              "--cutoff", "3", "--out", {str(tmp_path / "o.csv")!r}]) == 0
 assert "scipy" not in sys.modules, "a dense evolve or oracle loaded scipy"
-assert main(["steady", "--model", {model!r}, "--out", {str(tmp_path / "st.json")!r}]) == 0
+# The sparse route of evolve: a d = 46 oscillator is beyond the dense budget.
+assert main(["evolve", "--model", {big!r}, "--rho0", {str(tmp_path / "rho46.json")!r},
+             "--t-final", "0.1", "--points", "3", "--out", {str(tmp_path / "k.csv")!r}]) == 0
 assert "scipy.sparse" in sys.modules
+assert "scipy.sparse.linalg" not in sys.modules, "a Krylov evolve loaded scipy.sparse.linalg"
+assert main(["steady", "--model", {model!r}, "--out", {str(tmp_path / "st.json")!r}]) == 0
+assert "scipy.sparse.linalg" in sys.modules
 """
     write_json(tmp_path / "rho0.json", {"rho": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]})
+    rho = np.zeros((46, 46))
+    rho[0, 0] = 1.0
+    write_json(tmp_path / "rho46.json", {"rho": to_pairs(rho)})
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

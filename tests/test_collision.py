@@ -322,8 +322,6 @@ def test_krylov_step_channel_matches_dense_step_unitary(kind, data):
 
 
 def test_the_rule_chooses_the_step_route(monkeypatch):
-    import scipy.sparse.linalg
-
     def fail(route):
         def call(*args, **kwargs):
             raise AssertionError(f"{route} route taken")
@@ -338,14 +336,14 @@ def test_the_rule_chooses_the_step_route(monkeypatch):
         pairs = collision._step_sandwiches(c)
         assert dense_exp_is_cheaper(pairs, 1.0, 1, c.model.dim) is dense
     with monkeypatch.context() as patch:
-        patch.setattr(scipy.sparse.linalg, "expm_multiply", fail("krylov"))
+        patch.setattr(collision, "expm_action", fail("krylov"))
         _step_channel(at)
         with pytest.raises(AssertionError, match="krylov route"):
             _step_channel(above)
     monkeypatch.setattr(collision, "step_unitary", fail("dense"))
     _, keys, pos, *_ = np.random.get_state()
     step, _ = _step_channel(above)
-    # expm_multiply's norm estimates leave numpy's global stream where it was.
+    # expm_action draws no random number: numpy's global stream is where it was.
     _, keys_after, pos_after, *_ = np.random.get_state()
     assert np.array_equal(keys_after, keys) and pos_after == pos
     # Trace preservation: vec(1)+ S = vec(1)+.

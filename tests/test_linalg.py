@@ -3,8 +3,15 @@ from math import isqrt
 
 import numpy as np
 import pytest
-from helpers import ladder, random_complex, random_density, random_hermitian, random_unitary
-from hypothesis import given, settings
+from helpers import (
+    ladder,
+    random_complex,
+    random_density,
+    random_gaussian_nm,
+    random_hermitian,
+    random_unitary,
+)
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaussbath import linalg
@@ -339,30 +346,34 @@ def oscillator_liouvillian(d, noise, scale=1.0):
     return gks_decompose(model).schrodinger_sparse()
 
 
-def test_expm_action_is_reproducible_and_leaves_the_global_stream(rng):
-    # At d = 6, t = 5 scipy's norm estimates draw from numpy's global stream.
+def test_expm_action_is_reproducible_and_leaves_the_global_stream(rng, monkeypatch):
+    # expm_action estimates no norm, so it neither reads nor moves numpy's global stream.
     d, t = 6, 5.0
     liouv = oscillator_liouvillian(d, NoiseParams(gamma=1.0, n=0.5, m=0.3))
     v = vectorize(random_density(rng, d))
-    answers = []
-    for seed in (1, 2):
-        np.random.seed(seed)
-        _, keys, pos, *_ = np.random.get_state()
-        answers.append(expm_action(t * liouv, v, "the test state"))
-        _, keys_after, pos_after, *_ = np.random.get_state()
-        assert np.array_equal(keys_after, keys) and pos_after == pos
+
+    def fail(*args, **kwargs):
+        raise AssertionError("numpy's global stream was used")
+
+    _, keys, pos, *_ = np.random.get_state()
+    with monkeypatch.context() as patch:
+        for name in ("get_state", "set_state", "seed"):
+            patch.setattr(np.random, name, fail)
+        answers = [expm_action(t * liouv, v, "the test state") for _ in range(2)]
+        grid = expm_action(liouv, v, "the test state", start=0.0, stop=t, num=3, endpoint=True)
+    _, keys_after, pos_after, *_ = np.random.get_state()
+    assert np.array_equal(keys_after, keys) and pos_after == pos
     assert np.array_equal(answers[0], answers[1])
     assert np.max(np.abs(answers[0] - mat_exp(t * liouv.toarray()) @ v)) <= 1e-12
-    grid = expm_action(liouv, v, "the test state", start=0.0, stop=t, num=3, endpoint=True)
     assert grid.shape == (3, d * d)
     assert np.max(np.abs(grid[-1] - answers[0])) <= 1e-12
 
 
-@pytest.mark.parametrize("scale, cause", [(1e60, OverflowError), (1e153, ValueError)],
-                         ids=["infinite-step-count", "nan-step-count"])
-def test_expm_action_names_a_norm_beyond_the_double_range(scale, cause):
-    # Every entry of L' is finite, its norm is not: scipy's int() of its step
-    # count fails, and the failure is renamed, chained to scipy's exception.
+@pytest.mark.parametrize("scale", [1e60, 1e153], ids=["infinite-step-count", "nan-step-count"])
+def test_expm_action_names_a_norm_beyond_the_double_range(scale):
+    # Every entry of L' is finite.  At 1e60 its norm, 2.9e121, asks for about 1.6e122
+    # matvecs, beyond the 2^53 a double counts exactly; at 1e153 tr(L') overflows and the
+    # shifted norm is NaN.  Both are overflows, named before any matvec.
     liouv = oscillator_liouvillian(20, NoiseParams(gamma=1.0), scale)
     assert np.all(np.isfinite(liouv.data))
     v = np.zeros(400, dtype=complex)
@@ -370,9 +381,66 @@ def test_expm_action_names_a_norm_beyond_the_double_range(scale, cause):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match="^expm_multiply overflow: the test state is not "
-                           "finite$") as info:
+                           "finite$"):
             expm_action(liouv, v, "the test state")
-    assert type(info.value.__cause__) is cause
+
+
+@st.composite
+def action_cases(draw):
+    """(A, v, grid, span, regime) for expm_action: an L' or a step -iH on 1 or d columns.
+
+    regime "single" is exp(A) v; "few" has fewer steps than Taylor blocks, so blocks
+    hold at most one time; "many" has more, so blocks hold several.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2, 4))
+    n, m = random_gaussian_nm(rng)
+    noise = NoiseParams(gamma=draw(st.floats(0.3, 2.0)), n=n, m=m)
+    if draw(st.sampled_from(["liouvillian", "step"])) == "liouvillian":
+        model = SystemModel(C=random_complex(rng, (d, d)), F=random_hermitian(rng, d), noise=noise)
+        a = gks_decompose(model).schrodinger_sparse()
+        v = vectorize(np.stack([random_density(rng, d) for _ in range(d)])).T
+    else:
+        model = SystemModel(C=ladder(d), F=random_hermitian(rng, d), noise=noise)
+        cutoff = draw(st.integers(3, 5))
+        config = CollisionConfig(model=model, dt=draw(st.floats(0.005, 0.05)), steps=1,
+                                 cutoff=cutoff)
+        a = -1j * sandwich_sum_sparse(_step_sandwiches(config), "H")
+        v = np.zeros((d * cutoff**2, d), dtype=complex)
+        v[np.arange(d) * cutoff**2, np.arange(d)] = 1.0
+    if draw(st.booleans()):
+        v = v[:, 0]
+    regime = draw(st.sampled_from(["single", "few", "many"]))
+    if regime == "single":
+        span = draw(st.floats(0.1, 10.0))
+        return span * a, v, {}, 1.0, regime
+    if regime == "few":
+        span, num = draw(st.floats(5.0, 40.0)), draw(st.integers(2, 4))
+    else:
+        span, num = draw(st.floats(0.05, 2.0)), draw(st.integers(60, 300))
+    start = draw(st.sampled_from([0.0, span / 3]))
+    return a, v, {"start": start, "stop": span, "num": num, "endpoint": True}, span, regime
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(case=action_cases())
+def test_expm_action_matches_expm_multiply(case):
+    import scipy.sparse
+    from scipy.sparse.linalg import expm_multiply
+
+    a, v, grid, span, regime = case
+    shifted = a - a.trace() / a.shape[0] * scipy.sparse.eye_array(a.shape[0])
+    m, blocks = linalg._taylor_plan(abs(shifted).sum(axis=0).max(), span)
+    if regime != "single":
+        assume((grid["num"] - 1 < blocks) == (regime == "few"))
+    state = np.random.get_state()  # scipy's norm estimates draw from numpy's global stream
+    try:
+        want = expm_multiply(a, v, **grid)
+    finally:
+        np.random.set_state(state)
+    got = expm_action(a, v, "the test state", **grid)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def oscillator_pairs(d, scale=1.0, **noise):
@@ -396,26 +464,28 @@ BENCH_BATH = {"n": 0.5, "m": 0.2}  # n + |m| = 0.7, as the evolve benchmark jobs
 ROUTES = {
     "evolve-expm/d4": (lambda: oscillator_pairs(4, **BENCH_BATH), 0.05, 100, 1, True),
     "evolve-expm/d8": (lambda: oscillator_pairs(8, **BENCH_BATH), 0.05, 100, 1, True),
+    # Near the cut: expm_action timed about 1.3x faster on these two, but the rule
+    # counts no Python work per dense step, and MATVEC_OVERHEAD keeps them dense.
     "evolve-expm/d16": (lambda: oscillator_pairs(16, **BENCH_BATH), 0.05, 100, 1, True),
-    "evolve-expm/d24": (lambda: oscillator_pairs(24, **BENCH_BATH), 0.05, 100, 1, False),
     "collision-reference/d8": (lambda: oscillator_pairs(8, n=0.75), 0.01, 50, 1, True),
+    "evolve-expm/d24": (lambda: oscillator_pairs(24, **BENCH_BATH), 0.05, 100, 1, False),
     "step-space-50": (lambda: step_pairs(2, 5), 1.0, 1, 2, True),
     "step-space-100": (lambda: step_pairs(4, 5), 1.0, 1, 4, False),
     "step-space-200": (lambda: step_pairs(8, 5), 1.0, 1, 8, False),
     "step-space-256": (lambda: step_pairs(4, 8), 1.0, 1, 4, False),
-    # Stiff and long grids: expm_multiply's matvecs grow with t ||A||_1.
+    # Stiff and long grids: expm_action's matvecs grow with t ||A||_1.
     "d20-gamma1e4-t1": (lambda: oscillator_pairs(20, gamma=1e4, n=0.5), 0.5, 2, 1, True),
     "d19-t10": (lambda: oscillator_pairs(19, n=0.5), 1.0, 10, 1, False),
     "d19-t1000": (lambda: oscillator_pairs(19, n=0.5), 100.0, 10, 1, True),
-    # The d = 24 bench oscillator to t = 5 (101 points is evolve-expm/d24): past s points
-    # expm_multiply runs its Taylor terms at every point, so long grids go dense.
-    "d24-t5-1001-points": (lambda: oscillator_pairs(24, **BENCH_BATH), 0.005, 1000, 1, True),
-    "d24-t5-5001-points": (lambda: oscillator_pairs(24, **BENCH_BATH), 0.001, 5000, 1, True),
-    # Ten points to t = 20 is fewer than s = 161 steps: no per-point terms, Krylov stays.
+    # The d = 24 bench oscillator to t = 5 (101 points is evolve-expm/d24): expm_action
+    # forms each Taylor term once per block, so its matvecs do not grow with the points
+    # while the dense map's steps do.
+    "d24-t5-1001-points": (lambda: oscillator_pairs(24, **BENCH_BATH), 0.005, 1000, 1, False),
+    "d24-t5-5001-points": (lambda: oscillator_pairs(24, **BENCH_BATH), 0.001, 5000, 1, False),
     "d24-t20-11-points": (lambda: oscillator_pairs(24, **BENCH_BATH), 2.0, 10, 1, False),
     # Beyond the dense budget only Krylov is left, however long the grid.
     "d46-t1000": (lambda: oscillator_pairs(46, n=0.5), 100.0, 10, 1, False),
-    # tr(L') overflows, so the shifted ||L'||_1 is not finite: expm_multiply names it.
+    # tr(L') overflows, so the shifted ||L'||_1 is not finite: expm_action names it.
     "ladder-1e153": (lambda: oscillator_pairs(20, scale=1e153), 0.5, 2, 1, False),
     # ||L'||_1 is finite but ||t L'||_1 is not: the dense route names dt L'.
     "qubit-gamma1e300-t1e10": (lambda: oscillator_pairs(2, gamma=1e300), 1e10, 1, 1, True),

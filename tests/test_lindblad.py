@@ -30,6 +30,7 @@ from gaussbath.linalg import (
     choi_matrix,
     dense_exp_is_cheaper,
     devectorize,
+    expm_action,
     mat_exp,
     operator_norm,
     sandwich,
@@ -517,16 +518,13 @@ def test_krylov_route_matches_dense_expm(kind, data):
 
 
 def test_krylov_route_calls_expm_multiply_once_per_run(rng, monkeypatch):
-    import scipy.sparse.linalg
-
     calls = []
-    expm_multiply = scipy.sparse.linalg.expm_multiply
 
     def counting(*args, **kwargs):
         calls.append(kwargs["num"])
-        return expm_multiply(*args, **kwargs)
+        return expm_action(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", counting)
+    monkeypatch.setattr(lindblad, "expm_action", counting)
     model, rho0 = random_model(rng, 3), random_density(rng, 3)
     # A trajectory is one run: one call over all of its points.
     for dt, steps in ((0.05, 100), (1e-13, 3)):
@@ -535,6 +533,34 @@ def test_krylov_route_calls_expm_multiply_once_per_run(rng, monkeypatch):
         assert calls == [steps + 1]
         dense = evolve_on_route("dense", model, rho0, dt, steps)
         assert np.max(np.abs(krylov - dense)) <= 1e-12
+
+
+def test_krylov_matvecs_do_not_grow_with_the_points(monkeypatch):
+    import scipy.sparse
+
+    # A d = 46 thermal oscillator, beyond the dense budget, to t = 1: each Taylor term is
+    # formed once per block, so 11, 101 and 1,001 points take the same matvecs.
+    counts = []
+    matmul = scipy.sparse.csr_array.__matmul__
+
+    def counting(self, other):
+        counts[-1] += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(scipy.sparse.csr_array, "__matmul__", counting)
+    d = 46
+    model = SystemModel(C=ladder(d), F=number(d), noise=NoiseParams(gamma=1.0, n=0.5))
+    rho0 = np.zeros((d, d), dtype=complex)
+    rho0[0, 0] = 1.0
+    states = {}
+    for points in (11, 101, 1001):
+        counts.append(0)
+        states[points] = evolve(model, rho0, 1.0 / (points - 1), points - 1)
+    assert counts[0] == counts[1] == counts[2] > 0
+    # The times the grids share, t = 0, 0.1, ..., 1, hold the same states.
+    for points in (101, 1001):
+        step = (points - 1) // 10
+        assert np.max(np.abs(states[points][::step] - states[11])) <= 1e-13
 
 
 def test_evolve_on_the_krylov_route_never_builds_a_dense_map(monkeypatch):
@@ -554,7 +580,7 @@ def test_evolve_on_the_krylov_route_never_builds_a_dense_map(monkeypatch):
     monkeypatch.setattr(lindblad, "mat_exp", fail)
     _, keys, pos, *_ = np.random.get_state()
     states = evolve(model, rho0, 0.2, 10)
-    # expm_multiply's norm estimates leave numpy's global stream where it was.
+    # expm_action draws no random number: numpy's global stream is where it was.
     _, keys_after, pos_after, *_ = np.random.get_state()
     assert np.array_equal(keys_after, keys) and pos_after == pos
     # One quantum in a vacuum bath decays at rate gamma.
