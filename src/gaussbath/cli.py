@@ -22,6 +22,11 @@ raises OverflowError naming its field, so no report holds NaN or
 Infinity.  Time series are CSV from one writer, ``_write_csv``: a
 header and pre-formatted lines joined with commas, each ended with
 CRLF, which is what csv.writer writes for cells that need no quoting.
+The state columns of ``evolve`` are the Hermitian part (rho + rho^dagger)/2
+of each computed state, equal to it bit for bit where it is Hermitian.
+Each of its d^2 real parameters is formatted once, so mirrored cells
+are exact: rho_j_i_re is the string of rho_i_j_re, rho_j_i_im that of
+rho_i_j_im with its sign flipped, and every rho_k_k_im cell is 0.
 Initial states are only decoded here; the library checks them where
 they enter.  Exit codes: 0 success, 2 validation failure, 3 numerical
 failure or out of memory, 4 I/O failure.
@@ -32,6 +37,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import sys
 
 import numpy as np
@@ -205,6 +211,58 @@ def _write_csv(header: list, lines: list, out: str | None) -> None:
     _write_text("\r\n".join([",".join(header), *lines, ""]), out)
 
 
+def _hermitian_part(states: np.ndarray) -> np.ndarray:
+    """(rho + rho^dagger) / 2 of each state, bit for bit rho where rho is Hermitian.
+
+    Each part is summed, then halved, so subnormal entries keep their
+    last bit; where a sum overflows, the halves are summed instead.
+    """
+    h = np.empty_like(states)
+    adj = states.transpose(0, 2, 1)
+    for out, a, b in ((h.real, states.real, adj.real), (h.imag, states.imag, -adj.imag)):
+        with np.errstate(over="ignore"):
+            total = a + b
+        out[...] = np.where(np.isfinite(total), total / 2, a / 2 + b / 2)
+    return h
+
+
+def _evolve_lines(t: np.ndarray, h: np.ndarray) -> list:
+    """The evolve CSV rows of Hermitian states h at times t, as pre-formatted lines.
+
+    Each real parameter of a state is formatted once, by %.12g.  A row
+    string holds a literal "0", t, the diagonal and the purity
+    (';'-separated), then '|' and the upper-triangle (re, im) pairs.  The
+    conjugate pairs are the pairs string with each imaginary cell's sign
+    flipped, which is exact because %g is odd, -0 included; one gather
+    then picks every cell of the row in header order.
+    """
+    d = h.shape[1]
+    upper = np.triu_indices(d, 1)
+    u = len(upper[0])
+    pair = {ij: 3 + d + m for m, ij in enumerate(zip(*(a.tolist() for a in upper)))}
+    order = [1]  # t
+    for j in range(d):
+        for i in range(d):
+            if i == j:
+                order += [2 + i, 0]
+            else:
+                order.append(pair[i, j] if i < j else pair[j, i] + u)
+    pick = operator.itemgetter(*order, *range(2, 3 + d))  # then populations, purity
+    line = ";".join(["0"] + ["%.12g"] * (d + 2)) + "|" + ";".join(["%.12g,%.12g"] * u)
+    table = np.column_stack([
+        t,
+        np.diagonal(h, axis1=1, axis2=2).real,
+        np.trace(h @ h, axis1=1, axis2=2).real,
+        np.ascontiguousarray(h[:, upper[0], upper[1]]).view(float),
+    ])
+    lines = []
+    for row in table.tolist():
+        head, pairs = (line % tuple(row)).split("|")
+        conj = pairs.replace(",", ",-").replace(",--", ",")
+        lines.append(",".join(pick(";".join((head, pairs, conj)).split(";"))))
+    return lines
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_convert(args) -> int:
@@ -262,19 +320,12 @@ def cmd_evolve(args) -> int:
     if dt == 0:
         raise FormatError(f"--t-final {args.t_final!r} over the {args.points - 1} intervals "
                           f"of --points {args.points} underflows to a zero step")
-    states = evolve(model, rho0, dt, args.points - 1, method=args.method)
+    h = _hermitian_part(evolve(model, rho0, dt, args.points - 1, method=args.method))
     header = ["t"] + [f"rho_{i}_{j}_{part}" for j in range(d) for i in range(d)
                       for part in ("re", "im")]
     header += [f"pop_{k}" for k in range(d)] + ["purity"]
-    # Row k: t, vec(rho) as interleaved (re, im), populations, purity.
-    table = np.column_stack([
-        np.linspace(0.0, args.t_final, args.points),
-        np.ascontiguousarray(vectorize(states)).view(float),
-        np.diagonal(states, axis1=1, axis2=2).real,
-        np.trace(states @ states, axis1=1, axis2=2).real,
-    ])
-    line = ",".join(["%.12g"] * table.shape[1])
-    _write_csv(header, [line % tuple(row) for row in table.tolist()], args.out)
+    t = np.linspace(0.0, args.t_final, args.points)
+    _write_csv(header, _evolve_lines(t, h), args.out)
     return 0
 
 

@@ -6,11 +6,12 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import ladder
+from helpers import ladder, random_density
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -780,27 +781,9 @@ def test_non_finite_report_value_is_numerical_exit_code(capsys, monkeypatch):
     assert out == "" and "'residuals.x'" in err and "not finite" in err
 
 
-@pytest.mark.parametrize("d", [3, 12])
-def test_evolve_csv_matches_per_row_formatting(tmp_path, capsys, monkeypatch, rng, d):
-    points, t_final = 9, 1.3
-    states = rng.normal(size=(points, d, d)) + 1j * rng.normal(size=(points, d, d))
-    states[2, 0, 1] = complex(-0.0, -0.0)
-    # Exponent forms at the edges of the double range; the products in the
-    # purity stay finite.
-    states[3] = 0.0
-    states[3, 0, 1] = complex(1e308, -1e308)
-    states[3, 1, 0] = complex(5e-324, 1e-300)
-    states[3, 2, 2] = 1e21
-    monkeypatch.setattr(cli, "evolve", lambda model, rho0, dt, steps, method: states)
-    zeros = np.zeros((d, d, 2)).tolist()
-    rho = np.zeros((d, d, 2))
-    rho[0, 0, 0] = 1.0
-    model = write_json(tmp_path / "m.json", {"dim": d, "gamma": 1.0, "C": zeros, "F": zeros})
-    rho0 = write_json(tmp_path / "rho0.json", {"rho": rho.tolist()})
-    assert main(["evolve", "--model", model, "--rho0", rho0,
-                 "--t-final", str(t_final), "--points", str(points)]) == 0
-
-    # The per-row formatting that the table replaced.
+def per_row_csv(states, t_final):
+    """The evolve CSV of a stack of states, formatted cell by cell through csv.writer."""
+    points, d = states.shape[:2]
     buf = io.StringIO()
     writer = csv.writer(buf)
     header = ["t"]
@@ -815,7 +798,126 @@ def test_evolve_csv_matches_per_row_formatting(tmp_path, capsys, monkeypatch, rn
         row += [f"{rho[k, k].real:.12g}" for k in range(d)]
         row.append(f"{np.trace(rho @ rho).real:.12g}")
         writer.writerow(row)
-    assert capsys.readouterr().out == buf.getvalue()
+    return buf.getvalue()
+
+
+def hermitian_part(states):
+    """(rho + rho^dagger) / 2 on and above the diagonal in Python floats, its conjugate below."""
+    h = np.empty_like(states)
+    for k, i, j in np.ndindex(states.shape):
+        if i <= j:
+            a, b = complex(states[k, i, j]), complex(states[k, j, i])
+            h[k, i, j] = complex((a.real + b.real) / 2, (a.imag - b.imag) / 2)
+            if i < j:
+                h[k, j, i] = h[k, i, j].conjugate()
+    return h
+
+
+def evolve_csv_of(states, t_final, directory):
+    """What evolve writes when the library returns the given stack of states."""
+    points, d = states.shape[:2]
+    zeros = np.zeros((d, d, 2)).tolist()
+    rho = np.zeros((d, d, 2))
+    rho[0, 0, 0] = 1.0
+    model = write_json(directory / "m.json", {"dim": d, "gamma": 1.0, "C": zeros, "F": zeros})
+    rho0 = write_json(directory / "rho0.json", {"rho": rho.tolist()})
+    out = directory / "out.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "evolve", lambda model, rho0, dt, steps, method: states)
+        assert main(["evolve", "--model", model, "--rho0", rho0, "--t-final", str(t_final),
+                     "--points", str(points), "--out", str(out)]) == 0
+    return out.read_bytes().decode("ascii")
+
+
+@pytest.mark.parametrize("d", [3, 12])
+def test_evolve_csv_matches_per_row_formatting(tmp_path, rng, d):
+    points, t_final = 9, 1.3
+    states = rng.normal(size=(points, d, d)) + 1j * rng.normal(size=(points, d, d))
+    # A -0.0 pair whose Hermitian part keeps both signs.
+    states[2, 0, 1] = complex(-0.0, -0.0)
+    states[2, 1, 0] = complex(-0.0, 0.0)
+    # Exponent forms at the edges of the double range: a subnormal pair, 1e21 on
+    # the diagonal and a 1e150 pair, whose squares keep the purity finite.
+    states[3] = 0.0
+    states[3, 1, 0] = complex(5e-324, 1e-300)
+    states[3, 0, 1] = complex(5e-324, -1e-300)
+    states[3, 2, 0] = complex(1e150, -1e150)
+    states[3, 0, 2] = complex(1e150, 1e150)
+    states[3, 2, 2] = 1e21
+    assert evolve_csv_of(states, t_final, tmp_path) == per_row_csv(hermitian_part(states),
+                                                                   t_final)
+
+
+def exactly_hermitian(parts):
+    """A stack of exactly Hermitian states with a real diagonal from (..., d, d, 2) floats."""
+    d = parts.shape[1]
+    states = np.empty(parts.shape[:-1], dtype=complex)
+    states.real, states.imag = parts[..., 0], parts[..., 1]
+    lower = np.tril_indices(d, -1)
+    states[:, lower[0], lower[1]] = states.conj().transpose(0, 2, 1)[:, lower[0], lower[1]]
+    states.imag[:, range(d), range(d)] = 0.0
+    return states
+
+
+hermitian_stacks = st.tuples(st.integers(2, 4), st.integers(1, 5)).flatmap(
+    lambda shape: hnp.arrays(
+        np.float64, (shape[0], shape[1], shape[1], 2),
+        # Below 1e150 in magnitude the purity stays in the double range.
+        elements=st.floats(-1e150, 1e150) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    )
+).map(exactly_hermitian)
+
+
+@settings(max_examples=60, deadline=None)
+@given(states=hermitian_stacks)
+def test_evolve_csv_of_a_hermitian_stack_is_its_per_row_formatting(tmp_path_factory, states):
+    directory = tmp_path_factory.mktemp("hermitian")
+    assert evolve_csv_of(states, 2.5, directory) == per_row_csv(states, 2.5)
+
+
+def test_hermitian_part_is_exact_and_finite():
+    rho = np.zeros((1, 3, 3), dtype=complex)
+    rho[0, 0, 1] = complex(1.7e308, -1e308)  # a pair whose sum overflows
+    rho[0, 1, 2] = complex(5e-324, -0.0)  # a pair whose halves underflow
+    rho[0] += rho[0].conj().T
+    rho[0, 2, 2] = 1.7e308
+    assert cli._hermitian_part(rho).tobytes() == rho.tobytes()
+    # Off a Hermitian stack each entry is the mean of the pair, correctly rounded.
+    rho[0, 1, 0] = complex(1.5e308, 1.3e308)
+    h = cli._hermitian_part(rho)[0]
+    mean = complex(float((Fraction(1.7e308) + Fraction(1.5e308)) / 2),
+                   float((Fraction(-1e308) - Fraction(1.3e308)) / 2))
+    assert h[0, 1] == mean and h[1, 0] == mean.conjugate()
+
+
+def assert_hermitian_csv(text, d):
+    """Mirrored state cells are the same strings, with the imaginary sign flipped."""
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
+    column = {name: k for k, name in enumerate(header)}
+    for row in rows:
+        cell = {name: row[k] for name, k in column.items()}
+        for i in range(d):
+            assert cell[f"rho_{i}_{i}_im"] == "0"
+            assert cell[f"pop_{i}"] == cell[f"rho_{i}_{i}_re"]
+            for j in range(i + 1, d):
+                assert cell[f"rho_{j}_{i}_re"] == cell[f"rho_{i}_{j}_re"]
+                im = cell[f"rho_{i}_{j}_im"]
+                assert cell[f"rho_{j}_{i}_im"] == (im[1:] if im.startswith("-") else "-" + im)
+    return rows
+
+
+@pytest.mark.parametrize("d, points, method", [(4, 21, "expm"), (4, 21, "rk4"),
+                                               (46, 3, "expm")],
+                         ids=["dense", "rk4", "krylov"])
+def test_evolve_csv_is_hermitian_cell_by_cell(tmp_path, capsys, rng, d, points, method):
+    a = ladder(d)
+    model = write_json(tmp_path / "m.json", {
+        "dim": d, "gamma": 1.0, "n": 0.5, "m_re": 0.2, "m_im": 0.3,
+        "C": to_pairs(a), "F": to_pairs(a.conj().T @ a)})
+    rho0 = write_json(tmp_path / "rho0.json", {"rho": to_pairs(random_density(rng, d))})
+    assert main(["evolve", "--model", model, "--rho0", rho0, "--t-final", "0.5",
+                 "--points", str(points), "--method", method]) == 0
+    assert len(assert_hermitian_csv(capsys.readouterr().out, d)) == points
 
 
 def run_installed_cli(*argv):
