@@ -332,7 +332,7 @@ def cmd_evolve(args) -> int:
 def cmd_steady(args) -> int:
     model = model_from_dict(load_model_dict(args.model))
     rho = steady_state(model)
-    residual = gks_decompose(model).schrodinger_sparse() @ vectorize(rho)
+    residual = gks_decompose(model).schrodinger_sum().sparse() @ vectorize(rho)
     # Scaled by the power of two at its largest entry, the squares stay in the
     # double range; the scaling is exact, so an in-range norm keeps every bit.
     unit = np.ldexp(1.0, np.frexp(np.abs(residual).max())[1] - 1)

@@ -19,11 +19,11 @@ S = sum_k conj(K_k) (x) K_k is built once, applied steps times by
 linalg.propagate, and preserves trace because U is unitary: the chain
 is one step map repeated, like evolve's trajectories.  The chain needs
 only the d columns U |j, 00>.  H is listed once as three sandwiches and
-summed by linalg's one assembly.  The columns come from the dense
-exp(-iH) (step_unitary) or from linalg.expm_action on the sparse H, with no
-dense H built, as linalg.dense_exp_is_cheaper picks for one step.  U
-comes from the increment, not from L', so the chain is independent
-evidence for L'.
+summed by linalg's one assembly, which linalg.dense_exp_is_cheaper reads
+for one step.  The columns come from the dense exp(-iH) (step_unitary sums
+H again) or from linalg.expm_action on the sparse view of that sum, with
+no dense H built.  U comes from the increment, not from L', so the chain
+is independent evidence for L'.
 Trotter error per step is O(dt^2), so the reduced dynamics converges to
 exp(t L') at first order in dt.  The comparison runs at sigma = 0; a
 sigma shift is a system Hamiltonian term and has no collision
@@ -50,7 +50,6 @@ from .linalg import (
     propagate,
     require_dense,
     sandwich_sum,
-    sandwich_sum_sparse,
 )
 from .noise import require_finite
 
@@ -123,7 +122,7 @@ def _step_sandwiches(config: CollisionConfig) -> list:
 def step_unitary(config: CollisionConfig) -> np.ndarray:
     """Unitary for one collision on system (x) ancilla pair: the dense exp(-iH)."""
     h = sandwich_sum(_step_sandwiches(config), "collision overflow: the step Hamiltonian")
-    return mat_exp(-1j * h)
+    return mat_exp(-1j * h.dense())
 
 
 def _kraus_tensor(config: CollisionConfig) -> np.ndarray:
@@ -131,16 +130,16 @@ def _kraus_tensor(config: CollisionConfig) -> np.ndarray:
 
     From the dense step_unitary or from linalg.expm_action of the sparse -iH
     on the d columns |j> (x) |00>, as linalg.dense_exp_is_cheaper picks for
-    one step.  A non-finite tensor raises OverflowError on either route.
+    one step from the assembled H.  A non-finite tensor raises OverflowError
+    on either route.
     """
     d, pair_dim = config.model.dim, config.cutoff**2
-    pairs = _step_sandwiches(config)
-    if dense_exp_is_cheaper(pairs, 1.0, 1, columns=d):
+    h = sandwich_sum(_step_sandwiches(config), "collision overflow: the step Hamiltonian")
+    if dense_exp_is_cheaper(h, 1.0, 1, columns=d):
         return step_unitary(config).reshape(d, pair_dim, d, pair_dim)[:, :, :, 0]
     vacuum = np.zeros((d * pair_dim, d), dtype=complex)
     vacuum[np.arange(d) * pair_dim, np.arange(d)] = 1.0
-    h = sandwich_sum_sparse(pairs, "collision overflow: the step Hamiltonian")
-    columns = expm_action(-1j * h, vacuum, "the Kraus operators")
+    columns = expm_action(-1j * h.sparse(), vacuum, "the Kraus operators")
     return columns.reshape(d, pair_dim, d)
 
 

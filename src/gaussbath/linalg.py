@@ -7,9 +7,9 @@ Convention used repo-wide: vectorization is COLUMN stacking,
 
 Superoperators are ``d**2 x d**2`` matrices acting on column-stacked
 operators; vectorize and devectorize map stacks (..., d, d) <-> (..., d**2),
-and a trajectory is one such stack.  sandwich_sum (dense) and
-sandwich_sum_sparse (scipy.sparse CSC) are the one assembly of a sum of
-sandwiches, from the nonzeros of the factors; they agree bit for bit.
+and a trajectory is one such stack.  sandwich_sum is the one assembly of a
+sum of sandwiches, from the nonzeros of the factors, range-checked: a
+SandwichSum with dense and scipy.sparse CSC views, equal bit for bit.
 The other helpers take and return plain ``numpy.ndarray`` with complex dtype.
 
 The one Hermiticity check (is_hermitian) and positivity check (psd_eigh)
@@ -32,12 +32,13 @@ dense Pade map (mat_exp) or expm_action, over count steps of one size:
 every trajectory is one step map repeated (propagate).  Both count the
 work of one plan, _taylor_plan.  The rule and mat_exp are numpy alone,
 so only the sparse routes load scipy.sparse: expm_action and
-sandwich_sum_sparse.
+SandwichSum.sparse.
 """
 
 from __future__ import annotations
 
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,6 +77,7 @@ __all__ = [
     "DEFAULT_TOL",
     "MAX_DENSE_DIM",
     "MAX_MATVECS",
+    "SandwichSum",
     "adjoint",
     "choi_matrix",
     "dense_exp_is_cheaper",
@@ -96,7 +98,6 @@ __all__ = [
     "require_square",
     "sandwich",
     "sandwich_sum",
-    "sandwich_sum_sparse",
     "sandwich_triplets",
     "vectorize",
 ]
@@ -344,17 +345,17 @@ def _taylor_action(a, x: np.ndarray, mu, norm: float, times: np.ndarray,
     return require_finite_result(out, overflow)
 
 
-def dense_exp_is_cheaper(pairs, step: float, count: int, columns: int = 1) -> bool:
+def dense_exp_is_cheaper(op: SandwichSum, step: float, count: int, columns: int = 1) -> bool:
     """Whether one dense map beats expm_action for exp(k step A) on columns vectors, k <= count.
 
-    A = sum sandwich(A_k, B_k) over pairs, n x n.  Dense: (6 + s) n^3 for the one map, s
+    A is the n x n sandwich_sum op, read as assembled.  Dense: (6 + s) n^3 for the one map, s
     squarings to mat_exp's ||step A||_1 <= theta_13, and n^2 per step and column.
     expm_action: 1 + m s matvecs of nnz columns + MATVEC_OVERHEAD, with expm_action's own
     m and s from _taylor_plan of ||count step A||_1, A shifted by tr(A)/n; however many
     steps, each K_p is formed once per block.  Dense needs the require_dense budget and a
     finite ||A||_1; the sparse route names overflow.
     """
-    keys, data, (n, _) = _sandwich_entries(pairs, None)
+    keys, data, (n, _) = op
     cols, rows = np.divmod(keys, n)
     diag = np.zeros(n, dtype=complex)
     diag[cols[cols == rows]] = data[cols == rows]
@@ -396,8 +397,30 @@ def sandwich_triplets(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     return rows, cols, values
 
 
-def _sandwich_entries(pairs, what: str | None) -> tuple:
-    """Column-major keys, values (added in list order, checked unless what is None), shape."""
+class SandwichSum(NamedTuple):
+    """A sum of sandwiches as assembled: column-major keys of its nonzeros, their data, shape."""
+
+    keys: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+    def dense(self) -> np.ndarray:
+        m, n = self.shape
+        out = np.zeros((m, n), dtype=complex)
+        out[self.keys % m, self.keys // m] = self.data
+        return out
+
+    def sparse(self):
+        """A scipy.sparse CSC array on the same data, equal entry for entry to dense()."""
+        import scipy.sparse
+
+        m, n = self.shape
+        indptr = np.searchsorted(self.keys, np.arange(n + 1) * m)
+        return scipy.sparse.csc_array((self.data, self.keys % m, indptr), shape=(m, n))
+
+
+def sandwich_sum(pairs, what: str) -> SandwichSum:
+    """sum_k sandwich(A_k, B_k) over (A_k, B_k) pairs in list order; OverflowError beyond range."""
     (p, q), (r, s) = np.shape(pairs[0][0]), np.shape(pairs[0][1])
     with np.errstate(over="ignore", invalid="ignore"):
         parts = [sandwich_triplets(a, b) for a, b in pairs]
@@ -405,24 +428,8 @@ def _sandwich_entries(pairs, what: str | None) -> tuple:
         keys, where = np.unique(cols * (s * p) + rows, return_inverse=True)
         data = np.zeros(keys.size, dtype=complex)
         np.add.at(data, where, values)
-    return keys, data if what is None else require_finite_result(data, what), (s * p, r * q)
-
-
-def sandwich_sum(pairs, what: str) -> np.ndarray:
-    """sum_k sandwich(A_k, B_k) over (A_k, B_k) pairs as a dense array, range-checked."""
-    keys, data, (m, n) = _sandwich_entries(pairs, what)
-    out = np.zeros((m, n), dtype=complex)
-    out[keys % m, keys // m] = data
-    return out
-
-
-def sandwich_sum_sparse(pairs, what: str):
-    """The same sum as a scipy.sparse CSC array, equal entry for entry to sandwich_sum."""
-    import scipy.sparse
-
-    keys, data, (m, n) = _sandwich_entries(pairs, what)
-    indptr = np.searchsorted(keys, np.arange(n + 1) * m)
-    return scipy.sparse.csc_array((data, keys % m, indptr), shape=(m, n))
+    keys.flags.writeable = data.flags.writeable = False  # the views share them
+    return SandwichSum(keys, require_finite_result(data, what), (s * p, r * q))
 
 
 def vectorize(a: np.ndarray) -> np.ndarray:

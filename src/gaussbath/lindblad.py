@@ -14,14 +14,14 @@ closes, via the Gaussian Ito table, into the Heisenberg generator
            - X G - G+ X,
 
 which is unital (L(1) = 0).  GKSForm.sandwiches lists L as six sandwiches
-of d x d factors; linalg's one assembly sums them from the nonzeros of the
-factors (heisenberg_matrix).  The Schrodinger generator L' = L+ is the
-Hilbert-Schmidt adjoint, so tr(L(X) rho) = tr(X L'(rho)) by construction;
-every L' sums the adjoint sandwiches sandwich(A+, B+), dense in
-schrodinger_matrix and CSC in schrodinger_sparse, equal bit for bit.
+of d x d factors; linalg.sandwich_sum, the one assembly, sums them from the
+nonzeros of the factors (heisenberg_matrix).  The Schrodinger generator
+L' = L+ is the Hilbert-Schmidt adjoint, so tr(L(X) rho) = tr(X L'(rho)) by
+construction; every L' is schrodinger_sum, the adjoint sandwiches
+sandwich(A+, B+) assembled once, read through its dense or CSC view.
 steady_state solves it by a sparse LU with its row 0 replaced by the scaled
-trace functional, certified by a condition estimate; the dense SVD of L'
-decides only when that certificate fails.
+trace functional, certified by a condition estimate; the dense SVD of that
+L' decides only when that certificate fails.
 A trajectory is (dt, steps): one step map applied steps times, checked
 by validate_trajectory for evolve and the collision chain alike.
 evolve's "expm" takes the dense map exp(dt L') or one linalg.expm_action
@@ -49,6 +49,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     MAX_DENSE_DIM,
+    SandwichSum,
     adjoint,
     dense_exp_is_cheaper,
     devectorize,
@@ -65,7 +66,6 @@ from .linalg import (
     require_square,
     sandwich,
     sandwich_sum,
-    sandwich_sum_sparse,
     vectorize,
 )
 from .noise import NoiseParams, require_finite
@@ -167,7 +167,7 @@ def heisenberg_generator(model: SystemModel) -> np.ndarray:
 
 def schrodinger_liouvillian(model: SystemModel) -> np.ndarray:
     """Superoperator of L'(rho) = ... - G rho - rho G+, the adjoint of L."""
-    return gks_decompose(model).schrodinger_matrix()
+    return gks_decompose(model).schrodinger_sum().dense()
 
 
 def commutator_superoperator(h: np.ndarray) -> np.ndarray:
@@ -231,19 +231,11 @@ class GKSForm:
 
     def heisenberg_matrix(self) -> np.ndarray:
         """L as a dense array; a generator beyond the double range raises OverflowError."""
-        return sandwich_sum(self.sandwiches(), _OVERFLOW)
+        return sandwich_sum(self.sandwiches(), _OVERFLOW).dense()
 
-    def schrodinger_sandwiches(self) -> list:
-        """The (A+, B+) of L' = L+, by sandwich(A, B)+ = sandwich(A+, B+)."""
-        return [(adjoint(a), adjoint(b)) for a, b in self.sandwiches()]
-
-    def schrodinger_matrix(self) -> np.ndarray:
-        """L' as a dense array, equal entry for entry to schrodinger_sparse."""
-        return sandwich_sum(self.schrodinger_sandwiches(), _OVERFLOW)
-
-    def schrodinger_sparse(self):
-        """L' as a scipy.sparse CSC array."""
-        return sandwich_sum_sparse(self.schrodinger_sandwiches(), _OVERFLOW)
+    def schrodinger_sum(self) -> SandwichSum:
+        """L' = L+ from the (A+, B+), by sandwich(A, B)+ = sandwich(A+, B+), assembled."""
+        return sandwich_sum([(adjoint(a), adjoint(b)) for a, b in self.sandwiches()], _OVERFLOW)
 
     def kossakowski_eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.kossakowski)
@@ -312,8 +304,8 @@ def evolve(
     """The (steps + 1, d, d) states exp(k dt L') rho0, k = 0, ..., steps.
 
     validate_trajectory checks (dt, steps), so the trajectory is one map
-    repeated.  One gks_decompose per call serves the route rule and every
-    L' it takes.  "expm" takes the route linalg.dense_exp_is_cheaper
+    repeated.  L' is assembled once, for the route rule and the route it
+    picks.  "expm" takes the route linalg.dense_exp_is_cheaper
     picks for L', dt and steps: the map exp(dt L') applied by
     linalg.propagate, or one expm_action call over all steps, which
     raises DomainError beyond its work budget (linalg.MAX_MATVECS).  A
@@ -338,18 +330,17 @@ def evolve(
     if method == "rk4":
         require_dense(d**4, f"method 'rk4' at d = {d} (d^2 = {d * d})", "(d^2)^2",
                       "; use --method expm")
-    form = gks_decompose(model)
-    if method == "expm" and not dense_exp_is_cheaper(form.schrodinger_sandwiches(), dt, steps):
-        vecs = expm_action(form.schrodinger_sparse(), vectorize(rho0), "the trajectory",
+    liouv = gks_decompose(model).schrodinger_sum()
+    if method == "expm" and not dense_exp_is_cheaper(liouv, dt, steps):
+        vecs = expm_action(liouv.sparse(), vectorize(rho0), "the trajectory",
                            start=0.0, stop=steps * dt, num=steps + 1, endpoint=True)
         vecs[0] = vectorize(rho0)
         return devectorize(vecs, d)
-    liouv = form.schrodinger_matrix()
     rk4_step = _rk4_default_step(model, dt) if method == "rk4" else np.inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # expm: one substep
         nsub = max(1, ceil(require_finite_result(
             dt / rk4_step, "evolve overflow: the RK4 substep count")))
-        step = require_finite_result((dt / nsub) * liouv, "evolve overflow: dt L'")
+        step = require_finite_result((dt / nsub) * liouv.dense(), "evolve overflow: dt L'")
         # A T4 power beyond the double range shows in the trajectory, which propagate checks.
         step_map = (mat_exp(step) if method == "expm"
                     else np.linalg.matrix_power(_taylor4(step), nsub))
@@ -359,15 +350,15 @@ def evolve(
 def steady_state(model: SystemModel) -> np.ndarray:
     """Stationary density matrix: the Liouvillian kernel by one sparse LU solve.
 
-    L' is the sparse CSC matrix of GKSForm.schrodinger_sparse.  Its row
+    L' is the CSC view of GKSForm.schrodinger_sum.  Its row
     0, the (0, 0) diagonal equation, depends on the others because L'
     preserves trace, so A is L' with row 0 replaced by s vec(I)+,
     s = ||L'||_1; then A vec(rho) = s e_0 holds the stationarity and
     tr rho = 1, and the scale s keeps both the answer and the certificate
     unchanged by the unit of time.  The certificate is the
     condition estimate kappa = ||A||_1 onenormest(A^-1).  When the LU
-    finds A singular or kappa >= 1/RANK_RTOL, the dense SVD of L' decides
-    (_dense_kernel_vector): it counts the kernel and raises
+    finds A singular or kappa >= 1/RANK_RTOL, the dense SVD of the same
+    assembled L' decides (_dense_kernel_vector): it counts the kernel and raises
     DegenerateKernelError with kernel_dim unless that count is one.
     Above the MAX_DENSE_DIM budget for d^2 it raises at once, naming kappa,
     with kernel_dim None.  The result is Hermitian-projected,
@@ -377,15 +368,16 @@ def steady_state(model: SystemModel) -> np.ndarray:
     import scipy.sparse.linalg
 
     d = model.dim
-    form = gks_decompose(model)
-    liouv = form.schrodinger_sparse()
-    scale = scipy.sparse.linalg.norm(liouv, 1)
-    liouv.data[liouv.indices == 0] = 0.0  # row 0 gives way to the trace row
+    liouv = gks_decompose(model).schrodinger_sum()
+    sparse = liouv.sparse()
+    scale = scipy.sparse.linalg.norm(sparse, 1)
+    # Row 0 gives way to the trace row, in new data: liouv stays L' for the dense SVD.
+    sparse.data = np.where(sparse.indices == 0, 0.0, sparse.data)
     trace_row = scipy.sparse.csc_array(
         (np.full(d, scale, dtype=complex), (np.zeros(d, dtype=int), np.arange(d) * (d + 1))),
         shape=liouv.shape,
     )
-    a = liouv + trace_row
+    a = sparse + trace_row
     rhs = np.zeros(d * d, dtype=complex)
     rhs[0] = scale
     try:
@@ -401,7 +393,7 @@ def steady_state(model: SystemModel) -> np.ndarray:
             # t = 1 draws no random columns, so the estimate is reproducible.
             kappa = scipy.sparse.linalg.norm(a, 1) * scipy.sparse.linalg.onenormest(inverse, t=1)
     if not kappa < 1.0 / RANK_RTOL:  # NaN included
-        vec = _dense_kernel_vector(form, kappa)
+        vec = _dense_kernel_vector(liouv, kappa)
     rho = devectorize(vec, d)
     rho = (rho + adjoint(rho)) / 2.0
     tr = np.trace(rho)
@@ -415,21 +407,21 @@ def steady_state(model: SystemModel) -> np.ndarray:
     return rho
 
 
-def _dense_kernel_vector(form: GKSForm, kappa: float) -> np.ndarray:
-    """The right singular vector of the smallest singular value of the dense L' of form.
+def _dense_kernel_vector(liouv: SandwichSum, kappa: float) -> np.ndarray:
+    """The right singular vector of the smallest singular value of liouv, L' assembled.
 
     A kernel of dimension other than one, counted at RANK_RTOL relative to
     the largest singular value, raises DegenerateKernelError with the count.
     """
-    d = form.h_eff.shape[0]
-    if d * d > MAX_DENSE_DIM:
+    n = liouv.shape[0]
+    if n > MAX_DENSE_DIM:
         raise DegenerateKernelError(
             f"Liouvillian kernel is not certified one-dimensional: condition estimate "
-            f"{kappa:.3e} >= {1.0 / RANK_RTOL:.0e}, and d^2 = {d * d} is beyond the "
+            f"{kappa:.3e} >= {1.0 / RANK_RTOL:.0e}, and d^2 = {n} is beyond the "
             f"dense budget {MAX_DENSE_DIM} for counting it",
             kernel_dim=None,
         )
-    _, svals, vh = np.linalg.svd(form.schrodinger_matrix())
+    _, svals, vh = np.linalg.svd(liouv.dense())
     kernel_dim = int(np.sum(negligible(svals, svals[0], RANK_RTOL)))
     if kernel_dim != 1:
         raise DegenerateKernelError(

@@ -38,7 +38,6 @@ from gaussbath.linalg import (
     is_unitary,
     partial_trace,
     sandwich_sum,
-    sandwich_sum_sparse,
 )
 from gaussbath.noise import NoiseParams
 
@@ -334,7 +333,7 @@ def test_the_rule_chooses_the_step_route(monkeypatch):
     at, above = config(2), config(4)  # step spaces d cutoff^2 = 50 (dense) and 100 (Krylov)
     for c, dense in ((at, True), (above, False)):
         pairs = collision._step_sandwiches(c)
-        assert dense_exp_is_cheaper(pairs, 1.0, 1, c.model.dim) is dense
+        assert dense_exp_is_cheaper(sandwich_sum(pairs, "H"), 1.0, 1, c.model.dim) is dense
     with monkeypatch.context() as patch:
         patch.setattr(collision, "expm_action", fail("krylov"))
         _step_channel(at)
@@ -480,8 +479,9 @@ def test_step_hamiltonian_is_the_kron_sum(rng, kind):
         want = (config.dt * np.kron(drift, np.eye(cutoff**2)) + np.kron(model.C, adjoint(b))
                 + np.kron(adjoint(model.C), b))
         pairs = collision._step_sandwiches(config)
-        dense = sandwich_sum(pairs, "H")
-        assert sandwich_sum_sparse(pairs, "H").toarray().tobytes() == dense.tobytes()
+        h = sandwich_sum(pairs, "H")
+        dense = h.dense()
+        assert h.sparse().toarray().tobytes() == dense.tobytes()
         if kind == "real":
             assert np.array_equal(dense, want)
         else:
@@ -493,7 +493,7 @@ def test_krylov_step_channel_builds_no_dense_step_hamiltonian():
     a = ladder(d)
     model = SystemModel(C=a, F=adjoint(a) @ a, noise=NoiseParams(gamma=1.0, n=0.1))
     config = CollisionConfig(model=model, dt=0.04, steps=1, cutoff=cutoff)
-    assert not dense_exp_is_cheaper(collision._step_sandwiches(config), 1.0, 1, d)
+    assert not dense_exp_is_cheaper(sandwich_sum(collision._step_sandwiches(config), "H"), 1.0, 1, d)
     _step_channel(config)  # imports and first-call set-up stay out of the measurement
     tracemalloc.start()
     try:

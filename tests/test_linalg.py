@@ -1,3 +1,5 @@
+import json
+import sys
 import warnings
 from math import isqrt
 
@@ -15,7 +17,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaussbath import linalg
-from gaussbath.collision import CollisionConfig, _step_sandwiches
+from gaussbath.cli import main
+from gaussbath.collision import CollisionConfig, _step_channel, _step_sandwiches
 from gaussbath.errors import DimensionError, DomainError
 from gaussbath.linalg import (
     adjoint,
@@ -34,10 +37,15 @@ from gaussbath.linalg import (
     require_finite_result,
     sandwich,
     sandwich_sum,
-    sandwich_sum_sparse,
     vectorize,
 )
-from gaussbath.lindblad import SystemModel, gks_decompose, schrodinger_liouvillian
+from gaussbath.lindblad import (
+    SystemModel,
+    evolve,
+    gks_decompose,
+    schrodinger_liouvillian,
+    steady_state,
+)
 from gaussbath.noise import NoiseParams
 
 
@@ -120,7 +128,7 @@ def exp_arguments(draw):
         model = SystemModel(C=c, F=random_hermitian(rng, d), noise=NoiseParams(**noise))
         config = CollisionConfig(model=model, dt=draw(st.floats(0.005, 0.1)), steps=1,
                                  cutoff=draw(st.integers(3, isqrt(200 // d))))
-        return -1j * sandwich_sum(_step_sandwiches(config), "the step Hamiltonian")
+        return -1j * sandwich_sum(_step_sandwiches(config), "the step Hamiltonian").dense()
     noise["sigma"] = draw(st.floats(-1.0, 1.0))
     model = SystemModel(C=c, F=random_hermitian(rng, d), noise=NoiseParams(**noise))
     return draw(st.floats(0.01, 1.0)) * schrodinger_liouvillian(model)
@@ -163,7 +171,7 @@ def test_mat_exp_takes_m_9_by_the_exact_d8(monkeypatch):
     # -iH of a d = 8 collision step at cutoff 5: d_4 > theta_9 > d_6 > d_8, so m = 9 takes
     # five n x n products (A^2, A^4, A^6, A^8, A U), where the bound d_8 <= d_4 took m = 13
     # and six (A^2, A^4, A^6, A^6 P, A^6 Q, A U).
-    a = -1j * sandwich_sum(step_pairs(8, 5), "the step Hamiltonian")
+    a = -1j * step_sum(8, 5).dense()
     n = a.shape[0]
     d = {k: np.abs(np.linalg.matrix_power(a, k)).sum(axis=0).max() ** (1 / k) for k in (4, 6, 8)}
     assert d[4] > linalg._PADE_THETA[9] > d[6] > d[8]
@@ -343,7 +351,7 @@ def test_require_finite_result_passes_values_through():
 
 def oscillator_liouvillian(d, noise, scale=1.0):
     model = SystemModel(C=scale * ladder(d), F=np.diag(np.arange(d)).astype(complex), noise=noise)
-    return gks_decompose(model).schrodinger_sparse()
+    return gks_decompose(model).schrodinger_sum().sparse()
 
 
 def test_expm_action_is_reproducible_and_leaves_the_global_stream(rng, monkeypatch):
@@ -398,14 +406,14 @@ def action_cases(draw):
     noise = NoiseParams(gamma=draw(st.floats(0.3, 2.0)), n=n, m=m)
     if draw(st.sampled_from(["liouvillian", "step"])) == "liouvillian":
         model = SystemModel(C=random_complex(rng, (d, d)), F=random_hermitian(rng, d), noise=noise)
-        a = gks_decompose(model).schrodinger_sparse()
+        a = gks_decompose(model).schrodinger_sum().sparse()
         v = vectorize(np.stack([random_density(rng, d) for _ in range(d)])).T
     else:
         model = SystemModel(C=ladder(d), F=random_hermitian(rng, d), noise=noise)
         cutoff = draw(st.integers(3, 5))
         config = CollisionConfig(model=model, dt=draw(st.floats(0.005, 0.05)), steps=1,
                                  cutoff=cutoff)
-        a = -1j * sandwich_sum_sparse(_step_sandwiches(config), "H")
+        a = -1j * sandwich_sum(_step_sandwiches(config), "H").sparse()
         v = np.zeros((d * cutoff**2, d), dtype=complex)
         v[np.arange(d) * cutoff**2, np.arange(d)] = 1.0
     if draw(st.booleans()):
@@ -443,63 +451,85 @@ def test_expm_action_matches_expm_multiply(case):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def oscillator_pairs(d, scale=1.0, **noise):
-    """The sandwiches of L' for C = scale a and F = a+a."""
-    model = SystemModel(C=scale * ladder(d), F=np.diag(np.arange(d)).astype(complex),
-                        noise=NoiseParams(**{"gamma": 1.0, **noise}))
-    return gks_decompose(model).schrodinger_sandwiches()
+def oscillator(d, scale=1.0, **noise):
+    """The model of C = scale a and F = a+a, gamma 1 unless noise names it."""
+    return SystemModel(C=scale * ladder(d), F=np.diag(np.arange(d)).astype(complex),
+                       noise=NoiseParams(**{"gamma": 1.0, **noise}))
 
 
-def step_pairs(d, cutoff, dt=0.02):
-    """The sandwiches of a collision step Hamiltonian on a thermal oscillator."""
-    model = SystemModel(C=ladder(d), F=np.diag(np.arange(d)).astype(complex),
-                        noise=NoiseParams(gamma=1.0, n=0.5))
-    return _step_sandwiches(CollisionConfig(model=model, dt=dt, steps=1, cutoff=cutoff))
+def oscillator_sum(d, scale=1.0, **noise):
+    """L' of the oscillator, assembled."""
+    return gks_decompose(oscillator(d, scale, **noise)).schrodinger_sum()
+
+
+def step_config(d, cutoff, dt=0.02):
+    """One collision step on a thermal oscillator."""
+    return CollisionConfig(model=oscillator(d, n=0.5), dt=dt, steps=1, cutoff=cutoff)
+
+
+def step_sum(d, cutoff, dt=0.02):
+    """The step Hamiltonian of step_config, assembled."""
+    return sandwich_sum(_step_sandwiches(step_config(d, cutoff, dt)), "the step Hamiltonian")
 
 
 BENCH_BATH = {"n": 0.5, "m": 0.2}  # n + |m| = 0.7, as the evolve benchmark jobs hold it
 
 
-# (operator pairs, step, count, columns, whether dense is cheaper)
+# (the assembled operator, step, count, columns, whether dense is cheaper)
 ROUTES = {
-    "evolve-expm/d4": (lambda: oscillator_pairs(4, **BENCH_BATH), 0.05, 100, 1, True),
-    "evolve-expm/d8": (lambda: oscillator_pairs(8, **BENCH_BATH), 0.05, 100, 1, True),
+    "evolve-expm/d4": (lambda: oscillator_sum(4, **BENCH_BATH), 0.05, 100, 1, True),
+    "evolve-expm/d8": (lambda: oscillator_sum(8, **BENCH_BATH), 0.05, 100, 1, True),
     # Near the cut: expm_action timed about 1.3x faster on these two, but the rule
     # counts no Python work per dense step, and MATVEC_OVERHEAD keeps them dense.
-    "evolve-expm/d16": (lambda: oscillator_pairs(16, **BENCH_BATH), 0.05, 100, 1, True),
-    "collision-reference/d8": (lambda: oscillator_pairs(8, n=0.75), 0.01, 50, 1, True),
-    "evolve-expm/d24": (lambda: oscillator_pairs(24, **BENCH_BATH), 0.05, 100, 1, False),
-    "step-space-50": (lambda: step_pairs(2, 5), 1.0, 1, 2, True),
-    "step-space-100": (lambda: step_pairs(4, 5), 1.0, 1, 4, False),
-    "step-space-200": (lambda: step_pairs(8, 5), 1.0, 1, 8, False),
-    "step-space-256": (lambda: step_pairs(4, 8), 1.0, 1, 4, False),
+    "evolve-expm/d16": (lambda: oscillator_sum(16, **BENCH_BATH), 0.05, 100, 1, True),
+    "collision-reference/d8": (lambda: oscillator_sum(8, n=0.75), 0.01, 50, 1, True),
+    "evolve-expm/d24": (lambda: oscillator_sum(24, **BENCH_BATH), 0.05, 100, 1, False),
+    "step-space-50": (lambda: step_sum(2, 5), 1.0, 1, 2, True),
+    "step-space-100": (lambda: step_sum(4, 5), 1.0, 1, 4, False),
+    "step-space-200": (lambda: step_sum(8, 5), 1.0, 1, 8, False),
+    "step-space-256": (lambda: step_sum(4, 8), 1.0, 1, 4, False),
     # Stiff and long grids: expm_action's matvecs grow with t ||A||_1.
-    "d20-gamma1e4-t1": (lambda: oscillator_pairs(20, gamma=1e4, n=0.5), 0.5, 2, 1, True),
-    "d19-t10": (lambda: oscillator_pairs(19, n=0.5), 1.0, 10, 1, False),
-    "d19-t1000": (lambda: oscillator_pairs(19, n=0.5), 100.0, 10, 1, True),
+    "d20-gamma1e4-t1": (lambda: oscillator_sum(20, gamma=1e4, n=0.5), 0.5, 2, 1, True),
+    "d19-t10": (lambda: oscillator_sum(19, n=0.5), 1.0, 10, 1, False),
+    "d19-t1000": (lambda: oscillator_sum(19, n=0.5), 100.0, 10, 1, True),
     # The d = 24 bench oscillator to t = 5 (101 points is evolve-expm/d24): expm_action
     # forms each Taylor term once per block, so its matvecs do not grow with the points
     # while the dense map's steps do.
-    "d24-t5-1001-points": (lambda: oscillator_pairs(24, **BENCH_BATH), 0.005, 1000, 1, False),
-    "d24-t5-5001-points": (lambda: oscillator_pairs(24, **BENCH_BATH), 0.001, 5000, 1, False),
-    "d24-t20-11-points": (lambda: oscillator_pairs(24, **BENCH_BATH), 2.0, 10, 1, False),
+    "d24-t5-1001-points": (lambda: oscillator_sum(24, **BENCH_BATH), 0.005, 1000, 1, False),
+    "d24-t5-5001-points": (lambda: oscillator_sum(24, **BENCH_BATH), 0.001, 5000, 1, False),
+    "d24-t20-11-points": (lambda: oscillator_sum(24, **BENCH_BATH), 2.0, 10, 1, False),
     # Beyond the dense budget only Krylov is left, however long the grid.
-    "d46-t1000": (lambda: oscillator_pairs(46, n=0.5), 100.0, 10, 1, False),
+    "d46-t1000": (lambda: oscillator_sum(46, n=0.5), 100.0, 10, 1, False),
     # tr(L') overflows, so the shifted ||L'||_1 is not finite: expm_action names it.
-    "ladder-1e153": (lambda: oscillator_pairs(20, scale=1e153), 0.5, 2, 1, False),
+    "ladder-1e153": (lambda: oscillator_sum(20, scale=1e153), 0.5, 2, 1, False),
     # ||L'||_1 is finite but ||t L'||_1 is not: the dense route names dt L'.
-    "qubit-gamma1e300-t1e10": (lambda: oscillator_pairs(2, gamma=1e300), 1e10, 1, 1, True),
-    # An entry beyond the double range: the sparse builder names it.
-    "infinite-entry": (lambda: [(np.array([[1e300]]), np.array([[1e300]]))], 1.0, 1, 1, False),
+    "qubit-gamma1e300-t1e10": (lambda: oscillator_sum(2, gamma=1e300), 1e10, 1, 1, True),
+    # An entry beyond the double range: the assembly names it, so no rule runs.
+    "infinite-entry": (lambda: sandwich_sum([(np.array([[1e300]]), np.array([[1e300]]))],
+                                            "the sum"), 1.0, 1, 1, None),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ROUTES))
-def test_the_route_rule_picks_the_cheaper_route(case):
-    pairs, step, count, columns, dense = ROUTES[case]
+def test_the_route_rule_picks_the_cheaper_route(case, tmp_path, capsys):
+    assemble, step, count, columns, dense = ROUTES[case]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert dense_exp_is_cheaper(pairs(), step, count, columns) is dense
+        if dense is not None:
+            assert dense_exp_is_cheaper(assemble(), step, count, columns) is dense
+            return
+        with pytest.raises(OverflowError, match="^the sum is not finite$"):
+            assemble()
+        # The same product in evolve's L', the sandwich (K_00 C+, C) of C = 1e300: exit 3.
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"dim": 1, "gamma": 1.0, "C": [[[1e300, 0.0]]],
+                                     "F": [[[0.0, 0.0]]]}))
+        rho0 = tmp_path / "rho0.json"
+        rho0.write_text(json.dumps({"rho": [[[1.0, 0.0]]]}))
+        assert main(["evolve", "--model", str(model), "--rho0", str(rho0), "--t-final", "1",
+                     "--points", "3"]) == 3
+    assert capsys.readouterr() == (
+        "", "gaussbath: numerical error: generator overflow: the Heisenberg generator is not finite\n")
 
 
 def test_theta_table_is_scipys():
@@ -520,8 +550,8 @@ def test_sandwich_sums_equal_the_kron_sum(rng, kind):
         want = sandwich(*pairs[0])
         for a, b in pairs[1:]:  # np.kron arrays added in list order
             want = want + sandwich(a, b)
-        dense = sandwich_sum(pairs, "the sum")
-        sparse = sandwich_sum_sparse(pairs, "the sum")
+        op = sandwich_sum(pairs, "the sum")
+        dense, sparse = op.dense(), op.sparse()
         assert sparse.format == "csc" and sparse.has_canonical_format
         assert sparse.toarray().tobytes() == dense.tobytes()
         if kind == "real":
@@ -532,12 +562,78 @@ def test_sandwich_sums_equal_the_kron_sum(rng, kind):
             assert np.abs(dense - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
 
 
-@pytest.mark.parametrize("assemble", [sandwich_sum, sandwich_sum_sparse])
-def test_sandwich_sums_beyond_the_double_range_overflow(assemble):
+@pytest.mark.parametrize("view", ["dense", "sparse"], ids=["sandwich_sum", "sandwich_sum_sparse"])
+def test_sandwich_sums_beyond_the_double_range_overflow(view):
     eye, big = np.eye(2), np.diag([1e200, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # A product beyond the range, and two finite terms whose sum is beyond it.
         for pairs in ([(big, big)], [(1e308 * eye, eye), (eye, 1e308 * eye)]):
             with pytest.raises(OverflowError, match="^the sum is not finite$"):
-                assemble(pairs, "the sum")
+                getattr(sandwich_sum(pairs, "the sum"), view)()
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """The names of the calls into sandwich_sum, mat_exp and expm_action, in call order.
+
+    Each is rebound in every gaussbath module that holds it, as perfbench's tracer
+    rebinds what it traces: a from-import copies the reference.
+    """
+    log = []
+
+    def recording(name, original):
+        def record(*args, **kwargs):
+            log.append(name)
+            return original(*args, **kwargs)
+        return record
+
+    for name in ("sandwich_sum", "mat_exp", "expm_action"):
+        original, holders = getattr(linalg, name), []
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "gaussbath":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, recording(name, original))
+                        holders.append(module_name)
+        if name == "sandwich_sum":
+            assert {"gaussbath.lindblad", "gaussbath.collision"} <= set(holders), holders
+    return log
+
+
+def test_one_assembly_per_exponential(calls, monkeypatch):
+    import scipy.sparse.linalg
+
+    def ground(d):
+        rho = np.zeros((d, d), dtype=complex)
+        rho[0, 0] = 1.0
+        return rho
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    # The ROUTES cases evolve-expm/d4 (dense), d19-t10 (Krylov), step-space-50 (dense)
+    # and step-space-100 (Krylov): the rule reads the operator that its route then uses.
+    runs = {
+        "evolve, dense": (lambda: evolve(oscillator(4, **BENCH_BATH), ground(4), 0.05, 100),
+                          ["sandwich_sum", "mat_exp"]),
+        "evolve, Krylov": (lambda: evolve(oscillator(19, n=0.5), ground(19), 1.0, 10),
+                           ["sandwich_sum", "expm_action"]),
+        "evolve, RK4": (lambda: evolve(oscillator(4, **BENCH_BATH), ground(4), 0.05, 100,
+                                       method="rk4"), ["sandwich_sum"]),
+        "step, Krylov": (lambda: _step_channel(step_config(4, 5)),
+                         ["sandwich_sum", "expm_action"]),
+        # step_unitary(config) sums H again.  Its span stays pinned under collision.simulate
+        # by perfbench/test_perfbench.py::test_spans_nest_and_carry_job_ids.
+        "step, dense": (lambda: _step_channel(step_config(2, 5)),
+                        ["sandwich_sum", "sandwich_sum", "mat_exp"]),
+    }
+    for name, (run, want) in runs.items():
+        calls.clear()
+        run()
+        assert calls == want, name
+    # The dense SVD fallback of steady_state reads the L' that its sparse LU took.
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    calls.clear()
+    steady_state(oscillator(3, n=0.5))
+    assert calls == ["sandwich_sum"]

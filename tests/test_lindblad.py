@@ -18,7 +18,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussbath import lindblad
+from gaussbath import linalg, lindblad
 from gaussbath.errors import (
     DegenerateKernelError,
     DimensionError,
@@ -180,8 +180,9 @@ def test_heisenberg_schrodinger_trace_duality(rng):
 def test_schrodinger_matrix_is_the_dense_twin_of_the_sparse_one(rng):
     for d in (1, 2, 3, 5):
         form = gks_decompose(random_model(rng, d))
-        dense = form.schrodinger_matrix()
-        assert dense.tobytes() == form.schrodinger_sparse().toarray().tobytes()
+        liouv = form.schrodinger_sum()
+        dense = liouv.dense()
+        assert dense.tobytes() == liouv.sparse().toarray().tobytes()
         np.testing.assert_array_equal(dense, adjoint(form.heisenberg_matrix()))
 
 
@@ -312,7 +313,7 @@ def test_triplet_scatter_equals_kron_sum(generated):
             want += sandwich(form.kossakowski[j, k] * adjoint(vj), vk)
     got = form.heisenberg_matrix()
     # The sparse L' sums the same triplets, in an order its index sort picks.
-    sparse_err = np.abs(form.schrodinger_sparse().toarray() - adjoint(got)).max()
+    sparse_err = np.abs(form.schrodinger_sum().sparse().toarray() - adjoint(got)).max()
     assert sparse_err <= 4 * np.finfo(float).eps * np.abs(want).max()
     err = np.abs(got - want).max()
     if complex_c:
@@ -573,10 +574,10 @@ def test_evolve_on_the_krylov_route_never_builds_a_dense_map(monkeypatch):
     rho0[1, 1] = 1.0
     grid = np.linspace(0.0, 2.0, 11)
     # The rule sends this trajectory to Krylov and the same one stretched 1000-fold to dense.
-    pairs = gks_decompose(model).schrodinger_sandwiches()
-    assert not dense_exp_is_cheaper(pairs, 0.2, 10)
-    assert dense_exp_is_cheaper(pairs, 200.0, 10)
-    monkeypatch.setattr(lindblad.GKSForm, "schrodinger_matrix", fail)
+    liouv = gks_decompose(model).schrodinger_sum()
+    assert not dense_exp_is_cheaper(liouv, 0.2, 10)
+    assert dense_exp_is_cheaper(liouv, 200.0, 10)
+    monkeypatch.setattr(linalg.SandwichSum, "dense", fail)
     monkeypatch.setattr(lindblad, "mat_exp", fail)
     _, keys, pos, *_ = np.random.get_state()
     states = evolve(model, rho0, 0.2, 10)
