@@ -42,10 +42,7 @@ from .errors import (
 from .lindblad import (
     GKSForm,
     SystemModel,
-    commutator_superoperator,
-    dissipation_quadratic,
     evolve,
-    extract_commutator_hamiltonian,
     gks_decompose,
     heisenberg_generator,
     schrodinger_liouvillian,
@@ -54,7 +51,6 @@ from .lindblad import (
 )
 from .linalg import (
     adjoint,
-    choi_matrix,
     devectorize,
     is_hermitian,
     is_psd,

@@ -45,7 +45,7 @@ import numpy as np
 from .collision import convergence_study
 from .doubling import scalar_split, split_residuals
 from .errors import FormatError, GaussBathError
-from .lindblad import SystemModel, evolve, gks_decompose, steady_state
+from .lindblad import SystemModel, evolve, steady_state
 from .linalg import DEFAULT_TOL, adjoint, require_finite_result, vectorize
 from .noise import BLOCK_KEYS, NoiseParams, unitarity_defect
 from .wick import NORMAL_ORDERED, TIME_ORDERED, ItoCoefficients, normal_to_time, time_to_normal
@@ -291,8 +291,8 @@ def cmd_convert(args) -> int:
 
 def cmd_generator(args) -> int:
     model = model_from_dict(load_model_dict(args.model))
-    form = gks_decompose(model)
-    heis = form.heisenberg_matrix()
+    form = model.form
+    liouv = form.liouvillian.dense()
     report = {
         "dim": model.dim,
         "h_eff": form.h_eff,
@@ -300,8 +300,8 @@ def cmd_generator(args) -> int:
         "kossakowski": form.kossakowski,
         "kossakowski_eigenvalues": form.kossakowski_eigenvalues().tolist(),
         "completely_positive": form.is_cp(DEFAULT_TOL),
-        "liouvillian": adjoint(heis),
-        "heisenberg": heis,
+        "liouvillian": liouv,
+        "heisenberg": adjoint(liouv),
     }
     _write_report(report, args.out)
     return 0
@@ -332,7 +332,7 @@ def cmd_evolve(args) -> int:
 def cmd_steady(args) -> int:
     model = model_from_dict(load_model_dict(args.model))
     rho = steady_state(model)
-    residual = gks_decompose(model).schrodinger_sum().sparse() @ vectorize(rho)
+    residual = model.form.liouvillian.sparse() @ vectorize(rho)  # the L' of the solve
     # Scaled by the power of two at its largest entry, the squares stay in the
     # double range; the scaling is exact, so an in-range norm keeps every bit.
     unit = np.ldexp(1.0, np.frexp(np.abs(residual).max())[1] - 1)

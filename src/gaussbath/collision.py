@@ -19,11 +19,12 @@ S = sum_k conj(K_k) (x) K_k is built once, applied steps times by
 linalg.propagate, and preserves trace because U is unitary: the chain
 is one step map repeated, like evolve's trajectories.  The chain needs
 only the d columns U |j, 00>.  H is listed once as three sandwiches and
-summed by linalg's one assembly, which linalg.dense_exp_is_cheaper reads
-for one step.  The columns come from the dense exp(-iH) (step_unitary sums
-H again) or from linalg.expm_action on the sparse view of that sum, with
-no dense H built.  U comes from the increment, not from L', so the chain
-is independent evidence for L'.
+summed by linalg's one assembly into CollisionConfig.hamiltonian, the
+immutable config's one H, which linalg.dense_exp_is_cheaper reads for
+one step.  The columns come from step_unitary, the dense exp(-iH) of that
+same H, or from linalg.expm_action on its sparse view, with no dense H
+built.  U comes from the increment, not from L', so the chain is
+independent evidence for L'.
 Trotter error per step is O(dt^2), so the reduced dynamics converges to
 exp(t L') at first order in dt.  The comparison runs at sigma = 0; a
 sigma shift is a system Hamiltonian term and has no collision
@@ -35,6 +36,7 @@ from __future__ import annotations
 import numbers
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +44,7 @@ from .doubling import SplitCoefficients, represent_annihilator, scalar_split
 from .errors import DimensionError, DomainError, TruncationWarning
 from .lindblad import SystemModel, evolve, validate_density_matrix, validate_trajectory
 from .linalg import (
+    SandwichSum,
     adjoint,
     dense_exp_is_cheaper,
     expm_action,
@@ -67,7 +70,7 @@ __all__ = [
 BOUNDARY_TOL = 1e-3
 
 
-@dataclass
+@dataclass(frozen=True)
 class CollisionConfig:
     """One collision-model run: model, step size, step count, Fock cutoff."""
 
@@ -96,7 +99,12 @@ class CollisionConfig:
                 "collision comparisons are defined at sigma = 0; "
                 "a sigma shift is a Hamiltonian term with no ancilla counterpart"
             )
-        self.split = scalar_split(noise.n, noise.m)
+        object.__setattr__(self, "split", scalar_split(noise.n, noise.m))
+
+    @cached_property
+    def hamiltonian(self) -> SandwichSum:
+        """The step Hamiltonian H on system (x) ancilla pair, assembled once on first use."""
+        return sandwich_sum(_step_sandwiches(self), "collision overflow: the step Hamiltonian")
 
 
 def increment_operator(config: CollisionConfig) -> np.ndarray:
@@ -120,9 +128,8 @@ def _step_sandwiches(config: CollisionConfig) -> list:
 
 
 def step_unitary(config: CollisionConfig) -> np.ndarray:
-    """Unitary for one collision on system (x) ancilla pair: the dense exp(-iH)."""
-    h = sandwich_sum(_step_sandwiches(config), "collision overflow: the step Hamiltonian")
-    return mat_exp(-1j * h.dense())
+    """Unitary for one collision on system (x) ancilla pair: the dense exp(-iH) of config's H."""
+    return mat_exp(-1j * config.hamiltonian.dense())
 
 
 def _kraus_tensor(config: CollisionConfig) -> np.ndarray:
@@ -130,11 +137,11 @@ def _kraus_tensor(config: CollisionConfig) -> np.ndarray:
 
     From the dense step_unitary or from linalg.expm_action of the sparse -iH
     on the d columns |j> (x) |00>, as linalg.dense_exp_is_cheaper picks for
-    one step from the assembled H.  A non-finite tensor raises OverflowError
+    one step from config's H.  A non-finite tensor raises OverflowError
     on either route.
     """
     d, pair_dim = config.model.dim, config.cutoff**2
-    h = sandwich_sum(_step_sandwiches(config), "collision overflow: the step Hamiltonian")
+    h = config.hamiltonian
     if dense_exp_is_cheaper(h, 1.0, 1, columns=d):
         return step_unitary(config).reshape(d, pair_dim, d, pair_dim)[:, :, :, 0]
     vacuum = np.zeros((d * pair_dim, d), dtype=complex)
@@ -213,7 +220,8 @@ def convergence_study(
 
     For each dt the collision trajectory is compared with the exact
     exp(t L') propagation on the same grid and the maximum trace
-    distance recorded.  The step sizes must be distinct, and t_final / dt
+    distance recorded; every evolve reads the model's one L', so the study
+    assembles it once.  The step sizes must be distinct, and t_final / dt
     must round to at least one step.  The empirical order is the log-log
     slope over the positive errors, None when fewer than two are positive;
     an error rise beyond 10 percent plus 1e-12 of the unit trace (rounding)

@@ -79,7 +79,6 @@ __all__ = [
     "MAX_MATVECS",
     "SandwichSum",
     "adjoint",
-    "choi_matrix",
     "dense_exp_is_cheaper",
     "devectorize",
     "expm_action",
@@ -469,21 +468,6 @@ def partial_trace(a: np.ndarray, dims: tuple[int, int], which: str = "second") -
     if which == "first":
         return np.einsum("ijil->jl", t)
     raise DomainError(f"which must be 'first' or 'second', got {which!r}")
-
-
-def choi_matrix(s: np.ndarray) -> np.ndarray:
-    """Choi matrix of a superoperator given in column-stacking form.
-
-    J = sum_ij E_ij (x) Phi(E_ij) with E_ij = |i><j|.  Positive
-    semidefiniteness of J is equivalent to complete positivity of Phi.
-    """
-    s = require_square(s, "superoperator")
-    d2 = s.shape[0]
-    d = int(round(np.sqrt(d2)))
-    if d * d != d2:
-        raise DimensionError(f"superoperator dimension {d2} is not a perfect square")
-    # Phi(E_ik)[a, b] = s[a + b d, i + k d], read off in place of d^2 probes.
-    return s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d2, d2)
 
 
 def propagate(rho0: np.ndarray, step_map: np.ndarray, count: int) -> np.ndarray:

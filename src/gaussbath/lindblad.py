@@ -14,11 +14,11 @@ closes, via the Gaussian Ito table, into the Heisenberg generator
            - X G - G+ X,
 
 which is unital (L(1) = 0).  GKSForm.sandwiches lists L as six sandwiches
-of d x d factors; linalg.sandwich_sum, the one assembly, sums them from the
-nonzeros of the factors (heisenberg_matrix).  The Schrodinger generator
-L' = L+ is the Hilbert-Schmidt adjoint, so tr(L(X) rho) = tr(X L'(rho)) by
-construction; every L' is schrodinger_sum, the adjoint sandwiches
-sandwich(A+, B+) assembled once, read through its dense or CSC view.
+of d x d factors.  The Schrodinger generator L' = L+ is the Hilbert-Schmidt
+adjoint, so tr(L(X) rho) = tr(X L'(rho)) by construction.  Model and form
+are immutable: SystemModel.form is the one GKSForm, GKSForm.liouvillian
+the one L', the adjoint pairs (A+, B+) summed by linalg.sandwich_sum on
+first use and read through its dense or CSC view; L is its adjoint.
 steady_state solves it by a sparse LU with its row 0 replaced by the scaled
 trace functional, certified by a condition estimate; the dense SVD of that
 L' decides only when that certificate fails.
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil
 
 import numpy as np
@@ -64,7 +65,6 @@ from .linalg import (
     require_dense,
     require_finite_result,
     require_square,
-    sandwich,
     sandwich_sum,
     vectorize,
 )
@@ -73,10 +73,7 @@ from .noise import NoiseParams, require_finite
 __all__ = [
     "GKSForm",
     "SystemModel",
-    "commutator_superoperator",
-    "dissipation_quadratic",
     "evolve",
-    "extract_commutator_hamiltonian",
     "gks_decompose",
     "heisenberg_generator",
     "schrodinger_liouvillian",
@@ -90,21 +87,28 @@ __all__ = [
 # its inverse bounds the condition estimate of the sparse solve.
 RANK_RTOL = 1e-10
 
-# The OverflowError of every generator assembly, L or L', dense or sparse.
+# The OverflowError of the one generator assembly, L'.
 _OVERFLOW = "generator overflow: the Heisenberg generator"
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of a, so that no later write reaches what is built from it."""
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
 class SystemModel:
-    """System operators (C, F) plus the channel parameters."""
+    """System operators (C, F) plus the channel parameters; C and F are read-only copies."""
 
     C: np.ndarray
     F: np.ndarray
     noise: NoiseParams
 
     def __post_init__(self):
-        object.__setattr__(self, "C", require_square(self.C, "C"))
-        object.__setattr__(self, "F", require_square(self.F, "F"))
+        object.__setattr__(self, "C", _read_only(require_square(self.C, "C")))
+        object.__setattr__(self, "F", _read_only(require_square(self.F, "F")))
         if self.C.shape != self.F.shape:
             raise DimensionError("C and F must share one dimension")
         if not (np.all(np.isfinite(self.C)) and np.all(np.isfinite(self.F))):
@@ -115,6 +119,11 @@ class SystemModel:
     @property
     def dim(self) -> int:
         return self.C.shape[0]
+
+    @cached_property
+    def form(self) -> GKSForm:
+        """The model's one Kossakowski form, gks_decompose(self), built on first use."""
+        return gks_decompose(self)
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -155,58 +164,34 @@ def _bath_matrix(noise: NoiseParams) -> np.ndarray:
     return np.array([[noise.n + 1.0, noise.m], [np.conj(noise.m), noise.n]], dtype=complex)
 
 
-def dissipation_quadratic(model: SystemModel) -> np.ndarray:
-    """The Hermitian quadratic Q = (n+1) C+C + n CC+ + conj(m) CC + m C+C+."""
-    return _kossakowski_sum(_bath_matrix(model.noise), (model.C, adjoint(model.C)))
-
-
 def heisenberg_generator(model: SystemModel) -> np.ndarray:
-    """Superoperator of L(X) acting on column-stacked X."""
-    return gks_decompose(model).heisenberg_matrix()
+    """Superoperator of L(X) acting on column-stacked X: the adjoint of the model's L'."""
+    return adjoint(model.form.liouvillian.dense())
 
 
 def schrodinger_liouvillian(model: SystemModel) -> np.ndarray:
-    """Superoperator of L'(rho) = ... - G rho - rho G+, the adjoint of L."""
-    return gks_decompose(model).schrodinger_sum().dense()
+    """Superoperator of L'(rho) = ... - G rho - rho G+: the model's L', dense."""
+    return model.form.liouvillian.dense()
 
 
-def commutator_superoperator(h: np.ndarray) -> np.ndarray:
-    """Superoperator of X -> i[h, X] on column-stacked X."""
-    h = require_square(h, "commutator argument")
-    eye = np.eye(h.shape[0])
-    return 1j * (sandwich(h, eye) - sandwich(eye, h))
-
-
-def extract_commutator_hamiltonian(s: np.ndarray) -> tuple[np.ndarray, float]:
-    """Recover h (up to a multiple of the identity) from s = i[h, .].
-
-    s[:d, j] is the first column of i[h, |j><0|], i (h - h_00) |j>, so
-    h less h_00 is read off s[:d, :d].  Its Hermitian part is returned
-    with the residual norm of s minus the rebuilt commutator superoperator.
-    """
-    s = require_square(s, "superoperator")
-    d = int(round(np.sqrt(s.shape[0])))
-    if d * d != s.shape[0]:
-        raise DimensionError("superoperator dimension is not a perfect square")
-    h_raw = -1j * s[:d, :d]
-    h_raw -= h_raw[0, 0] * np.eye(d)
-    h = (h_raw + adjoint(h_raw)) / 2.0
-    residual = operator_norm(s - commutator_superoperator(h))
-    return h, residual
-
-
-@dataclass
+@dataclass(frozen=True)
 class GKSForm:
     """Generator split into Hamiltonian plus Kossakowski dissipator.
 
     ``jumps`` is the fixed operator basis (C, C+) and ``kossakowski``
     the 2x2 coefficient matrix; the state is Gaussian-physical exactly
-    when that matrix is positive semidefinite.
+    when that matrix is positive semidefinite.  The arrays are read-only
+    copies, so the L' assembled from them on first use cannot go stale.
     """
 
     h_eff: np.ndarray
     jumps: tuple[np.ndarray, np.ndarray]
     kossakowski: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "h_eff", _read_only(self.h_eff))
+        object.__setattr__(self, "jumps", tuple(_read_only(v) for v in self.jumps))
+        object.__setattr__(self, "kossakowski", _read_only(self.kossakowski))
 
     def effective_G(self) -> np.ndarray:
         """G = i H_eff + 1/2 sum_jk K_jk V_j+ V_k, so that L(X) = ... - X G - G+ X.
@@ -229,12 +214,9 @@ class GKSForm:
                 (self.kossakowski[j, k] * adjoint(vj), vk)
                 for j, vj in enumerate(self.jumps) for k, vk in enumerate(self.jumps)]
 
-    def heisenberg_matrix(self) -> np.ndarray:
-        """L as a dense array; a generator beyond the double range raises OverflowError."""
-        return sandwich_sum(self.sandwiches(), _OVERFLOW).dense()
-
-    def schrodinger_sum(self) -> SandwichSum:
-        """L' = L+ from the (A+, B+), by sandwich(A, B)+ = sandwich(A+, B+), assembled."""
+    @cached_property
+    def liouvillian(self) -> SandwichSum:
+        """L' = L+ from the (A+, B+), by sandwich(A, B)+ = sandwich(A+, B+); OverflowError."""
         return sandwich_sum([(adjoint(a), adjoint(b)) for a, b in self.sandwiches()], _OVERFLOW)
 
     def kossakowski_eigenvalues(self) -> np.ndarray:
@@ -304,8 +286,8 @@ def evolve(
     """The (steps + 1, d, d) states exp(k dt L') rho0, k = 0, ..., steps.
 
     validate_trajectory checks (dt, steps), so the trajectory is one map
-    repeated.  L' is assembled once, for the route rule and the route it
-    picks.  "expm" takes the route linalg.dense_exp_is_cheaper
+    repeated.  L' is the model's one assembly, read by the route rule and
+    the route it picks.  "expm" takes the route linalg.dense_exp_is_cheaper
     picks for L', dt and steps: the map exp(dt L') applied by
     linalg.propagate, or one expm_action call over all steps, which
     raises DomainError beyond its work budget (linalg.MAX_MATVECS).  A
@@ -330,7 +312,7 @@ def evolve(
     if method == "rk4":
         require_dense(d**4, f"method 'rk4' at d = {d} (d^2 = {d * d})", "(d^2)^2",
                       "; use --method expm")
-    liouv = gks_decompose(model).schrodinger_sum()
+    liouv = model.form.liouvillian
     if method == "expm" and not dense_exp_is_cheaper(liouv, dt, steps):
         vecs = expm_action(liouv.sparse(), vectorize(rho0), "the trajectory",
                            start=0.0, stop=steps * dt, num=steps + 1, endpoint=True)
@@ -350,7 +332,7 @@ def evolve(
 def steady_state(model: SystemModel) -> np.ndarray:
     """Stationary density matrix: the Liouvillian kernel by one sparse LU solve.
 
-    L' is the CSC view of GKSForm.schrodinger_sum.  Its row
+    L' is the CSC view of the model's GKSForm.liouvillian.  Its row
     0, the (0, 0) diagonal equation, depends on the others because L'
     preserves trace, so A is L' with row 0 replaced by s vec(I)+,
     s = ||L'||_1; then A vec(rho) = s e_0 holds the stationarity and
@@ -368,7 +350,7 @@ def steady_state(model: SystemModel) -> np.ndarray:
     import scipy.sparse.linalg
 
     d = model.dim
-    liouv = gks_decompose(model).schrodinger_sum()
+    liouv = model.form.liouvillian
     sparse = liouv.sparse()
     scale = scipy.sparse.linalg.norm(sparse, 1)
     # Row 0 gives way to the trace row, in new data: liouv stays L' for the dense SVD.

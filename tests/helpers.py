@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from gaussbath.errors import DegenerateKernelError
+from gaussbath.errors import DegenerateKernelError, DimensionError
 from gaussbath.lindblad import RANK_RTOL, schrodinger_liouvillian
+from gaussbath.linalg import adjoint, operator_norm, require_square, sandwich
 from gaussbath.noise import NORMAL_ORDERED, ItoCoefficients, ito_product
 
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |g><e|
@@ -94,3 +95,50 @@ def dense_steady_state(model):
     rho = vh[-1].conj().reshape((model.dim, model.dim), order="F")
     rho = (rho + rho.conj().T) / 2.0
     return rho / np.trace(rho)
+
+
+def dissipation_quadratic(model):
+    """The Hermitian quadratic Q = (n+1) C+C + n CC+ + conj(m) CC + m C+C+, term by term."""
+    c, p = model.C, model.noise
+    cd = c.conj().T
+    return (p.n + 1.0) * (cd @ c) + p.n * (c @ cd) + np.conj(p.m) * (c @ c) + p.m * (cd @ cd)
+
+
+def commutator_superoperator(h):
+    """Superoperator of X -> i[h, X] on column-stacked X."""
+    h = require_square(h, "commutator argument")
+    eye = np.eye(h.shape[0])
+    return 1j * (sandwich(h, eye) - sandwich(eye, h))
+
+
+def extract_commutator_hamiltonian(s):
+    """Recover h (up to a multiple of the identity) from s = i[h, .].
+
+    s[:d, j] is the first column of i[h, |j><0|], i (h - h_00) |j>, so
+    h less h_00 is read off s[:d, :d].  Its Hermitian part is returned
+    with the residual norm of s minus the rebuilt commutator superoperator.
+    """
+    s = require_square(s, "superoperator")
+    d = int(round(np.sqrt(s.shape[0])))
+    if d * d != s.shape[0]:
+        raise DimensionError("superoperator dimension is not a perfect square")
+    h_raw = -1j * s[:d, :d]
+    h_raw -= h_raw[0, 0] * np.eye(d)
+    h = (h_raw + adjoint(h_raw)) / 2.0
+    residual = operator_norm(s - commutator_superoperator(h))
+    return h, residual
+
+
+def choi_matrix(s):
+    """Choi matrix of a superoperator given in column-stacking form.
+
+    J = sum_ij E_ij (x) Phi(E_ij) with E_ij = |i><j|.  Positive
+    semidefiniteness of J is equivalent to complete positivity of Phi.
+    """
+    s = require_square(s, "superoperator")
+    d2 = s.shape[0]
+    d = int(round(np.sqrt(d2)))
+    if d * d != d2:
+        raise DimensionError(f"superoperator dimension {d2} is not a perfect square")
+    # Phi(E_ik)[a, b] = s[a + b d, i + k d], read off in place of d^2 probes.
+    return s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d2, d2)

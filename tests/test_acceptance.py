@@ -13,6 +13,10 @@ import numpy as np
 from helpers import (
     SIGMA_MINUS,
     ZERO2,
+    choi_matrix,
+    commutator_superoperator,
+    dissipation_quadratic,
+    extract_commutator_hamiltonian,
     random_complex,
     random_density,
     random_gaussian_nm,
@@ -35,10 +39,7 @@ from gaussbath.doubling import (
 )
 from gaussbath.lindblad import (
     SystemModel,
-    commutator_superoperator,
-    dissipation_quadratic,
     evolve,
-    extract_commutator_hamiltonian,
     gks_decompose,
     heisenberg_generator,
     schrodinger_liouvillian,
@@ -46,7 +47,6 @@ from gaussbath.lindblad import (
 )
 from gaussbath.linalg import (
     adjoint,
-    choi_matrix,
     devectorize,
     mat_exp,
     operator_norm,

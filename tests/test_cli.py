@@ -267,7 +267,7 @@ def test_steady_residual_beyond_the_range_of_its_squares(tmp_path, capsys):
     tree = json.loads(out)
     assert tree["populations"] == pytest.approx([0.25, 0.75], abs=1e-12)
     model = cli.model_from_dict(cli.load_model_dict(path))
-    residual = gks_decompose(model).schrodinger_sum().sparse() @ vectorize(from_pairs(tree["rho"]))
+    residual = gks_decompose(model).liouvillian.sparse() @ vectorize(from_pairs(tree["rho"]))
     largest = np.abs(residual).max()
     expected = largest * np.linalg.norm(residual / largest)
     assert 1e263 < expected < np.inf

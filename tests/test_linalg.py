@@ -6,6 +6,7 @@ from math import isqrt
 import numpy as np
 import pytest
 from helpers import (
+    choi_matrix,
     ladder,
     random_complex,
     random_density,
@@ -22,7 +23,6 @@ from gaussbath.collision import CollisionConfig, _step_channel, _step_sandwiches
 from gaussbath.errors import DimensionError, DomainError
 from gaussbath.linalg import (
     adjoint,
-    choi_matrix,
     dense_exp_is_cheaper,
     devectorize,
     expm_action,
@@ -351,7 +351,7 @@ def test_require_finite_result_passes_values_through():
 
 def oscillator_liouvillian(d, noise, scale=1.0):
     model = SystemModel(C=scale * ladder(d), F=np.diag(np.arange(d)).astype(complex), noise=noise)
-    return gks_decompose(model).schrodinger_sum().sparse()
+    return gks_decompose(model).liouvillian.sparse()
 
 
 def test_expm_action_is_reproducible_and_leaves_the_global_stream(rng, monkeypatch):
@@ -406,7 +406,7 @@ def action_cases(draw):
     noise = NoiseParams(gamma=draw(st.floats(0.3, 2.0)), n=n, m=m)
     if draw(st.sampled_from(["liouvillian", "step"])) == "liouvillian":
         model = SystemModel(C=random_complex(rng, (d, d)), F=random_hermitian(rng, d), noise=noise)
-        a = gks_decompose(model).schrodinger_sum().sparse()
+        a = gks_decompose(model).liouvillian.sparse()
         v = vectorize(np.stack([random_density(rng, d) for _ in range(d)])).T
     else:
         model = SystemModel(C=ladder(d), F=random_hermitian(rng, d), noise=noise)
@@ -459,7 +459,7 @@ def oscillator(d, scale=1.0, **noise):
 
 def oscillator_sum(d, scale=1.0, **noise):
     """L' of the oscillator, assembled."""
-    return gks_decompose(oscillator(d, scale, **noise)).schrodinger_sum()
+    return gks_decompose(oscillator(d, scale, **noise)).liouvillian
 
 
 def step_config(d, cutoff, dt=0.02):
@@ -601,7 +601,16 @@ def calls(monkeypatch):
     return log
 
 
-def test_one_assembly_per_exponential(calls, monkeypatch):
+def oscillator_file(path, d, **bath):
+    """The model file of oscillator(d) in a bath given by model-file keys (n, m_re, ...)."""
+    model = oscillator(d)
+    pairs = {key: np.stack([a.real, a.imag], axis=-1).tolist() for key, a in
+             (("C", model.C), ("F", model.F))}
+    path.write_text(json.dumps({"dim": d, "gamma": 1.0, **bath, **pairs}))
+    return str(path)
+
+
+def test_one_assembly_per_exponential(calls, monkeypatch, tmp_path, capsys):
     import scipy.sparse.linalg
 
     def ground(d):
@@ -623,15 +632,29 @@ def test_one_assembly_per_exponential(calls, monkeypatch):
                                        method="rk4"), ["sandwich_sum"]),
         "step, Krylov": (lambda: _step_channel(step_config(4, 5)),
                          ["sandwich_sum", "expm_action"]),
-        # step_unitary(config) sums H again.  Its span stays pinned under collision.simulate
-        # by perfbench/test_perfbench.py::test_spans_nest_and_carry_job_ids.
-        "step, dense": (lambda: _step_channel(step_config(2, 5)),
-                        ["sandwich_sum", "sandwich_sum", "mat_exp"]),
+        "step, dense": (lambda: _step_channel(step_config(2, 5)), ["sandwich_sum", "mat_exp"]),
     }
     for name, (run, want) in runs.items():
         calls.clear()
         run()
         assert calls == want, name
+    # Whole commands: steady's residual and generator's two fields read the model's one L';
+    # the oracle assembles L' once for the study and H once per dt, each read by both routes.
+    thermal = oscillator_file(tmp_path / "thermal.json", 4, n=0.5)
+    squeezed = oscillator_file(tmp_path / "squeezed.json", 2, n=0.5, m_re=0.2)
+    step = ["sandwich_sum", "mat_exp"]
+    commands = {
+        "steady": (["steady", "--model", thermal], ["sandwich_sum"]),
+        "generator": (["generator", "--model", squeezed], ["sandwich_sum"]),
+        "oracle": (["oracle", "--model", oscillator_file(tmp_path / "pair.json", 2, n=0.5),
+                    "--cutoff", "5", "--dt-list", "0.04,0.02,0.01", "--t-final", "0.5"],
+                   step + step + step + ["mat_exp"] + step + ["mat_exp"]),
+    }
+    for name, (argv, want) in commands.items():
+        calls.clear()
+        assert main(argv) == 0, name
+        assert calls == want, name
+    capsys.readouterr()
     # The dense SVD fallback of steady_state reads the L' that its sparse LU took.
     monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
     calls.clear()

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from unittest import mock
 
@@ -6,7 +7,11 @@ import pytest
 from helpers import (
     SIGMA_MINUS,
     ZERO2,
+    choi_matrix,
+    commutator_superoperator,
     dense_steady_state,
+    dissipation_quadratic,
+    extract_commutator_hamiltonian,
     ito_heisenberg,
     ladder,
     random_complex,
@@ -19,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussbath import linalg, lindblad
+from gaussbath.collision import CollisionConfig
 from gaussbath.errors import (
     DegenerateKernelError,
     DimensionError,
@@ -27,7 +33,6 @@ from gaussbath.errors import (
 from gaussbath.linalg import (
     MAX_DENSE_DIM,
     adjoint,
-    choi_matrix,
     dense_exp_is_cheaper,
     devectorize,
     expm_action,
@@ -38,12 +43,10 @@ from gaussbath.linalg import (
     vectorize,
 )
 from gaussbath.lindblad import (
+    GKSForm,
     SystemModel,
     _taylor4,
-    commutator_superoperator,
-    dissipation_quadratic,
     evolve,
-    extract_commutator_hamiltonian,
     gks_decompose,
     heisenberg_generator,
     schrodinger_liouvillian,
@@ -177,20 +180,68 @@ def test_heisenberg_schrodinger_trace_duality(rng):
     np.testing.assert_allclose(liouv, adjoint(heis), atol=1e-12)
 
 
+def kron_sum(form):
+    """L as the six sandwiches of the form, np.kron arrays added in GKSForm.sandwiches' order."""
+    g = form.effective_G()
+    eye = np.eye(g.shape[0])
+    want = sandwich(eye, -g)
+    want += sandwich(-adjoint(g), eye)
+    for j, vj in enumerate(form.jumps):
+        for k, vk in enumerate(form.jumps):
+            want += sandwich(form.kossakowski[j, k] * adjoint(vj), vk)
+    return want
+
+
 def test_schrodinger_matrix_is_the_dense_twin_of_the_sparse_one(rng):
     for d in (1, 2, 3, 5):
         form = gks_decompose(random_model(rng, d))
-        liouv = form.schrodinger_sum()
+        liouv = form.liouvillian
         dense = liouv.dense()
         assert dense.tobytes() == liouv.sparse().toarray().tobytes()
-        np.testing.assert_array_equal(dense, adjoint(form.heisenberg_matrix()))
+        # L may cancel to zero (d = 1), so the rounding bound is entrywise in the terms' sizes.
+        terms = sum(np.abs(sandwich(a, b)) for a, b in form.sandwiches())
+        assert np.all(np.abs(dense - adjoint(kron_sum(form))) <= 4 * np.finfo(float).eps * terms.T)
+
+
+def test_the_owners_are_immutable(rng, monkeypatch):
+    c, f = random_complex(rng, (3, 3)), random_hermitian(rng, 3)
+    model = SystemModel(C=c, F=f, noise=NoiseParams(gamma=1.0, n=0.5))
+    form = model.form
+    for array in (model.C, model.F, form.h_eff, form.kossakowski):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 7.0
+    c[0, 0] = f[0, 0] = 7.0  # the caller's arrays stay the caller's
+    assert model.C[0, 0] != 7.0 and model.F[0, 0] != 7.0
+    h = random_hermitian(rng, 2)
+    own = GKSForm(h_eff=h, jumps=(SIGMA_MINUS, adjoint(SIGMA_MINUS)), kossakowski=np.eye(2))
+    h[0, 0] = 7.0
+    assert own.h_eff[0, 0] != 7.0
+    config = CollisionConfig(model=damped_qubit(), dt=0.1, steps=2, cutoff=2)
+    for owner, field in ((model, "C"), (model, "noise"), (form, "h_eff"),
+                         (form, "kossakowski"), (config, "dt"), (config, "split")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(owner, field, getattr(owner, field))
+
+    # evolve and steady_state read the model's one form and its one L', building neither again.
+    def fail(*args, **kwargs):
+        raise AssertionError("a second form or L' was built")
+
+    liouv, read = form.liouvillian, []
+    for view in ("dense", "sparse"):
+        original = getattr(linalg.SandwichSum, view)
+        monkeypatch.setattr(linalg.SandwichSum, view,
+                            lambda self, original=original: read.append(self) or original(self))
+    monkeypatch.setattr(lindblad, "gks_decompose", fail)
+    monkeypatch.setattr(lindblad, "sandwich_sum", fail)
+    evolve_on_route("dense", model, random_density(rng, 3), 0.1, 3)
+    evolve_on_route("krylov", model, random_density(rng, 3), 0.1, 3)
+    steady_state(model)
+    assert len(read) == 3 and all(op is liouv for op in read)
+    assert model.form is form and form.liouvillian is liouv
 
 
 def test_no_schrodinger_path_builds_the_heisenberg_matrix(rng, monkeypatch):
     import scipy.sparse.linalg
-
-    def fail(*args, **kwargs):
-        raise AssertionError("L' taken from the Heisenberg matrix")
 
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
@@ -201,7 +252,6 @@ def test_no_schrodinger_path_builds_the_heisenberg_matrix(rng, monkeypatch):
     for _ in range(4):
         want.append(apply(mat_exp(0.25 * liouv), want[-1]))
     steady = dense_steady_state(model)
-    monkeypatch.setattr(lindblad.GKSForm, "heisenberg_matrix", fail)
     np.testing.assert_array_equal(schrodinger_liouvillian(model), liouv)
     for method in ("expm", "rk4"):
         states = evolve_on_route("dense", model, rho0, 0.25, 4, method=method)
@@ -251,7 +301,8 @@ def test_gks_interior_is_strictly_positive(rng):
         model = random_model(rng, 2)
         form = gks_decompose(model)
         assert form.is_cp()
-        np.testing.assert_allclose(form.heisenberg_matrix(), ito_heisenberg(model), atol=1e-10)
+        np.testing.assert_allclose(adjoint(form.liouvillian.dense()), ito_heisenberg(model),
+                                   atol=1e-10)
 
 
 def test_heisenberg_generator_matches_ito_closure(rng):
@@ -303,17 +354,10 @@ def generated_forms(draw):
 @given(generated=generated_forms())
 def test_triplet_scatter_equals_kron_sum(generated):
     form, complex_c = generated
-    # The six sandwiches as np.kron arrays, added in heisenberg_matrix's order.
-    g = form.effective_G()
-    eye = np.eye(g.shape[0])
-    want = sandwich(eye, -g)
-    want += sandwich(-adjoint(g), eye)
-    for j, vj in enumerate(form.jumps):
-        for k, vk in enumerate(form.jumps):
-            want += sandwich(form.kossakowski[j, k] * adjoint(vj), vk)
-    got = form.heisenberg_matrix()
-    # The sparse L' sums the same triplets, in an order its index sort picks.
-    sparse_err = np.abs(form.schrodinger_sum().sparse().toarray() - adjoint(got)).max()
+    want = kron_sum(form)
+    # L is the adjoint of the one assembled L', whose triplets are the adjoint factors'.
+    got = adjoint(form.liouvillian.dense())
+    sparse_err = np.abs(adjoint(form.liouvillian.sparse().toarray()) - want).max()
     assert sparse_err <= 4 * np.finfo(float).eps * np.abs(want).max()
     err = np.abs(got - want).max()
     if complex_c:
@@ -574,7 +618,7 @@ def test_evolve_on_the_krylov_route_never_builds_a_dense_map(monkeypatch):
     rho0[1, 1] = 1.0
     grid = np.linspace(0.0, 2.0, 11)
     # The rule sends this trajectory to Krylov and the same one stretched 1000-fold to dense.
-    liouv = gks_decompose(model).schrodinger_sum()
+    liouv = gks_decompose(model).liouvillian
     assert not dense_exp_is_cheaper(liouv, 0.2, 10)
     assert dense_exp_is_cheaper(liouv, 200.0, 10)
     monkeypatch.setattr(linalg.SandwichSum, "dense", fail)
