@@ -63,12 +63,16 @@ from .linalg import (
     sandwich,
     vectorize,
 )
-from .noise import NoiseParams, ito_product, unitarity_defect
-from .wick import (
-    HPParameters,
-    ItoCoefficients,
+from .noise import (
     NORMAL_ORDERED,
     TIME_ORDERED,
+    ItoCoefficients,
+    NoiseParams,
+    ito_product,
+    unitarity_defect,
+)
+from .wick import (
+    HPParameters,
     hp_extract,
     hp_residuals,
     normal_to_time,

@@ -47,8 +47,9 @@ from .doubling import scalar_split, split_residuals
 from .errors import FormatError, GaussBathError
 from .lindblad import SystemModel, evolve, steady_state
 from .linalg import DEFAULT_TOL, adjoint, require_finite_result, vectorize
-from .noise import BLOCK_KEYS, NoiseParams, unitarity_defect
-from .wick import NORMAL_ORDERED, TIME_ORDERED, ItoCoefficients, normal_to_time, time_to_normal
+from .noise import (BLOCK_KEYS, NORMAL_ORDERED, TIME_ORDERED, ItoCoefficients, NoiseParams,
+                    unitarity_defect)
+from .wick import normal_to_time, time_to_normal
 
 
 # ---------------------------------------------------------------- parsing

@@ -20,11 +20,11 @@ linalg.propagate, and preserves trace because U is unitary: the chain
 is one step map repeated, like evolve's trajectories.  The chain needs
 only the d columns U |j, 00>.  H is listed once as three sandwiches and
 summed by linalg's one assembly into CollisionConfig.hamiltonian, the
-immutable config's one H, which linalg.dense_exp_is_cheaper reads for
-one step.  The columns come from step_unitary, the dense exp(-iH) of that
-same H, or from linalg.expm_action on its sparse view, with no dense H
-built.  U comes from the increment, not from L', so the chain is
-independent evidence for L'.
+immutable config's one H.  linalg.dense_exp_is_cheaper and
+linalg.expm_action read one -iH, H's data times -i (exact), for one
+step.  The columns come from step_unitary, the dense exp(-iH) of that
+same H, or from expm_action, with no dense H built.  U comes from the
+increment, not from L', so the chain is independent evidence for L'.
 Trotter error per step is O(dt^2), so the reduced dynamics converges to
 exp(t L') at first order in dt.  The comparison runs at sigma = 0; a
 sigma shift is a system Hamiltonian term and has no collision
@@ -135,18 +135,19 @@ def step_unitary(config: CollisionConfig) -> np.ndarray:
 def _kraus_tensor(config: CollisionConfig) -> np.ndarray:
     """kraus[i, k, j] = <i, k| U |j, 0>, so that K_k = kraus[:, k, :].
 
-    From the dense step_unitary or from linalg.expm_action of the sparse -iH
-    on the d columns |j> (x) |00>, as linalg.dense_exp_is_cheaper picks for
-    one step from config's H.  A non-finite tensor raises OverflowError
-    on either route.
+    From the dense step_unitary or from linalg.expm_action of -iH on the d
+    columns |j> (x) |00>, as linalg.dense_exp_is_cheaper picks for one step
+    of the same -iH, from config's H.  A non-finite tensor raises
+    OverflowError on either route.
     """
     d, pair_dim = config.model.dim, config.cutoff**2
     h = config.hamiltonian
-    if dense_exp_is_cheaper(h, 1.0, 1, columns=d):
+    generator = h._replace(data=-1j * h.data)  # -iH, exactly
+    if dense_exp_is_cheaper(generator, 1.0, 1, columns=d):
         return step_unitary(config).reshape(d, pair_dim, d, pair_dim)[:, :, :, 0]
     vacuum = np.zeros((d * pair_dim, d), dtype=complex)
     vacuum[np.arange(d) * pair_dim, np.arange(d)] = 1.0
-    columns = expm_action(-1j * h.sparse(), vacuum, "the Kraus operators")
+    columns = expm_action(generator, vacuum, "the Kraus operators", 1.0, 1)[1]
     return columns.reshape(d, pair_dim, d)
 
 

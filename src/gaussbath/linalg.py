@@ -23,16 +23,15 @@ the input, beyond the d x d operators, holds at most MAX_DENSE_DIM^2 entries
 require_finite_result is the one overflow rule for results: a computed
 array beyond the double range raises OverflowError "{what} is not
 finite" (exit 3), while non-finite input is a DomainError where it
-enters.  expm_action is the one exponential action, Al-Mohy & Higham's
-Taylor blocks in numpy around scipy.sparse's CSR matvec; both actions
-(evolve's trajectories, the collision Kraus columns) take its work
-budget (MAX_MATVECS), its overflow guard and its range check.
-dense_exp_is_cheaper is the one route rule for those exponentials, one
-dense Pade map (mat_exp) or expm_action, over count steps of one size:
-every trajectory is one step map repeated (propagate).  Both count the
-work of one plan, _taylor_plan.  The rule and mat_exp are numpy alone,
-so only the sparse routes load scipy.sparse: expm_action and
-SandwichSum.sparse.
+enters.  Each exponential exp(k step A), k <= count, of one assembled A
+(evolve's L', the collision's -iH) takes one dense Pade map (mat_exp)
+repeated by propagate, or expm_action: Al-Mohy & Higham's Taylor blocks
+in numpy around scipy.sparse's CSR matvec, with a work budget
+(MAX_MATVECS).  dense_exp_is_cheaper, the one route rule, reads the same
+(A, step, count); both take mu and ||A - mu I||_1 from _shifted and
+(m, s) from _taylor_plan, so the rule counts the plan the action runs.
+The rule and mat_exp are numpy alone, so only expm_action and
+SandwichSum.sparse load scipy.sparse.
 """
 
 from __future__ import annotations
@@ -250,53 +249,26 @@ def _combine(coeffs, powers: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def expm_action(a, v: np.ndarray, what: str, **grid) -> np.ndarray:
-    """exp(a) v, or the states exp(t a) v along np.linspace(**grid) of t >= 0, by sparse matvecs.
+@np.errstate(over="ignore", invalid="ignore")
+def expm_action(op: SandwichSum, v: np.ndarray, what: str, step: float, count: int) -> np.ndarray:
+    """The states exp(k step A) v, k = 0, ..., count, of the n x n op A, by sparse matvecs.
 
-    Al-Mohy & Higham (2011), Algorithms 3.2 and 5.2, in numpy around the CSR
-    matvec, with the exact ||a - mu I||_1, mu = tr(a)/n, in place of their
-    norm estimates, so no random number is drawn.  _taylor_action has the
-    blocks; a run of more than MAX_MATVECS matvecs raises DomainError before
-    the first one.  A step count beyond 2^53, which includes a norm beyond
-    the double range, and a non-finite result raise OverflowError
+    Al-Mohy & Higham (2011), Algorithms 3.2 and 5.2, in numpy around the CSR matvec of
+    A - mu I, with the exact mu and norm of _shifted in place of their estimates, so no
+    random number is drawn and (m, s) is the plan dense_exp_is_cheaper counts.  s blocks
+    of width w cut [0, count step]; each forms K_p = (w (A - mu I))^p / p! z once, z its
+    first state, on all columns of v: up to m matvecs, stopped by the paper's test at the
+    block's full width.  A time t = (i + tau) w in block i takes sum_p tau^p K_p
+    e^{mu tau w}, so the matvecs do not depend on count.  More than MAX_MATVECS matvecs
+    raise DomainError before the first one.  A step count beyond 2^53, which includes a
+    norm beyond the double range, and a non-finite result raise OverflowError
     "expm_multiply overflow: {what} is not finite".
     """
     import scipy.sparse
 
-    x = np.asarray(v, dtype=complex)
-    n = x.shape[0]
-    times = np.linspace(**grid) if grid else np.ones(1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = scipy.sparse.csr_array(a)
-        mu = a.trace() / n
-        a = a - mu * scipy.sparse.eye_array(n, format="csr")
-        norm = np.bincount(a.indices, np.abs(a.data), n).max()
-        out = _taylor_action(a, x, mu, norm, times, what)
-    return out if grid else out[0]
-
-
-def _taylor_plan(norm: float, span: float) -> tuple[float, float]:
-    """(m, s): s blocks of m Taylor terms for exp(span A), ||A||_1 = norm, m s least.
-
-    s = ceil(span norm / theta_m), at least 1, keeps each block within theta_m
-    (Al-Mohy & Higham 2011, with the exact norm).  Not finite where the norm
-    is not; the caller sets np.errstate.
-    """
-    blocks = np.maximum(np.ceil(span * norm / _THETA_M), 1.0)
-    best = np.argmin(_TAYLOR_M * blocks)
-    return float(_TAYLOR_M[best]), blocks[best]
-
-
-def _taylor_action(a, x: np.ndarray, mu, norm: float, times: np.ndarray,
-                   what: str) -> np.ndarray:
-    """The states exp(t (a + mu I)) x at the increasing times t >= 0, a shifted.
-
-    _taylor_plan cuts [0, T], T the last time, into s blocks of width w.
-    Each forms K_p = (w a)^p / p! z once, z its first state, on all columns
-    of x: up to m matvecs, stopped by the paper's test at the block's full
-    width.  A time t = (i + tau) w in block i takes sum_p tau^p K_p e^{mu tau w},
-    so the matvecs do not depend on the number of times.
-    """
+    shifted, mu, norm = _shifted(op)
+    a = scipy.sparse.csr_array(shifted.sparse())
+    times = np.linspace(0.0, count * step, count + 1)[1:]
     overflow = f"expm_multiply overflow: {what}"
     m, s = _taylor_plan(norm, times[-1])
     if not m * s <= 2.0**53:
@@ -315,11 +287,10 @@ def _taylor_action(a, x: np.ndarray, mu, norm: float, times: np.ndarray,
     # Every K_p, for one product per block, where a block holds two times or more (as
     # scipy's interval algorithm keeps them); else the last two, the times summed per term.
     keep = m + 1 if np.diff(bounds).max() > 1 else 2
-    out = np.empty((times.size, *x.shape), dtype=complex)
-    terms = np.empty((keep, *x.shape), dtype=complex)
-    rows, flat = out.reshape(times.size, -1), terms.reshape(keep, -1)
-    series = np.empty(x.shape, dtype=complex)
-    z = x
+    out = np.empty((count + 1, *np.shape(v)), dtype=complex)
+    out[0] = z = v
+    terms, series = np.empty((keep, *z.shape), dtype=complex), np.empty(z.shape, dtype=complex)
+    rows, flat = out[1:].reshape(count, -1), terms.reshape(keep, -1)
     for block in range(s):
         lo, hi = bounds[block], bounds[block + 1]
         tau = times[lo:hi] / width - block
@@ -344,26 +315,54 @@ def _taylor_action(a, x: np.ndarray, mu, norm: float, times: np.ndarray,
     return require_finite_result(out, overflow)
 
 
-def dense_exp_is_cheaper(op: SandwichSum, step: float, count: int, columns: int = 1) -> bool:
-    """Whether one dense map beats expm_action for exp(k step A) on columns vectors, k <= count.
+def _shifted(op: SandwichSum) -> tuple[SandwichSum, complex, float]:
+    """(A - mu I without its zero entries, mu = tr(A)/n, ||A - mu I||_1) of the n x n op.
 
-    A is the n x n sandwich_sum op, read as assembled.  Dense: (6 + s) n^3 for the one map, s
-    squarings to mat_exp's ||step A||_1 <= theta_13, and n^2 per step and column.
-    expm_action: 1 + m s matvecs of nnz columns + MATVEC_OVERHEAD, with expm_action's own
-    m and s from _taylor_plan of ||count step A||_1, A shifted by tr(A)/n; however many
-    steps, each K_p is formed once per block.  Dense needs the require_dense budget and a
-    finite ||A||_1; the sparse route names overflow.
+    The one plan of an exponential: the route rule and expm_action read this norm.  Each
+    column sums down its rows, as the CSR matvec meets them.  The caller sets np.errstate.
     """
-    keys, data, (n, _) = op
-    cols, rows = np.divmod(keys, n)
-    diag = np.zeros(n, dtype=complex)
-    diag[cols[cols == rows]] = data[cols == rows]
+    n = op.shape[0]
+    diagonal = np.arange(n) * (n + 1)
+    new = diagonal[np.append(op.keys, -1)[np.searchsorted(op.keys, diagonal)] != diagonal]
+    keys = np.concatenate([op.keys, new])  # with the diagonal keys A does not store
+    order = np.argsort(keys, kind="stable")
+    keys, data = keys[order], np.concatenate([op.data, np.zeros(new.size)])[order]
+    on = np.searchsorted(keys, diagonal)
+    mu = data[on].sum() / n
+    data[on] -= mu
+    norm = np.bincount(keys // n, np.abs(data), n).max()
+    kept = data != 0
+    return SandwichSum(keys[kept], data[kept], op.shape), mu, norm
+
+
+def _taylor_plan(norm: float, span: float) -> tuple[float, float]:
+    """(m, s): s blocks of m Taylor terms for exp(span A), ||A||_1 = norm, m s least.
+
+    s = ceil(span norm / theta_m), at least 1, keeps each block within theta_m
+    (Al-Mohy & Higham 2011, with the exact norm).  Not finite where the norm
+    is not; the caller sets np.errstate.
+    """
+    blocks = np.maximum(np.ceil(span * norm / _THETA_M), 1.0)
+    best = np.argmin(_TAYLOR_M * blocks)
+    return float(_TAYLOR_M[best]), blocks[best]
+
+
+def dense_exp_is_cheaper(op: SandwichSum, step: float, count: int, columns: int = 1) -> bool:
+    """Whether one dense map beats expm_action(op, v, what, step, count) on columns vectors.
+
+    A is the n x n sandwich_sum op, read as assembled, and ||A||_1 is its shifted norm
+    from _shifted.  Dense: (6 + s) n^3 for the one map, s squarings to mat_exp's
+    ||step A||_1 <= theta_13, and n^2 per step and column.  expm_action: 1 + m s matvecs
+    of nnz columns + MATVEC_OVERHEAD, with the (m, s) that expm_action runs, however
+    many steps.  Dense needs the require_dense budget and a finite norm; the sparse
+    route names overflow.
+    """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        norm = np.max(np.bincount(cols, np.abs(data), n) + abs(diag - diag.mean()) - abs(diag))
+        n, norm = op.shape[0], _shifted(op)[2]
         squarings = max(0.0, np.ceil(np.log2(step * norm / _PADE_THETA[13])))
         dense = (6.0 + squarings) * n**3 + count * n * n * columns
         m, blocks = _taylor_plan(norm, step * count)
-        krylov = (1.0 + m * blocks) * (keys.size * columns + MATVEC_OVERHEAD)
+        krylov = (1.0 + m * blocks) * (op.keys.size * columns + MATVEC_OVERHEAD)
     return bool(np.isfinite(norm) and n * n <= MAX_DENSE_DIM**2 and dense <= krylov)
 
 

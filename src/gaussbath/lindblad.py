@@ -25,7 +25,7 @@ L' decides only when that certificate fails.
 A trajectory is (dt, steps): one step map applied steps times, checked
 by validate_trajectory for evolve and the collision chain alike.
 evolve's "expm" takes the dense map exp(dt L') or one linalg.expm_action
-call through the sparse L', as linalg.dense_exp_is_cheaper picks.  The
+call on L', as linalg.dense_exp_is_cheaper picks from the same plan.  The
 independent evidence for L is the Ito-closure test, which rebuilds L(X)
 column by column as the dt part of dU+ X + X dU + dU+ X dU from the
 Gaussian Ito table in noise.
@@ -289,9 +289,9 @@ def evolve(
     repeated.  L' is the model's one assembly, read by the route rule and
     the route it picks.  "expm" takes the route linalg.dense_exp_is_cheaper
     picks for L', dt and steps: the map exp(dt L') applied by
-    linalg.propagate, or one expm_action call over all steps, which
-    raises DomainError beyond its work budget (linalg.MAX_MATVECS).  A
-    non-finite state raises OverflowError on either route, as does dt L'
+    linalg.propagate, or expm_action(L', rho0, dt, steps), one call on the
+    plan the rule counted, a DomainError beyond its work budget (MAX_MATVECS).
+    A non-finite state raises OverflowError on either route, as does dt L'
     or an RK4 substep count beyond the double range.  "rk4" takes nsub
     equal substeps h <= min(dt/20, 0.01/scale), scale = gamma (2n+1+2|m|)
     ||C||^2 + ||F||.  One RK4 substep of a linear equation is exactly
@@ -314,10 +314,7 @@ def evolve(
                       "; use --method expm")
     liouv = model.form.liouvillian
     if method == "expm" and not dense_exp_is_cheaper(liouv, dt, steps):
-        vecs = expm_action(liouv.sparse(), vectorize(rho0), "the trajectory",
-                           start=0.0, stop=steps * dt, num=steps + 1, endpoint=True)
-        vecs[0] = vectorize(rho0)
-        return devectorize(vecs, d)
+        return devectorize(expm_action(liouv, vectorize(rho0), "the trajectory", dt, steps), d)
     rk4_step = _rk4_default_step(model, dt) if method == "rk4" else np.inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # expm: one substep
         nsub = max(1, ceil(require_finite_result(

@@ -18,7 +18,7 @@ reproduces the dt coefficient -G of the Gaussian evolution equation.
 The inverse map uses (1 + i kappa E11)^(-1) = 1 + kappa L11, which turns
 every formula above around in closed form.  The quadruple type
 ItoCoefficients and its two kind tags live in noise beside the Ito
-table and are re-exported here.
+table.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ from .noise import NORMAL_ORDERED, TIME_ORDERED, ItoCoefficients, NoiseParams, u
 
 __all__ = [
     "HPParameters",
-    "ItoCoefficients",
-    "NORMAL_ORDERED",
-    "TIME_ORDERED",
     "hp_extract",
     "hp_residuals",
     "normal_to_time",

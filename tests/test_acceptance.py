@@ -52,8 +52,8 @@ from gaussbath.linalg import (
     operator_norm,
     vectorize,
 )
-from gaussbath.noise import NoiseParams, unitarity_defect
-from gaussbath.wick import TIME_ORDERED, ItoCoefficients, normal_to_time, time_to_normal
+from gaussbath.noise import TIME_ORDERED, ItoCoefficients, NoiseParams, unitarity_defect
+from gaussbath.wick import normal_to_time, time_to_normal
 
 
 def _random_model(rng, d):

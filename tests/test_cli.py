@@ -472,7 +472,7 @@ def test_overflowing_generator_is_numerical_exit_code(tmp_path, capsys, monkeypa
 
 def test_krylov_step_count_beyond_the_double_range_is_numerical_exit_code(tmp_path, capsys):
     # L' has finite entries but tr(L') overflows, so the route rule takes the Krylov
-    # route, where scipy's step count from the shifted norm is NaN.
+    # route, where the step count from the one shifted norm is NaN.
     d = 20
     zeros = np.zeros((d, d))
     rho = zeros.copy()

@@ -351,7 +351,7 @@ def test_require_finite_result_passes_values_through():
 
 def oscillator_liouvillian(d, noise, scale=1.0):
     model = SystemModel(C=scale * ladder(d), F=np.diag(np.arange(d)).astype(complex), noise=noise)
-    return gks_decompose(model).liouvillian.sparse()
+    return gks_decompose(model).liouvillian
 
 
 def test_expm_action_is_reproducible_and_leaves_the_global_stream(rng, monkeypatch):
@@ -367,12 +367,12 @@ def test_expm_action_is_reproducible_and_leaves_the_global_stream(rng, monkeypat
     with monkeypatch.context() as patch:
         for name in ("get_state", "set_state", "seed"):
             patch.setattr(np.random, name, fail)
-        answers = [expm_action(t * liouv, v, "the test state") for _ in range(2)]
-        grid = expm_action(liouv, v, "the test state", start=0.0, stop=t, num=3, endpoint=True)
+        answers = [expm_action(liouv, v, "the test state", t, 1)[1] for _ in range(2)]
+        grid = expm_action(liouv, v, "the test state", t / 2, 2)
     _, keys_after, pos_after, *_ = np.random.get_state()
     assert np.array_equal(keys_after, keys) and pos_after == pos
     assert np.array_equal(answers[0], answers[1])
-    assert np.max(np.abs(answers[0] - mat_exp(t * liouv.toarray()) @ v)) <= 1e-12
+    assert np.max(np.abs(answers[0] - mat_exp(t * liouv.dense()) @ v)) <= 1e-12
     assert grid.shape == (3, d * d)
     assert np.max(np.abs(grid[-1] - answers[0])) <= 1e-12
 
@@ -390,14 +390,14 @@ def test_expm_action_names_a_norm_beyond_the_double_range(scale):
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match="^expm_multiply overflow: the test state is not "
                            "finite$"):
-            expm_action(liouv, v, "the test state")
+            expm_action(liouv, v, "the test state", 1.0, 1)
 
 
 @st.composite
 def action_cases(draw):
-    """(A, v, grid, span, regime) for expm_action: an L' or a step -iH on 1 or d columns.
+    """(A, v, step, count, regime) for expm_action: an L' or a step -iH on 1 or d columns.
 
-    regime "single" is exp(A) v; "few" has fewer steps than Taylor blocks, so blocks
+    regime "single" is exp(step A) v; "few" has fewer steps than Taylor blocks, so blocks
     hold at most one time; "many" has more, so blocks hold several.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -406,28 +406,27 @@ def action_cases(draw):
     noise = NoiseParams(gamma=draw(st.floats(0.3, 2.0)), n=n, m=m)
     if draw(st.sampled_from(["liouvillian", "step"])) == "liouvillian":
         model = SystemModel(C=random_complex(rng, (d, d)), F=random_hermitian(rng, d), noise=noise)
-        a = gks_decompose(model).liouvillian.sparse()
+        op = gks_decompose(model).liouvillian
         v = vectorize(np.stack([random_density(rng, d) for _ in range(d)])).T
     else:
         model = SystemModel(C=ladder(d), F=random_hermitian(rng, d), noise=noise)
         cutoff = draw(st.integers(3, 5))
         config = CollisionConfig(model=model, dt=draw(st.floats(0.005, 0.05)), steps=1,
                                  cutoff=cutoff)
-        a = -1j * sandwich_sum(_step_sandwiches(config), "H").sparse()
+        h = sandwich_sum(_step_sandwiches(config), "H")
+        op = h._replace(data=-1j * h.data)
         v = np.zeros((d * cutoff**2, d), dtype=complex)
         v[np.arange(d) * cutoff**2, np.arange(d)] = 1.0
     if draw(st.booleans()):
         v = v[:, 0]
     regime = draw(st.sampled_from(["single", "few", "many"]))
     if regime == "single":
-        span = draw(st.floats(0.1, 10.0))
-        return span * a, v, {}, 1.0, regime
+        return op, v, draw(st.floats(0.1, 10.0)), 1, regime
     if regime == "few":
-        span, num = draw(st.floats(5.0, 40.0)), draw(st.integers(2, 4))
+        span, count = draw(st.floats(5.0, 40.0)), draw(st.integers(1, 3))
     else:
-        span, num = draw(st.floats(0.05, 2.0)), draw(st.integers(60, 300))
-    start = draw(st.sampled_from([0.0, span / 3]))
-    return a, v, {"start": start, "stop": span, "num": num, "endpoint": True}, span, regime
+        span, count = draw(st.floats(0.05, 2.0)), draw(st.integers(59, 299))
+    return op, v, span / count, count, regime
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -436,17 +435,22 @@ def test_expm_action_matches_expm_multiply(case):
     import scipy.sparse
     from scipy.sparse.linalg import expm_multiply
 
-    a, v, grid, span, regime = case
+    op, v, step, count, regime = case
+    a = op.sparse()
     shifted = a - a.trace() / a.shape[0] * scipy.sparse.eye_array(a.shape[0])
-    m, blocks = linalg._taylor_plan(abs(shifted).sum(axis=0).max(), span)
+    m, blocks = linalg._taylor_plan(abs(shifted).sum(axis=0).max(), count * step)
     if regime != "single":
-        assume((grid["num"] - 1 < blocks) == (regime == "few"))
+        assume((count < blocks) == (regime == "few"))
     state = np.random.get_state()  # scipy's norm estimates draw from numpy's global stream
     try:
-        want = expm_multiply(a, v, **grid)
+        if regime == "single":
+            want = np.stack([v, expm_multiply(step * a, v)])
+        else:
+            want = expm_multiply(a, v, start=0.0, stop=count * step, num=count + 1,
+                                 endpoint=True)
     finally:
         np.random.set_state(state)
-    got = expm_action(a, v, "the test state", **grid)
+    got = expm_action(op, v, "the test state", step, count)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -530,6 +534,34 @@ def test_the_route_rule_picks_the_cheaper_route(case, tmp_path, capsys):
                      "--points", "3"]) == 3
     assert capsys.readouterr() == (
         "", "gaussbath: numerical error: generator overflow: the Heisenberg generator is not finite\n")
+
+
+def test_the_rule_counts_the_plan_that_expm_action_runs(monkeypatch, rng):
+    # A squeezed-bath model with random C and F whose ||L' - mu I||_1, summed as
+    # |column| + |a_jj - mu| - |a_jj|, rounds one ulp above the sum down the shifted
+    # column; at this span m = 22 or 23 hangs on that last bit.
+    seeded = np.random.default_rng(1)
+    n, m = random_gaussian_nm(seeded)
+    model = SystemModel(C=random_complex(seeded, (3, 3)), F=random_hermitian(seeded, 3),
+                        noise=NoiseParams(gamma=1.0, n=n, m=m))
+    liouv, span = model.form.liouvillian, 0.07095743297940975
+    h = step_sum(4, 5)  # F_00 = 0, so part of the diagonal of H is not stored
+    for op in (liouv, h, h._replace(data=-1j * h.data)):
+        a = op.dense()
+        mu, eye = np.trace(a) / a.shape[0], np.eye(a.shape[0])
+        shifted, got_mu, norm = linalg._shifted(op)
+        assert got_mu == mu
+        assert norm == np.abs(a - mu * eye).sum(axis=0).max()
+        assert np.array_equal(shifted.dense(), a - mu * eye) and np.all(shifted.data != 0)
+    norm = linalg._shifted(liouv)[2]
+    assert linalg._taylor_plan(norm * (1 - 2**-51), span) == (22, 1)
+    assert linalg._taylor_plan(norm * (1 + 2**-51), span) == (23, 1)
+    plans, plan = [], linalg._taylor_plan
+    monkeypatch.setattr(linalg, "_taylor_plan",
+                        lambda *args: plans.append(plan(*args)) or plans[-1])
+    dense_exp_is_cheaper(liouv, span, 1)
+    expm_action(liouv, vectorize(random_density(rng, 3)), "the test state", span, 1)
+    assert plans == [plan(norm, span)] * 2
 
 
 def test_theta_table_is_scipys():

@@ -226,17 +226,21 @@ def test_the_owners_are_immutable(rng, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a second form or L' was built")
 
+    def reading(original):
+        return lambda op, *args: read.append(op) or original(op, *args)
+
     liouv, read = form.liouvillian, []
     for view in ("dense", "sparse"):
-        original = getattr(linalg.SandwichSum, view)
-        monkeypatch.setattr(linalg.SandwichSum, view,
-                            lambda self, original=original: read.append(self) or original(self))
+        monkeypatch.setattr(linalg.SandwichSum, view, reading(getattr(linalg.SandwichSum, view)))
+    monkeypatch.setattr(lindblad, "expm_action", reading(expm_action))
     monkeypatch.setattr(lindblad, "gks_decompose", fail)
     monkeypatch.setattr(lindblad, "sandwich_sum", fail)
     evolve_on_route("dense", model, random_density(rng, 3), 0.1, 3)
     evolve_on_route("krylov", model, random_density(rng, 3), 0.1, 3)
     steady_state(model)
-    assert len(read) == 3 and all(op is liouv for op in read)
+    # The dense map, expm_action and the LU read L'; the third read is expm_action's own
+    # sparse view of L' - mu I.
+    assert [op is liouv for op in read] == [True, True, False, True]
     assert model.form is form and form.liouvillian is liouv
 
 
@@ -247,12 +251,13 @@ def test_no_schrodinger_path_builds_the_heisenberg_matrix(rng, monkeypatch):
         raise RuntimeError("Factor is exactly singular")
 
     model, rho0 = random_model(rng, 3), random_density(rng, 3)
-    liouv = adjoint(heisenberg_generator(model))
+    liouv = adjoint(ito_heisenberg(model))  # the Ito closure: no lindblad assembly
     want = [rho0]
     for _ in range(4):
         want.append(apply(mat_exp(0.25 * liouv), want[-1]))
     steady = dense_steady_state(model)
-    np.testing.assert_array_equal(schrodinger_liouvillian(model), liouv)
+    # The bound of test_heisenberg_generator_matches_ito_closure.
+    np.testing.assert_allclose(schrodinger_liouvillian(model), liouv, rtol=0, atol=1e-12)
     for method in ("expm", "rk4"):
         states = evolve_on_route("dense", model, rho0, 0.25, 4, method=method)
         np.testing.assert_allclose(states, want, rtol=0, atol=1e-10)
@@ -565,9 +570,9 @@ def test_krylov_route_matches_dense_expm(kind, data):
 def test_krylov_route_calls_expm_multiply_once_per_run(rng, monkeypatch):
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs["num"])
-        return expm_action(*args, **kwargs)
+    def counting(op, v, what, step, count):
+        calls.append(count)
+        return expm_action(op, v, what, step, count)
 
     monkeypatch.setattr(lindblad, "expm_action", counting)
     model, rho0 = random_model(rng, 3), random_density(rng, 3)
@@ -575,7 +580,7 @@ def test_krylov_route_calls_expm_multiply_once_per_run(rng, monkeypatch):
     for dt, steps in ((0.05, 100), (1e-13, 3)):
         calls.clear()
         krylov = evolve_on_route("krylov", model, rho0, dt, steps)
-        assert calls == [steps + 1]
+        assert calls == [steps]
         dense = evolve_on_route("dense", model, rho0, dt, steps)
         assert np.max(np.abs(krylov - dense)) <= 1e-12
 

@@ -4,17 +4,15 @@ from helpers import SIGMA_MINUS, random_complex, random_hermitian, random_unitar
 
 from gaussbath.errors import DomainError, SingularityError
 from gaussbath.linalg import DEFAULT_TOL, adjoint, operator_norm
-from gaussbath.noise import BLOCK_KEYS, NoiseParams, unitarity_defect
-from gaussbath.wick import (
-    HPParameters,
-    ItoCoefficients,
+from gaussbath.noise import (
+    BLOCK_KEYS,
     NORMAL_ORDERED,
     TIME_ORDERED,
-    hp_extract,
-    hp_residuals,
-    normal_to_time,
-    time_to_normal,
+    ItoCoefficients,
+    NoiseParams,
+    unitarity_defect,
 )
+from gaussbath.wick import HPParameters, hp_extract, hp_residuals, normal_to_time, time_to_normal
 
 
 def hermitian_time_ordered(rng, d):
