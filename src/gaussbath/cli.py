@@ -42,11 +42,11 @@ import sys
 
 import numpy as np
 
-from .collision import convergence_study
+from .collision import ROUNDING_TOL, convergence_study
 from .doubling import scalar_split, split_residuals
 from .errors import FormatError, GaussBathError
 from .lindblad import SystemModel, evolve, steady_state
-from .linalg import DEFAULT_TOL, adjoint, require_finite_result, vectorize
+from .linalg import DEFAULT_TOL, adjoint, negligible, require_finite_result, vectorize
 from .noise import (BLOCK_KEYS, NORMAL_ORDERED, TIME_ORDERED, ItoCoefficients, NoiseParams,
                     unitarity_defect)
 from .wick import normal_to_time, time_to_normal
@@ -360,12 +360,12 @@ def cmd_oracle(args) -> int:
     except ValueError as exc:
         raise FormatError("--dt-list must be a comma separated list of numbers") from exc
     result = convergence_study(model, rho0, args.t_final, dts, args.cutoff)
-    # A zero error has no logarithm: its order cells stay empty.
+    # An error within rounding of 0 (ROUNDING_TOL) has no order: its order cells stay empty.
     fitted = "" if result.fitted_order is None else f"{result.fitted_order:.6g}"
     monotone = str(result.monotone).lower()
     lines, prev = [], None
     for dt, err in zip(result.dts, result.errors):
-        if prev is None or err == 0 or prev[1] == 0:
+        if prev is None or negligible(min(err, prev[1]), 1.0, ROUNDING_TOL):
             order = ""
         else:
             order = f"{np.log(prev[1] / err) / np.log(prev[0] / dt):.6g}"

@@ -20,15 +20,15 @@ linalg.propagate, and preserves trace because U is unitary: the chain
 is one step map repeated, like evolve's trajectories.  The chain needs
 only the d columns U |j, 00>.  H is listed once as three sandwiches and
 summed by linalg's one assembly into CollisionConfig.hamiltonian, the
-immutable config's one H.  linalg.dense_exp_is_cheaper and
-linalg.expm_action read one -iH, H's data times -i (exact), for one
-step.  The columns come from step_unitary, the dense exp(-iH) of that
-same H, or from expm_action, with no dense H built.  U comes from the
-increment, not from L', so the chain is independent evidence for L'.
-Trotter error per step is O(dt^2), so the reduced dynamics converges to
-exp(t L') at first order in dt.  The comparison runs at sigma = 0; a
-sigma shift is a system Hamiltonian term and has no collision
-counterpart in this scheme.
+immutable config's one H.  One linalg.exp_plan of -iH, H's data times
+-i (exact), for one step on d columns names the route: the columns come
+from step_unitary, the dense exp(-iH) of that same H, or from
+linalg.expm_action running that plan, with no dense H built.  U comes
+from the increment, not from L', so the chain is independent evidence
+for L'.  Trotter error per step is O(dt^2), so the reduced dynamics
+converges to exp(t L') at first order in dt.  The comparison runs at
+sigma = 0; a sigma shift is a system Hamiltonian term and has no
+collision counterpart in this scheme.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .lindblad import SystemModel, evolve, validate_density_matrix, validate_tra
 from .linalg import (
     SandwichSum,
     adjoint,
-    dense_exp_is_cheaper,
+    exp_plan,
     expm_action,
     mat_exp,
     negligible,
@@ -69,6 +69,10 @@ __all__ = [
 # Ancilla boundary occupation above this level triggers a truncation warning.
 BOUNDARY_TOL = 1e-3
 
+# The rounding allowance of a trace distance at unit trace: an error within it counts as
+# exact, with no order fitted to it, and an error may rise by it and stay monotone.
+ROUNDING_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class CollisionConfig:
@@ -83,7 +87,7 @@ class CollisionConfig:
     def __post_init__(self):
         noise, d = self.model.noise, self.model.dim
         validate_trajectory(self.dt, self.steps, d)
-        if not isinstance(self.cutoff, numbers.Integral):
+        if isinstance(self.cutoff, bool) or not isinstance(self.cutoff, numbers.Integral):
             raise DomainError(f"cutoff must be an integer, got {self.cutoff!r}")
         if self.cutoff < 2:
             raise DomainError(f"cutoff must be at least 2, got {self.cutoff}")
@@ -135,19 +139,19 @@ def step_unitary(config: CollisionConfig) -> np.ndarray:
 def _kraus_tensor(config: CollisionConfig) -> np.ndarray:
     """kraus[i, k, j] = <i, k| U |j, 0>, so that K_k = kraus[:, k, :].
 
-    From the dense step_unitary or from linalg.expm_action of -iH on the d
-    columns |j> (x) |00>, as linalg.dense_exp_is_cheaper picks for one step
-    of the same -iH, from config's H.  A non-finite tensor raises
-    OverflowError on either route.
+    One linalg.exp_plan of -iH, from config's H, for one step on the d columns
+    |j> (x) |00> names the route: the dense step_unitary, or linalg.expm_action
+    running that plan.  A non-finite tensor raises OverflowError on either route.
     """
     d, pair_dim = config.model.dim, config.cutoff**2
     h = config.hamiltonian
     generator = h._replace(data=-1j * h.data)  # -iH, exactly
-    if dense_exp_is_cheaper(generator, 1.0, 1, columns=d):
+    plan = exp_plan(generator, 1.0, 1, columns=d)
+    if plan.dense:
         return step_unitary(config).reshape(d, pair_dim, d, pair_dim)[:, :, :, 0]
     vacuum = np.zeros((d * pair_dim, d), dtype=complex)
     vacuum[np.arange(d) * pair_dim, np.arange(d)] = 1.0
-    columns = expm_action(generator, vacuum, "the Kraus operators", 1.0, 1)[1]
+    columns = expm_action(plan, vacuum, "the Kraus operators")[1]
     return columns.reshape(d, pair_dim, d)
 
 
@@ -224,9 +228,9 @@ def convergence_study(
     distance recorded; every evolve reads the model's one L', so the study
     assembles it once.  The step sizes must be distinct, and t_final / dt
     must round to at least one step.  The empirical order is the log-log
-    slope over the positive errors, None when fewer than two are positive;
-    an error rise beyond 10 percent plus 1e-12 of the unit trace (rounding)
-    is flagged as not monotone in the result, not fatal.
+    slope over the errors beyond ROUNDING_TOL, None when fewer than two are;
+    an error rise beyond 10 percent plus ROUNDING_TOL is flagged as not
+    monotone in the result, not fatal.
     """
     dts = [float(dt) for dt in dts]
     require_finite(t_final=t_final)
@@ -254,7 +258,7 @@ def convergence_study(
         approx = simulate(config, rho0)
         exact = evolve(model, rho0, config.dt, config.steps, method="expm")
         errors.append(float(trace_distance(approx, exact).max()))
-    fit = [(dt, err) for dt, err in zip(dts, errors) if err > 0]
+    fit = [(dt, err) for dt, err in zip(dts, errors) if not negligible(err, 1.0, ROUNDING_TOL)]
     slope = float(np.polyfit(*np.log(fit).T, 1)[0]) if len(fit) >= 2 else None
-    monotone = all(negligible(b - 1.1 * a, 1.0, 1e-12) for a, b in zip(errors, errors[1:]))
+    monotone = all(negligible(b - 1.1 * a, 1.0, ROUNDING_TOL) for a, b in zip(errors, errors[1:]))
     return CollisionResult(dts=dts, errors=errors, fitted_order=slope, monotone=monotone)

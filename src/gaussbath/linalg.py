@@ -24,14 +24,14 @@ require_finite_result is the one overflow rule for results: a computed
 array beyond the double range raises OverflowError "{what} is not
 finite" (exit 3), while non-finite input is a DomainError where it
 enters.  Each exponential exp(k step A), k <= count, of one assembled A
-(evolve's L', the collision's -iH) takes one dense Pade map (mat_exp)
-repeated by propagate, or expm_action: Al-Mohy & Higham's Taylor blocks
-in numpy around scipy.sparse's CSR matvec, with a work budget
-(MAX_MATVECS).  dense_exp_is_cheaper, the one route rule, reads the same
-(A, step, count); both take mu and ||A - mu I||_1 from _shifted and
-(m, s) from _taylor_plan, so the rule counts the plan the action runs.
-The rule and mat_exp are numpy alone, so only expm_action and
-SandwichSum.sparse load scipy.sparse.
+(evolve's L', the collision's -iH) has one ExpPlan, built once by
+exp_plan from (A, step, count): mu, ||A - mu I||_1, the Taylor (m, s)
+and the route, dense or not.  The dense route is one Pade map (mat_exp)
+repeated by propagate; the other is expm_action(plan, v, what), which
+runs that plan: Al-Mohy & Higham's Taylor blocks in numpy around
+scipy.sparse's CSR matvec, with a work budget (MAX_MATVECS).  exp_plan
+and mat_exp are numpy alone, so only expm_action and SandwichSum.sparse
+load scipy.sparse.
 """
 
 from __future__ import annotations
@@ -74,12 +74,13 @@ MAX_MATVECS = 10**6
 
 __all__ = [
     "DEFAULT_TOL",
+    "ExpPlan",
     "MAX_DENSE_DIM",
     "MAX_MATVECS",
     "SandwichSum",
     "adjoint",
-    "dense_exp_is_cheaper",
     "devectorize",
+    "exp_plan",
     "expm_action",
     "is_hermitian",
     "is_psd",
@@ -249,32 +250,77 @@ def _combine(coeffs, powers: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def expm_action(op: SandwichSum, v: np.ndarray, what: str, step: float, count: int) -> np.ndarray:
-    """The states exp(k step A) v, k = 0, ..., count, of the n x n op A, by sparse matvecs.
+class ExpPlan(NamedTuple):
+    """The one plan of exp(k step A), k <= count: the route (dense or expm_action), A - mu I
+    without its zero entries, mu = tr(A)/n, ||A - mu I||_1 and s blocks of m Taylor terms."""
 
-    Al-Mohy & Higham (2011), Algorithms 3.2 and 5.2, in numpy around the CSR matvec of
-    A - mu I, with the exact mu and norm of _shifted in place of their estimates, so no
-    random number is drawn and (m, s) is the plan dense_exp_is_cheaper counts.  s blocks
-    of width w cut [0, count step]; each forms K_p = (w (A - mu I))^p / p! z once, z its
-    first state, on all columns of v: up to m matvecs, stopped by the paper's test at the
-    block's full width.  A time t = (i + tau) w in block i takes sum_p tau^p K_p
-    e^{mu tau w}, so the matvecs do not depend on count.  More than MAX_MATVECS matvecs
-    raise DomainError before the first one.  A step count beyond 2^53, which includes a
-    norm beyond the double range, and a non-finite result raise OverflowError
-    "expm_multiply overflow: {what} is not finite".
+    dense: bool
+    shifted: SandwichSum
+    mu: complex
+    norm: float
+    m: float
+    s: float
+    step: float
+    count: int
+
+
+def exp_plan(op: SandwichSum, step: float, count: int, columns: int = 1) -> ExpPlan:
+    """The plan of exp(k step A) on columns vectors, k <= count, A the n x n op as assembled.
+
+    mu and the norm are exact, each column summed down its rows as the CSR matvec meets
+    them.  (m, s) minimizes m s, s = ceil(count step norm / theta_m) >= 1 (Al-Mohy & Higham
+    2011), and is not finite where the norm is not.  Dense: (6 + s') n^3, s' squarings to
+    ||step A||_1 <= theta_13, plus n^2 per step and column, against 1 + m s matvecs of nnz
+    columns + MATVEC_OVERHEAD; it needs the require_dense budget and a finite norm.
+    """
+    n = op.shape[0]
+    diagonal = np.arange(n) * (n + 1)
+    new = diagonal[np.append(op.keys, -1)[np.searchsorted(op.keys, diagonal)] != diagonal]
+    keys = np.concatenate([op.keys, new])  # with the diagonal keys A does not store
+    order = np.argsort(keys, kind="stable")
+    keys, data = keys[order], np.concatenate([op.data, np.zeros(new.size)])[order]
+    on = np.searchsorted(keys, diagonal)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mu = data[on].sum() / n
+        data[on] -= mu
+        norm = np.bincount(keys // n, np.abs(data), n).max()
+        blocks = np.maximum(np.ceil(step * count * norm / _THETA_M), 1.0)
+        best = np.argmin(_TAYLOR_M * blocks)
+        m, s = float(_TAYLOR_M[best]), blocks[best]
+        squarings = max(0.0, np.ceil(np.log2(step * norm / _PADE_THETA[13])))
+        dense = (6.0 + squarings) * n**3 + count * n * n * columns
+        krylov = (1.0 + m * s) * (op.keys.size * columns + MATVEC_OVERHEAD)
+    dense = bool(np.isfinite(norm) and n * n <= MAX_DENSE_DIM**2 and dense <= krylov)
+    kept = data != 0
+    shifted = SandwichSum(keys[kept], data[kept], op.shape)
+    shifted.keys.flags.writeable = shifted.data.flags.writeable = False
+    return ExpPlan(dense, shifted, mu, norm, m, s, step, count)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def expm_action(plan: ExpPlan, v: np.ndarray, what: str) -> np.ndarray:
+    """The states exp(k step A) v, k = 0, ..., count, of exp_plan's A, by sparse matvecs.
+
+    Al-Mohy & Higham (2011), Algorithms 3.2 and 5.2, on the plan's (m, s) and its exact mu
+    and norm, so no random number is drawn, in numpy around the CSR matvec of A - mu I.
+    s blocks of width w cut [0, count step]; each forms K_p = (w (A - mu I))^p / p! z once,
+    z its first state, on all columns of v: up to m matvecs, stopped by the paper's test.
+    A time t = (i + tau) w in block i takes sum_p tau^p K_p e^{mu tau w}, so the matvecs
+    do not depend on count.  More than MAX_MATVECS matvecs raise DomainError before the
+    first one.  A step count beyond 2^53, which includes a norm beyond the double range,
+    and a non-finite result raise OverflowError "expm_multiply overflow: {what} is not
+    finite".
     """
     import scipy.sparse
 
-    shifted, mu, norm = _shifted(op)
-    a = scipy.sparse.csr_array(shifted.sparse())
-    times = np.linspace(0.0, count * step, count + 1)[1:]
+    a = scipy.sparse.csr_array(plan.shifted.sparse())
+    count, mu, m, s = plan.count, plan.mu, plan.m, plan.s
+    times = np.linspace(0.0, count * plan.step, count + 1)[1:]
     overflow = f"expm_multiply overflow: {what}"
-    m, s = _taylor_plan(norm, times[-1])
     if not m * s <= 2.0**53:
         raise OverflowError(f"{overflow} is not finite")
     if m * s > MAX_MATVECS:
-        raise DomainError(f"{what} at t ||A||_1 = {times[-1] * norm:.6g} breaks m s = "
+        raise DomainError(f"{what} at t ||A||_1 = {times[-1] * plan.norm:.6g} breaks m s = "
                           f"{m * s:.0f} matvecs <= {MAX_MATVECS}, the work budget")
     m, s = int(m), int(s)
     width, tol = times[-1] / s, 2.0**-53
@@ -315,57 +361,6 @@ def expm_action(op: SandwichSum, v: np.ndarray, what: str, step: float, count: i
     return require_finite_result(out, overflow)
 
 
-def _shifted(op: SandwichSum) -> tuple[SandwichSum, complex, float]:
-    """(A - mu I without its zero entries, mu = tr(A)/n, ||A - mu I||_1) of the n x n op.
-
-    The one plan of an exponential: the route rule and expm_action read this norm.  Each
-    column sums down its rows, as the CSR matvec meets them.  The caller sets np.errstate.
-    """
-    n = op.shape[0]
-    diagonal = np.arange(n) * (n + 1)
-    new = diagonal[np.append(op.keys, -1)[np.searchsorted(op.keys, diagonal)] != diagonal]
-    keys = np.concatenate([op.keys, new])  # with the diagonal keys A does not store
-    order = np.argsort(keys, kind="stable")
-    keys, data = keys[order], np.concatenate([op.data, np.zeros(new.size)])[order]
-    on = np.searchsorted(keys, diagonal)
-    mu = data[on].sum() / n
-    data[on] -= mu
-    norm = np.bincount(keys // n, np.abs(data), n).max()
-    kept = data != 0
-    return SandwichSum(keys[kept], data[kept], op.shape), mu, norm
-
-
-def _taylor_plan(norm: float, span: float) -> tuple[float, float]:
-    """(m, s): s blocks of m Taylor terms for exp(span A), ||A||_1 = norm, m s least.
-
-    s = ceil(span norm / theta_m), at least 1, keeps each block within theta_m
-    (Al-Mohy & Higham 2011, with the exact norm).  Not finite where the norm
-    is not; the caller sets np.errstate.
-    """
-    blocks = np.maximum(np.ceil(span * norm / _THETA_M), 1.0)
-    best = np.argmin(_TAYLOR_M * blocks)
-    return float(_TAYLOR_M[best]), blocks[best]
-
-
-def dense_exp_is_cheaper(op: SandwichSum, step: float, count: int, columns: int = 1) -> bool:
-    """Whether one dense map beats expm_action(op, v, what, step, count) on columns vectors.
-
-    A is the n x n sandwich_sum op, read as assembled, and ||A||_1 is its shifted norm
-    from _shifted.  Dense: (6 + s) n^3 for the one map, s squarings to mat_exp's
-    ||step A||_1 <= theta_13, and n^2 per step and column.  expm_action: 1 + m s matvecs
-    of nnz columns + MATVEC_OVERHEAD, with the (m, s) that expm_action runs, however
-    many steps.  Dense needs the require_dense budget and a finite norm; the sparse
-    route names overflow.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        n, norm = op.shape[0], _shifted(op)[2]
-        squarings = max(0.0, np.ceil(np.log2(step * norm / _PADE_THETA[13])))
-        dense = (6.0 + squarings) * n**3 + count * n * n * columns
-        m, blocks = _taylor_plan(norm, step * count)
-        krylov = (1.0 + m * blocks) * (op.keys.size * columns + MATVEC_OVERHEAD)
-    return bool(np.isfinite(norm) and n * n <= MAX_DENSE_DIM**2 and dense <= krylov)
-
-
 def mat_sqrt_psd(a: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Hermitian PSD square root of a matrix that psd_eigh accepts at scale."""
     evals, vecs = psd_eigh(a, scale, name="mat_sqrt_psd argument")
@@ -396,7 +391,8 @@ def sandwich_triplets(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 class SandwichSum(NamedTuple):
-    """A sum of sandwiches as assembled: column-major keys of its nonzeros, their data, shape."""
+    """A sum of sandwiches as assembled: column-major keys of the entries some sandwich
+    fills (an exact cancellation stays, with data 0), their data, shape."""
 
     keys: np.ndarray
     data: np.ndarray

@@ -24,8 +24,8 @@ trace functional, certified by a condition estimate; the dense SVD of that
 L' decides only when that certificate fails.
 A trajectory is (dt, steps): one step map applied steps times, checked
 by validate_trajectory for evolve and the collision chain alike.
-evolve's "expm" takes the dense map exp(dt L') or one linalg.expm_action
-call on L', as linalg.dense_exp_is_cheaper picks from the same plan.  The
+evolve's "expm" builds one linalg.exp_plan of L' and takes the route it
+names: the dense map exp(dt L') or one linalg.expm_action call on it.  The
 independent evidence for L is the Ito-closure test, which rebuilds L(X)
 column by column as the dt part of dU+ X + X dU + dU+ X dU from the
 Gaussian Ito table in noise.
@@ -52,8 +52,8 @@ from .linalg import (
     MAX_DENSE_DIM,
     SandwichSum,
     adjoint,
-    dense_exp_is_cheaper,
     devectorize,
+    exp_plan,
     expm_action,
     is_hermitian,
     is_psd,
@@ -139,7 +139,7 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
 def validate_trajectory(dt: float, steps: int, dim: int) -> None:
     """DomainError unless steps >= 1 is an integer, dt > 0 is finite and (steps + 1) d x d
     states fit the dense budget: the one check of a trajectory, evolve's or the chain's."""
-    if not isinstance(steps, numbers.Integral):
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
         raise DomainError(f"steps must be an integer, got {steps!r}")
     require_finite(dt=dt)
     if dt <= 0:
@@ -286,11 +286,10 @@ def evolve(
     """The (steps + 1, d, d) states exp(k dt L') rho0, k = 0, ..., steps.
 
     validate_trajectory checks (dt, steps), so the trajectory is one map
-    repeated.  L' is the model's one assembly, read by the route rule and
-    the route it picks.  "expm" takes the route linalg.dense_exp_is_cheaper
-    picks for L', dt and steps: the map exp(dt L') applied by
-    linalg.propagate, or expm_action(L', rho0, dt, steps), one call on the
-    plan the rule counted, a DomainError beyond its work budget (MAX_MATVECS).
+    repeated.  L' is the model's one assembly.  "expm" builds one
+    linalg.exp_plan(L', dt, steps) and takes the route it names: the map
+    exp(dt L') applied by linalg.propagate, or expm_action(plan, rho0), one
+    call that runs the plan, a DomainError beyond its work budget (MAX_MATVECS).
     A non-finite state raises OverflowError on either route, as does dt L'
     or an RK4 substep count beyond the double range.  "rk4" takes nsub
     equal substeps h <= min(dt/20, 0.01/scale), scale = gamma (2n+1+2|m|)
@@ -313,8 +312,8 @@ def evolve(
         require_dense(d**4, f"method 'rk4' at d = {d} (d^2 = {d * d})", "(d^2)^2",
                       "; use --method expm")
     liouv = model.form.liouvillian
-    if method == "expm" and not dense_exp_is_cheaper(liouv, dt, steps):
-        return devectorize(expm_action(liouv, vectorize(rho0), "the trajectory", dt, steps), d)
+    if method == "expm" and not (plan := exp_plan(liouv, dt, steps)).dense:
+        return devectorize(expm_action(plan, vectorize(rho0), "the trajectory"), d)
     rk4_step = _rk4_default_step(model, dt) if method == "rk4" else np.inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # expm: one substep
         nsub = max(1, ceil(require_finite_result(

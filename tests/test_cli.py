@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 from gaussbath import cli, collision, lindblad
 from gaussbath.cli import _pairs_json, _report_json, main
-from gaussbath.linalg import vectorize
+from gaussbath.linalg import exp_plan, vectorize
 from gaussbath.lindblad import SystemModel, gks_decompose, schrodinger_liouvillian
 from gaussbath.noise import NoiseParams
 
@@ -340,8 +340,14 @@ def test_oracle_rejects_a_cutoff_beyond_the_step_budget(tmp_path, capsys):
     assert "cutoff 1000" in err and "d = 2" in err
 
 
-@pytest.mark.parametrize("c", [SM, Z2], ids=["C=sigma_minus", "C=0"])
-def test_oracle_csv_matches_csv_writer(tmp_path, capsys, monkeypatch, c):
+# C = 1 with F = sigma_z: the chain is exact, so every error is rounding (about 1e-15).
+@pytest.mark.parametrize("model, dt_list, cutoff", [
+    ({"C": SM}, "0.1,0.05,0.04", "3"),
+    ({"C": Z2}, "0.1,0.05,0.04", "3"),
+    ({"C": [[[1.0, 0.0], Z2[0][0]], [Z2[0][0], [1.0, 0.0]]],
+      "F": [[[1.0, 0.0], Z2[0][0]], [Z2[0][0], [-1.0, 0.0]]], "n": 0.5}, "0.04,0.02,0.01", "5"),
+], ids=["C=sigma_minus", "C=0", "C=1-exact"])
+def test_oracle_csv_matches_csv_writer(tmp_path, capsys, monkeypatch, model, dt_list, cutoff):
     results = []
 
     def study(*args):
@@ -349,11 +355,10 @@ def test_oracle_csv_matches_csv_writer(tmp_path, capsys, monkeypatch, c):
         return results[-1]
 
     monkeypatch.setattr(cli, "convergence_study", study)
-    model = qubit_model_file(tmp_path, C=c)
-    assert main(["oracle", "--model", model, "--t-final", "0.4",
-                 "--dt-list", "0.1,0.05,0.04", "--cutoff", "3"]) == 0
+    assert main(["oracle", "--model", qubit_model_file(tmp_path, **model), "--t-final", "0.4",
+                 "--dt-list", dt_list, "--cutoff", cutoff]) == 0
     (result,) = results
-    assert (result.fitted_order is None) == (c is Z2)
+    assert (result.fitted_order is None) == (model["C"] is not SM)
 
     # The csv.writer rows that the direct writer replaced.
     buf = io.StringIO()
@@ -362,7 +367,7 @@ def test_oracle_csv_matches_csv_writer(tmp_path, capsys, monkeypatch, c):
     fitted = "" if result.fitted_order is None else f"{result.fitted_order:.6g}"
     prev = None
     for dt, err in zip(result.dts, result.errors):
-        if prev is None or err == 0 or prev[1] == 0:
+        if prev is None or min(err, prev[1]) <= collision.ROUNDING_TOL:
             order = ""
         else:
             order = f"{np.log(prev[1] / err) / np.log(prev[0] / dt):.6g}"
@@ -456,7 +461,8 @@ def test_overflowing_generator_is_numerical_exit_code(tmp_path, capsys, monkeypa
     f = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     path = qubit_model_file(tmp_path, C=c, F=f, **OVERFLOWING[model])
     if command == "evolve-krylov":  # the sparse route of evolve --method expm
-        monkeypatch.setattr(lindblad, "dense_exp_is_cheaper", lambda *args, **kwargs: False)
+        monkeypatch.setattr(lindblad, "exp_plan",
+                            lambda *a, **k: exp_plan(*a, **k)._replace(dense=False))
         command = "evolve"
     argv = [command, "--model", path]
     if command == "evolve":

@@ -34,7 +34,7 @@ from gaussbath.lindblad import SystemModel, evolve
 from gaussbath.linalg import (
     MAX_DENSE_DIM,
     adjoint,
-    dense_exp_is_cheaper,
+    exp_plan,
     is_unitary,
     partial_trace,
     sandwich_sum,
@@ -79,7 +79,8 @@ def test_config_validation():
     with pytest.raises(DomainError, match="steps"):  # a numpy count must not wrap the product
         CollisionConfig(model=model, dt=1e-6, steps=np.int64(2**62), cutoff=3)
     # Sizes are integers, numpy's included; a float fails here, not in simulate.
-    for name, bad in (("steps", 2.5), ("steps", 3.0), ("cutoff", 4.5)):
+    for name, bad in (("steps", 2.5), ("steps", 3.0), ("steps", True), ("cutoff", 4.5),
+                      ("cutoff", True)):
         with pytest.raises(DomainError, match=f"{name} must be an integer, got {bad}"):
             CollisionConfig(model=model, dt=0.1, **{"steps": 2, "cutoff": 3, name: bad})
     config = CollisionConfig(model=model, dt=0.1, steps=np.int32(2), cutoff=np.int64(3))
@@ -88,6 +89,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("dt, steps, message", [
     (0.1, 2.5, "steps must be an integer, got 2.5"),
+    (0.1, True, "steps must be an integer, got True"),
     (0.1, 0, "steps must be at least 1, got 0"),
     (0.0, 2, "dt must be positive, got 0.0"),
     (-0.1, 2, "dt must be positive, got -0.1"),
@@ -95,8 +97,8 @@ def test_config_validation():
     (np.nan, 2, "dt must be finite, got nan"),
     (1e-6, MAX_DENSE_DIM**2 // 4, "1.04858e+06 steps of dt = 1e-06 (t_final = 1.04858) at d = 2 "
                                   "breaks (steps + 1) * d^2 <= 4194304"),
-], ids=["fractional-steps", "zero-steps", "zero-dt", "negative-dt", "infinite-dt", "nan-dt",
-        "over-budget"])
+], ids=["fractional-steps", "bool-steps", "zero-steps", "zero-dt", "negative-dt", "infinite-dt",
+        "nan-dt", "over-budget"])
 def test_evolve_and_the_chain_share_one_trajectory_check(dt, steps, message):
     model, rho0 = qubit_model(), np.diag([0.5, 0.5]).astype(complex)
     with pytest.raises(DomainError) as chain:
@@ -304,8 +306,9 @@ def step_configs(draw, kind):
 
 
 def step_channel_on_route(route, config):
-    """_step_channel with the route rule fixed so that its Kraus operators take route."""
-    with mock.patch.object(collision, "dense_exp_is_cheaper", lambda *a, **k: route == "dense"):
+    """_step_channel with the plan's route fixed so that its Kraus operators take route."""
+    with mock.patch.object(collision, "exp_plan",
+                           lambda *a, **k: exp_plan(*a, **k)._replace(dense=route == "dense")):
         return _step_channel(config)
 
 
@@ -333,7 +336,7 @@ def test_the_rule_chooses_the_step_route(monkeypatch):
     at, above = config(2), config(4)  # step spaces d cutoff^2 = 50 (dense) and 100 (Krylov)
     for c, dense in ((at, True), (above, False)):
         pairs = collision._step_sandwiches(c)
-        assert dense_exp_is_cheaper(sandwich_sum(pairs, "H"), 1.0, 1, c.model.dim) is dense
+        assert exp_plan(sandwich_sum(pairs, "H"), 1.0, 1, c.model.dim).dense is dense
     with monkeypatch.context() as patch:
         patch.setattr(collision, "expm_action", fail("krylov"))
         _step_channel(at)
@@ -493,7 +496,7 @@ def test_krylov_step_channel_builds_no_dense_step_hamiltonian():
     a = ladder(d)
     model = SystemModel(C=a, F=adjoint(a) @ a, noise=NoiseParams(gamma=1.0, n=0.1))
     config = CollisionConfig(model=model, dt=0.04, steps=1, cutoff=cutoff)
-    assert not dense_exp_is_cheaper(sandwich_sum(collision._step_sandwiches(config), "H"), 1.0, 1, d)
+    assert not exp_plan(sandwich_sum(collision._step_sandwiches(config), "H"), 1.0, 1, d).dense
     _step_channel(config)  # imports and first-call set-up stay out of the measurement
     tracemalloc.start()
     try:

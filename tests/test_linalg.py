@@ -23,8 +23,8 @@ from gaussbath.collision import CollisionConfig, _step_channel, _step_sandwiches
 from gaussbath.errors import DimensionError, DomainError
 from gaussbath.linalg import (
     adjoint,
-    dense_exp_is_cheaper,
     devectorize,
+    exp_plan,
     expm_action,
     is_hermitian,
     is_psd,
@@ -367,8 +367,8 @@ def test_expm_action_is_reproducible_and_leaves_the_global_stream(rng, monkeypat
     with monkeypatch.context() as patch:
         for name in ("get_state", "set_state", "seed"):
             patch.setattr(np.random, name, fail)
-        answers = [expm_action(liouv, v, "the test state", t, 1)[1] for _ in range(2)]
-        grid = expm_action(liouv, v, "the test state", t / 2, 2)
+        answers = [expm_action(exp_plan(liouv, t, 1), v, "the test state")[1] for _ in range(2)]
+        grid = expm_action(exp_plan(liouv, t / 2, 2), v, "the test state")
     _, keys_after, pos_after, *_ = np.random.get_state()
     assert np.array_equal(keys_after, keys) and pos_after == pos
     assert np.array_equal(answers[0], answers[1])
@@ -390,7 +390,7 @@ def test_expm_action_names_a_norm_beyond_the_double_range(scale):
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match="^expm_multiply overflow: the test state is not "
                            "finite$"):
-            expm_action(liouv, v, "the test state", 1.0, 1)
+            expm_action(exp_plan(liouv, 1.0, 1), v, "the test state")
 
 
 @st.composite
@@ -432,15 +432,12 @@ def action_cases(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(case=action_cases())
 def test_expm_action_matches_expm_multiply(case):
-    import scipy.sparse
     from scipy.sparse.linalg import expm_multiply
 
     op, v, step, count, regime = case
-    a = op.sparse()
-    shifted = a - a.trace() / a.shape[0] * scipy.sparse.eye_array(a.shape[0])
-    m, blocks = linalg._taylor_plan(abs(shifted).sum(axis=0).max(), count * step)
+    a, plan = op.sparse(), exp_plan(op, step, count)
     if regime != "single":
-        assume((count < blocks) == (regime == "few"))
+        assume((count < plan.s) == (regime == "few"))
     state = np.random.get_state()  # scipy's norm estimates draw from numpy's global stream
     try:
         if regime == "single":
@@ -450,7 +447,7 @@ def test_expm_action_matches_expm_multiply(case):
                                  endpoint=True)
     finally:
         np.random.set_state(state)
-    got = expm_action(op, v, "the test state", step, count)
+    got = expm_action(plan, v, "the test state")
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -520,7 +517,7 @@ def test_the_route_rule_picks_the_cheaper_route(case, tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if dense is not None:
-            assert dense_exp_is_cheaper(assemble(), step, count, columns) is dense
+            assert exp_plan(assemble(), step, count, columns).dense is dense
             return
         with pytest.raises(OverflowError, match="^the sum is not finite$"):
             assemble()
@@ -536,7 +533,7 @@ def test_the_route_rule_picks_the_cheaper_route(case, tmp_path, capsys):
         "", "gaussbath: numerical error: generator overflow: the Heisenberg generator is not finite\n")
 
 
-def test_the_rule_counts_the_plan_that_expm_action_runs(monkeypatch, rng):
+def test_the_rule_counts_the_plan_that_expm_action_runs(rng):
     # A squeezed-bath model with random C and F whose ||L' - mu I||_1, summed as
     # |column| + |a_jj - mu| - |a_jj|, rounds one ulp above the sum down the shifted
     # column; at this span m = 22 or 23 hangs on that last bit.
@@ -549,19 +546,22 @@ def test_the_rule_counts_the_plan_that_expm_action_runs(monkeypatch, rng):
     for op in (liouv, h, h._replace(data=-1j * h.data)):
         a = op.dense()
         mu, eye = np.trace(a) / a.shape[0], np.eye(a.shape[0])
-        shifted, got_mu, norm = linalg._shifted(op)
-        assert got_mu == mu
-        assert norm == np.abs(a - mu * eye).sum(axis=0).max()
-        assert np.array_equal(shifted.dense(), a - mu * eye) and np.all(shifted.data != 0)
-    norm = linalg._shifted(liouv)[2]
-    assert linalg._taylor_plan(norm * (1 - 2**-51), span) == (22, 1)
-    assert linalg._taylor_plan(norm * (1 + 2**-51), span) == (23, 1)
-    plans, plan = [], linalg._taylor_plan
-    monkeypatch.setattr(linalg, "_taylor_plan",
-                        lambda *args: plans.append(plan(*args)) or plans[-1])
-    dense_exp_is_cheaper(liouv, span, 1)
-    expm_action(liouv, vectorize(random_density(rng, 3)), "the test state", span, 1)
-    assert plans == [plan(norm, span)] * 2
+        plan = exp_plan(op, span, 1)
+        assert plan.mu == mu
+        assert plan.norm == np.abs(a - mu * eye).sum(axis=0).max()
+        assert np.array_equal(plan.shifted.dense(), a - mu * eye)
+        assert np.all(plan.shifted.data != 0)
+    plan = exp_plan(liouv, span, 1)
+    assert (plan.m, plan.s, plan.step, plan.count) == (22, 1, span, 1)
+    assert exp_plan(liouv, np.nextafter(span, np.inf), 1)[4:6] == (23, 1)
+    # The action runs the plan it is given: cut to one Taylor term it returns
+    # e^{mu span} (I + span (L' - mu I)) v, so it plans nothing of its own.
+    v = vectorize(random_density(rng, 3))
+    want = np.exp(plan.mu * span) * (v + span * plan.shifted.dense() @ v)
+    got = expm_action(plan._replace(m=1.0), v, "the test state")[1]
+    assert np.max(np.abs(got - want)) <= 1e-15
+    full = expm_action(plan, v, "the test state")[1]
+    assert np.max(np.abs(full - mat_exp(span * liouv.dense()) @ v)) <= 1e-14
 
 
 def test_theta_table_is_scipys():
@@ -607,7 +607,7 @@ def test_sandwich_sums_beyond_the_double_range_overflow(view):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """The names of the calls into sandwich_sum, mat_exp and expm_action, in call order.
+    """The names of the calls into sandwich_sum, exp_plan, mat_exp and expm_action, in order.
 
     Each is rebound in every gaussbath module that holds it, as perfbench's tracer
     rebinds what it traces: a from-import copies the reference.
@@ -620,7 +620,7 @@ def calls(monkeypatch):
             return original(*args, **kwargs)
         return record
 
-    for name in ("sandwich_sum", "mat_exp", "expm_action"):
+    for name in ("sandwich_sum", "exp_plan", "mat_exp", "expm_action"):
         original, holders = getattr(linalg, name), []
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "gaussbath":
@@ -628,7 +628,7 @@ def calls(monkeypatch):
                     if value is original:
                         monkeypatch.setattr(module, attr, recording(name, original))
                         holders.append(module_name)
-        if name == "sandwich_sum":
+        if name in ("sandwich_sum", "exp_plan"):
             assert {"gaussbath.lindblad", "gaussbath.collision"} <= set(holders), holders
     return log
 
@@ -654,33 +654,37 @@ def test_one_assembly_per_exponential(calls, monkeypatch, tmp_path, capsys):
         raise RuntimeError("Factor is exactly singular")
 
     # The ROUTES cases evolve-expm/d4 (dense), d19-t10 (Krylov), step-space-50 (dense)
-    # and step-space-100 (Krylov): the rule reads the operator that its route then uses.
+    # and step-space-100 (Krylov): one plan of the operator, then the route it names.
+    # expm_action runs the plan and builds none, so each exponential has one exp_plan.
     runs = {
         "evolve, dense": (lambda: evolve(oscillator(4, **BENCH_BATH), ground(4), 0.05, 100),
-                          ["sandwich_sum", "mat_exp"]),
+                          ["sandwich_sum", "exp_plan", "mat_exp"]),
         "evolve, Krylov": (lambda: evolve(oscillator(19, n=0.5), ground(19), 1.0, 10),
-                           ["sandwich_sum", "expm_action"]),
+                           ["sandwich_sum", "exp_plan", "expm_action"]),
         "evolve, RK4": (lambda: evolve(oscillator(4, **BENCH_BATH), ground(4), 0.05, 100,
                                        method="rk4"), ["sandwich_sum"]),
         "step, Krylov": (lambda: _step_channel(step_config(4, 5)),
-                         ["sandwich_sum", "expm_action"]),
-        "step, dense": (lambda: _step_channel(step_config(2, 5)), ["sandwich_sum", "mat_exp"]),
+                         ["sandwich_sum", "exp_plan", "expm_action"]),
+        "step, dense": (lambda: _step_channel(step_config(2, 5)),
+                        ["sandwich_sum", "exp_plan", "mat_exp"]),
     }
     for name, (run, want) in runs.items():
         calls.clear()
         run()
         assert calls == want, name
     # Whole commands: steady's residual and generator's two fields read the model's one L';
-    # the oracle assembles L' once for the study and H once per dt, each read by both routes.
+    # the oracle assembles L' once for the study and H once per dt, and plans each
+    # exponential once.
     thermal = oscillator_file(tmp_path / "thermal.json", 4, n=0.5)
     squeezed = oscillator_file(tmp_path / "squeezed.json", 2, n=0.5, m_re=0.2)
-    step = ["sandwich_sum", "mat_exp"]
+    exp = ["exp_plan", "mat_exp"]
+    step = ["sandwich_sum", *exp]
     commands = {
         "steady": (["steady", "--model", thermal], ["sandwich_sum"]),
         "generator": (["generator", "--model", squeezed], ["sandwich_sum"]),
         "oracle": (["oracle", "--model", oscillator_file(tmp_path / "pair.json", 2, n=0.5),
                     "--cutoff", "5", "--dt-list", "0.04,0.02,0.01", "--t-final", "0.5"],
-                   step + step + step + ["mat_exp"] + step + ["mat_exp"]),
+                   step + step + step + exp + step + exp),
     }
     for name, (argv, want) in commands.items():
         calls.clear()

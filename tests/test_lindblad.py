@@ -33,8 +33,8 @@ from gaussbath.errors import (
 from gaussbath.linalg import (
     MAX_DENSE_DIM,
     adjoint,
-    dense_exp_is_cheaper,
     devectorize,
+    exp_plan,
     expm_action,
     mat_exp,
     operator_norm,
@@ -232,15 +232,15 @@ def test_the_owners_are_immutable(rng, monkeypatch):
     liouv, read = form.liouvillian, []
     for view in ("dense", "sparse"):
         monkeypatch.setattr(linalg.SandwichSum, view, reading(getattr(linalg.SandwichSum, view)))
-    monkeypatch.setattr(lindblad, "expm_action", reading(expm_action))
+    monkeypatch.setattr(lindblad, "exp_plan", reading(exp_plan))
     monkeypatch.setattr(lindblad, "gks_decompose", fail)
     monkeypatch.setattr(lindblad, "sandwich_sum", fail)
     evolve_on_route("dense", model, random_density(rng, 3), 0.1, 3)
     evolve_on_route("krylov", model, random_density(rng, 3), 0.1, 3)
     steady_state(model)
-    # The dense map, expm_action and the LU read L'; the third read is expm_action's own
-    # sparse view of L' - mu I.
-    assert [op is liouv for op in read] == [True, True, False, True]
+    # The two plans, the dense map and the LU read L'; the fourth read is expm_action's
+    # sparse view of the plan's L' - mu I.
+    assert [op is liouv for op in read] == [True, True, True, False, True]
     assert model.form is form and form.liouvillian is liouv
 
 
@@ -551,8 +551,10 @@ def trajectory_cases(draw, kind):
 
 
 def evolve_on_route(route, *args, **kwargs):
-    """evolve with the route rule fixed so that "expm" takes route."""
-    with mock.patch.object(lindblad, "dense_exp_is_cheaper", lambda *a, **k: route == "dense"):
+    """evolve with the plan's route fixed so that "expm" takes route."""
+    plan = lindblad.exp_plan  # the real one, or a test's wrapper of it
+    with mock.patch.object(lindblad, "exp_plan",
+                           lambda *a, **k: plan(*a, **k)._replace(dense=route == "dense")):
         return evolve(*args, **kwargs)
 
 
@@ -570,9 +572,9 @@ def test_krylov_route_matches_dense_expm(kind, data):
 def test_krylov_route_calls_expm_multiply_once_per_run(rng, monkeypatch):
     calls = []
 
-    def counting(op, v, what, step, count):
-        calls.append(count)
-        return expm_action(op, v, what, step, count)
+    def counting(plan, v, what):
+        calls.append(plan.count)
+        return expm_action(plan, v, what)
 
     monkeypatch.setattr(lindblad, "expm_action", counting)
     model, rho0 = random_model(rng, 3), random_density(rng, 3)
@@ -624,8 +626,8 @@ def test_evolve_on_the_krylov_route_never_builds_a_dense_map(monkeypatch):
     grid = np.linspace(0.0, 2.0, 11)
     # The rule sends this trajectory to Krylov and the same one stretched 1000-fold to dense.
     liouv = gks_decompose(model).liouvillian
-    assert not dense_exp_is_cheaper(liouv, 0.2, 10)
-    assert dense_exp_is_cheaper(liouv, 200.0, 10)
+    assert not exp_plan(liouv, 0.2, 10).dense
+    assert exp_plan(liouv, 200.0, 10).dense
     monkeypatch.setattr(linalg.SandwichSum, "dense", fail)
     monkeypatch.setattr(lindblad, "mat_exp", fail)
     _, keys, pos, *_ = np.random.get_state()
