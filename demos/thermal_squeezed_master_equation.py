@@ -17,6 +17,7 @@ from gaussbath import (
     schrodinger_liouvillian,
     steady_state,
 )
+from gaussbath.noise import is_gaussian_state
 
 np.set_printoptions(precision=5, suppress=True)
 
@@ -31,9 +32,9 @@ def qubit(n, m, gamma=1.0):
 print("Kossakowski spectrum while m sweeps through the boundary (n = 1, gamma = 1)")
 limit = np.sqrt(2.0)
 for scale in (0.0, 0.5, 0.9, 1.0, 1.1):
-    form = gks_decompose(qubit(1.0, scale * limit))
-    lo, hi = form.kossakowski_eigenvalues()
-    tag = "CP" if form.is_cp(tol=1e-9) else "NOT completely positive"
+    model = qubit(1.0, scale * limit)
+    lo, hi = gks_decompose(model).kossakowski_eigenvalues()
+    tag = "CP" if is_gaussian_state(model.noise.n, model.noise.m) else "NOT completely positive"
     print("  |m| = %.3f sqrt(2):  eigenvalues (%+.4f, %.4f)   %s" % (scale, lo, hi, tag))
 
 print("\nthermal steady states (excited population -> n / (2n+1))")

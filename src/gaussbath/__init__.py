@@ -60,7 +60,6 @@ from .linalg import (
     operator_norm,
     partial_trace,
     propagate,
-    sandwich,
     vectorize,
 )
 from .noise import (

@@ -22,8 +22,8 @@ raises OverflowError naming its field, so no report holds NaN or
 Infinity.  Time series are CSV from one writer, ``_write_csv``: a
 header and pre-formatted lines joined with commas, each ended with
 CRLF, which is what csv.writer writes for cells that need no quoting.
-The state columns of ``evolve`` are the Hermitian part (rho + rho^dagger)/2
-of each computed state, equal to it bit for bit where it is Hermitian.
+The state columns of ``evolve`` are linalg.hermitian_part of each computed
+state, equal to it bit for bit where it is Hermitian.
 Each of its d^2 real parameters is formatted once, so mirrored cells
 are exact: rho_j_i_re is the string of rho_i_j_re, rho_j_i_im that of
 rho_i_j_im with its sign flipped, and every rho_k_k_im cell is 0.
@@ -46,9 +46,9 @@ from .collision import ROUNDING_TOL, convergence_study
 from .doubling import scalar_split, split_residuals
 from .errors import FormatError, GaussBathError
 from .lindblad import SystemModel, evolve, steady_state
-from .linalg import DEFAULT_TOL, adjoint, negligible, require_finite_result, vectorize
+from .linalg import adjoint, hermitian_part, negligible, require_finite_result, vectorize
 from .noise import (BLOCK_KEYS, NORMAL_ORDERED, TIME_ORDERED, ItoCoefficients, NoiseParams,
-                    unitarity_defect)
+                    is_gaussian_state, unitarity_defect)
 from .wick import normal_to_time, time_to_normal
 
 
@@ -212,21 +212,6 @@ def _write_csv(header: list, lines: list, out: str | None) -> None:
     _write_text("\r\n".join([",".join(header), *lines, ""]), out)
 
 
-def _hermitian_part(states: np.ndarray) -> np.ndarray:
-    """(rho + rho^dagger) / 2 of each state, bit for bit rho where rho is Hermitian.
-
-    Each part is summed, then halved, so subnormal entries keep their
-    last bit; where a sum overflows, the halves are summed instead.
-    """
-    h = np.empty_like(states)
-    adj = states.transpose(0, 2, 1)
-    for out, a, b in ((h.real, states.real, adj.real), (h.imag, states.imag, -adj.imag)):
-        with np.errstate(over="ignore"):
-            total = a + b
-        out[...] = np.where(np.isfinite(total), total / 2, a / 2 + b / 2)
-    return h
-
-
 def _evolve_lines(t: np.ndarray, h: np.ndarray) -> list:
     """The evolve CSV rows of Hermitian states h at times t, as pre-formatted lines.
 
@@ -300,7 +285,7 @@ def cmd_generator(args) -> int:
         "jump_basis": ["C", "C_dagger"],
         "kossakowski": form.kossakowski,
         "kossakowski_eigenvalues": form.kossakowski_eigenvalues().tolist(),
-        "completely_positive": form.is_cp(DEFAULT_TOL),
+        "completely_positive": is_gaussian_state(model.noise.n, model.noise.m),
         "liouvillian": liouv,
         "heisenberg": adjoint(liouv),
     }
@@ -321,7 +306,7 @@ def cmd_evolve(args) -> int:
     if dt == 0:
         raise FormatError(f"--t-final {args.t_final!r} over the {args.points - 1} intervals "
                           f"of --points {args.points} underflows to a zero step")
-    h = _hermitian_part(evolve(model, rho0, dt, args.points - 1, method=args.method))
+    h = hermitian_part(evolve(model, rho0, dt, args.points - 1, method=args.method))
     header = ["t"] + [f"rho_{i}_{j}_{part}" for j in range(d) for i in range(d)
                       for part in ("re", "im")]
     header += [f"pop_{k}" for k in range(d)] + ["purity"]

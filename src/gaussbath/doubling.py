@@ -35,7 +35,7 @@ import numpy as np
 from .errors import CommutationError, DimensionError, DomainError, KernelError
 from .linalg import DEFAULT_TOL, adjoint, is_psd, mat_sqrt_psd, negligible, operator_norm
 from .linalg import psd_eigh, require_square
-from .noise import is_gaussian_state, require_finite
+from .noise import GAUSSIAN_RTOL, is_gaussian_state, require_finite
 
 __all__ = [
     "OperatorGaussianSpec",
@@ -123,12 +123,13 @@ def operator_split(spec: OperatorGaussianSpec) -> tuple[np.ndarray, np.ndarray, 
         Y = sqrt(N)    Z = M / sqrt(N)    X = sqrt(N + 1 - M+M / N)
 
     with 1/N read as the pseudoinverse on the support of N (M vanishes
-    on the kernel, where X restricts to the identity).  The outputs
+    on the kernel, where X restricts to the identity).  N is read from
+    its one psd_eigh spectrum.  M+M <= N(N+1) allows GAUSSIAN_RTOL times
+    ||N||(||N|| + 1), so a 1x1 spec passes where scalar_split does.  The outputs
     satisfy X+X - Y+Y + Z+Z = 1, X+X + Z+Z = N + 1 and Y Z = M.
     """
     evals, vecs = psd_eigh(spec.N, name="N")
-    n_op = (spec.N + adjoint(spec.N)) / 2.0
-    m_op, eye = spec.M, np.eye(evals.size)
+    n_op, m_op, eye = (vecs * evals) @ adjoint(vecs), spec.M, np.eye(evals.size)
     n_norm, m_norm = evals.max(), operator_norm(m_op)
     if not negligible(operator_norm(n_op @ m_op - m_op @ n_op), n_norm * m_norm, DEFAULT_TOL):
         raise CommutationError("N and M do not commute within tolerance")
@@ -138,7 +139,8 @@ def operator_split(spec: OperatorGaussianSpec) -> tuple[np.ndarray, np.ndarray, 
     if not negligible(knorm, m_norm, DEFAULT_TOL):
         raise KernelError(f"M does not vanish on ker N (residual {knorm:.3e})")
     # All factors commute, so the bound is basis independent.
-    if not is_psd(n_op @ (n_op + eye) - adjoint(m_op) @ m_op, n_norm * (n_norm + 1.0)):
+    bound = n_op @ (n_op + eye) - adjoint(m_op) @ m_op
+    if not is_psd(bound, n_norm * (n_norm + 1.0), GAUSSIAN_RTOL):
         raise DomainError("M+M exceeds N(N+1): not a Gaussian state")
 
     inv_sqrt = np.where(kernel, 0.0, 1.0 / np.sqrt(np.where(kernel, 1.0, evals)))

@@ -15,6 +15,8 @@ The other helpers take and return plain ``numpy.ndarray`` with complex dtype.
 The one Hermiticity check (is_hermitian) and positivity check (psd_eigh)
 allow DEFAULT_TOL times a scale the caller names: an operand's own size,
 the size of a difference's operands, or a density matrix's unit trace.
+hermitian_part is the one projection of a computed matrix onto its
+Hermitian part, exact where the matrix is Hermitian.
 
 require_dense is the one dense-memory budget: a dense complex array sized by
 the input, beyond the d x d operators, holds at most MAX_DENSE_DIM^2 entries
@@ -82,6 +84,7 @@ __all__ = [
     "devectorize",
     "exp_plan",
     "expm_action",
+    "hermitian_part",
     "is_hermitian",
     "is_psd",
     "is_unitary",
@@ -95,7 +98,6 @@ __all__ = [
     "require_dense",
     "require_finite_result",
     "require_square",
-    "sandwich",
     "sandwich_sum",
     "sandwich_triplets",
     "vectorize",
@@ -143,6 +145,24 @@ def negligible(residual, scale, rtol: float):
     return residual <= rtol * scale
 
 
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(a + a^dagger) / 2 of a matrix or of each of a stack, bit for bit a where a is Hermitian:
+    each part is summed, then halved, so subnormals keep their last bit and zeros their sign;
+    where a sum overflows, the halves are summed instead."""
+    a = np.asarray(a, dtype=complex)
+    h = np.conjugate(np.swapaxes(a, -1, -2), out=np.empty_like(a))
+    with np.errstate(over="ignore"):
+        np.add(a, h, out=h)
+    for part in (h.real, h.imag):
+        part *= 0.5  # exact, as / 2 is; a complex product would turn -0.0 into 0.0
+    if not np.isfinite(h).all():
+        adj = np.swapaxes(a, -1, -2).conj()
+        for out, x, y in ((h.real, a.real, adj.real), (h.imag, a.imag, adj.imag)):
+            where = ~np.isfinite(out)
+            out[where] = x[where] / 2 + y[where] / 2
+    return h
+
+
 def is_hermitian(a: np.ndarray, scale: float | None = None) -> bool:
     """a = a+ entrywise within DEFAULT_TOL times scale, by default a's largest |entry|."""
     a = require_square(a)
@@ -160,13 +180,13 @@ def psd_eigh(a: np.ndarray, scale: float | None = None, rtol: float = DEFAULT_TO
              name: str = "operator") -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues clipped at zero, eigenvectors) of a positive semidefinite matrix.
 
-    a must pass is_hermitian at scale and have no eigenvalue below -rtol
-    times scale, by default its largest |eigenvalue|; else DomainError.
+    a must pass is_hermitian at scale and its hermitian_part have no eigenvalue
+    below -rtol times scale, by default its largest |eigenvalue|; else DomainError.
     """
     a = require_square(a, name)
     if not is_hermitian(a, scale):
         raise DomainError(f"{name} is not Hermitian within tolerance")
-    evals, vecs = np.linalg.eigh((a + adjoint(a)) / 2.0)
+    evals, vecs = np.linalg.eigh(hermitian_part(a))
     size = np.abs(evals).max() if scale is None else scale
     if not negligible(-evals.min(), size, rtol):
         raise DomainError(f"{name} has negative eigenvalue {evals.min():.3e}")
@@ -364,13 +384,7 @@ def expm_action(plan: ExpPlan, v: np.ndarray, what: str) -> np.ndarray:
 def mat_sqrt_psd(a: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Hermitian PSD square root of a matrix that psd_eigh accepts at scale."""
     evals, vecs = psd_eigh(a, scale, name="mat_sqrt_psd argument")
-    root = (vecs * np.sqrt(evals)) @ adjoint(vecs)
-    return (root + adjoint(root)) / 2.0
-
-
-def sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Superoperator of X -> A X B: ``vec(A X B) = sandwich(A, B) @ vec(X)``."""
-    return np.kron(np.asarray(b).T, a)
+    return hermitian_part((vecs * np.sqrt(evals)) @ adjoint(vecs))
 
 
 def sandwich_triplets(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -55,8 +55,8 @@ from .linalg import (
     devectorize,
     exp_plan,
     expm_action,
+    hermitian_part,
     is_hermitian,
-    is_psd,
     mat_exp,
     negligible,
     operator_norm,
@@ -179,8 +179,8 @@ class GKSForm:
     """Generator split into Hamiltonian plus Kossakowski dissipator.
 
     ``jumps`` is the fixed operator basis (C, C+) and ``kossakowski``
-    the 2x2 coefficient matrix; the state is Gaussian-physical exactly
-    when that matrix is positive semidefinite.  The arrays are read-only
+    the 2x2 coefficient matrix, positive semidefinite exactly where the
+    bath passes noise.is_gaussian_state.  The arrays are read-only
     copies, so the L' assembled from them on first use cannot go stale.
     """
 
@@ -222,10 +222,6 @@ class GKSForm:
     def kossakowski_eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.kossakowski)
 
-    def is_cp(self, tol: float = 1e-12) -> bool:
-        """K is PSD: no eigenvalue below -tol times the largest |eigenvalue|."""
-        return is_psd(self.kossakowski, rtol=tol)
-
 
 def gks_decompose(model: SystemModel) -> GKSForm:
     """Write the Heisenberg generator in Kossakowski form over (C, C+).
@@ -237,8 +233,9 @@ def gks_decompose(model: SystemModel) -> GKSForm:
 
         K = gamma [[n+1, m], [conj(m), n]].
 
-    K is PSD exactly on the Gaussian-valid region |m|^2 <= n(n+1); an
-    unphysical m shows up as a negative eigenvalue, not as an error.
+    K is PSD exactly on the Gaussian-valid region |m|^2 <= n(n+1), whose
+    one test is noise.is_gaussian_state; an unphysical m shows up as a
+    negative eigenvalue of K, not as an error.
     H_eff or K beyond the double range raises OverflowError.
     """
     noise = model.noise
@@ -339,7 +336,7 @@ def steady_state(model: SystemModel) -> np.ndarray:
     assembled L' decides (_dense_kernel_vector): it counts the kernel and raises
     DegenerateKernelError with kernel_dim unless that count is one.
     Above the MAX_DENSE_DIM budget for d^2 it raises at once, naming kappa,
-    with kernel_dim None.  The result is Hermitian-projected,
+    with kernel_dim None.  The result is projected by linalg.hermitian_part,
     trace-normalized and checked positive.
     """
     import scipy.sparse
@@ -372,8 +369,7 @@ def steady_state(model: SystemModel) -> np.ndarray:
             kappa = scipy.sparse.linalg.norm(a, 1) * scipy.sparse.linalg.onenormest(inverse, t=1)
     if not kappa < 1.0 / RANK_RTOL:  # NaN included
         vec = _dense_kernel_vector(liouv, kappa)
-    rho = devectorize(vec, d)
-    rho = (rho + adjoint(rho)) / 2.0
+    rho = hermitian_part(devectorize(vec, d))
     tr = np.trace(rho)
     if abs(tr) < 1e-12:
         raise DecompositionError("kernel element of the Liouvillian is traceless")

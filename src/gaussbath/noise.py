@@ -35,6 +35,7 @@ from .linalg import adjoint, is_hermitian, negligible, operator_norm, require_sq
 
 __all__ = [
     "BLOCK_KEYS",
+    "GAUSSIAN_RTOL",
     "ItoCoefficients",
     "NORMAL_ORDERED",
     "NoiseParams",
@@ -49,6 +50,9 @@ TIME_ORDERED = "time-ordered"
 NORMAL_ORDERED = "normal-ordered"
 BLOCK_KEYS = ("c00", "c01", "c10", "c11")
 
+# The slack of |m|^2 <= n(n+1) relative to n(n+1), in the one rule of a physical bath.
+GAUSSIAN_RTOL = 1e-12
+
 
 def require_finite(**values) -> None:
     """Raise DomainError naming the first argument that is NaN or infinite."""
@@ -58,7 +62,8 @@ def require_finite(**values) -> None:
 
 
 def is_gaussian_state(n: float, m: complex) -> bool:
-    """Whether n >= 0 and |m|^2 <= n(n+1) within 1e-12 of n(n+1): n = 0 admits only m = 0.
+    """Whether n >= 0 and |m|^2 <= n(n+1) within GAUSSIAN_RTOL of n(n+1): n = 0 admits only
+    m = 0.  The one physicality rule: K = gamma [[n+1, m], [conj(m), n]] is PSD there.
 
     Where |m|^2 is beyond the double range, both sides are scaled by 4^-e,
     2^e the binary order of |m|; the scaling is exact, so the verdict stands.
@@ -69,7 +74,7 @@ def is_gaussian_state(n: float, m: complex) -> bool:
     except OverflowError:
         e = frexp(size)[1]
         square, bound = ldexp(size, -e) ** 2, ldexp(n, -e) * ldexp(n + 1.0, -e)
-    return bool(n >= 0 and negligible(square - bound, bound, 1e-12))
+    return bool(n >= 0 and negligible(square - bound, bound, GAUSSIAN_RTOL))
 
 
 @dataclass(frozen=True)
@@ -191,8 +196,6 @@ def unitarity_defect(l: ItoCoefficients, gamma: float) -> float:
 
     The defect returned is the max operator norm over the four blocks.
     """
-    if not gamma > 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
     ld = l.adjoint()
     corr = ito_product(ld, l, NoiseParams(gamma=gamma))
     return max(

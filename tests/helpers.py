@@ -4,13 +4,21 @@ import numpy as np
 
 from gaussbath.errors import DegenerateKernelError, DimensionError
 from gaussbath.lindblad import RANK_RTOL, schrodinger_liouvillian
-from gaussbath.linalg import adjoint, operator_norm, require_square, sandwich
+from gaussbath.linalg import adjoint, operator_norm, require_square
 from gaussbath.noise import NORMAL_ORDERED, ItoCoefficients, ito_product
 
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |g><e|
 SIGMA_PLUS = SIGMA_MINUS.conj().T
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 ZERO2 = np.zeros((2, 2), dtype=complex)
+
+
+def sandwich(a, b):
+    """Superoperator of X -> A X B, dense: ``vec(A X B) = sandwich(A, B) @ vec(X)``.
+
+    The np.kron reference that linalg.sandwich_sum is compared against.
+    """
+    return np.kron(np.asarray(b).T, a)
 
 
 def random_complex(rng, shape):

@@ -16,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gaussbath import cli, collision, lindblad
+from gaussbath import cli, collision, linalg, lindblad
 from gaussbath.cli import _pairs_json, _report_json, main
+from gaussbath.doubling import OperatorGaussianSpec, operator_split
+from gaussbath.errors import GaussBathError
 from gaussbath.linalg import exp_plan, vectorize
 from gaussbath.lindblad import SystemModel, gks_decompose, schrodinger_liouvillian
 from gaussbath.noise import NoiseParams
@@ -150,6 +152,52 @@ def test_generator_cp_flag_does_not_depend_on_gamma(tmp_path, capsys):
     for model in boundary_models(tmp_path, gamma=1e-9, excess=0.5, count=20):
         assert main(["generator", "--model", model]) == 0
         assert json.loads(capsys.readouterr().out)["completely_positive"] is False
+
+
+def physicality_verdicts(tmp_path, capsys, n, m):
+    """Whether generator's flag, split's exit code, CollisionConfig and the 1x1
+    operator_split each take the qubit bath (n, m) as physical."""
+    model = qubit_model_file(tmp_path, n=n, m_re=m.real, m_im=m.imag)
+    assert main(["generator", "--model", model]) == 0
+    flag = json.loads(capsys.readouterr().out)["completely_positive"]
+    code = main(["split", f"--n={n!r}", f"--m-re={m.real!r}", f"--m-im={m.imag!r}"])
+    capsys.readouterr()
+    assert code in (0, 2)
+    verdicts = [flag, code == 0]
+    system = SystemModel(C=from_pairs(SM), F=from_pairs(Z2),
+                         noise=NoiseParams(gamma=1.0, n=n, m=m))
+    for check in (lambda: collision.CollisionConfig(system, dt=0.1, steps=1, cutoff=3),
+                  lambda: operator_split(OperatorGaussianSpec(N=[[n]], M=[[m]]))):
+        try:
+            check()
+        except GaussBathError:
+            verdicts.append(False)
+        else:
+            verdicts.append(True)
+    return verdicts
+
+
+def test_every_physicality_verdict_is_the_gaussian_rule(tmp_path, capsys):
+    # |m|^2 = n(n+1)(1 + eps) at spread phases over twelve decades of n, and the vacuum.
+    draws = [(0.0, complex(m)) for m in (0.0, 1e-10, 1e-5)]
+    for k, n in enumerate(10.0 ** np.arange(-6, 7)):
+        for j, eps in enumerate((1e-14, -1e-14, 1e-10, -1e-10, 1e-6, -1e-6)):
+            phase = np.exp(2j * np.pi * (0.1 + (6 * k + j) / 13.0))
+            draws.append((float(n), complex(np.sqrt(n * (n + 1.0) * (1.0 + eps)) * phase)))
+    accepted = 0
+    for n, m in draws:
+        verdicts = physicality_verdicts(tmp_path, capsys, n, m)
+        assert len(set(verdicts)) == 1, (n, m, verdicts)
+        # The eigenvalue rule on K = [[n+1, m], [conj(m), n]], the independent evidence:
+        # PSD within rounding where the bath is taken, a negative eigenvalue where not.
+        ev = np.linalg.eigvalsh([[n + 1.0, m], [np.conj(m), n]])
+        if verdicts[0]:
+            assert ev.min() >= -1e-12 * np.abs(ev).max(), (n, m, ev)
+        else:
+            assert ev.min() < 0, (n, m, ev)
+        accepted += verdicts[0]
+    # eps <= 1e-14 is taken, eps >= 1e-10 and the vacuum with m != 0 are not.
+    assert accepted == 1 + 13 * 4
 
 
 def test_evolve_csv_decay(tmp_path, capsys):
@@ -887,10 +935,10 @@ def test_hermitian_part_is_exact_and_finite():
     rho[0, 1, 2] = complex(5e-324, -0.0)  # a pair whose halves underflow
     rho[0] += rho[0].conj().T
     rho[0, 2, 2] = 1.7e308
-    assert cli._hermitian_part(rho).tobytes() == rho.tobytes()
+    assert linalg.hermitian_part(rho).tobytes() == rho.tobytes()
     # Off a Hermitian stack each entry is the mean of the pair, correctly rounded.
     rho[0, 1, 0] = complex(1.5e308, 1.3e308)
-    h = cli._hermitian_part(rho)[0]
+    h = linalg.hermitian_part(rho)[0]
     mean = complex(float((Fraction(1.7e308) + Fraction(1.5e308)) / 2),
                    float((Fraction(-1e308) - Fraction(1.3e308)) / 2))
     assert h[0, 1] == mean and h[1, 0] == mean.conjugate()

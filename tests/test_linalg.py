@@ -13,6 +13,7 @@ from helpers import (
     random_gaussian_nm,
     random_hermitian,
     random_unitary,
+    sandwich,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from gaussbath.linalg import (
     devectorize,
     exp_plan,
     expm_action,
+    hermitian_part,
     is_hermitian,
     is_psd,
     is_unitary,
@@ -35,7 +37,6 @@ from gaussbath.linalg import (
     partial_trace,
     propagate,
     require_finite_result,
-    sandwich,
     sandwich_sum,
     vectorize,
 )
@@ -204,6 +205,17 @@ def test_mat_exp_overflowing_power_is_range_error(a):
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match="mat_exp overflow: result is not finite"):
             mat_exp(a)
+
+
+def test_hermitian_part_takes_a_matrix_or_a_stack(rng):
+    stack = random_complex(rng, (3, 4, 4))
+    parts = hermitian_part(stack)
+    for a, h in zip(stack, parts):
+        assert hermitian_part(a).tobytes() == h.tobytes()
+        assert np.abs(h - (a + adjoint(a)) / 2).max() <= 1e-15 * np.abs(a).max()
+        assert np.array_equal(h, adjoint(h)) and hermitian_part(h).tobytes() == h.tobytes()
+    # A real matrix comes back complex, as psd_eigh and mat_sqrt_psd take it.
+    assert hermitian_part(np.array([[1.0, 2.0], [0.0, 3.0]])).tolist() == [[1, 1], [1, 3]]
 
 
 def test_mat_sqrt_psd_squares_back(rng):

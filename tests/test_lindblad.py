@@ -19,6 +19,7 @@ from helpers import (
     random_gaussian_nm,
     random_hermitian,
     random_unitary,
+    sandwich,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,9 +37,9 @@ from gaussbath.linalg import (
     devectorize,
     exp_plan,
     expm_action,
+    is_psd,
     mat_exp,
     operator_norm,
-    sandwich,
     sandwich_triplets,
     vectorize,
 )
@@ -298,14 +299,14 @@ def test_gks_frozen_boundary_eigenvalues():
     # mode: the state sits exactly on the Gaussian boundary.
     form = gks_decompose(damped_qubit(gamma=1.0, n=1.0, m=np.sqrt(2.0)))
     np.testing.assert_allclose(form.kossakowski_eigenvalues(), [0.0, 3.0], atol=1e-12)
-    assert form.is_cp(tol=1e-10)
+    assert is_psd(form.kossakowski, rtol=1e-10)
 
 
 def test_gks_interior_is_strictly_positive(rng):
     for _ in range(10):
         model = random_model(rng, 2)
         form = gks_decompose(model)
-        assert form.is_cp()
+        assert is_psd(form.kossakowski, rtol=1e-12)
         np.testing.assert_allclose(adjoint(form.liouvillian.dense()), ito_heisenberg(model),
                                    atol=1e-10)
 
@@ -390,7 +391,7 @@ def test_sandwich_triplets_match_kron(rng):
 def test_gks_unphysical_pair_correlation_flags_negative():
     form = gks_decompose(damped_qubit(gamma=1.0, n=1.0, m=1.5))
     assert form.kossakowski_eigenvalues().min() < -1e-3
-    assert not form.is_cp()
+    assert not is_psd(form.kossakowski, rtol=1e-12)
 
 
 def test_gks_hamiltonian_carries_sigma_shift(rng):
@@ -774,7 +775,7 @@ def test_answers_do_not_depend_on_the_unit_of_time(model_at, log_lam):
     assert err <= 1e-12 * lam * np.abs(heis).max()
     np.testing.assert_allclose(steady_state(scaled), steady_state(unit), rtol=0, atol=1e-10)
     # Every generated bath is physical, the boundary included: CP at every scale.
-    assert gks_decompose(unit).is_cp() and gks_decompose(scaled).is_cp()
+    assert all(is_psd(gks_decompose(model).kossakowski, rtol=1e-12) for model in (unit, scaled))
 
 
 # ---------------------------------------------------------------- sparse steady state
