@@ -42,11 +42,11 @@ import sys
 
 import numpy as np
 
-from .collision import ROUNDING_TOL, convergence_study
+from .collision import convergence_study
 from .doubling import scalar_split, split_residuals
 from .errors import FormatError, GaussBathError
 from .lindblad import SystemModel, evolve, steady_state
-from .linalg import adjoint, hermitian_part, negligible, require_finite_result, vectorize
+from .linalg import adjoint, hermitian_part, require_finite_result, vectorize
 from .noise import (BLOCK_KEYS, NORMAL_ORDERED, TIME_ORDERED, ItoCoefficients, NoiseParams,
                     is_gaussian_state, unitarity_defect)
 from .wick import normal_to_time, time_to_normal
@@ -345,17 +345,13 @@ def cmd_oracle(args) -> int:
     except ValueError as exc:
         raise FormatError("--dt-list must be a comma separated list of numbers") from exc
     result = convergence_study(model, rho0, args.t_final, dts, args.cutoff)
-    # An error within rounding of 0 (ROUNDING_TOL) has no order: its order cells stay empty.
-    fitted = "" if result.fitted_order is None else f"{result.fitted_order:.6g}"
-    monotone = str(result.monotone).lower()
-    lines, prev = [], None
-    for dt, err in zip(result.dts, result.errors):
-        if prev is None or negligible(min(err, prev[1]), 1.0, ROUNDING_TOL):
-            order = ""
-        else:
-            order = f"{np.log(prev[1] / err) / np.log(prev[0] / dt):.6g}"
-        lines.append(f"{dt:.12g},{err:.12g},{order},{fitted},{monotone}")
-        prev = (dt, err)
+
+    def cell(order):  # no order (None) is an empty cell
+        return "" if order is None else f"{order:.6g}"
+
+    fitted, monotone = cell(result.fitted_order), str(result.monotone).lower()
+    lines = [f"{dt:.12g},{err:.12g},{cell(order)},{fitted},{monotone}"
+             for dt, err, order in zip(result.dts, result.errors, result.orders)]
     header = ["dt", "max_trace_distance", "order_vs_prev", "fitted_order", "monotone"]
     _write_csv(header, lines, args.out)
     return 0

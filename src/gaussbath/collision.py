@@ -33,7 +33,6 @@ collision counterpart in this scheme.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -54,7 +53,7 @@ from .linalg import (
     require_dense,
     sandwich_sum,
 )
-from .noise import require_finite
+from .noise import require_count, require_positive
 
 __all__ = [
     "CollisionConfig",
@@ -76,7 +75,12 @@ ROUNDING_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CollisionConfig:
-    """One collision-model run: model, step size, step count, Fock cutoff."""
+    """One collision-model run: model, step size, step count, Fock cutoff.
+
+    validate_trajectory checks (dt, steps) as evolve does, and noise.require_count
+    the cutoff (an integer >= 2; >= 3 for a non-vacuum bath); steps and cutoff are
+    stored as the Python ints those rules return, so no size product can wrap.
+    """
 
     model: SystemModel
     dt: float
@@ -86,11 +90,8 @@ class CollisionConfig:
 
     def __post_init__(self):
         noise, d = self.model.noise, self.model.dim
-        validate_trajectory(self.dt, self.steps, d)
-        if isinstance(self.cutoff, bool) or not isinstance(self.cutoff, numbers.Integral):
-            raise DomainError(f"cutoff must be an integer, got {self.cutoff!r}")
-        if self.cutoff < 2:
-            raise DomainError(f"cutoff must be at least 2, got {self.cutoff}")
+        object.__setattr__(self, "steps", validate_trajectory(self.dt, self.steps, d))
+        object.__setattr__(self, "cutoff", require_count("cutoff", self.cutoff, 2))
         if (noise.n > 0 or noise.m != 0) and self.cutoff < 3:
             raise DomainError("cutoff must be at least 3 for a non-vacuum bath")
         # The dense arrays of a run beside the stored trajectory: the step Hamiltonian
@@ -178,9 +179,7 @@ def simulate(config: CollisionConfig, rho0: np.ndarray) -> np.ndarray:
     is renormalized.  If the ancilla population at the cutoff boundary
     ever exceeds 1e-3 the run completes but emits a TruncationWarning.
     """
-    rho = validate_density_matrix(rho0)
-    if rho.shape[0] != config.model.dim:
-        raise DimensionError("rho0 dimension does not match the model")
+    rho = validate_density_matrix(rho0, config.model.dim)
     step, boundary = _step_channel(config)
     out = propagate(rho, step, config.steps)
     worst_boundary = float(np.einsum("bj,kjb->k", boundary, out[:-1]).real.max())
@@ -206,10 +205,17 @@ def trace_distance(a: np.ndarray, b: np.ndarray):
 
 @dataclass
 class CollisionResult:
-    """Error table of a convergence study against exp(t L')."""
+    """Error table of a convergence study against exp(t L'), rows from the largest dt down.
+
+    An error within ROUNDING_TOL counts as exact and has no order: orders[k] is the
+    log-log slope log(err[k-1] / err[k]) / log(dt[k-1] / dt[k]), None in row 0 and
+    where either error is exact; fitted_order is the least-squares slope over the
+    errors that are not exact, None when fewer than two are.
+    """
 
     dts: list
     errors: list
+    orders: list
     fitted_order: float | None
     monotone: bool
 
@@ -226,19 +232,17 @@ def convergence_study(
     For each dt the collision trajectory is compared with the exact
     exp(t L') propagation on the same grid and the maximum trace
     distance recorded; every evolve reads the model's one L', so the study
-    assembles it once.  The step sizes must be distinct, and t_final / dt
-    must round to at least one step.  The empirical order is the log-log
-    slope over the errors beyond ROUNDING_TOL, None when fewer than two are;
-    an error rise beyond 10 percent plus ROUNDING_TOL is flagged as not
-    monotone in the result, not fatal.
+    assembles it once.  t_final and each step size pass noise.require_positive
+    before any t_final / dt is formed; the step sizes must be distinct, and
+    t_final / dt must round to at least one step.  The orders follow the
+    CollisionResult rule; an error rise beyond 10 percent plus ROUNDING_TOL is
+    flagged as not monotone in the result, not fatal.
     """
-    dts = [float(dt) for dt in dts]
-    require_finite(t_final=t_final)
+    require_positive(t_final=t_final)
+    dts = list(dts)
     for dt in dts:
-        require_finite(dt=dt)
-    if t_final <= 0:
-        raise DomainError("t_final must be positive")
-    dts.sort(reverse=True)
+        require_positive(dt=dt)
+    dts = sorted(map(float, dts), reverse=True)
     if len(dts) < 2:
         raise DomainError("need at least two step sizes to study convergence")
     for a, b in zip(dts, dts[1:]):
@@ -246,7 +250,7 @@ def convergence_study(
             raise DomainError(f"dt = {a} is repeated in the step sizes")
     configs = []
     for dt in dts:
-        steps = t_final / dt if dt > 0 else 1.0  # CollisionConfig rejects dt <= 0
+        steps = t_final / dt
         if not np.isfinite(steps):
             raise DomainError(f"t_final = {t_final} over dt = {dt} is not a finite step count")
         steps = int(round(steps))
@@ -258,7 +262,13 @@ def convergence_study(
         approx = simulate(config, rho0)
         exact = evolve(model, rho0, config.dt, config.steps, method="expm")
         errors.append(float(trace_distance(approx, exact).max()))
-    fit = [(dt, err) for dt, err in zip(dts, errors) if not negligible(err, 1.0, ROUNDING_TOL)]
+    rows = [(dt, err, negligible(err, 1.0, ROUNDING_TOL)) for dt, err in zip(dts, errors)]
+    fit = [(dt, err) for dt, err, exact in rows if not exact]
     slope = float(np.polyfit(*np.log(fit).T, 1)[0]) if len(fit) >= 2 else None
+    orders = [None] + [
+        None if prev_exact or exact else float(np.log(prev_err / err) / np.log(prev_dt / dt))
+        for (prev_dt, prev_err, prev_exact), (dt, err, exact) in zip(rows, rows[1:])
+    ]
     monotone = all(negligible(b - 1.1 * a, 1.0, ROUNDING_TOL) for a, b in zip(errors, errors[1:]))
-    return CollisionResult(dts=dts, errors=errors, fitted_order=slope, monotone=monotone)
+    return CollisionResult(dts=dts, errors=errors, orders=orders, fitted_order=slope,
+                           monotone=monotone)

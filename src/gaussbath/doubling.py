@@ -35,7 +35,7 @@ import numpy as np
 from .errors import CommutationError, DimensionError, DomainError, KernelError
 from .linalg import DEFAULT_TOL, adjoint, is_psd, mat_sqrt_psd, negligible, operator_norm
 from .linalg import psd_eigh, require_square
-from .noise import GAUSSIAN_RTOL, is_gaussian_state, require_finite
+from .noise import GAUSSIAN_RTOL, is_gaussian_state, require_count, require_finite
 
 __all__ = [
     "OperatorGaussianSpec",
@@ -152,9 +152,9 @@ def operator_split(spec: OperatorGaussianSpec) -> tuple[np.ndarray, np.ndarray, 
 
 
 def fock_annihilator(cutoff: int) -> np.ndarray:
-    """Single-mode annihilator truncated to `cutoff` Fock levels."""
-    if cutoff < 2:
-        raise DomainError(f"cutoff must be at least 2, got {cutoff}")
+    """Single-mode annihilator truncated to `cutoff` Fock levels, a count >= 2 by
+    noise.require_count, as in CollisionConfig."""
+    cutoff = require_count("cutoff", cutoff, 2)
     a = np.zeros((cutoff, cutoff), dtype=complex)
     for k in range(1, cutoff):
         a[k - 1, k] = sqrt(k)
@@ -162,7 +162,8 @@ def fock_annihilator(cutoff: int) -> np.ndarray:
 
 
 def mode_annihilators(modes: int, cutoff: int) -> list[np.ndarray]:
-    """Annihilators for `modes` modes, each truncated at `cutoff` levels."""
+    """Annihilators for `modes` modes (a count >= 1), each truncated at `cutoff` levels."""
+    modes = require_count("modes", modes, 1)
     a = fock_annihilator(cutoff)
     eye = np.eye(cutoff)
     ops = []

@@ -34,7 +34,6 @@ All superoperators act on column-stacked operators (see linalg).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from math import ceil
@@ -68,7 +67,7 @@ from .linalg import (
     sandwich_sum,
     vectorize,
 )
-from .noise import NoiseParams, require_finite
+from .noise import NoiseParams, require_count, require_positive
 
 __all__ = [
     "GKSForm",
@@ -126,9 +125,12 @@ class SystemModel:
         return gks_decompose(self)
 
 
-def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Check Hermiticity and positivity (psd_eigh at the unit-trace scale) and unit trace."""
+def validate_density_matrix(rho: np.ndarray, dim: int) -> np.ndarray:
+    """Check the dimension dim, Hermiticity and positivity (psd_eigh at the unit-trace
+    scale) and unit trace: the one check of an initial state, evolve's or the chain's."""
     rho = require_square(rho, "density matrix")
+    if rho.shape[0] != dim:
+        raise DimensionError("rho0 dimension does not match the model")
     psd_eigh(rho, 1.0, name="density matrix")
     tr = np.trace(rho)
     if abs(tr - 1.0) > DEFAULT_TOL:
@@ -136,18 +138,15 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def validate_trajectory(dt: float, steps: int, dim: int) -> None:
-    """DomainError unless steps >= 1 is an integer, dt > 0 is finite and (steps + 1) d x d
-    states fit the dense budget: the one check of a trajectory, evolve's or the chain's."""
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
-        raise DomainError(f"steps must be an integer, got {steps!r}")
-    require_finite(dt=dt)
-    if dt <= 0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    if steps < 1:
-        raise DomainError(f"steps must be at least 1, got {steps}")
-    require_dense((int(steps) + 1) * dim**2, f"{steps:.6g} steps of dt = {dt} "
+def validate_trajectory(dt: float, steps: int, dim: int) -> int:
+    """The one check of a trajectory, evolve's or the chain's: steps by noise.require_count
+    (an integer >= 1), dt by noise.require_positive, then (steps + 1) d x d states within
+    the dense budget.  Returns steps as a Python int."""
+    steps = require_count("steps", steps, 1)
+    require_positive(dt=dt)
+    require_dense((steps + 1) * dim**2, f"{steps:.6g} steps of dt = {dt} "
                   f"(t_final = {steps * dt:.6g}) at d = {dim}", "(steps + 1) * d^2")
+    return steps
 
 
 def _kossakowski_sum(k: np.ndarray, jumps) -> np.ndarray:
@@ -299,10 +298,8 @@ def evolve(
     "rk4" rejects d >= 46 up front by linalg.require_dense.
     """
     d = model.dim
-    validate_trajectory(dt, steps, d)
-    rho0 = validate_density_matrix(rho0)
-    if rho0.shape[0] != d:
-        raise DimensionError("rho0 dimension does not match the model")
+    steps = validate_trajectory(dt, steps, d)
+    rho0 = validate_density_matrix(rho0, d)
     if method not in ("expm", "rk4"):
         raise DomainError(f"method must be 'expm' or 'rk4', got {method!r}")
     if method == "rk4":

@@ -21,10 +21,17 @@ and in the vacuum (n = m = 0) the gauge slot joins in through
     dA^{i1} dA^{1j} = gamma dA^{ij},     all other products vanish.
 
 unitarity_defect is the Ito closure of d(V+V) on that vacuum table.
+
+Every scalar argument of the library is checked by one of three rules
+here, where it enters: require_finite (a number, not a bool, str or
+None, and finite), require_positive (that, and > 0: gamma, dt, t_final)
+and require_count (an integer, not a bool, at least a minimum: steps,
+cutoff, modes), which returns a Python int so no size product can wrap.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from math import frexp, ldexp
 
@@ -42,7 +49,9 @@ __all__ = [
     "TIME_ORDERED",
     "is_gaussian_state",
     "ito_product",
+    "require_count",
     "require_finite",
+    "require_positive",
     "unitarity_defect",
 ]
 
@@ -55,10 +64,35 @@ GAUSSIAN_RTOL = 1e-12
 
 
 def require_finite(**values) -> None:
-    """Raise DomainError naming the first argument that is NaN or infinite."""
+    """The rule of a real (or complex) argument: DomainError naming the first one that is
+    not a number (a bool, a str, None) or that is NaN or infinite."""
     for name, value in values.items():
-        if not np.isfinite(value):
+        try:
+            finite = np.isfinite(value)
+        except TypeError:  # a str, None: nothing np.isfinite can take
+            finite = None
+        if finite is None or isinstance(value, (bool, np.bool_)):
+            raise DomainError(f"{name} must be a number, got {value!r}")
+        if not finite:
             raise DomainError(f"{name} must be finite, got {value}")
+
+
+def require_positive(**values) -> None:
+    """The rule of a positive real: require_finite, then DomainError unless each is > 0."""
+    require_finite(**values)
+    for name, value in values.items():
+        if value <= 0:
+            raise DomainError(f"{name} must be positive, got {value}")
+
+
+def require_count(name: str, value, minimum: int) -> int:
+    """The rule of a count: DomainError unless value is an integer (numpy's too, a bool not)
+    of at least minimum.  Returns int(value), so no product of counts can wrap."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
 
 
 def is_gaussian_state(n: float, m: complex) -> bool:
@@ -93,9 +127,8 @@ class NoiseParams:
     alpha: complex = 0.0
 
     def __post_init__(self):
-        require_finite(gamma=self.gamma, sigma=self.sigma, n=self.n, m=self.m, alpha=self.alpha)
-        if not self.gamma > 0:
-            raise DomainError(f"gamma must be positive, got {self.gamma}")
+        require_positive(gamma=self.gamma)
+        require_finite(sigma=self.sigma, n=self.n, m=self.m, alpha=self.alpha)
         if self.n < 0:
             raise DomainError(f"n must be nonnegative, got {self.n}")
 

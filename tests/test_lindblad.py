@@ -105,13 +105,13 @@ def test_hermiticity_of_f_is_relative_to_its_scale(rng):
 
 def test_density_matrix_validation():
     good = np.diag([0.25, 0.75]).astype(complex)
-    validate_density_matrix(good)
+    validate_density_matrix(good, 2)
     with pytest.raises(DomainError):
-        validate_density_matrix(np.diag([0.5, 0.4]))
+        validate_density_matrix(np.diag([0.5, 0.4]), 2)
     with pytest.raises(DomainError):
-        validate_density_matrix(np.array([[0.5, 0.3], [0.1, 0.5]]))
+        validate_density_matrix(np.array([[0.5, 0.3], [0.1, 0.5]]), 2)
     with pytest.raises(DomainError):
-        validate_density_matrix(np.diag([1.2, -0.2]))
+        validate_density_matrix(np.diag([1.2, -0.2]), 2)
 
 
 def test_dissipation_quadratic_is_hermitian(rng):
@@ -726,7 +726,7 @@ def test_steady_state_squeezed_qubit_stays_diagonal():
     n = 1.0
     model = damped_qubit(gamma=1.0, n=n, m=0.8 * np.sqrt(2.0) * np.exp(0.25j * np.pi))
     rho = steady_state(model)
-    validate_density_matrix(rho)
+    validate_density_matrix(rho, 2)
     np.testing.assert_allclose(rho, np.diag([n, n + 1.0]) / (2.0 * n + 1.0), atol=1e-10)
 
 

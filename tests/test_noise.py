@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
-from helpers import random_complex, random_hermitian, random_unitary
+from helpers import SIGMA_MINUS, ZERO2, random_complex, random_hermitian, random_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussbath.collision import CollisionConfig, convergence_study
+from gaussbath.doubling import (
+    fock_annihilator,
+    mode_annihilators,
+    represent_annihilator,
+    scalar_split,
+)
 from gaussbath.errors import DimensionError, DomainError
 from gaussbath.linalg import adjoint
+from gaussbath.lindblad import SystemModel, evolve
 from gaussbath.noise import (
     BLOCK_KEYS,
     NORMAL_ORDERED,
@@ -66,6 +74,83 @@ def test_noise_params_kappa_and_validation():
 def test_noise_params_rejects_nonfinite(field, value):
     with pytest.raises(DomainError, match=f"{field} must be finite"):
         NoiseParams(**{"gamma": 1.0, field: value})
+
+
+def _qubit():
+    return SystemModel(C=SIGMA_MINUS, F=ZERO2, noise=NoiseParams(gamma=1.0))
+
+
+_RHO0 = np.diag([0.5, 0.5]).astype(complex)
+
+# (entry point, argument): its rule (a count's minimum for a count) and a call that puts
+# the value in that argument, every other argument valid.
+_ENTRY_POINTS = {
+    ("NoiseParams", "gamma"): ("positive", lambda v: NoiseParams(gamma=v)),
+    ("NoiseParams", "sigma"): ("real", lambda v: NoiseParams(gamma=1.0, sigma=v)),
+    ("NoiseParams", "n"): ("real", lambda v: NoiseParams(gamma=1.0, n=v)),
+    ("NoiseParams", "m"): ("real", lambda v: NoiseParams(gamma=1.0, m=v)),
+    ("NoiseParams", "alpha"): ("real", lambda v: NoiseParams(gamma=1.0, alpha=v)),
+    ("evolve", "dt"): ("positive", lambda v: evolve(_qubit(), _RHO0, v, 2)),
+    ("evolve", "steps"): (1, lambda v: evolve(_qubit(), _RHO0, 0.1, v)),
+    ("CollisionConfig", "dt"): (
+        "positive", lambda v: CollisionConfig(model=_qubit(), dt=v, steps=2, cutoff=3)),
+    ("CollisionConfig", "steps"): (
+        1, lambda v: CollisionConfig(model=_qubit(), dt=0.1, steps=v, cutoff=3)),
+    ("CollisionConfig", "cutoff"): (
+        2, lambda v: CollisionConfig(model=_qubit(), dt=0.1, steps=2, cutoff=v)),
+    ("convergence_study", "t_final"): (
+        "positive", lambda v: convergence_study(_qubit(), _RHO0, v, [0.2, 0.1], 3)),
+    ("convergence_study", "dt"): (
+        "positive", lambda v: convergence_study(_qubit(), _RHO0, 0.4, [0.2, v], 3)),
+    ("convergence_study", "cutoff"): (
+        2, lambda v: convergence_study(_qubit(), _RHO0, 0.4, [0.2, 0.1], v)),
+    ("scalar_split", "n"): ("real", lambda v: scalar_split(v, 0.0)),
+    ("scalar_split", "m"): ("real", lambda v: scalar_split(1.0, v)),
+    ("fock_annihilator", "cutoff"): (2, fock_annihilator),
+    ("mode_annihilators", "modes"): (1, lambda v: mode_annihilators(v, 3)),
+    ("mode_annihilators", "cutoff"): (2, lambda v: mode_annihilators(1, v)),
+    ("represent_annihilator", "cutoff"): (
+        2, lambda v: represent_annihilator(np.ones(1), scalar_split(0.0, 0.0), v)),
+}
+
+_NOT_NUMBERS = [True, np.True_, "1", None]
+_NOT_FINITE = [np.nan, np.inf, -np.inf]
+# Counts that wrapped (d cutoff^2)^2 in fixed-width numpy arithmetic (to 0 and below 0):
+# only the entry points that check the dense budget before allocating take them.
+_WRAPPING_CUTOFFS = [np.int64(2**32), np.int32(70000)]
+
+
+def _verdicts():
+    """(entry point, argument, bad value, the one message of its rule for that argument)."""
+    for (entry, name), (rule, _) in _ENTRY_POINTS.items():
+        if rule in ("real", "positive"):
+            cases = [(v, f"must be a number, got {v!r}") for v in _NOT_NUMBERS]
+            cases += [(v, f"must be finite, got {v}") for v in _NOT_FINITE]
+            if rule == "positive":
+                cases += [(v, f"must be positive, got {v}") for v in (0, -1)]
+        else:
+            cases = [(v, f"must be an integer, got {v!r}") for v in _NOT_NUMBERS + _NOT_FINITE]
+            cases += [(2.5, "must be an integer, got 2.5")]
+            cases += [(v, f"must be at least {rule}, got {v}") for v in (0, -1)]
+        for value, message in cases:
+            yield pytest.param(entry, name, value, f"{name} {message}",
+                               id=f"{entry}-{name}-{value!r}")
+    for entry in ("CollisionConfig", "convergence_study"):
+        for value in _WRAPPING_CUTOFFS:
+            yield pytest.param(entry, "cutoff", value,
+                               f"cutoff {value} at d = 2 breaks (d * cutoff^2)^2 <= 4194304, "
+                               "the dense budget 2048",
+                               id=f"{entry}-cutoff-{value!r}")
+
+
+@pytest.mark.parametrize("entry, name, value, message", _verdicts())
+def test_one_verdict_per_argument_at_every_entry_point(entry, name, value, message):
+    # Each scalar rule has one implementation in noise, so an argument gets one verdict,
+    # a DomainError naming it, wherever it enters; no TypeError gets through.
+    call = _ENTRY_POINTS[entry, name][1]
+    with pytest.raises(DomainError) as info:
+        call(value)
+    assert str(info.value) == message
 
 
 def test_gaussian_validity_predicate():
