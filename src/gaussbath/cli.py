@@ -54,8 +54,12 @@ from .wick import normal_to_time, time_to_normal
 
 # ---------------------------------------------------------------- parsing
 
-def _parse_cmatrix(obj, dim: int, where: str) -> np.ndarray:
-    """A dim x dim complex matrix from nested [re, im] pairs of finite numbers."""
+def _parse_cmatrix(obj, dim: int, where: str, bools: bool = True) -> np.ndarray:
+    """A dim x dim complex matrix from nested [re, im] pairs of finite numbers.
+
+    bools False says that obj was read from JSON text holding no true or
+    false, so no leaf can be a bool and the scan for one is skipped.
+    """
     try:
         a = np.asarray(obj)
     except ValueError:  # ragged nesting
@@ -64,7 +68,7 @@ def _parse_cmatrix(obj, dim: int, where: str) -> np.ndarray:
         raise FormatError(f"field '{where}': expected {dim} rows of {dim} [re, im] pairs")
     # numpy reads a JSON bool mixed in with numbers as 0 or 1; reject it too.
     if (not np.issubdtype(a.dtype, np.number) or not np.all(np.isfinite(a))
-            or any(isinstance(x, bool) for row in obj for pair in row for x in pair)):
+            or bools and any(isinstance(x, bool) for row in obj for pair in row for x in pair)):
         raise FormatError(f"field '{where}': entries must be finite numbers")
     return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
 
@@ -95,8 +99,16 @@ def _number(raw: dict, key: str, default: float | None = None) -> float:
         raise FormatError(f"field '{key}': number is too large") from None
 
 
+class _FileObject(dict):
+    """A JSON object read from a file; bools is whether the file text holds a true or
+    false anywhere, so _parse_cmatrix scans its matrices for a bool leaf only then."""
+
+    bools = True
+
+
 def _load_json(path: str):
-    """Parse a JSON file, rejecting the non-standard NaN and Infinity literals."""
+    """Parse a JSON file, rejecting the non-standard NaN and Infinity literals; an object
+    comes back as a _FileObject."""
 
     def reject(constant):
         raise FormatError(f"{path}: non-finite number {constant} is not allowed")
@@ -104,9 +116,13 @@ def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        return json.loads(text, parse_constant=reject)
+        tree = json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if isinstance(tree, dict):
+        tree = _FileObject(tree)
+        tree.bools = "true" in text or "false" in text
+    return tree
 
 
 def load_model_dict(path: str) -> dict:
@@ -127,8 +143,9 @@ def model_from_dict(raw: dict) -> SystemModel:
         m=complex(_number(raw, "m_re", 0.0), _number(raw, "m_im", 0.0)),
         alpha=complex(_number(raw, "alpha_re", 0.0), _number(raw, "alpha_im", 0.0)),
     )
-    c = _parse_cmatrix(_require(raw, "C", list), dim, "C")
-    f = _parse_cmatrix(_require(raw, "F", list), dim, "F")
+    bools = getattr(raw, "bools", True)
+    c = _parse_cmatrix(_require(raw, "C", list), dim, "C", bools)
+    f = _parse_cmatrix(_require(raw, "F", list), dim, "F", bools)
     return SystemModel(C=c, F=f, noise=noise)
 
 
@@ -140,14 +157,14 @@ def block_from_dict(raw: dict, name: str, dim: int, kind: str) -> ItoCoefficient
     for key in BLOCK_KEYS:
         if key not in block:
             raise FormatError(f"field '{name}.{key}': missing")
-        mats[key] = _parse_cmatrix(block[key], dim, f"{name}.{key}")
+        mats[key] = _parse_cmatrix(block[key], dim, f"{name}.{key}", getattr(raw, "bools", True))
     return ItoCoefficients(kind, mats["c00"], mats["c01"], mats["c10"], mats["c11"])
 
 
 def load_density_matrix(path: str, dim: int) -> np.ndarray:
     raw = _load_json(path)
     payload = _require(raw, "rho", list) if isinstance(raw, dict) else raw
-    return _parse_cmatrix(payload, dim, "rho")
+    return _parse_cmatrix(payload, dim, "rho", getattr(raw, "bools", True))
 
 
 # ---------------------------------------------------------------- dumping
@@ -318,7 +335,7 @@ def cmd_evolve(args) -> int:
 def cmd_steady(args) -> int:
     model = model_from_dict(load_model_dict(args.model))
     rho = steady_state(model)
-    residual = model.form.liouvillian.sparse() @ vectorize(rho)  # the L' of the solve
+    residual = model.form.liouvillian.matvec(vectorize(rho))  # the L' of the solve
     # Scaled by the power of two at its largest entry, the squares stay in the
     # double range; the scaling is exact, so an in-range norm keeps every bit.
     unit = np.ldexp(1.0, np.frexp(np.abs(residual).max())[1] - 1)

@@ -250,7 +250,7 @@ def convergence_study(
             raise DomainError(f"dt = {a} is repeated in the step sizes")
     configs = []
     for dt in dts:
-        steps = t_final / dt
+        steps = float(t_final) / dt  # Python floats: an overflow is inf, with no warning
         if not np.isfinite(steps):
             raise DomainError(f"t_final = {t_final} over dt = {dt} is not a finite step count")
         steps = int(round(steps))

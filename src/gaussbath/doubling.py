@@ -35,7 +35,8 @@ import numpy as np
 from .errors import CommutationError, DimensionError, DomainError, KernelError
 from .linalg import DEFAULT_TOL, adjoint, is_psd, mat_sqrt_psd, negligible, operator_norm
 from .linalg import psd_eigh, require_square
-from .noise import GAUSSIAN_RTOL, is_gaussian_state, require_count, require_finite
+from .noise import (GAUSSIAN_RTOL, is_gaussian_state, require_count, require_finite,
+                    require_real)
 
 __all__ = [
     "OperatorGaussianSpec",
@@ -70,7 +71,8 @@ def scalar_split(n: float, m: complex) -> SplitCoefficients:
     |m|^2 <= n(n+1).  The nonnegative branch is taken for x and y; all
     phase information sits in z.
     """
-    require_finite(n=n, m=m)
+    require_real(n=n)
+    require_finite(m=m)
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
     if not is_gaussian_state(n, m):

@@ -9,7 +9,8 @@ Superoperators are ``d**2 x d**2`` matrices acting on column-stacked
 operators; vectorize and devectorize map stacks (..., d, d) <-> (..., d**2),
 and a trajectory is one such stack.  sandwich_sum is the one assembly of a
 sum of sandwiches, from the nonzeros of the factors, range-checked: a
-SandwichSum with dense and scipy.sparse CSC views, equal bit for bit.
+SandwichSum with dense and scipy.sparse CSC views, equal bit for bit, and
+a numpy matvec that sums in the CSC view's order.
 The other helpers take and return plain ``numpy.ndarray`` with complex dtype.
 
 The one Hermiticity check (is_hermitian) and positivity check (psd_eigh)
@@ -33,7 +34,9 @@ repeated by propagate; the other is expm_action(plan, v, what), which
 runs that plan: Al-Mohy & Higham's Taylor blocks in numpy around
 scipy.sparse's CSR matvec, with a work budget (MAX_MATVECS).  exp_plan
 and mat_exp are numpy alone, so only expm_action and SandwichSum.sparse
-load scipy.sparse.
+load scipy.sparse.  MAX_DENSE_SOLVE_DIM is the size rule of the kernel
+solve in lindblad.steady_state: a numpy inverse up to it, scipy's sparse
+LU above it.
 """
 
 from __future__ import annotations
@@ -50,6 +53,13 @@ DEFAULT_TOL = 1e-9
 
 # The side of the largest dense complex matrix that require_dense admits.
 MAX_DENSE_DIM = 2048
+
+# The largest side n = d^2 of a Liouvillian whose bordered kernel system steady_state
+# inverts densely in numpy; above it, scipy's sparse LU.  A fixed size rule, whether or
+# not scipy is loaded: on a 2-core VM the inverse at n = 256 took 8.5 ms against 1 ms
+# for a warm LU, while loading scipy.sparse.linalg took 0.22-0.33 s, about 30 of those
+# solves; at n = 400 and 576 the inverse took 23 and 53 ms.
+MAX_DENSE_SOLVE_DIM = 256
 
 # Al-Mohy & Higham (2011) Table 3.1: theta_m for m Taylor terms, as scipy's expm_multiply has it:
 # m terms keep a block of ||w A||_1 <= theta_m within double precision.
@@ -78,6 +88,7 @@ __all__ = [
     "DEFAULT_TOL",
     "ExpPlan",
     "MAX_DENSE_DIM",
+    "MAX_DENSE_SOLVE_DIM",
     "MAX_MATVECS",
     "SandwichSum",
     "adjoint",
@@ -416,6 +427,16 @@ class SandwichSum(NamedTuple):
         m, n = self.shape
         out = np.zeros((m, n), dtype=complex)
         out[self.keys % m, self.keys // m] = self.data
+        return out
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """The product with a vector v by numpy alone: each row summed in key order, the
+        order of the CSC view's matvec."""
+        m = self.shape[0]
+        terms, rows = self.data * np.asarray(v)[self.keys // m], self.keys % m
+        out = np.empty(m, dtype=complex)
+        out.real = np.bincount(rows, terms.real, minlength=m)
+        out.imag = np.bincount(rows, terms.imag, minlength=m)
         return out
 
     def sparse(self):

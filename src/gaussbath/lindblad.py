@@ -19,9 +19,11 @@ adjoint, so tr(L(X) rho) = tr(X L'(rho)) by construction.  Model and form
 are immutable: SystemModel.form is the one GKSForm, GKSForm.liouvillian
 the one L', the adjoint pairs (A+, B+) summed by linalg.sandwich_sum on
 first use and read through its dense or CSC view; L is its adjoint.
-steady_state solves it by a sparse LU with its row 0 replaced by the scaled
-trace functional, certified by a condition estimate; the dense SVD of that
-L' decides only when that certificate fails.
+steady_state solves it with its row 0 replaced by the scaled trace
+functional, certified by the condition number kappa_1: by a numpy inverse
+(kappa exact) up to d^2 = linalg.MAX_DENSE_SOLVE_DIM, so a small model
+loads no scipy, and by scipy's sparse LU (kappa estimated) above it; the
+dense SVD of that L' decides only when that certificate fails.
 A trajectory is (dt, steps): one step map applied steps times, checked
 by validate_trajectory for evolve and the collision chain alike.
 evolve's "expm" builds one linalg.exp_plan of L' and takes the route it
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil
+from math import ceil, isqrt
 
 import numpy as np
 
@@ -49,6 +51,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     MAX_DENSE_DIM,
+    MAX_DENSE_SOLVE_DIM,
     SandwichSum,
     adjoint,
     devectorize,
@@ -83,7 +86,7 @@ __all__ = [
 
 
 # Relative singular-value threshold for the Liouvillian kernel in steady_state;
-# its inverse bounds the condition estimate of the sparse solve.
+# its inverse bounds the condition number kappa_1 of the kernel solve.
 RANK_RTOL = 1e-10
 
 # The OverflowError of the one generator assembly, L'.
@@ -320,50 +323,26 @@ def evolve(
 
 
 def steady_state(model: SystemModel) -> np.ndarray:
-    """Stationary density matrix: the Liouvillian kernel by one sparse LU solve.
+    """Stationary density matrix: the Liouvillian kernel by one solve of a bordered system.
 
-    L' is the CSC view of the model's GKSForm.liouvillian.  Its row
-    0, the (0, 0) diagonal equation, depends on the others because L'
-    preserves trace, so A is L' with row 0 replaced by s vec(I)+,
-    s = ||L'||_1; then A vec(rho) = s e_0 holds the stationarity and
-    tr rho = 1, and the scale s keeps both the answer and the certificate
-    unchanged by the unit of time.  The certificate is the
-    condition estimate kappa = ||A||_1 onenormest(A^-1).  When the LU
-    finds A singular or kappa >= 1/RANK_RTOL, the dense SVD of the same
-    assembled L' decides (_dense_kernel_vector): it counts the kernel and raises
-    DegenerateKernelError with kernel_dim unless that count is one.
-    Above the MAX_DENSE_DIM budget for d^2 it raises at once, naming kappa,
-    with kernel_dim None.  The result is projected by linalg.hermitian_part,
-    trace-normalized and checked positive.
+    L' is the model's GKSForm.liouvillian.  Its row 0, the (0, 0)
+    diagonal equation, depends on the others because L' preserves trace,
+    so A is L' with row 0 replaced by s vec(I)+, s = ||L'||_1; then
+    A vec(rho) = s e_0 holds the stationarity and tr rho = 1, and the
+    scale s keeps both the answer and the certificate unchanged by the
+    unit of time.  _kernel_solve solves it and returns the certificate
+    kappa = ||A||_1 ||A^-1||_1: exact from a numpy inverse up to
+    d^2 = MAX_DENSE_SOLVE_DIM, estimated by onenormest on scipy's sparse
+    LU above it.  When A is singular or kappa >= 1/RANK_RTOL, the dense
+    SVD of the same assembled L' decides (_dense_kernel_vector): it counts
+    the kernel and raises DegenerateKernelError with kernel_dim unless that
+    count is one.  Above the MAX_DENSE_DIM budget for d^2 it raises at
+    once, naming kappa, with kernel_dim None.  The result is projected by
+    linalg.hermitian_part, trace-normalized and checked positive.
     """
-    import scipy.sparse
-    import scipy.sparse.linalg
-
     d = model.dim
     liouv = model.form.liouvillian
-    sparse = liouv.sparse()
-    scale = scipy.sparse.linalg.norm(sparse, 1)
-    # Row 0 gives way to the trace row, in new data: liouv stays L' for the dense SVD.
-    sparse.data = np.where(sparse.indices == 0, 0.0, sparse.data)
-    trace_row = scipy.sparse.csc_array(
-        (np.full(d, scale, dtype=complex), (np.zeros(d, dtype=int), np.arange(d) * (d + 1))),
-        shape=liouv.shape,
-    )
-    a = sparse + trace_row
-    rhs = np.zeros(d * d, dtype=complex)
-    rhs[0] = scale
-    try:
-        lu = scipy.sparse.linalg.splu(a)
-    except RuntimeError:  # SuperLU: the factor is exactly singular
-        kappa = np.inf
-    else:
-        inverse = scipy.sparse.linalg.LinearOperator(
-            a.shape, matvec=lu.solve, rmatvec=lambda v: lu.solve(v, trans="H"), dtype=complex
-        )
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vec = lu.solve(rhs)
-            # t = 1 draws no random columns, so the estimate is reproducible.
-            kappa = scipy.sparse.linalg.norm(a, 1) * scipy.sparse.linalg.onenormest(inverse, t=1)
+    vec, kappa = _kernel_solve(liouv)
     if not kappa < 1.0 / RANK_RTOL:  # NaN included
         vec = _dense_kernel_vector(liouv, kappa)
     rho = hermitian_part(devectorize(vec, d))
@@ -376,6 +355,53 @@ def steady_state(model: SystemModel) -> np.ndarray:
     except DomainError as exc:
         raise DecompositionError(str(exc)) from exc
     return rho
+
+
+def _kernel_solve(liouv: SandwichSum) -> tuple[np.ndarray | None, float]:
+    """(vec, kappa) of steady_state's bordered system A vec = s e_0, from the assembled L'.
+
+    Up to n = d^2 = MAX_DENSE_SOLVE_DIM by numpy alone: vec = s A^-1 e_0
+    with the exact kappa = ||A||_1 ||A^-1||_1.  Above it by scipy's sparse
+    LU, with ||A^-1||_1 estimated by onenormest.  A singular A gives
+    (None, inf); A is built in new data, so liouv stays L'.
+    """
+    n = liouv.shape[0]
+    d = isqrt(n)
+    trace_cols = np.arange(d) * (d + 1)  # where vec(I) is 1
+    if n <= MAX_DENSE_SOLVE_DIM:
+        a = liouv.dense()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            scale = np.linalg.norm(a, 1)
+            a[0] = 0.0
+            a[0, trace_cols] = scale
+            try:
+                inverse = np.linalg.inv(a)
+            except np.linalg.LinAlgError:  # exactly singular
+                return None, np.inf
+            return scale * inverse[:, 0], np.linalg.norm(a, 1) * np.linalg.norm(inverse, 1)
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    sparse = liouv.sparse()
+    scale = scipy.sparse.linalg.norm(sparse, 1)
+    sparse.data = np.where(sparse.indices == 0, 0.0, sparse.data)
+    trace_row = scipy.sparse.csc_array(
+        (np.full(d, scale, dtype=complex), (np.zeros(d, dtype=int), trace_cols)), shape=(n, n))
+    a = sparse + trace_row
+    rhs = np.zeros(n, dtype=complex)
+    rhs[0] = scale
+    try:
+        lu = scipy.sparse.linalg.splu(a)
+    except RuntimeError:  # SuperLU: the factor is exactly singular
+        return None, np.inf
+    inverse = scipy.sparse.linalg.LinearOperator(
+        a.shape, matvec=lu.solve, rmatvec=lambda v: lu.solve(v, trans="H"), dtype=complex
+    )
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vec = lu.solve(rhs)
+        # t = 1 draws no random columns, so the estimate is reproducible.
+        kappa = scipy.sparse.linalg.norm(a, 1) * scipy.sparse.linalg.onenormest(inverse, t=1)
+    return vec, kappa
 
 
 def _dense_kernel_vector(liouv: SandwichSum, kappa: float) -> np.ndarray:

@@ -22,10 +22,11 @@ and in the vacuum (n = m = 0) the gauge slot joins in through
 
 unitarity_defect is the Ito closure of d(V+V) on that vacuum table.
 
-Every scalar argument of the library is checked by one of three rules
+Every scalar argument of the library is checked by one of four rules
 here, where it enters: require_finite (a number, not a bool, str or
-None, and finite), require_positive (that, and > 0: gamma, dt, t_final)
-and require_count (an integer, not a bool, at least a minimum: steps,
+None, and finite: m, alpha), require_real (that, and not complex:
+sigma, n), require_positive (that, and > 0: gamma, dt, t_final) and
+require_count (an integer, not a bool, at least a minimum: steps,
 cutoff, modes), which returns a Python int so no size product can wrap.
 """
 
@@ -52,6 +53,7 @@ __all__ = [
     "require_count",
     "require_finite",
     "require_positive",
+    "require_real",
     "unitarity_defect",
 ]
 
@@ -77,9 +79,18 @@ def require_finite(**values) -> None:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
-def require_positive(**values) -> None:
-    """The rule of a positive real: require_finite, then DomainError unless each is > 0."""
+def require_real(**values) -> None:
+    """The rule of a real argument: require_finite, then DomainError naming the first one
+    of a complex type, whose imaginary part no comparison or formula of a real reads."""
     require_finite(**values)
+    for name, value in values.items():
+        if np.iscomplexobj(value):
+            raise DomainError(f"{name} must be real, got {value}")
+
+
+def require_positive(**values) -> None:
+    """The rule of a positive real: require_real, then DomainError unless each is > 0."""
+    require_real(**values)
     for name, value in values.items():
         if value <= 0:
             raise DomainError(f"{name} must be positive, got {value}")
@@ -128,7 +139,8 @@ class NoiseParams:
 
     def __post_init__(self):
         require_positive(gamma=self.gamma)
-        require_finite(sigma=self.sigma, n=self.n, m=self.m, alpha=self.alpha)
+        require_real(sigma=self.sigma, n=self.n)
+        require_finite(m=self.m, alpha=self.alpha)
         if self.n < 0:
             raise DomainError(f"n must be nonnegative, got {self.n}")
 

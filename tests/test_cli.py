@@ -19,7 +19,7 @@ from hypothesis.extra import numpy as hnp
 from gaussbath import cli, collision, linalg, lindblad
 from gaussbath.cli import _pairs_json, _report_json, main
 from gaussbath.doubling import OperatorGaussianSpec, operator_split
-from gaussbath.errors import GaussBathError
+from gaussbath.errors import FormatError, GaussBathError
 from gaussbath.linalg import exp_plan, vectorize
 from gaussbath.lindblad import SystemModel, gks_decompose, schrodinger_liouvillian
 from gaussbath.noise import NoiseParams
@@ -631,6 +631,9 @@ def test_report_commands_never_load_scipy(tmp_path):
     big = write_json(tmp_path / "m46.json", {"dim": 46, "gamma": 1.0, "n": 0.5,
                                              "C": to_pairs(ladder(46)),
                                              "F": to_pairs(np.diag(np.arange(46.0)))})
+    big17 = write_json(tmp_path / "m17.json", {"dim": 17, "gamma": 1.0, "n": 0.5,
+                                                "C": to_pairs(ladder(17)),
+                                                "F": to_pairs(np.diag(np.arange(17.0)))})
     script = f"""
 import sys
 from gaussbath.cli import main
@@ -644,13 +647,16 @@ assert main(["evolve", "--model", {model!r}, "--rho0", {str(tmp_path / "rho0.jso
              "--t-final", "0.2", "--points", "3", "--out", {str(tmp_path / "e.csv")!r}]) == 0
 assert main(["oracle", "--model", {model!r}, "--t-final", "0.2", "--dt-list", "0.1,0.05",
              "--cutoff", "3", "--out", {str(tmp_path / "o.csv")!r}]) == 0
-assert "scipy" not in sys.modules, "a dense evolve or oracle loaded scipy"
+# steady at d^2 <= MAX_DENSE_SOLVE_DIM: the numpy kernel solve and residual.
+assert main(["steady", "--model", {model!r}, "--out", {str(tmp_path / "st.json")!r}]) == 0
+assert "scipy" not in sys.modules, "a dense evolve, oracle or steady loaded scipy"
 # The sparse route of evolve: a d = 46 oscillator is beyond the dense budget.
 assert main(["evolve", "--model", {big!r}, "--rho0", {str(tmp_path / "rho46.json")!r},
              "--t-final", "0.1", "--points", "3", "--out", {str(tmp_path / "k.csv")!r}]) == 0
 assert "scipy.sparse" in sys.modules
 assert "scipy.sparse.linalg" not in sys.modules, "a Krylov evolve loaded scipy.sparse.linalg"
-assert main(["steady", "--model", {model!r}, "--out", {str(tmp_path / "st.json")!r}]) == 0
+# steady at d = 17, above MAX_DENSE_SOLVE_DIM: the sparse LU.
+assert main(["steady", "--model", {big17!r}, "--out", {str(tmp_path / "st17.json")!r}]) == 0
 assert "scipy.sparse.linalg" in sys.modules
 """
     write_json(tmp_path / "rho0.json", {"rho": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]})
@@ -764,6 +770,21 @@ def test_bool_matrix_entry_is_invalid_input(tmp_path, capsys):
     assert main(["steady", "--model", qubit_model_file(tmp_path, C=c)]) == 2
     err = capsys.readouterr().err
     assert "field 'C'" in err and "finite numbers" in err
+
+
+def test_the_bool_scan_runs_only_where_the_text_can_hold_a_bool(tmp_path, capsys):
+    # A JSON bool is the literal true or false, so a file without either holds none.
+    assert cli._load_json(qubit_model_file(tmp_path)).bools is False
+    assert cli._load_json(qubit_model_file(tmp_path, note="false")).bools is True
+    c = [[[0, 0], [0, 0]], [[True, 0], [0, 0]]]
+    # A tree built in Python, not read from text, is always scanned.
+    raw = {"dim": 2, "gamma": 1.0, "C": c, "F": Z2}
+    with pytest.raises(FormatError, match="field 'C': entries must be finite numbers"):
+        cli.model_from_dict(raw)
+    rho = write_json(tmp_path / "rho.json", [[[True, 0], [0, 0]], [[0, 0], [0, 0]]])
+    assert main(["evolve", "--model", qubit_model_file(tmp_path), "--rho0", rho,
+                 "--t-final", "0.1"]) == 2
+    assert "field 'rho'" in capsys.readouterr().err
 
 
 def test_tol_flag_is_gone(tmp_path):

@@ -447,11 +447,14 @@ def test_convergence_study_input_checks():
 
 @pytest.mark.parametrize("t_final, dts, match", [
     (1e300, [1e-300, 1e-301], r"t_final = 1e\+300 over dt = 1e-300 is not a finite step count"),
+    (np.float64(1e300), [1e-300, 1e-301],
+     r"t_final = 1e\+300 over dt = 1e-300 is not a finite step count"),
     (0.5, [1e-300, 0.1], r"5e\+299 steps of dt = 1e-300 \(t_final = 0.5\)"),
     (0.5, [0.0, 0.1], "dt must be positive"),
     (0.4, [0.1, 0.05, 0.1], r"dt = 0\.1 is repeated"),
     (0.4, [1.0, 0.5], r"t_final = 0\.4 over dt = 1\.0 rounds to 0 steps"),
-], ids=["ratio-overflows", "over-budget", "zero-dt", "repeated-dt", "zero-steps"])
+], ids=["ratio-overflows", "ratio-overflows-numpy-float", "over-budget", "zero-dt",
+        "repeated-dt", "zero-steps"])
 def test_convergence_study_checks_every_step_count_before_running(monkeypatch, t_final, dts,
                                                                    match):
     def fail(config, rho):

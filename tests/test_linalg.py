@@ -606,6 +606,22 @@ def test_sandwich_sums_equal_the_kron_sum(rng, kind):
             assert np.abs(dense - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
 
 
+def test_the_numpy_matvec_is_the_csc_product(rng):
+    # SandwichSum.matvec sums each row in key order, as the CSC matvec does; the loop over
+    # the entries in that order is the reference, and the CSC and dense products agree.
+    for d in (1, 2, 3, 5):
+        op = sandwich_sum([(random_complex(rng, (d, d)), random_complex(rng, (d, d))),
+                           (np.eye(d), random_complex(rng, (d, d)))], "the sum")
+        v = random_complex(rng, d * d)
+        want = np.zeros(d * d, dtype=complex)
+        for key, value in zip(op.keys, op.data):
+            want[key % (d * d)] += value * v[key // (d * d)]
+        got = op.matvec(v)
+        scale = np.abs(op.dense()) @ np.abs(v)
+        for other in (want, op.sparse() @ v, op.dense() @ v):
+            assert np.all(np.abs(got - other) <= 8 * np.finfo(float).eps * scale)
+
+
 @pytest.mark.parametrize("view", ["dense", "sparse"], ids=["sandwich_sum", "sandwich_sum_sparse"])
 def test_sandwich_sums_beyond_the_double_range_overflow(view):
     eye, big = np.eye(2), np.diag([1e200, 1.0])
@@ -706,5 +722,5 @@ def test_one_assembly_per_exponential(calls, monkeypatch, tmp_path, capsys):
     # The dense SVD fallback of steady_state reads the L' that its sparse LU took.
     monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
     calls.clear()
-    steady_state(oscillator(3, n=0.5))
+    steady_state(oscillator(17, n=0.5))  # d^2 = 289: above MAX_DENSE_SOLVE_DIM, the LU
     assert calls == ["sandwich_sum"]

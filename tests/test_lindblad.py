@@ -239,8 +239,8 @@ def test_the_owners_are_immutable(rng, monkeypatch):
     evolve_on_route("dense", model, random_density(rng, 3), 0.1, 3)
     evolve_on_route("krylov", model, random_density(rng, 3), 0.1, 3)
     steady_state(model)
-    # The two plans, the dense map and the LU read L'; the fourth read is expm_action's
-    # sparse view of the plan's L' - mu I.
+    # The two plans, the dense map and the kernel solve read L'; the fourth read is
+    # expm_action's sparse view of the plan's L' - mu I.
     assert [op is liouv for op in read] == [True, True, True, False, True]
     assert model.form is form and form.liouvillian is liouv
 
@@ -256,13 +256,16 @@ def test_no_schrodinger_path_builds_the_heisenberg_matrix(rng, monkeypatch):
     want = [rho0]
     for _ in range(4):
         want.append(apply(mat_exp(0.25 * liouv), want[-1]))
-    steady = dense_steady_state(model)
     # The bound of test_heisenberg_generator_matches_ito_closure.
     np.testing.assert_allclose(schrodinger_liouvillian(model), liouv, rtol=0, atol=1e-12)
     for method in ("expm", "rk4"):
         states = evolve_on_route("dense", model, rho0, 0.25, 4, method=method)
         np.testing.assert_allclose(states, want, rtol=0, atol=1e-10)
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)  # the dense SVD decides
+    # At d = 17, above MAX_DENSE_SOLVE_DIM, steady_state takes the sparse LU; it fails,
+    # so the dense SVD decides.
+    model = random_model(rng, 17)
+    steady = dense_steady_state(model)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
     np.testing.assert_allclose(steady_state(model), steady, rtol=0, atol=1e-10)
 
 
@@ -849,12 +852,70 @@ def test_steady_state_falls_back_to_the_dense_kernel_when_the_lu_is_singular(mon
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
-    d, n = 6, 0.5
+    d, n = 17, 0.5  # d^2 = 289 is above MAX_DENSE_SOLVE_DIM: the sparse LU runs
     m = 0.5 * np.sqrt(n * (n + 1.0)) * np.exp(0.7j)
     model = SystemModel(C=ladder(d), F=number(d), noise=NoiseParams(gamma=1.0, n=n, m=m))
     rho = steady_state(model)
     assert len(calls) == 1
     np.testing.assert_allclose(rho, dense_steady_state(model), rtol=0, atol=1e-10)
+
+
+def no_lu(*args, **kwargs):
+    raise AssertionError("the dense kernel solve called splu")
+
+
+@pytest.mark.parametrize("bath", ["thermal", "squeezed"])
+@pytest.mark.parametrize("d", range(2, 17))
+def test_the_dense_kernel_solve_matches_the_sparse_lu(monkeypatch, d, bath):
+    import scipy.sparse.linalg
+
+    rng = np.random.default_rng([20261020, d, bath == "squeezed"])
+    n = float(rng.uniform(0.1, 2.0))
+    phase = np.exp(2j * np.pi * rng.uniform())
+    m = 0.0 if bath == "thermal" else 0.9 * np.sqrt(n * (n + 1.0)) * phase
+    model = SystemModel(C=random_complex(rng, (d, d)), F=random_hermitian(rng, d),
+                        noise=NoiseParams(gamma=float(rng.uniform(0.5, 2.0)),
+                                          sigma=float(rng.uniform(-1.0, 1.0)), n=n, m=m))
+    liouv = model.form.liouvillian
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.sparse.linalg, "splu", no_lu)
+        dense = steady_state(model)
+        exact = lindblad._kernel_solve(liouv)[1]
+    monkeypatch.setattr(lindblad, "MAX_DENSE_SOLVE_DIM", 0)  # every size to the sparse LU
+    sparse = steady_state(model)
+    assert np.abs(dense - sparse).max() <= 1e-13 * np.abs(sparse).max()
+    # onenormest bounds ||A^-1||_1 from below, so the LU's estimate is at most the exact kappa.
+    assert lindblad._kernel_solve(liouv)[1] <= exact * (1.0 + 1e-12)
+
+
+def test_a_singular_dense_inverse_hands_the_kernel_to_the_svd(monkeypatch):
+    d, n = 6, 0.5
+    m = 0.5 * np.sqrt(n * (n + 1.0)) * np.exp(0.7j)
+    model = SystemModel(C=ladder(d), F=number(d), noise=NoiseParams(gamma=1.0, n=n, m=m))
+    want = steady_state(model)
+    calls = []
+
+    def singular(a):
+        calls.append(a.shape)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    rho = steady_state(model)
+    assert calls == [(d * d, d * d)]
+    assert np.abs(rho - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_a_degenerate_kernel_on_the_dense_route_is_counted(monkeypatch):
+    import scipy.sparse.linalg
+
+    # C = 1 (x) a and F = 1 (x) a+a at d = 16: X (x) rho_ss is stationary for every 2 x 2 X.
+    a = ladder(8)
+    model = SystemModel(C=np.kron(np.eye(2), a), F=np.kron(np.eye(2), number(8)),
+                        noise=NoiseParams(gamma=1.0, n=0.5))
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", no_lu)
+    with pytest.raises(DegenerateKernelError, match="has dimension 4, expected 1") as info:
+        steady_state(model)
+    assert info.value.kernel_dim == 4
 
 
 def test_degenerate_kernel_beyond_the_dense_budget_is_not_counted():

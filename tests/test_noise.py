@@ -88,8 +88,8 @@ _ENTRY_POINTS = {
     ("NoiseParams", "gamma"): ("positive", lambda v: NoiseParams(gamma=v)),
     ("NoiseParams", "sigma"): ("real", lambda v: NoiseParams(gamma=1.0, sigma=v)),
     ("NoiseParams", "n"): ("real", lambda v: NoiseParams(gamma=1.0, n=v)),
-    ("NoiseParams", "m"): ("real", lambda v: NoiseParams(gamma=1.0, m=v)),
-    ("NoiseParams", "alpha"): ("real", lambda v: NoiseParams(gamma=1.0, alpha=v)),
+    ("NoiseParams", "m"): ("finite", lambda v: NoiseParams(gamma=1.0, m=v)),
+    ("NoiseParams", "alpha"): ("finite", lambda v: NoiseParams(gamma=1.0, alpha=v)),
     ("evolve", "dt"): ("positive", lambda v: evolve(_qubit(), _RHO0, v, 2)),
     ("evolve", "steps"): (1, lambda v: evolve(_qubit(), _RHO0, 0.1, v)),
     ("CollisionConfig", "dt"): (
@@ -105,7 +105,7 @@ _ENTRY_POINTS = {
     ("convergence_study", "cutoff"): (
         2, lambda v: convergence_study(_qubit(), _RHO0, 0.4, [0.2, 0.1], v)),
     ("scalar_split", "n"): ("real", lambda v: scalar_split(v, 0.0)),
-    ("scalar_split", "m"): ("real", lambda v: scalar_split(1.0, v)),
+    ("scalar_split", "m"): ("finite", lambda v: scalar_split(1.0, v)),
     ("fock_annihilator", "cutoff"): (2, fock_annihilator),
     ("mode_annihilators", "modes"): (1, lambda v: mode_annihilators(v, 3)),
     ("mode_annihilators", "cutoff"): (2, lambda v: mode_annihilators(1, v)),
@@ -115,6 +115,8 @@ _ENTRY_POINTS = {
 
 _NOT_NUMBERS = [True, np.True_, "1", None]
 _NOT_FINITE = [np.nan, np.inf, -np.inf]
+# A complex type where a real is expected, its imaginary part zero or not.
+_COMPLEX = [1j, 1 + 0j, np.complex128(2.0)]
 # Counts that wrapped (d cutoff^2)^2 in fixed-width numpy arithmetic (to 0 and below 0):
 # only the entry points that check the dense budget before allocating take them.
 _WRAPPING_CUTOFFS = [np.int64(2**32), np.int32(70000)]
@@ -123,9 +125,11 @@ _WRAPPING_CUTOFFS = [np.int64(2**32), np.int32(70000)]
 def _verdicts():
     """(entry point, argument, bad value, the one message of its rule for that argument)."""
     for (entry, name), (rule, _) in _ENTRY_POINTS.items():
-        if rule in ("real", "positive"):
+        if rule in ("finite", "real", "positive"):
             cases = [(v, f"must be a number, got {v!r}") for v in _NOT_NUMBERS]
             cases += [(v, f"must be finite, got {v}") for v in _NOT_FINITE]
+            if rule in ("real", "positive"):
+                cases += [(v, f"must be real, got {v}") for v in _COMPLEX]
             if rule == "positive":
                 cases += [(v, f"must be positive, got {v}") for v in (0, -1)]
         else:
