@@ -16,10 +16,11 @@ numpy conversion each way: ``_parse_cmatrix`` accepts only a
 dim x dim x 2 array of finite numbers, and ``_report_json`` writes a
 report tree as compact JSON.  Report trees hold complex scalars and
 arrays themselves; ``_pairs_json`` writes each one straight from numpy
-as pairs, formatting every distinct entry once, and every other leaf
-goes through ``json.dumps``.  A non-finite value anywhere in a report
-raises OverflowError naming its field, so no report holds NaN or
-Infinity.  Time series are CSV from one writer, ``_write_csv``: a
+as pairs, the bytes json.dumps writes for nested lists, with Python
+work per run of equal entries along a row and per distinct entry, not
+per cell; every other leaf goes through ``json.dumps``.  A non-finite
+value anywhere in a report raises OverflowError naming its field, so no
+report holds NaN or Infinity.  Time series are CSV from one writer, ``_write_csv``: a
 header and pre-formatted lines joined with commas, each ended with
 CRLF, which is what csv.writer writes for cells that need no quoting.
 The state columns of ``evolve`` are linalg.hermitian_part of each computed
@@ -57,8 +58,9 @@ from .wick import normal_to_time, time_to_normal
 def _parse_cmatrix(obj, dim: int, where: str, bools: bool = True) -> np.ndarray:
     """A dim x dim complex matrix from nested [re, im] pairs of finite numbers.
 
-    bools False says that obj was read from JSON text holding no true or
-    false, so no leaf can be a bool and the scan for one is skipped.
+    bools False says that obj was read from JSON text whose every true and
+    false is a value outside every list, so no leaf can be a bool and the
+    scan for one is skipped.
     """
     try:
         a = np.asarray(obj)
@@ -100,10 +102,22 @@ def _number(raw: dict, key: str, default: float | None = None) -> float:
 
 
 class _FileObject(dict):
-    """A JSON object read from a file; bools is whether the file text holds a true or
-    false anywhere, so _parse_cmatrix scans its matrices for a bool leaf only then."""
+    """A JSON object read from a file; bools is whether a list in it can hold a bool,
+    so _parse_cmatrix scans its matrices for a bool leaf only then."""
 
     bools = True
+
+
+def _bools_outside_lists(tree: dict) -> int:
+    """The number of bool values that tree reaches through objects alone, never a list."""
+    count, stack = 0, [tree]
+    while stack:  # no recursion: the decoder nests deeper than the Python stack allows
+        for value in stack.pop().values():
+            if isinstance(value, dict):
+                stack.append(value)
+            else:
+                count += isinstance(value, bool)
+    return count
 
 
 def _load_json(path: str):
@@ -119,9 +133,13 @@ def _load_json(path: str):
         tree = json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise FormatError(f"{path}: nested too deeply to read") from None
     if isinstance(tree, dict):
         tree = _FileObject(tree)
-        tree.bools = "true" in text or "false" in text
+        # Every bool is a true or false in the text, so when the bools reached
+        # without a list account for every such substring, no list holds one.
+        tree.bools = text.count("true") + text.count("false") != _bools_outside_lists(tree)
     return tree
 
 
@@ -169,30 +187,62 @@ def load_density_matrix(path: str, dim: int) -> np.ndarray:
 
 # ---------------------------------------------------------------- dumping
 
+def _changes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Where the pair (x[i], y[i]) differs from the pair before it; the first always does."""
+    change = np.empty(len(x), dtype=bool)
+    change[0] = True
+    np.not_equal(x[1:], x[:-1], out=change[1:])
+    change[1:] |= y[1:] != y[:-1]
+    return change
+
+
 def _pairs_json(a, where: str = "value") -> str:
     """A complex scalar or array as compact JSON (nested lists of) [re, im] pairs.
 
-    Each distinct (re, im) bit pattern is formatted once, by float repr as
-    json.dumps does; the bit patterns keep -0.0 apart from 0.0.  They are
-    grouped by a two-key sort of their uint64 halves, which numpy sorts far
-    faster than 16-byte void items.
+    The Python work grows with the runs and the distinct values, not with
+    the cells.  A run is a maximal stretch of equal (re, im) bit patterns
+    along a row (the last axis); the bit patterns keep -0.0 apart from 0.0.
+    Each distinct pattern among the run heads is formatted once, by float
+    repr as json.dumps does, after a two-key sort of their uint64 halves.
+    A run of k cells is one string, and the whole text is one comma join
+    of the runs, with brackets added to the first and last run of each row
+    and of each block of an outer axis.
     """
-    a = require_finite_result(np.asarray(a, dtype=complex), f"report field '{where}'")
-    bits = np.ascontiguousarray(a.reshape(-1)).view(np.uint64).reshape(-1, 2)
-    order = np.lexsort((bits[:, 1], bits[:, 0]))
-    ranked = bits[order]
-    first = np.ones(len(ranked), dtype=bool)  # where a run of equal patterns starts
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
-    index = np.empty(len(ranked), dtype=np.intp)
-    index[order] = np.cumsum(first) - 1
-    distinct = ranked[first].view(complex).ravel()
-    text = np.array([f"[{z.real!r},{z.imag!r}]" for z in distinct.tolist()], dtype=object)
-    cells = text[index].reshape(a.shape)
-    while cells.ndim:  # join the last axis into rows until one string is left
-        rows = cells.reshape(-1, cells.shape[-1]).tolist()
-        cells = np.array(["[" + ",".join(row) + "]" for row in rows],
-                         dtype=object).reshape(cells.shape[:-1])
-    return cells.item()
+    a = np.asarray(a, dtype=complex)
+    what = f"report field '{where}'"
+    if not a.ndim:
+        z = complex(require_finite_result(a, what))
+        return f"[{z.real!r},{z.imag!r}]"
+    if not a.size:  # nested empty lists, as json.dumps writes them
+        return json.dumps(np.zeros(a.shape).tolist(), separators=(",", ":"))
+    flat = np.ascontiguousarray(a).reshape(-1)
+    width = a.shape[-1]
+    bits = flat.view(np.uint64)
+    re, im = bits[0::2], bits[1::2]
+    head = _changes(re, im)
+    head[::width] = True  # every row starts a run
+    edges = np.append(head, True).nonzero()[0]  # the start of each run, then the end
+    starts = edges[:-1]
+    order = np.lexsort((im[starts], re[starts]))
+    ranked = starts[order]  # the run heads, equal patterns side by side
+    first = _changes(re[ranked], im[ranked])  # where a distinct pattern starts
+    index = np.empty(len(order), dtype=np.intp)
+    index[order] = first.cumsum() - 1
+    distinct = require_finite_result(flat[ranked[first]], what)
+    pieces = np.array([f"[{z.real!r},{z.imag!r}]" for z in distinct.tolist()], dtype=object)[index]
+    if len(starts) < flat.size:
+        length = edges[1:] - starts
+        long = (length > 1).nonzero()[0]
+        text = pieces[long]
+        pieces[long] = (text + ",") * (length[long] - 1) + text
+    at_row = edges % width == 0
+    rows, ends = at_row[:-1].nonzero()[0], at_row[1:].nonzero()[0]  # first, last run of a row
+    step = 1
+    for side in (1, *a.shape[-2::-1]):  # each row, then each block of step rows
+        step *= side
+        pieces[rows[::step]] = "[" + pieces[rows[::step]]
+        pieces[ends[step - 1::step]] += "]"
+    return ",".join(pieces.tolist())
 
 
 def _report_json(tree, where: str = "") -> str:

@@ -787,6 +787,34 @@ def test_the_bool_scan_runs_only_where_the_text_can_hold_a_bool(tmp_path, capsys
     assert "field 'rho'" in capsys.readouterr().err
 
 
+def test_the_bool_scan_counts_the_bools_outside_every_list(tmp_path, capsys):
+    # A convert report holds its own true outside every matrix; that true is
+    # counted, so reading the report back skips the scan.
+    model = qubit_model_file(tmp_path, E={"c00": Z2, "c01": SP, "c10": SM, "c11": Z2})
+    normal = tmp_path / "normal.json"
+    assert main(["convert", "--model", model, "--direction", "to-normal",
+                 "--out", str(normal)]) == 0
+    tree = json.loads(normal.read_text())
+    assert tree["report"]["hermitian_generator_input"] is True
+    assert cli._load_json(str(normal)).bools is False
+    # A true leaf in C, beside the report's true, is still found.
+    tree["C"][1][0][0] = True
+    bad = write_json(tmp_path / "bad.json", tree)
+    assert cli._load_json(bad).bools is True
+    assert main(["convert", "--model", bad, "--direction", "to-time"]) == 2
+    err = capsys.readouterr().err
+    assert "field 'C'" in err and "finite numbers" in err
+    # A key that spells true holds no bool, but the count keeps the scan on.
+    assert cli._load_json(qubit_model_file(tmp_path, true_flag=1)).bools is True
+
+
+def test_json_nested_beyond_the_decoder_is_invalid_input(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"a":' * 5000 + "1" + "}" * 5000)
+    assert main(["steady", "--model", str(deep)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_tol_flag_is_gone(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["steady", "--model", qubit_model_file(tmp_path), "--tol", "1e-9"])
@@ -838,6 +866,66 @@ complex_arrays = hnp.array_shapes(min_dims=0, max_dims=3, max_side=5).flatmap(
 @given(complex_arrays)
 def test_pairs_json_matches_per_entry_encoding_on_random_arrays(arr):
     assert _pairs_json(arr) == compact(per_entry(arr))
+
+
+# Entries from a small pool of (re, im) values, so that long runs, runs that would
+# cross a row end and runs of mixed-sign zeros are common; sides of 0 included.
+RUN_POOL = [0.0, -0.0, 1.0, -2.5, 5e-324, 1e308]
+run_heavy_arrays = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=40).flatmap(
+    lambda shape: hnp.arrays(np.float64, shape + (2,), elements=st.sampled_from(RUN_POOL))
+).map(lambda parts: parts.view(complex)[..., 0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(run_heavy_arrays)
+def test_pairs_json_matches_per_entry_encoding_on_run_heavy_arrays(arr):
+    for view in (arr, arr.T, arr[..., ::2]):  # strided views too
+        assert _pairs_json(view) == compact(per_entry(view))
+
+
+def test_pairs_json_of_an_empty_array_is_nested_empty_lists():
+    for shape in [(0,), (3, 0), (0, 3), (2, 0, 5), (2, 3, 0)]:
+        assert _pairs_json(np.zeros(shape, dtype=complex)) == compact(np.zeros(shape).tolist())
+
+
+def oscillator_file(tmp_path, d, **bath):
+    """The truncated oscillator, C = a and F = a+a on d levels, in a gamma = 1 bath."""
+    return write_json(tmp_path / f"oscillator{d}.json", {
+        "dim": d, "gamma": 1.0, **bath,
+        "C": to_pairs(ladder(d)), "F": to_pairs(np.diag(np.arange(d, dtype=float))),
+    })
+
+
+def reencoded(text):
+    """The stdlib's compact encoding of the JSON in text, as the CLI ends it."""
+    return json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+
+
+def test_every_report_is_its_own_stdlib_encoding(tmp_path, capsys, rng):
+    """Each report's bytes are json.dumps of its own tree, pairs and all."""
+    c = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    dense = write_json(tmp_path / "dense.json", {
+        "dim": 6, "gamma": 1.0, "n": 0.5, "m_re": 0.2, "m_im": -0.1,
+        "C": to_pairs(c), "F": to_pairs(np.zeros((6, 6))),
+    })
+    e = {"c00": Z2, "c01": SP, "c10": SM, "c11": [[[0.2, 0.0], [0.1, 0.05]],
+                                                     [[0.1, -0.05], [-0.4, 0.0]]]}
+    normal = str(tmp_path / "normal.json")
+    assert main(["convert", "--model", qubit_model_file(tmp_path, n=0.5, E=e),
+                 "--direction", "to-normal", "--out", normal]) == 0
+    runs = [["generator", "--model", oscillator_file(tmp_path, d, n=0.5, m_re=0.2, m_im=0.1)]
+            for d in (2, 8, 24)]
+    runs += [
+        ["generator", "--model", dense],
+        ["convert", "--model", normal, "--direction", "to-time"],
+        ["steady", "--model", oscillator_file(tmp_path, 4, n=0.5)],
+        ["split", "--n", "0.5", "--m-re", "0.1", "--m-im", "-0.2"],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv
+        text = capsys.readouterr().out
+        assert text == reencoded(text), argv
+    assert reencoded(Path(normal).read_text()) == Path(normal).read_text() + "\n"
 
 
 def test_report_writer_rejects_non_finite_values():
