@@ -246,18 +246,35 @@ def _pairs_json(a, where: str = "value") -> str:
 
 
 def _report_json(tree, where: str = "") -> str:
-    """A report tree as compact JSON: complex values as pairs, other leaves by json.dumps."""
+    """A report tree as compact JSON: complex values as pairs, other leaves by json.dumps.
+
+    Every brace, key, colon and leaf text goes into one flat list, joined once, so a
+    large field's text is copied once, not once per enclosing object.
+    """
+    parts = []
+    _report_parts(tree, where, parts)
+    return "".join(parts)
+
+
+def _report_parts(tree, where: str, parts: list) -> None:
+    """Append the texts of a report tree, in order, to parts."""
     if isinstance(tree, dict):
-        return "{" + ",".join(
-            json.dumps(key) + ":" + _report_json(value, f"{where}.{key}" if where else key)
-            for key, value in tree.items()
-        ) + "}"
-    if isinstance(tree, (complex, np.ndarray)):  # np.complex128 subclasses complex
-        return _pairs_json(tree, where)
-    try:
-        return json.dumps(tree, separators=(",", ":"), allow_nan=False)
-    except ValueError:  # NaN or Infinity in a float leaf
-        raise OverflowError(f"report field '{where}' is not finite") from None
+        parts.append("{")
+        for key, value in tree.items():
+            parts.extend((json.dumps(key), ":"))
+            _report_parts(value, f"{where}.{key}" if where else key, parts)
+            parts.append(",")
+        if tree:
+            parts[-1] = "}"  # in place of the last comma
+        else:
+            parts.append("}")
+    elif isinstance(tree, (complex, np.ndarray)):  # np.complex128 subclasses complex
+        parts.append(_pairs_json(tree, where))
+    else:
+        try:
+            parts.append(json.dumps(tree, separators=(",", ":"), allow_nan=False))
+        except ValueError:  # NaN or Infinity in a float leaf
+            raise OverflowError(f"report field '{where}' is not finite") from None
 
 
 def _write_text(text: str, out: str | None) -> None:

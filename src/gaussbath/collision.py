@@ -28,7 +28,13 @@ from the increment, not from L', so the chain is independent evidence
 for L'.  Trotter error per step is O(dt^2), so the reduced dynamics
 converges to exp(t L') at first order in dt.  The comparison runs at
 sigma = 0; a sigma shift is a system Hamiltonian term and has no
-collision counterpart in this scheme.
+collision counterpart in this scheme.  convergence_study builds once
+per call what its step sizes share: the unit increment B0 (the config's
+unit, which each step scales by sqrt(gamma dt), so H has the same bits)
+and one exact reference per nested family: a row whose dt is r dt_f
+exactly in floating point for a finer listed dt_f reads every r-th state
+of that finer evolve, any other row its own, so a row's error may move
+by rounding only.
 """
 
 from __future__ import annotations
@@ -80,6 +86,9 @@ class CollisionConfig:
     validate_trajectory checks (dt, steps) as evolve does, and noise.require_count
     the cutoff (an integer >= 2; >= 3 for a non-vacuum bath); steps and cutoff are
     stored as the Python ints those rules return, so no size product can wrap.
+    unit is B0 = represent_annihilator(1, split, cutoff), the increment at gamma dt = 1,
+    read-only; it is built here unless given, so that the configs of one model and
+    cutoff (a convergence study's) can share one, and a given one must be that B0.
     """
 
     model: SystemModel
@@ -87,6 +96,7 @@ class CollisionConfig:
     steps: int
     cutoff: int
     split: SplitCoefficients = field(init=False)
+    unit: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         noise, d = self.model.noise, self.model.dim
@@ -105,6 +115,13 @@ class CollisionConfig:
                 "a sigma shift is a Hamiltonian term with no ancilla counterpart"
             )
         object.__setattr__(self, "split", scalar_split(noise.n, noise.m))
+        if self.unit is None:
+            unit = represent_annihilator(np.ones(1), self.split, self.cutoff)
+            unit.flags.writeable = False  # the configs that share it
+            object.__setattr__(self, "unit", unit)
+        elif np.shape(self.unit) != (self.cutoff**2,) * 2:
+            raise DimensionError(f"unit has shape {np.shape(self.unit)}, the ancilla pair "
+                                 f"at cutoff {self.cutoff} is {self.cutoff**2}-dimensional")
 
     @cached_property
     def hamiltonian(self) -> SandwichSum:
@@ -113,9 +130,9 @@ class CollisionConfig:
 
 
 def increment_operator(config: CollisionConfig) -> np.ndarray:
-    """The increment B on the two-mode ancilla space: the doubled annihilator of one mode."""
-    amp = np.sqrt(config.model.noise.gamma * config.dt)
-    return amp * represent_annihilator(np.ones(1), config.split, config.cutoff)
+    """The increment B = sqrt(gamma dt) B0 on the two-mode ancilla space, B0 the config's unit,
+    the doubled annihilator of one mode."""
+    return np.sqrt(config.model.noise.gamma * config.dt) * config.unit
 
 
 def _step_sandwiches(config: CollisionConfig) -> list:
@@ -231,12 +248,23 @@ def convergence_study(
 
     For each dt the collision trajectory is compared with the exact
     exp(t L') propagation on the same grid and the maximum trace
-    distance recorded; every evolve reads the model's one L', so the study
-    assembles it once.  t_final and each step size pass noise.require_positive
-    before any t_final / dt is formed; the step sizes must be distinct, and
-    t_final / dt must round to at least one step.  The orders follow the
-    CollisionResult rule; an error rise beyond 10 percent plus ROUNDING_TOL is
-    flagged as not monotone in the result, not fatal.
+    distance recorded.  The study builds once what its steps share: the
+    unit increment B0 of CollisionConfig, which each config scales by
+    sqrt(gamma dt), and one exact reference per nested family.  A step dt
+    that equals r dt_f exactly in floating point, r an integer, for a finer
+    listed dt_f reads every r-th state of the evolve at the finest such dt_f,
+    which runs to the largest r steps of its family; any other step, and one
+    whose r steps would break the trajectory budget, reads its own evolve
+    (0.01 * 3 == 0.03 shares, 0.1 * 3 != 0.3 does not).  A
+    shared reference holds exp(dt_f L')^(k r) rho0 in place of exp(dt L')^k
+    rho0, so its row's error moves by rounding only.  Every evolve reads the
+    model's one L', so the study assembles it once, and each reference is
+    built after the first chain that reads it.  Nothing is kept between calls.
+    t_final and each step size pass noise.require_positive before any
+    t_final / dt is formed; the step sizes must be distinct, and t_final / dt
+    must round to at least one step.  The orders follow the CollisionResult
+    rule; an error rise beyond 10 percent plus ROUNDING_TOL is flagged as not
+    monotone in the result, not fatal.
     """
     require_positive(t_final=t_final)
     dts = list(dts)
@@ -256,12 +284,28 @@ def convergence_study(
         steps = int(round(steps))
         if steps == 0:
             raise DomainError(f"t_final = {t_final} over dt = {dt} rounds to 0 steps")
-        configs.append(CollisionConfig(model=model, dt=dt, steps=steps, cutoff=cutoff))
-    errors = []
-    for config in configs:  # every step count is checked before any chain runs
+        configs.append(CollisionConfig(model=model, dt=dt, steps=steps, cutoff=cutoff,
+                                       unit=configs[0].unit if configs else None))
+    # (root, r): the finest listed step with dt == r root exactly, dt itself (r = 1) when
+    # none finer is; each config passed its budget, so dt / root is a modest ratio.
+    reads, length = [], {}
+    for config in configs:
+        root = next(f for f in reversed(dts) if round(config.dt / f) * f == config.dt)
+        r = round(config.dt / root)
+        try:  # r steps can outrun the root's grid by up to about half of dt / root
+            validate_trajectory(root, r * config.steps, model.dim)
+        except DomainError:  # past the trajectory budget: the row keeps its own reference
+            root, r = config.dt, 1
+        reads.append((root, r))
+        length[root] = max(length.get(root, 0), r * config.steps)
+    references, errors = {}, []
+    for config, (root, r) in zip(configs, reads):  # every step count is checked first
         approx = simulate(config, rho0)
-        exact = evolve(model, rho0, config.dt, config.steps, method="expm")
-        errors.append(float(trace_distance(approx, exact).max()))
+        if root not in references:
+            references[root] = evolve(model, rho0, root, length[root], method="expm")
+        # A family's finest step is its last row: its reference is not read again.
+        exact = references.pop(root) if root == config.dt else references[root]
+        errors.append(float(trace_distance(approx, exact[: r * config.steps + 1 : r]).max()))
     rows = [(dt, err, negligible(err, 1.0, ROUNDING_TOL)) for dt, err in zip(dts, errors)]
     fit = [(dt, err) for dt, err, exact in rows if not exact]
     slope = float(np.polyfit(*np.log(fit).T, 1)[0]) if len(fit) >= 2 else None

@@ -337,8 +337,12 @@ def expm_action(plan: ExpPlan, v: np.ndarray, what: str) -> np.ndarray:
     s blocks of width w cut [0, count step]; each forms K_p = (w (A - mu I))^p / p! z once,
     z its first state, on all columns of v: up to m matvecs, stopped by the paper's test.
     A time t = (i + tau) w in block i takes sum_p tau^p K_p e^{mu tau w}, so the matvecs
-    do not depend on count.  More than MAX_MATVECS matvecs raise DomainError before the
-    first one.  A step count beyond 2^53, which includes a norm beyond the double range,
+    do not depend on count.  Where every block holds at most one time (every one-step
+    action, such as the collision's Kraus columns), a time at its block's end (tau = 1
+    exactly) takes that block's z = e^{mu w} sum_p K_p, the next block's first state, in
+    place of the same terms summed again with weights: the two differ by rounding.  Where
+    any block holds several times, as in a many-point evolve, every time is summed.
+    More than MAX_MATVECS matvecs raise DomainError before the first one.  A step count beyond 2^53, which includes a norm beyond the double range,
     and a non-finite result raise OverflowError "expm_multiply overflow: {what} is not
     finite".
     """
@@ -371,15 +375,18 @@ def expm_action(plan: ExpPlan, v: np.ndarray, what: str) -> np.ndarray:
     for block in range(s):
         lo, hi = bounds[block], bounds[block + 1]
         tau = times[lo:hi] / width - block
+        # One time at the block's end is the block's z, e^{mu w} series, not summed again.
+        at_end = keep == 2 and hi > lo and tau[0] == 1.0
+        summed = keep == 2 and hi > lo and not at_end
         weights = tau[:, None] ** np.arange(m + 1) * np.exp(mu * width * tau)[:, None]
         terms[0] = series[...] = z
-        if keep == 2:
+        if summed:
             rows[lo:hi] = weights[:, :1] * flat[0]
         last = bound = inf_norm(z)
         for p in range(1, m + 1):
             term = np.multiply(a @ terms[(p - 1) % keep], width / p, out=terms[p % keep])
             series += term
-            if keep == 2 and hi > lo:
+            if summed:
                 rows[lo:hi] += weights[:, p, None] * flat[p % 2]
             size = inf_norm(term)
             bound += size  # >= ||series||, so that norm is taken only where the test can pass
@@ -389,6 +396,8 @@ def expm_action(plan: ExpPlan, v: np.ndarray, what: str) -> np.ndarray:
         if keep > 2:
             np.matmul(weights[:, : p + 1], flat[: p + 1], out=rows[lo:hi])
         z = series * np.exp(mu * width)
+        if at_end:
+            rows[lo] = z.reshape(-1)
     return require_finite_result(out, overflow)
 
 

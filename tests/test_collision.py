@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from math import isqrt
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -466,6 +470,109 @@ def test_convergence_study_checks_every_step_count_before_running(monkeypatch, t
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=match):
             convergence_study(qubit_model(), rho0, t_final=t_final, dts=dts, cutoff=3)
+
+
+def squeezed_oscillator(d):
+    a = ladder(d)
+    return SystemModel(C=a, F=adjoint(a) @ a, noise=NoiseParams(gamma=1.0, n=0.4, m=0.2j))
+
+
+def per_step_reference_errors(model, rho0, t_final, dts, cutoff):
+    """Each row's error against an evolve at its own step, which a shared reference must
+    match within rounding."""
+    errors = []
+    for dt in sorted(dts, reverse=True):
+        config = CollisionConfig(model=model, dt=dt, steps=round(t_final / dt), cutoff=cutoff)
+        exact = evolve(model, rho0, dt, config.steps, method="expm")
+        errors.append(float(trace_distance(simulate(config, rho0), exact).max()))
+    return errors
+
+
+@pytest.mark.parametrize("t_final, dts, references", [
+    (0.5, [0.04, 0.02, 0.01], [(0.01, 50)]),
+    (0.3, [0.03, 0.01], [(0.01, 30)]),
+    (0.6, [0.3, 0.1], [(0.3, 2), (0.1, 6)]),
+    # 0.3 = 2 * 0.15 in 2 steps needs state 4 of the 3-step grid at 0.15: it runs to 4.
+    (0.5, [0.3, 0.15], [(0.15, 4)]),
+], ids=["ratio-2", "ratio-3", "not-nested", "coarse-outruns-fine"])
+@pytest.mark.parametrize("d, cutoff", [(2, 5), (4, 5)], ids=["dense-step", "krylov-step"])
+def test_a_nested_family_reads_one_reference(rng, monkeypatch, t_final, dts, references, d,
+                                             cutoff):
+    model, rho0 = squeezed_oscillator(d), random_density(rng, d)
+    want = per_step_reference_errors(model, rho0, t_final, dts, cutoff)
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(args[2:4])
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(collision, "evolve", recording)
+    with mock.patch.object(collision, "represent_annihilator",
+                           wraps=collision.represent_annihilator) as built:
+        result = convergence_study(model, rho0, t_final, dts, cutoff)
+    assert runs == references
+    assert built.call_count == 1  # one unit increment per study
+    if len(references) == len(dts):  # every row reads its own evolve, as it did before
+        assert result.errors == want
+    else:
+        assert np.abs(np.subtract(result.errors, want)).max() <= 1e-13
+
+
+def test_a_row_past_the_trajectory_budget_keeps_its_own_reference(monkeypatch):
+    # d = 8 admits 65,535 steps.  To t_final = 0.6, dt = 1 takes 1 step, which is 2^16
+    # steps of 2^-16: past the budget, while the 39,322 steps of 2^-16 are within it.
+    model = squeezed_oscillator(8)
+    rho0 = np.eye(8, dtype=complex) / 8
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(args[2:4])
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(collision, "evolve", recording)
+    monkeypatch.setattr(collision, "simulate",
+                        lambda config, rho: np.broadcast_to(rho, (config.steps + 1, 8, 8)))
+    result = convergence_study(model, rho0, 0.6, [1.0, 2.0**-16], 3)
+    assert runs == [(1.0, 1), (2.0**-16, 39322)]
+    assert result.errors[0] == trace_distance(rho0, evolve(model, rho0, 1.0, 1)[1])
+
+
+def test_configs_share_a_unit_increment_of_their_cutoff():
+    model = qubit_model(n=0.5)
+    config = CollisionConfig(model=model, dt=0.1, steps=2, cutoff=3)
+    assert not config.unit.flags.writeable
+    shared = CollisionConfig(model=model, dt=0.05, steps=4, cutoff=3, unit=config.unit)
+    assert shared.unit is config.unit
+    own = CollisionConfig(model=model, dt=0.05, steps=4, cutoff=3)
+    assert increment_operator(shared).tobytes() == increment_operator(own).tobytes()
+    with pytest.raises(DimensionError, match=r"unit has shape \(9, 9\), the ancilla pair "
+                                             r"at cutoff 4 is 16-dimensional"):
+        CollisionConfig(model=model, dt=0.1, steps=2, cutoff=4, unit=config.unit)
+
+
+def cross_call_study(k):
+    """Study k of two on different models and cutoffs, from inputs built the same way in any
+    process."""
+    if k == 0:
+        model, rho0, cutoff = squeezed_oscillator(2), np.diag([0.3, 0.7]).astype(complex), 3
+        return convergence_study(model, rho0, 0.4, [0.04, 0.02, 0.01], cutoff)
+    psi = np.exp(1j * np.arange(4.0)) / 2.0
+    return convergence_study(squeezed_oscillator(4), np.outer(psi, psi.conj()), 0.3,
+                             [0.05, 0.025], 5)
+
+
+def test_studies_in_one_process_each_equal_a_fresh_run():
+    # Nothing a study builds outlives its call: after the other study, each result is
+    # the one a fresh interpreter gives, bit for bit.
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")])}
+    fresh = [subprocess.run([sys.executable, "-c", "import test_collision; "
+                             f"print(repr(test_collision.cross_call_study({k})))"],
+                            capture_output=True, text=True, env=env, timeout=120,
+                            check=True).stdout.strip() for k in (0, 1)]
+    for k in (0, 1, 0, 1):
+        assert repr(cross_call_study(k)) == fresh[k], k
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])

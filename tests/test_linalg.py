@@ -576,6 +576,43 @@ def test_the_rule_counts_the_plan_that_expm_action_runs(rng):
     assert np.max(np.abs(full - mat_exp(span * liouv.dense()) @ v)) <= 1e-14
 
 
+def weighted_sum_action(plan, v):
+    """exp(count step A) v for one output time as a weighted sum: all m Taylor terms of
+    every block, the last block's weighted by tau^p e^{mu tau w}, the sum that the tau = 1
+    rule of expm_action replaces."""
+    a, m, s = plan.shifted.dense(), int(plan.m), int(plan.s)
+    t = np.linspace(0.0, plan.count * plan.step, plan.count + 1)[-1]
+    width = t / s
+    tau = t / width - (s - 1)
+    z = v
+    for _ in range(s):
+        terms = [z]
+        for p in range(1, m + 1):
+            terms.append(a @ terms[-1] * (width / p))
+        z = sum(terms) * np.exp(plan.mu * width)
+    return sum(tau**p * np.exp(plan.mu * width * tau) * term for p, term in enumerate(terms))
+
+
+@pytest.mark.parametrize("d, cutoff, dt", [(4, 5, 0.02), (3, 6, 0.02), (4, 8, 0.04),
+                                           (8, 5, 0.01)])
+def test_a_one_step_action_is_its_last_blocks_state(rng, d, cutoff, dt):
+    # The Kraus columns of one collision step: the one output time is at tau = 1 of the
+    # last block, so it is that block's e^{mu w} series, within 1e-15 of the largest entry
+    # of the weighted sum it replaces.
+    h = step_sum(d, cutoff, dt)
+    plan = exp_plan(h._replace(data=-1j * h.data), 1.0, 1, columns=d)
+    assert not plan.dense
+    v = rng.standard_normal((d * cutoff**2, d)) + 1j * rng.standard_normal((d * cutoff**2, d))
+    got = expm_action(plan, v, "the test columns")[1]
+    want = weighted_sum_action(plan, v)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    # In two blocks, the time that ends the first is the state the second starts from, so
+    # one block from it ends, bit for bit, where the two-block action does.
+    halves = expm_action(plan._replace(step=0.5, count=2, s=2.0), v, "the test columns")
+    rest = expm_action(plan._replace(step=0.5), halves[1], "the test columns")[1]
+    assert np.array_equal(rest, halves[2])
+
+
 def test_theta_table_is_scipys():
     from scipy.sparse.linalg._expm_multiply import _theta
 
@@ -701,18 +738,22 @@ def test_one_assembly_per_exponential(calls, monkeypatch, tmp_path, capsys):
         run()
         assert calls == want, name
     # Whole commands: steady's residual and generator's two fields read the model's one L';
-    # the oracle assembles L' once for the study and H once per dt, and plans each
-    # exponential once.
+    # the oracle assembles L' once for the study and H once per dt, plans each
+    # exponential once, and takes one reference exponential per nested family, after
+    # the family's first chain: 0.04 and 0.02 read the trajectory at 0.01, while
+    # 0.1 * 3 != 0.3 in floating point, so 0.3 and 0.1 each have their own.
     thermal = oscillator_file(tmp_path / "thermal.json", 4, n=0.5)
     squeezed = oscillator_file(tmp_path / "squeezed.json", 2, n=0.5, m_re=0.2)
+    pair = oscillator_file(tmp_path / "pair.json", 2, n=0.5)
     exp = ["exp_plan", "mat_exp"]
     step = ["sandwich_sum", *exp]
     commands = {
         "steady": (["steady", "--model", thermal], ["sandwich_sum"]),
         "generator": (["generator", "--model", squeezed], ["sandwich_sum"]),
-        "oracle": (["oracle", "--model", oscillator_file(tmp_path / "pair.json", 2, n=0.5),
-                    "--cutoff", "5", "--dt-list", "0.04,0.02,0.01", "--t-final", "0.5"],
-                   step + step + step + exp + step + exp),
+        "oracle": (["oracle", "--model", pair, "--cutoff", "5", "--dt-list", "0.04,0.02,0.01",
+                    "--t-final", "0.5"], step + step + step + step),
+        "oracle, not nested": (["oracle", "--model", pair, "--cutoff", "5", "--dt-list",
+                                "0.3,0.1", "--t-final", "0.6"], step + step + step + exp),
     }
     for name, (argv, want) in commands.items():
         calls.clear()
