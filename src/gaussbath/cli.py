@@ -46,7 +46,7 @@ import numpy as np
 from .collision import convergence_study
 from .doubling import scalar_split, split_residuals
 from .errors import FormatError, GaussBathError
-from .lindblad import SystemModel, evolve, steady_state
+from .lindblad import SystemModel, _steady_state, evolve
 from .linalg import adjoint, hermitian_part, require_finite_result, vectorize
 from .noise import (BLOCK_KEYS, NORMAL_ORDERED, TIME_ORDERED, ItoCoefficients, NoiseParams,
                     is_gaussian_state, unitarity_defect)
@@ -401,7 +401,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_steady(args) -> int:
     model = model_from_dict(load_model_dict(args.model))
-    rho = steady_state(model)
+    rho, kappa, method, blocks = _steady_state(model)
     residual = model.form.liouvillian.matvec(vectorize(rho))  # the L' of the solve
     # Scaled by the power of two at its largest entry, the squares stay in the
     # double range; the scaling is exact, so an in-range norm keeps every bit.
@@ -413,6 +413,9 @@ def cmd_steady(args) -> int:
         "eigenvalues": np.linalg.eigvalsh(rho).tolist(),
         "trace": np.trace(rho),
         "liouvillian_residual": float(np.linalg.norm(residual / unit) * unit),
+        # kappa_1 of the bordered solve; null where that solve was singular and the SVD decided.
+        "certificate": {"kappa": float(kappa) if np.isfinite(kappa) else None,
+                        "method": method, "blocks": blocks},
     }
     _write_report(report, args.out)
     return 0

@@ -34,9 +34,17 @@ repeated by propagate; the other is expm_action(plan, v, what), which
 runs that plan: Al-Mohy & Higham's Taylor blocks in numpy around
 scipy.sparse's CSR matvec, with a work budget (MAX_MATVECS).  exp_plan
 and mat_exp are numpy alone, so only expm_action and SandwichSum.sparse
-load scipy.sparse.  MAX_DENSE_SOLVE_DIM is the size rule of the kernel
-solve in lindblad.steady_state: a numpy inverse up to it, scipy's sparse
-LU above it.
+load scipy.sparse.
+
+component_labels finds the weakly connected components of a sparsity
+graph in numpy, and SandwichSum.block_stacks gathers an operator's
+diagonal blocks over such a partition, the blocks of one size in one
+(k, s, s) stack.  A block-diagonal operator then costs sum_b n_b^3, not
+n^3, per dense factorization or exponential: lindblad.steady_state
+inverts per block while sum_b n_b^3 <= MAX_DENSE_SOLVE_DIM^3 and takes
+scipy's sparse LU above it, and lindblad.evolve builds its dense step
+map from one mat_exp per block wherever sum_b n_b^3 + MATVEC_OVERHEAD
+per block is below n^3.
 """
 
 from __future__ import annotations
@@ -54,11 +62,14 @@ DEFAULT_TOL = 1e-9
 # The side of the largest dense complex matrix that require_dense admits.
 MAX_DENSE_DIM = 2048
 
-# The largest side n = d^2 of a Liouvillian whose bordered kernel system steady_state
-# inverts densely in numpy; above it, scipy's sparse LU.  A fixed size rule, whether or
-# not scipy is loaded: on a 2-core VM the inverse at n = 256 took 8.5 ms against 1 ms
-# for a warm LU, while loading scipy.sparse.linalg took 0.22-0.33 s, about 30 of those
-# solves; at n = 400 and 576 the inverse took 23 and 53 ms.
+# steady_state inverts the bordered kernel system of a Liouvillian block by block in
+# numpy while its blocks' sides n_b have sum_b n_b^3 <= MAX_DENSE_SOLVE_DIM^3 (for one
+# block, n <= 256); above it, scipy's sparse LU.  A fixed size rule, whether or not scipy
+# is loaded: on a 2-core VM one inverse at n = 256 took 8.5 ms against 1 ms for a warm
+# LU, while loading scipy.sparse.linalg took 0.22-0.33 s, about 30 of those solves; at
+# n = 400 and 576 the inverse took 23 and 53 ms.  The thermal oscillator at d = 48 and
+# 64 (sum_b n_b^3 = 2.7e6 and 8.4e6) takes 7.0 and 13.9 ms warm per block, against 4.7
+# and 6.7 ms on the LU, the same trade as one n = 256 inverse.
 MAX_DENSE_SOLVE_DIM = 256
 
 # Al-Mohy & Higham (2011) Table 3.1: theta_m for m Taylor terms, as scipy's expm_multiply has it:
@@ -92,6 +103,7 @@ __all__ = [
     "MAX_MATVECS",
     "SandwichSum",
     "adjoint",
+    "component_labels",
     "devectorize",
     "exp_plan",
     "expm_action",
@@ -456,6 +468,37 @@ class SandwichSum(NamedTuple):
         indptr = np.searchsorted(self.keys, np.arange(n + 1) * m)
         return scipy.sparse.csc_array((self.data, self.keys % m, indptr), shape=(m, n))
 
+    def block_stacks(self, blocks) -> list:
+        """The diagonal blocks of a square operator as [(indices, stack)], one pair per
+        block side s, ascending: indices (k, s) lists the k blocks of that side and stack
+        (k, s, s) holds each one's rows and columns, both in indices' order.
+
+        blocks is a partition of range(n) into index arrays, each ascending, that no
+        stored entry crosses, such as component_labels finds.  One scatter of the data
+        fills every stack, so no n x n array is formed.
+        """
+        n = self.shape[0]
+        sizes = np.fromiter(map(len, blocks), np.intp, len(blocks))
+        by_size = np.argsort(sizes, kind="stable")
+        flat = np.concatenate([blocks[b] for b in by_size])
+        block_of, pos = np.empty(n, np.intp), np.empty(n, np.intp)
+        block_of[flat] = np.repeat(by_size, sizes[by_size])
+        starts = np.cumsum(sizes[by_size]) - sizes[by_size]
+        pos[flat] = np.arange(n) - np.repeat(starts, sizes[by_size])
+        base = np.empty(len(blocks), np.intp)  # where each block's s x s cells start
+        base[by_size] = np.cumsum(sizes[by_size] ** 2) - sizes[by_size] ** 2
+        rows, cols = self.keys % n, self.keys // n
+        block = block_of[rows]
+        cells = np.zeros(int(np.sum(sizes**2)), dtype=complex)
+        cells[base[block] + pos[rows] * sizes[block] + pos[cols]] = self.data
+        out = []
+        for side, first, count in zip(*np.unique(sizes[by_size], return_index=True,
+                                                 return_counts=True)):
+            lo = base[by_size[first]]
+            out.append((flat[starts[first]:starts[first] + count * side].reshape(count, side),
+                        cells[lo:lo + count * side * side].reshape(count, side, side)))
+        return out
+
 
 def sandwich_sum(pairs, what: str) -> SandwichSum:
     """sum_k sandwich(A_k, B_k) over (A_k, B_k) pairs in list order; OverflowError beyond range."""
@@ -468,6 +511,28 @@ def sandwich_sum(pairs, what: str) -> SandwichSum:
         np.add.at(data, where, values)
     keys.flags.writeable = data.flags.writeable = False  # the views share them
     return SandwichSum(keys, require_finite_result(data, what), (s * p, r * q))
+
+
+def component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """The least vertex of each vertex's weakly connected component, for the graph on
+    range(n) with edges (rows[k], cols[k]), in numpy alone.
+
+    Min-label propagation with pointer jumping: every label is a root, the least vertex
+    of its tree; each edge whose ends hold two roots hooks the larger root to the
+    smaller, then every label jumps to its root.  Edges inside one tree drop out, and
+    each sweep joins at least one pair of trees.
+    """
+    labels = np.arange(n)
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    while True:
+        a, b = labels[rows], labels[cols]
+        apart = a != b
+        if not apart.any():
+            return labels
+        rows, cols, a, b = rows[apart], cols[apart], a[apart], b[apart]
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
 
 
 def vectorize(a: np.ndarray) -> np.ndarray:

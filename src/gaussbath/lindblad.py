@@ -18,16 +18,25 @@ of d x d factors.  The Schrodinger generator L' = L+ is the Hilbert-Schmidt
 adjoint, so tr(L(X) rho) = tr(X L'(rho)) by construction.  Model and form
 are immutable: SystemModel.form is the one GKSForm, GKSForm.liouvillian
 the one L', the adjoint pairs (A+, B+) summed by linalg.sandwich_sum on
-first use and read through its dense or CSC view; L is its adjoint.
-steady_state solves it with its row 0 replaced by the scaled trace
-functional, certified by the condition number kappa_1: by a numpy inverse
-(kappa exact) up to d^2 = linalg.MAX_DENSE_SOLVE_DIM, so a small model
-loads no scipy, and by scipy's sparse LU (kappa estimated) above it; the
-dense SVD of that L' decides only when that certificate fails.
+first use and read through its dense, CSC or block view; L is its adjoint.
+GKSForm.blocks are the weakly connected components of L''s keys, joined
+with the trace row: L' is block-diagonal over them (a thermal bath keeps
+the coherence order i - j, a squeezed one its parity), and so are
+exp(t L'), the RK4 map and the kernel system.
+steady_state solves L' with its row 0 replaced by the scaled trace
+functional, certified by the condition number kappa_1: by one numpy
+inverse per block (kappa exact) while the block sides have sum_b n_b^3 <=
+linalg.MAX_DENSE_SOLVE_DIM^3, so such a model loads no scipy, and by
+scipy's sparse LU (kappa estimated) above it; the dense SVD of each block
+of that L' decides only when that certificate fails.  The steady report
+reads (kappa, route, blocks) through _steady_state.
 A trajectory is (dt, steps): one step map applied steps times, checked
 by validate_trajectory for evolve and the collision chain alike.
 evolve's "expm" builds one linalg.exp_plan of L' and takes the route it
-names: the dense map exp(dt L') or one linalg.expm_action call on it.  The
+names: the dense map exp(dt L') or one linalg.expm_action call on it.
+The dense map, and the RK4 map, is built from one exponential (or T4
+power) per block wherever sum_b n_b^3 + MATVEC_OVERHEAD per block is
+below n^3, and scattered into one n x n matrix for propagate.  The
 independent evidence for L is the Ito-closure test, which rebuilds L(X)
 column by column as the dt part of dU+ X + X dU + dU+ X dU from the
 Gaussian Ito table in noise.
@@ -50,10 +59,12 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    MATVEC_OVERHEAD,
     MAX_DENSE_DIM,
     MAX_DENSE_SOLVE_DIM,
     SandwichSum,
     adjoint,
+    component_labels,
     devectorize,
     exp_plan,
     expm_action,
@@ -221,6 +232,36 @@ class GKSForm:
         """L' = L+ from the (A+, B+), by sandwich(A, B)+ = sandwich(A+, B+); OverflowError."""
         return sandwich_sum([(adjoint(a), adjoint(b)) for a, b in self.sandwiches()], _OVERFLOW)
 
+    @cached_property
+    def blocks(self) -> tuple:
+        """The blocks of L': the weakly connected components of the graph of its keys,
+        joined with steady_state's trace row (0, i(d+1)), as ascending read-only index
+        arrays ordered by their least index, so blocks[0] holds 0 and every diagonal
+        index.  L', exp(t L'), its RK4 map and the bordered kernel system are all
+        block-diagonal over them.  A conserved charge shows here: a thermal bath keeps
+        the coherence order i - j, a squeezed one its parity.  Without the join, a
+        pure-dephasing model would split its diagonal across blocks.
+        """
+        liouv = self.liouvillian
+        n, d = liouv.shape[0], self.h_eff.shape[0]
+        labels = component_labels(np.concatenate([liouv.keys % n, np.zeros(d, np.intp)]),
+                                  np.concatenate([liouv.keys // n, np.arange(d) * (d + 1)]), n)
+        order = np.argsort(labels, kind="stable")
+        order.flags.writeable = False
+        return tuple(np.split(order, np.flatnonzero(np.diff(labels[order])) + 1))
+
+    @cached_property
+    def _kernel(self) -> tuple:
+        """(vec, kappa, method) of steady_state's kernel, solved on first use and kept:
+        _kernel_solve, and where its certificate fails, the dense SVD with method "svd".
+        A DegenerateKernelError is raised again on every read."""
+        liouv, blocks = self.liouvillian, self.blocks
+        vec, kappa, method = _kernel_solve(liouv, blocks)
+        if not kappa < 1.0 / RANK_RTOL:  # NaN included
+            vec, method = _dense_kernel_vector(liouv, blocks, kappa), "svd"
+        vec.flags.writeable = False
+        return vec, kappa, method
+
     def kossakowski_eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.kossakowski)
 
@@ -267,12 +308,39 @@ def _rk4_default_step(model: SystemModel, spacing: float) -> float:
 
 
 def _taylor4(a: np.ndarray) -> np.ndarray:
-    """I + A + A^2/2 + A^3/6 + A^4/24 in Horner form: one RK4 step of a linear ODE."""
-    eye = np.eye(a.shape[0])
+    """I + A + A^2/2 + A^3/6 + A^4/24 in Horner form, of a matrix or of each of a stack:
+    one RK4 step of a linear ODE."""
+    eye = np.eye(a.shape[-1])
     t = eye + a / 4.0
     for k in (3.0, 2.0, 1.0):
         t = eye + (a @ t) / k
     return t
+
+
+def _in_blocks(form: GKSForm) -> bool:
+    """Whether evolve's dense map of L' is built per block: sum_b n_b^3 + MATVEC_OVERHEAD
+    per block below n^3.  One block never is, so no labels are computed where
+    n^3 <= 2 MATVEC_OVERHEAD (n <= 53)."""
+    n = form.liouvillian.shape[0]
+    if n**3 <= 2 * MATVEC_OVERHEAD:
+        return False
+    sizes = np.fromiter(map(len, form.blocks), float, len(form.blocks))
+    return np.sum(sizes**3) + MATVEC_OVERHEAD * sizes.size < float(n) ** 3
+
+
+def _step_map(form: GKSForm, h: float, maps) -> np.ndarray:
+    """The n x n step map with maps(h L') on each stack of L''s diagonal blocks: per block,
+    scattered, where _in_blocks; else on the whole h L' as a stack of one.  Every stack of
+    h L' is checked finite before the first map."""
+    liouv, what = form.liouvillian, "evolve overflow: dt L'"
+    if not _in_blocks(form):
+        return maps(require_finite_result(h * liouv.dense(), what)[None])[0]
+    stacks = [(idx, require_finite_result(h * stack, what))
+              for idx, stack in liouv.block_stacks(form.blocks)]
+    out = np.zeros(liouv.shape, dtype=complex)
+    for idx, stack in stacks:
+        out[idx[:, :, None], idx[:, None, :]] = maps(stack)
+    return out
 
 
 def evolve(
@@ -289,6 +357,9 @@ def evolve(
     linalg.exp_plan(L', dt, steps) and takes the route it names: the map
     exp(dt L') applied by linalg.propagate, or expm_action(plan, rho0), one
     call that runs the plan, a DomainError beyond its work budget (MAX_MATVECS).
+    The dense map, and RK4's below, is one n x n matrix built from one mat_exp
+    (or T4 power) per block of GKSForm.blocks wherever sum_b n_b^3 +
+    MATVEC_OVERHEAD per block is below n^3, and from the whole L' elsewhere.
     A non-finite state raises OverflowError on either route, as does dt L'
     or an RK4 substep count beyond the double range.  "rk4" takes nsub
     equal substeps h <= min(dt/20, 0.01/scale), scale = gamma (2n+1+2|m|)
@@ -308,17 +379,17 @@ def evolve(
     if method == "rk4":
         require_dense(d**4, f"method 'rk4' at d = {d} (d^2 = {d * d})", "(d^2)^2",
                       "; use --method expm")
-    liouv = model.form.liouvillian
-    if method == "expm" and not (plan := exp_plan(liouv, dt, steps)).dense:
+    form = model.form
+    if method == "expm" and not (plan := exp_plan(form.liouvillian, dt, steps)).dense:
         return devectorize(expm_action(plan, vectorize(rho0), "the trajectory"), d)
     rk4_step = _rk4_default_step(model, dt) if method == "rk4" else np.inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # expm: one substep
         nsub = max(1, ceil(require_finite_result(
             dt / rk4_step, "evolve overflow: the RK4 substep count")))
-        step = require_finite_result((dt / nsub) * liouv.dense(), "evolve overflow: dt L'")
         # A T4 power beyond the double range shows in the trajectory, which propagate checks.
-        step_map = (mat_exp(step) if method == "expm"
-                    else np.linalg.matrix_power(_taylor4(step), nsub))
+        step_map = _step_map(form, dt / nsub, (lambda stack: [mat_exp(a) for a in stack])
+                             if method == "expm" else
+                             (lambda stack: np.linalg.matrix_power(_taylor4(stack), nsub)))
     return propagate(rho0, step_map, steps)
 
 
@@ -330,22 +401,21 @@ def steady_state(model: SystemModel) -> np.ndarray:
     so A is L' with row 0 replaced by s vec(I)+, s = ||L'||_1; then
     A vec(rho) = s e_0 holds the stationarity and tr rho = 1, and the
     scale s keeps both the answer and the certificate unchanged by the
-    unit of time.  _kernel_solve solves it and returns the certificate
-    kappa = ||A||_1 ||A^-1||_1: exact from a numpy inverse up to
-    d^2 = MAX_DENSE_SOLVE_DIM, estimated by onenormest on scipy's sparse
-    LU above it.  When A is singular or kappa >= 1/RANK_RTOL, the dense
-    SVD of the same assembled L' decides (_dense_kernel_vector): it counts
-    the kernel and raises DegenerateKernelError with kernel_dim unless that
-    count is one.  Above the MAX_DENSE_DIM budget for d^2 it raises at
-    once, naming kappa, with kernel_dim None.  The result is projected by
-    linalg.hermitian_part, trace-normalized and checked positive.
+    unit of time.  A is block-diagonal over GKSForm.blocks, whose first
+    block holds row 0 and the trace.  _kernel_solve solves it and returns
+    the certificate kappa = ||A||_1 ||A^-1||_1: exact from one numpy
+    inverse per block while the block sides have sum_b n_b^3 <=
+    MAX_DENSE_SOLVE_DIM^3, estimated by onenormest on scipy's sparse LU
+    above it.  When A is singular or kappa >= 1/RANK_RTOL, the dense SVD
+    of each block of the same assembled L' decides (_dense_kernel_vector):
+    it counts the kernel and raises DegenerateKernelError with kernel_dim
+    unless that count is one.  Where a block is beyond the MAX_DENSE_DIM
+    budget it raises at once, naming kappa, with kernel_dim None.  The
+    form keeps the solve, so a second call solves nothing again.  The
+    result is projected by linalg.hermitian_part, trace-normalized and
+    checked positive.
     """
-    d = model.dim
-    liouv = model.form.liouvillian
-    vec, kappa = _kernel_solve(liouv)
-    if not kappa < 1.0 / RANK_RTOL:  # NaN included
-        vec = _dense_kernel_vector(liouv, kappa)
-    rho = hermitian_part(devectorize(vec, d))
+    rho = hermitian_part(devectorize(model.form._kernel[0], model.dim))
     tr = np.trace(rho)
     if abs(tr) < 1e-12:
         raise DecompositionError("kernel element of the Liouvillian is traceless")
@@ -357,28 +427,46 @@ def steady_state(model: SystemModel) -> np.ndarray:
     return rho
 
 
-def _kernel_solve(liouv: SandwichSum) -> tuple[np.ndarray | None, float]:
-    """(vec, kappa) of steady_state's bordered system A vec = s e_0, from the assembled L'.
+def _steady_state(model: SystemModel) -> tuple[np.ndarray, float, str, int]:
+    """(rho, kappa, method, blocks): steady_state(model) with its certificate, the kappa
+    of the bordered solve, the route that gave rho ("block-inverse", "sparse-lu" or "svd")
+    and the number of blocks of L'."""
+    rho = steady_state(model)
+    _, kappa, method = model.form._kernel
+    return rho, kappa, method, len(model.form.blocks)
 
-    Up to n = d^2 = MAX_DENSE_SOLVE_DIM by numpy alone: vec = s A^-1 e_0
-    with the exact kappa = ||A||_1 ||A^-1||_1.  Above it by scipy's sparse
-    LU, with ||A^-1||_1 estimated by onenormest.  A singular A gives
-    (None, inf); A is built in new data, so liouv stays L'.
+
+def _kernel_solve(liouv: SandwichSum, blocks: tuple) -> tuple[np.ndarray | None, float, str]:
+    """(vec, kappa, method) of steady_state's bordered system A vec = s e_0, from the
+    assembled L' and its blocks.
+
+    While sum_b n_b^3 <= MAX_DENSE_SOLVE_DIM^3 by numpy alone ("block-inverse"): one
+    batched inverse per block side, vec = s A^-1 e_0 from the first block, and the exact
+    kappa = max_b ||A_b||_1 max_b ||A_b^-1||_1.  For one block this is n <= 256.  Above
+    it by scipy's sparse LU ("sparse-lu"), with ||A^-1||_1 estimated by onenormest.  A
+    singular A gives (None, inf); A is built in new data, so liouv stays L'.
     """
     n = liouv.shape[0]
     d = isqrt(n)
     trace_cols = np.arange(d) * (d + 1)  # where vec(I) is 1
-    if n <= MAX_DENSE_SOLVE_DIM:
-        a = liouv.dense()
+    sizes = np.fromiter(map(len, blocks), float, len(blocks))
+    if np.sum(sizes**3) <= float(MAX_DENSE_SOLVE_DIM) ** 3:
+        groups = liouv.block_stacks(blocks)
+        stacks = [a for _, a in groups]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            scale = np.linalg.norm(a, 1)
-            a[0] = 0.0
-            a[0, trace_cols] = scale
+            scale = _norm1(stacks)
+            # blocks[0] holds index 0 and the trace; it leads the stack of its side.
+            first = next(k for k, (idx, _) in enumerate(groups) if idx[0, 0] == 0)
+            idx, a = groups[first]
+            a[0, 0] = 0.0
+            a[0, 0, np.searchsorted(idx[0], trace_cols)] = scale
             try:
-                inverse = np.linalg.inv(a)
+                inverses = [np.linalg.inv(a) for a in stacks]
             except np.linalg.LinAlgError:  # exactly singular
-                return None, np.inf
-            return scale * inverse[:, 0], np.linalg.norm(a, 1) * np.linalg.norm(inverse, 1)
+                return None, np.inf, "block-inverse"
+            vec = np.zeros(n, dtype=complex)
+            vec[idx[0]] = scale * inverses[first][0, :, 0]
+            return vec, _norm1(stacks) * _norm1(inverses), "block-inverse"
     import scipy.sparse
     import scipy.sparse.linalg
 
@@ -393,7 +481,7 @@ def _kernel_solve(liouv: SandwichSum) -> tuple[np.ndarray | None, float]:
     try:
         lu = scipy.sparse.linalg.splu(a)
     except RuntimeError:  # SuperLU: the factor is exactly singular
-        return None, np.inf
+        return None, np.inf, "sparse-lu"
     inverse = scipy.sparse.linalg.LinearOperator(
         a.shape, matvec=lu.solve, rmatvec=lambda v: lu.solve(v, trans="H"), dtype=complex
     )
@@ -401,28 +489,41 @@ def _kernel_solve(liouv: SandwichSum) -> tuple[np.ndarray | None, float]:
         vec = lu.solve(rhs)
         # t = 1 draws no random columns, so the estimate is reproducible.
         kappa = scipy.sparse.linalg.norm(a, 1) * scipy.sparse.linalg.onenormest(inverse, t=1)
-    return vec, kappa
+    return vec, kappa, "sparse-lu"
 
 
-def _dense_kernel_vector(liouv: SandwichSum, kappa: float) -> np.ndarray:
-    """The right singular vector of the smallest singular value of liouv, L' assembled.
+def _norm1(stacks: list) -> float:
+    """The 1-norm of a block-diagonal matrix from its blocks: the largest over stacks
+    (k, s, s) of each block's 1-norm; NaN where one is."""
+    return np.concatenate([np.linalg.norm(a, 1, axis=(1, 2)) for a in stacks]).max()
+
+
+def _dense_kernel_vector(liouv: SandwichSum, blocks: tuple, kappa: float) -> np.ndarray:
+    """The right singular vector of the smallest singular value of liouv, L' assembled,
+    from one batched SVD per block side.
 
     A kernel of dimension other than one, counted at RANK_RTOL relative to
-    the largest singular value, raises DegenerateKernelError with the count.
+    the largest singular value of all blocks, raises DegenerateKernelError
+    with the count; a block beyond MAX_DENSE_DIM raises it with kernel_dim None.
     """
-    n = liouv.shape[0]
-    if n > MAX_DENSE_DIM:
+    n, largest = liouv.shape[0], max(map(len, blocks))
+    if largest > MAX_DENSE_DIM:
         raise DegenerateKernelError(
             f"Liouvillian kernel is not certified one-dimensional: condition estimate "
-            f"{kappa:.3e} >= {1.0 / RANK_RTOL:.0e}, and d^2 = {n} is beyond the "
-            f"dense budget {MAX_DENSE_DIM} for counting it",
+            f"{kappa:.3e} >= {1.0 / RANK_RTOL:.0e}, and its largest block, {largest} of "
+            f"d^2 = {n}, is beyond the dense budget {MAX_DENSE_DIM} for counting it",
             kernel_dim=None,
         )
-    _, svals, vh = np.linalg.svd(liouv.dense())
-    kernel_dim = int(np.sum(negligible(svals, svals[0], RANK_RTOL)))
+    groups = [(idx, *np.linalg.svd(a)[1:]) for idx, a in liouv.block_stacks(blocks)]
+    top = np.max([svals[:, 0].max() for _, svals, _ in groups])
+    kernel_dim = sum(int(np.sum(negligible(svals, top, RANK_RTOL))) for _, svals, _ in groups)
     if kernel_dim != 1:
         raise DegenerateKernelError(
             f"Liouvillian kernel has dimension {kernel_dim}, expected 1",
             kernel_dim=kernel_dim,
         )
-    return vh[-1].conj()
+    vec = np.zeros(n, dtype=complex)
+    for idx, svals, vh in groups:
+        for slot in np.flatnonzero(negligible(svals[:, -1], top, RANK_RTOL)):
+            vec[idx[slot]] = vh[slot, -1].conj()
+    return vec

@@ -86,6 +86,24 @@ def ito_heisenberg(model):
     return out
 
 
+def union_find_labels(rows, cols, n):
+    """The least vertex of each vertex's connected component, by union-find with path
+    halving: the reference for linalg.component_labels.  The smaller root wins every
+    union, so each root is its component's least vertex."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for r, c in zip(rows, cols):
+        a, b = find(int(r)), find(int(c))
+        parent[max(a, b)] = min(a, b)
+    return np.array([find(x) for x in range(n)], dtype=int)
+
+
 def dense_steady_state(model):
     """Steady state from one dense SVD of L': the oracle for lindblad.steady_state.
 

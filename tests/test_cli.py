@@ -299,6 +299,21 @@ def test_steady_report(tmp_path, capsys):
     assert tree["populations"] == pytest.approx([1.0 / 3.0, 2.0 / 3.0], abs=1e-10)
     assert tree["trace"][0] == pytest.approx(1.0, abs=1e-12)
     assert tree["liouvillian_residual"] < 1e-10
+    # The damped qubit's L' has three blocks: the diagonal, |0><1| and |1><0|.
+    certificate = tree["certificate"]
+    assert certificate["method"] == "block-inverse" and certificate["blocks"] == 3
+    assert 1.0 <= certificate["kappa"] < 1e10
+
+
+def test_steady_certificate_of_a_singular_solve_is_null(tmp_path, capsys, monkeypatch):
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    assert main(["steady", "--model", qubit_model_file(tmp_path, n=1.0)]) == 0
+    tree = json.loads(capsys.readouterr().out)
+    assert tree["certificate"] == {"kappa": None, "method": "svd", "blocks": 3}
+    assert tree["populations"] == pytest.approx([1.0 / 3.0, 2.0 / 3.0], abs=1e-10)
 
 
 def test_steady_residual_beyond_the_range_of_its_squares(tmp_path, capsys):
@@ -631,9 +646,13 @@ def test_report_commands_never_load_scipy(tmp_path):
     big = write_json(tmp_path / "m46.json", {"dim": 46, "gamma": 1.0, "n": 0.5,
                                              "C": to_pairs(ladder(46)),
                                              "F": to_pairs(np.diag(np.arange(46.0)))})
-    big17 = write_json(tmp_path / "m17.json", {"dim": 17, "gamma": 1.0, "n": 0.5,
-                                                "C": to_pairs(ladder(17)),
-                                                "F": to_pairs(np.diag(np.arange(17.0)))})
+    thermal = {d: write_json(tmp_path / f"m{d}.json", {"dim": d, "gamma": 1.0, "n": 0.5,
+                                                       "C": to_pairs(ladder(d)),
+                                                       "F": to_pairs(np.diag(np.arange(d * 1.0)))})
+               for d in (24, 32)}
+    squeezed23 = write_json(tmp_path / "m23.json", {"dim": 23, "gamma": 1.0, "n": 0.5,
+                                                    "m_re": 0.2, "C": to_pairs(ladder(23)),
+                                                    "F": to_pairs(np.diag(np.arange(23.0)))})
     script = f"""
 import sys
 from gaussbath.cli import main
@@ -647,16 +666,19 @@ assert main(["evolve", "--model", {model!r}, "--rho0", {str(tmp_path / "rho0.jso
              "--t-final", "0.2", "--points", "3", "--out", {str(tmp_path / "e.csv")!r}]) == 0
 assert main(["oracle", "--model", {model!r}, "--t-final", "0.2", "--dt-list", "0.1,0.05",
              "--cutoff", "3", "--out", {str(tmp_path / "o.csv")!r}]) == 0
-# steady at d^2 <= MAX_DENSE_SOLVE_DIM: the numpy kernel solve and residual.
-assert main(["steady", "--model", {model!r}, "--out", {str(tmp_path / "st.json")!r}]) == 0
+# steady within sum_b n_b^3 <= MAX_DENSE_SOLVE_DIM^3: the numpy kernel solve per block
+# and the residual, on a qubit and on the thermal oscillators of the bench at d = 24, 32.
+for path in ({model!r}, {thermal[24]!r}, {thermal[32]!r}):
+    assert main(["steady", "--model", path, "--out", {str(tmp_path / "st.json")!r}]) == 0
 assert "scipy" not in sys.modules, "a dense evolve, oracle or steady loaded scipy"
 # The sparse route of evolve: a d = 46 oscillator is beyond the dense budget.
 assert main(["evolve", "--model", {big!r}, "--rho0", {str(tmp_path / "rho46.json")!r},
              "--t-final", "0.1", "--points", "3", "--out", {str(tmp_path / "k.csv")!r}]) == 0
 assert "scipy.sparse" in sys.modules
 assert "scipy.sparse.linalg" not in sys.modules, "a Krylov evolve loaded scipy.sparse.linalg"
-# steady at d = 17, above MAX_DENSE_SOLVE_DIM: the sparse LU.
-assert main(["steady", "--model", {big17!r}, "--out", {str(tmp_path / "st17.json")!r}]) == 0
+# steady on a squeezed oscillator at d = 23, parity blocks of 265 and 264 whose cubes
+# sum above MAX_DENSE_SOLVE_DIM^3: the sparse LU.
+assert main(["steady", "--model", {squeezed23!r}, "--out", {str(tmp_path / "st23.json")!r}]) == 0
 assert "scipy.sparse.linalg" in sys.modules
 """
     write_json(tmp_path / "rho0.json", {"rho": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]})

@@ -14,6 +14,7 @@ from helpers import (
     random_hermitian,
     random_unitary,
     sandwich,
+    union_find_labels,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from gaussbath.collision import CollisionConfig, _step_channel, _step_sandwiches
 from gaussbath.errors import DimensionError, DomainError
 from gaussbath.linalg import (
     adjoint,
+    component_labels,
     devectorize,
     exp_plan,
     expm_action,
@@ -718,12 +720,17 @@ def test_one_assembly_per_exponential(calls, monkeypatch, tmp_path, capsys):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    # The ROUTES cases evolve-expm/d4 (dense), d19-t10 (Krylov), step-space-50 (dense)
-    # and step-space-100 (Krylov): one plan of the operator, then the route it names.
-    # expm_action runs the plan and builds none, so each exponential has one exp_plan.
+    # The ROUTES cases evolve-expm/d4 (dense), evolve-expm/d8 (dense, in blocks), d19-t10
+    # (Krylov), step-space-50 (dense) and step-space-100 (Krylov): one plan of the
+    # operator, then the route it names.  expm_action runs the plan and builds none, so
+    # each exponential has one exp_plan.  At d = 8 the squeezed bath splits L' into two
+    # parity blocks of 32, so the one dense map is built from one mat_exp per block.
     runs = {
         "evolve, dense": (lambda: evolve(oscillator(4, **BENCH_BATH), ground(4), 0.05, 100),
                           ["sandwich_sum", "exp_plan", "mat_exp"]),
+        "evolve, dense in blocks": (lambda: evolve(oscillator(8, **BENCH_BATH), ground(8),
+                                                   0.05, 100),
+                                    ["sandwich_sum", "exp_plan", "mat_exp", "mat_exp"]),
         "evolve, Krylov": (lambda: evolve(oscillator(19, n=0.5), ground(19), 1.0, 10),
                            ["sandwich_sum", "exp_plan", "expm_action"]),
         "evolve, RK4": (lambda: evolve(oscillator(4, **BENCH_BATH), ground(4), 0.05, 100,
@@ -760,8 +767,52 @@ def test_one_assembly_per_exponential(calls, monkeypatch, tmp_path, capsys):
         assert main(argv) == 0, name
         assert calls == want, name
     capsys.readouterr()
-    # The dense SVD fallback of steady_state reads the L' that its sparse LU took.
+    # The dense SVD fallback of steady_state reads the L' that its sparse LU took: at
+    # d = 23 the squeezed bath's parity blocks, 265 and 264, are beyond the numpy solve.
     monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
     calls.clear()
-    steady_state(oscillator(17, n=0.5))  # d^2 = 289: above MAX_DENSE_SOLVE_DIM, the LU
+    steady_state(oscillator(23, **BENCH_BATH))
     assert calls == ["sandwich_sum"]
+
+
+# ---------------------------------------------------------------- blocks
+
+
+@st.composite
+def key_sets(draw):
+    """(rows, cols, n): the entries of a random n x n sparsity pattern, sparse or dense."""
+    n = draw(st.integers(1, 60))
+    keys = draw(st.lists(st.integers(0, n * n - 1), max_size=draw(st.sampled_from([n, 3 * n]))))
+    keys = np.unique(np.array(keys, dtype=int))
+    return keys % n, keys // n, n
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(case=key_sets())
+def test_component_labels_match_union_find(case):
+    rows, cols, n = case
+    assert component_labels(rows, cols, n).tolist() == union_find_labels(rows, cols, n).tolist()
+
+
+def test_component_labels_join_a_chain_in_any_order():
+    # A path whose vertices are visited in a shuffled order: the hooks run against the
+    # index order, so each sweep joins pieces, and pointer jumping gathers them at 0.
+    order = np.random.default_rng(7).permutation(500)
+    labels = component_labels(order[:-1], order[1:], 500)
+    assert labels.tolist() == [0] * 500
+
+
+def test_block_stacks_are_the_diagonal_blocks(rng):
+    # Three blocks of sides 2, 3 and 2 in a shuffled order of 7 indices.
+    blocks = (np.array([0, 4]), np.array([1, 2, 6]), np.array([3, 5]))
+    dense = np.zeros((7, 7), dtype=complex)
+    for block in blocks:
+        dense[np.ix_(block, block)] = random_complex(rng, (len(block), len(block)))
+    dense[4, 4] = 0.0
+    keys = np.flatnonzero(dense.T.reshape(-1))  # column-major
+    op = linalg.SandwichSum(keys, dense.T.reshape(-1)[keys], (7, 7))
+    groups = op.block_stacks(blocks)
+    assert [idx.tolist() for idx, _ in groups] == [[[0, 4], [3, 5]], [[1, 2, 6]]]
+    for idx, stack in groups:
+        for block, a in zip(idx, stack):
+            assert a.tobytes() == dense[np.ix_(block, block)].tobytes()

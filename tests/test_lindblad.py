@@ -35,6 +35,7 @@ from gaussbath.linalg import (
     MAX_DENSE_DIM,
     adjoint,
     devectorize,
+    hermitian_part,
     exp_plan,
     expm_action,
     is_psd,
@@ -44,6 +45,7 @@ from gaussbath.linalg import (
     vectorize,
 )
 from gaussbath.lindblad import (
+    RANK_RTOL,
     GKSForm,
     SystemModel,
     _taylor4,
@@ -231,7 +233,7 @@ def test_the_owners_are_immutable(rng, monkeypatch):
         return lambda op, *args: read.append(op) or original(op, *args)
 
     liouv, read = form.liouvillian, []
-    for view in ("dense", "sparse"):
+    for view in ("dense", "sparse", "block_stacks"):
         monkeypatch.setattr(linalg.SandwichSum, view, reading(getattr(linalg.SandwichSum, view)))
     monkeypatch.setattr(lindblad, "exp_plan", reading(exp_plan))
     monkeypatch.setattr(lindblad, "gks_decompose", fail)
@@ -239,8 +241,8 @@ def test_the_owners_are_immutable(rng, monkeypatch):
     evolve_on_route("dense", model, random_density(rng, 3), 0.1, 3)
     evolve_on_route("krylov", model, random_density(rng, 3), 0.1, 3)
     steady_state(model)
-    # The two plans, the dense map and the kernel solve read L'; the fourth read is
-    # expm_action's sparse view of the plan's L' - mu I.
+    # The two plans, the dense map and the kernel solve (its block stacks) read L'; the
+    # fourth read is expm_action's sparse view of the plan's L' - mu I.
     assert [op is liouv for op in read] == [True, True, True, False, True]
     assert model.form is form and form.liouvillian is liouv
 
@@ -842,6 +844,12 @@ def test_nearly_decoupled_blocks_get_the_oracle_verdict(eps, link):
         np.testing.assert_allclose(steady_state(model), want, rtol=0, atol=1e-10)
 
 
+def squeezed_oscillator(d, n=0.5):
+    """C = a and F = a+a on d levels in a squeezed bath: L' splits by the parity of i - j."""
+    m = 0.5 * np.sqrt(n * (n + 1.0)) * np.exp(0.7j)
+    return SystemModel(C=ladder(d), F=number(d), noise=NoiseParams(gamma=1.0, n=n, m=m))
+
+
 def test_steady_state_falls_back_to_the_dense_kernel_when_the_lu_is_singular(monkeypatch):
     import scipy.sparse.linalg
 
@@ -852,11 +860,13 @@ def test_steady_state_falls_back_to_the_dense_kernel_when_the_lu_is_singular(mon
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
-    d, n = 17, 0.5  # d^2 = 289 is above MAX_DENSE_SOLVE_DIM: the sparse LU runs
-    m = 0.5 * np.sqrt(n * (n + 1.0)) * np.exp(0.7j)
-    model = SystemModel(C=ladder(d), F=number(d), noise=NoiseParams(gamma=1.0, n=n, m=m))
-    rho = steady_state(model)
-    assert len(calls) == 1
+    # At d = 23 the two parity blocks have sides 265 and 264, whose cubes sum above
+    # MAX_DENSE_SOLVE_DIM^3: the sparse LU runs.
+    model = squeezed_oscillator(23)
+    assert [len(block) for block in model.form.blocks] == [265, 264]
+    assert 265**3 + 264**3 > lindblad.MAX_DENSE_SOLVE_DIM**3
+    rho, _, method, _ = lindblad._steady_state(model)
+    assert len(calls) == 1 and method == "svd"
     np.testing.assert_allclose(rho, dense_steady_state(model), rtol=0, atol=1e-10)
 
 
@@ -876,23 +886,24 @@ def test_the_dense_kernel_solve_matches_the_sparse_lu(monkeypatch, d, bath):
     model = SystemModel(C=random_complex(rng, (d, d)), F=random_hermitian(rng, d),
                         noise=NoiseParams(gamma=float(rng.uniform(0.5, 2.0)),
                                           sigma=float(rng.uniform(-1.0, 1.0)), n=n, m=m))
-    liouv = model.form.liouvillian
+    liouv, blocks = model.form.liouvillian, model.form.blocks
     with monkeypatch.context() as patch:
         patch.setattr(scipy.sparse.linalg, "splu", no_lu)
         dense = steady_state(model)
-        exact = lindblad._kernel_solve(liouv)[1]
+        exact = lindblad._kernel_solve(liouv, blocks)[1]
     monkeypatch.setattr(lindblad, "MAX_DENSE_SOLVE_DIM", 0)  # every size to the sparse LU
-    sparse = steady_state(model)
-    assert np.abs(dense - sparse).max() <= 1e-13 * np.abs(sparse).max()
+    # The form keeps its solve, so the LU solves a new model of the same data.
+    again = SystemModel(C=model.C, F=model.F, noise=model.noise)
+    rho, _, method, _ = lindblad._steady_state(again)
+    assert method == "sparse-lu"
+    assert np.abs(dense - rho).max() <= 1e-13 * np.abs(rho).max()
     # onenormest bounds ||A^-1||_1 from below, so the LU's estimate is at most the exact kappa.
-    assert lindblad._kernel_solve(liouv)[1] <= exact * (1.0 + 1e-12)
+    assert lindblad._kernel_solve(liouv, blocks)[1] <= exact * (1.0 + 1e-12)
 
 
 def test_a_singular_dense_inverse_hands_the_kernel_to_the_svd(monkeypatch):
-    d, n = 6, 0.5
-    m = 0.5 * np.sqrt(n * (n + 1.0)) * np.exp(0.7j)
-    model = SystemModel(C=ladder(d), F=number(d), noise=NoiseParams(gamma=1.0, n=n, m=m))
-    want = steady_state(model)
+    d = 6
+    want = steady_state(squeezed_oscillator(d))
     calls = []
 
     def singular(a):
@@ -900,8 +911,9 @@ def test_a_singular_dense_inverse_hands_the_kernel_to_the_svd(monkeypatch):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "inv", singular)
-    rho = steady_state(model)
-    assert calls == [(d * d, d * d)]
+    rho, _, method, blocks = lindblad._steady_state(squeezed_oscillator(d))
+    # The two parity blocks of d^2 = 36 share the side 18: one batched inverse.
+    assert calls == [(2, 18, 18)] and method == "svd" and blocks == 2
     assert np.abs(rho - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -918,10 +930,25 @@ def test_a_degenerate_kernel_on_the_dense_route_is_counted(monkeypatch):
     assert info.value.kernel_dim == 4
 
 
+def test_a_degenerate_kernel_is_counted_per_block():
+    # C = 1 (x) a and F = 1 (x) a+a at d = 48: d^2 = 2304 is beyond MAX_DENSE_DIM, but
+    # every block fits it, so the kernel of X (x) rho_ss, X any 2 x 2, is counted.
+    a = ladder(24)
+    model = SystemModel(C=np.kron(np.eye(2), a), F=np.kron(np.eye(2), number(24)),
+                        noise=NoiseParams(gamma=1.0, n=0.5))
+    assert 48**2 > MAX_DENSE_DIM >= max(len(block) for block in model.form.blocks)
+    with pytest.raises(DegenerateKernelError, match="has dimension 4, expected 1") as info:
+        steady_state(model)
+    assert info.value.kernel_dim == 4
+
+
 def test_degenerate_kernel_beyond_the_dense_budget_is_not_counted():
-    d = 46  # d^2 = 2116 > MAX_DENSE_DIM
-    assert d * d > MAX_DENSE_DIM
-    model = SystemModel(C=np.zeros((d, d)), F=np.zeros((d, d)), noise=NoiseParams(gamma=1.0))
+    # C = 0 and F = a + a+ at d = 46: the commutator couples every index, so L' is one
+    # block of d^2 = 2116 > MAX_DENSE_DIM, and its kernel (F's d projectors) goes uncounted.
+    d = 46
+    a = ladder(d)
+    model = SystemModel(C=np.zeros((d, d)), F=a + adjoint(a), noise=NoiseParams(gamma=1.0))
+    assert [len(block) for block in model.form.blocks] == [d * d] and d * d > MAX_DENSE_DIM
     with pytest.raises(DegenerateKernelError, match="condition estimate inf") as info:
         steady_state(model)
     assert info.value.kernel_dim is None
@@ -947,3 +974,93 @@ def test_a_step_map_beyond_the_double_range_overflows(method, match):
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match=match):
             evolve(damped_qubit(gamma=1e300), rho0, 1e10, 1, method=method)
+
+
+# ---------------------------------------------------------------- blocks of L'
+
+BLOCK_KINDS = ("thermal", "squeezed", "dense C", "decoherence-free")
+
+
+@st.composite
+def block_models(draw, kind, d_max=9):
+    """A model of kind BLOCK_KINDS.  "decoherence-free" is C = 1 (x) a and F = 1 (x) a+a on
+    2 x k levels, where X (x) rho_ss is stationary for every 2 x 2 X."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.floats(0.1, 1.5))
+    m = 0.0
+    if kind == "squeezed":
+        m = draw(st.floats(0.0, 1.0)) * np.sqrt(n * (n + 1.0)) * np.exp(1j * draw(st.floats(0, 6.3)))
+    noise = NoiseParams(gamma=draw(st.floats(0.3, 2.0)), sigma=draw(st.floats(-1.0, 1.0)), n=n, m=m)
+    if kind == "decoherence-free":
+        k = draw(st.integers(1, d_max // 2))
+        return SystemModel(C=np.kron(np.eye(2), ladder(k)), F=np.kron(np.eye(2), number(k)),
+                           noise=noise)
+    d = draw(st.integers(1, d_max))
+    c = random_complex(rng, (d, d)) / np.sqrt(d) if kind == "dense C" else ladder(d)
+    return SystemModel(C=c, F=number(d), noise=noise)
+
+
+def kernel_on(model, blocks):
+    """steady_state's normalized rho from _kernel_solve and its SVD fallback over blocks,
+    or the DegenerateKernelError they raise."""
+    liouv = model.form.liouvillian
+    vec, kappa, _ = lindblad._kernel_solve(liouv, blocks)
+    if not kappa < 1.0 / RANK_RTOL:
+        try:
+            vec = lindblad._dense_kernel_vector(liouv, blocks, kappa)
+        except DegenerateKernelError as exc:
+            return exc
+    rho = hermitian_part(devectorize(vec, model.dim))
+    return rho / np.trace(rho)
+
+
+@pytest.mark.parametrize("kind", BLOCK_KINDS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(data=st.data())
+def test_the_blockwise_routes_match_the_whole_routes(kind, data):
+    model = data.draw(block_models(kind))
+    n = model.dim**2
+    whole = (np.arange(n),)
+    # steady: the block inverses (or the block SVDs) against one inverse of the whole A.
+    want, got = kernel_on(model, whole), kernel_on(model, model.form.blocks)
+    if isinstance(want, DegenerateKernelError):
+        assert isinstance(got, DegenerateKernelError) and got.kernel_dim == want.kernel_dim
+    else:
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # The dense exp(dt L') and RK4 maps, per block and whole, on one trajectory.
+    rho0 = random_density(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), model.dim)
+    dt, steps = data.draw(st.floats(0.01, 0.5)), data.draw(st.integers(1, 20))
+    for method in ("expm", "rk4"):
+        runs = []
+        for blocked in (False, True):
+            with mock.patch.object(lindblad, "_in_blocks", lambda form: blocked):
+                runs.append(evolve_on_route("dense", model, rho0, dt, steps, method=method))
+        assert np.abs(runs[1] - runs[0]).max() <= 1e-13 * np.abs(runs[0]).max()
+
+
+def test_the_blocks_of_the_oscillator_are_its_conserved_charges():
+    d = 6
+    i, j = np.divmod(np.arange(d * d), d)[::-1]  # vec index i + j d holds |i><j|
+    thermal = SystemModel(C=ladder(d), F=number(d), noise=NoiseParams(gamma=1.0, n=0.5))
+    assert len(thermal.form.blocks) == 2 * d - 1
+    assert all(np.ptp((i - j)[block]) == 0 for block in thermal.form.blocks)
+    squeezed = squeezed_oscillator(d).form.blocks
+    assert [np.unique((i - j)[block] % 2).tolist() for block in squeezed] == [[0], [1]]
+    # Pure dephasing moves no population: only the trace row joins the diagonal.
+    dephasing = SystemModel(C=number(d), F=number(d), noise=NoiseParams(gamma=1.0, n=0.5))
+    assert dephasing.form.blocks[0].tolist() == (np.arange(d) * (d + 1)).tolist()
+    assert len(dephasing.form.blocks) == d * d - d + 1
+
+
+@pytest.mark.parametrize("d, bath", [(16, "thermal"), (12, "squeezed"), (32, "thermal")])
+def test_the_block_inverse_certificate_is_the_exact_condition_number(d, bath):
+    model = (squeezed_oscillator(d) if bath == "squeezed" else
+             SystemModel(C=ladder(d), F=number(d), noise=NoiseParams(gamma=1.0, n=0.5)))
+    liouv = model.form.liouvillian
+    a = liouv.dense()
+    scale = np.linalg.norm(a, 1)
+    a[0] = 0.0
+    a[0, np.arange(d) * (d + 1)] = scale
+    _, kappa, method = lindblad._kernel_solve(liouv, model.form.blocks)
+    assert method == "block-inverse" and len(model.form.blocks) > 1
+    assert abs(kappa - np.linalg.cond(a, 1)) <= 1e-12 * np.linalg.cond(a, 1)
